@@ -11,7 +11,7 @@ use mhfl_fl::submodel::{PlanCache, ServerAggregator, WidthSelection};
 use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
-    RobustAggregation,
+    Parallelism, RobustAggregation,
 };
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::{ParamSpec, StateDict};
@@ -144,6 +144,17 @@ impl FlAlgorithm for SmallestHomogeneous {
     fn evaluate_client(&mut self, _client: usize, data: &Dataset) -> FlResult<f32> {
         // Every client deploys the identical homogeneous model.
         self.evaluate_global(data)
+    }
+
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        _parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        // One deployment, so one pass answers for the whole sample.
+        let global = self.evaluate_global(data)?;
+        Ok((global, vec![global; clients.len()]))
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -1,7 +1,13 @@
 //! Helpers shared by all algorithm implementations.
 
-use mhfl_fl::FederationContext;
+use std::collections::BTreeMap;
+
+use mhfl_data::Dataset;
+use mhfl_fl::submodel::{PlanCache, WidthSelection};
+use mhfl_fl::train::evaluate_accuracy;
+use mhfl_fl::{fan_out, FederationContext, FlResult, Parallelism};
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
+use mhfl_nn::{ParamSpec, StateDict};
 
 /// Builds the proxy-model configuration a client trains, combining the task's
 /// input shape with the architecture family and width/depth fractions the
@@ -47,6 +53,66 @@ pub fn global_proxy_config(ctx: &FederationContext, method: MhflMethod) -> Proxy
 /// indicate a bug in the constraint-assignment code.
 pub fn build_global_model(ctx: &FederationContext, method: MhflMethod) -> ProxyModel {
     ProxyModel::new(global_proxy_config(ctx, method)).expect("global proxy config is valid")
+}
+
+/// Builds the `cfg`-shaped sub-model of the global parameters `global_sd`.
+/// Zero-init skips the Box-Muller draws the extracted parameters would
+/// overwrite anyway; the cached plan turns extraction into one gather pass
+/// per parameter.
+pub(crate) fn extract_submodel(
+    plans: &PlanCache,
+    global_specs: &[ParamSpec],
+    global_sd: &StateDict,
+    cfg: ProxyConfig,
+    selection: WidthSelection,
+) -> FlResult<ProxyModel> {
+    let mut model = ProxyModel::zeroed(cfg)?;
+    let plan = plans.for_client_specs(global_specs, &model.param_specs(), selection)?;
+    model.load_state_dict(&plan.extract(global_sd)?)?;
+    Ok(model)
+}
+
+/// Accuracy of the model a topology-family client deploys: its stored local
+/// model, or chance for a client that never participated (it would deploy an
+/// untrained model).
+pub(crate) fn stored_client_accuracy(
+    client_states: &BTreeMap<usize, (ProxyConfig, StateDict)>,
+    client: usize,
+    num_classes: usize,
+    data: &Dataset,
+) -> FlResult<f32> {
+    match client_states.get(&client) {
+        Some((cfg, state)) => evaluate_accuracy(&mut ProxyModel::from_state(*cfg, state)?, data),
+        None => Ok(1.0 / num_classes.max(1) as f32),
+    }
+}
+
+/// One evaluation point over *distinct* deployments: `global` and every
+/// entry of `deployed` (one per sampled client) name a model by a key; each
+/// distinct key is scored once — the global model first, then first-seen
+/// order, so the first error is the one a serial global-then-clients loop
+/// would hit — fanned out under `parallelism`, and mapped back in sample
+/// order.
+pub(crate) fn evaluate_distinct<K: PartialEq + Sync>(
+    global: K,
+    deployed: impl IntoIterator<Item = K>,
+    parallelism: Parallelism,
+    score: impl Fn(&K) -> FlResult<f32> + Sync,
+) -> FlResult<(f32, Vec<f32>)> {
+    let mut distinct = vec![global];
+    let mut job_of = Vec::new();
+    for key in deployed {
+        let job = distinct.iter().position(|seen| *seen == key);
+        job_of.push(job.unwrap_or(distinct.len()));
+        if job.is_none() {
+            distinct.push(key);
+        }
+    }
+    let scores = fan_out(distinct.len(), parallelism, |job| score(&distinct[job]))?;
+    Ok((
+        scores[0],
+        job_of.into_iter().map(|job| scores[job]).collect(),
+    ))
 }
 
 #[cfg(test)]

@@ -22,14 +22,17 @@ use mhfl_fl::submodel::{PlanCache, ServerAggregator, WidthSelection};
 use mhfl_fl::train::evaluate_accuracy;
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
-    LocalTrainConfig, RobustAggregation,
+    LocalTrainConfig, Parallelism, RobustAggregation,
 };
-use mhfl_models::{MhflMethod, ProxyModel};
+use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::loss::{accuracy, cross_entropy, soft_cross_entropy};
 use mhfl_nn::{Layer, ParamSpec, Sgd, StateDict};
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::common::{build_global_model, client_proxy_config};
+use crate::common::{build_global_model, client_proxy_config, evaluate_distinct, extract_submodel};
+
+/// The depth fractions a deployed model is keyed on.
+const DEPTH_FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
 
 /// Weight of the self-distillation term in DepthFL's local loss.
 const DEPTHFL_KD_WEIGHT: f32 = 0.3;
@@ -71,10 +74,35 @@ impl DepthAlgorithm {
     }
 
     fn require_setup(&self) -> FlResult<()> {
-        if self.global.is_none() {
-            return Err(FlError::InvalidConfig("algorithm used before setup".into()));
+        self.global_config().map(|_| ())
+    }
+
+    fn global_config(&self) -> FlResult<ProxyConfig> {
+        match &self.global {
+            Some(global) => Ok(*global.config()),
+            None => Err(FlError::InvalidConfig("algorithm used before setup".into())),
         }
-        Ok(())
+    }
+
+    /// The model `client` deploys: the block-prefix sub-model of the global
+    /// parameters at a depth keyed on `client % 4`.
+    fn deployed_config(global: ProxyConfig, client: usize) -> ProxyConfig {
+        global.with_depth(DEPTH_FRACTIONS[client % DEPTH_FRACTIONS.len()])
+    }
+
+    fn evaluate_deployment(&self, cfg: ProxyConfig, data: &Dataset) -> FlResult<f32> {
+        let mut model = extract_submodel(
+            &self.plans,
+            &self.global_specs,
+            &self.global_sd,
+            cfg,
+            WidthSelection::Prefix,
+        )?;
+        if self.method == MhflMethod::DepthFl {
+            Self::evaluate_ensemble(&mut model, data)
+        } else {
+            evaluate_accuracy(&mut model, data)
+        }
     }
 
     /// DepthFL local training: joint cross-entropy over every available
@@ -220,15 +248,13 @@ impl FlAlgorithm for DepthAlgorithm {
         self.require_setup()?;
         let mut rng = SeededRng::new(ctx.seed()).derive((round * 10_000 + client) as u64);
         let cfg = client_proxy_config(ctx, client, self.method);
-        // Zero-init + cached plan: no thrown-away random draws, one gather
-        // pass per parameter (see the width-level twin for details).
-        let mut model = ProxyModel::zeroed(cfg)?;
-        let plan = self.plans.for_client_specs(
+        let mut model = extract_submodel(
+            &self.plans,
             &self.global_specs,
-            &model.param_specs(),
+            &self.global_sd,
+            cfg,
             WidthSelection::Prefix,
         )?;
-        model.load_state_dict(&plan.extract(&self.global_sd)?)?;
         let data = ctx.client_shard_at(client, round);
         match self.method {
             MhflMethod::DepthFl => {
@@ -306,23 +332,25 @@ impl FlAlgorithm for DepthAlgorithm {
     }
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
-        self.require_setup()?;
-        let global = self.global.as_ref().expect("checked by require_setup");
-        let fractions = [0.25, 0.5, 0.75, 1.0];
-        let depth = fractions[client % fractions.len()];
-        let cfg = global.config().with_depth(depth);
-        let mut model = ProxyModel::zeroed(cfg)?;
-        let plan = self.plans.for_client_specs(
-            &self.global_specs,
-            &model.param_specs(),
-            WidthSelection::Prefix,
-        )?;
-        model.load_state_dict(&plan.extract(&self.global_sd)?)?;
-        if self.method == MhflMethod::DepthFl {
-            Self::evaluate_ensemble(&mut model, data)
-        } else {
-            evaluate_accuracy(&mut model, data)
-        }
+        let cfg = Self::deployed_config(self.global_config()?, client);
+        self.evaluate_deployment(cfg, data)
+    }
+
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        // The full-depth deployment *is* the global model, so a sample that
+        // holds one costs no pass of its own.
+        let global = self.global_config()?;
+        let deployed = clients
+            .iter()
+            .map(|&client| Self::deployed_config(global, client));
+        evaluate_distinct(global, deployed, parallelism, |&cfg| {
+            self.evaluate_deployment(cfg, data)
+        })
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -14,12 +14,14 @@ use mhfl_fl::adversary::{clip_tensor, coordinate_median};
 use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
-    RobustAggregation,
+    Parallelism, RobustAggregation,
 };
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::loss::soft_cross_entropy;
 use mhfl_nn::{Layer, Sgd, StateDict};
 use mhfl_tensor::{SeededRng, Tensor};
+
+use crate::common::{evaluate_distinct, stored_client_accuracy};
 
 /// Number of server distillation steps per round.
 const SERVER_DISTILL_STEPS: usize = 5;
@@ -294,13 +296,26 @@ impl FlAlgorithm for FedEt {
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
         self.require_setup()?;
-        match self.client_states.get(&client) {
-            Some((cfg, state)) => {
-                let mut model = ProxyModel::from_state(*cfg, state)?;
-                evaluate_accuracy(&mut model, data)
+        stored_client_accuracy(&self.client_states, client, self.num_classes, data)
+    }
+
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        self.require_setup()?;
+        // Jobs see `&self`, so the server model is scored on a copy.
+        let server = self.server_model.as_ref().expect("checked");
+        let (server_cfg, server_sd) = (*server.config(), server.state_dict());
+        let sampled = clients.iter().copied().map(Some);
+        evaluate_distinct(None, sampled, parallelism, |key| match *key {
+            None => evaluate_accuracy(&mut ProxyModel::from_state(server_cfg, &server_sd)?, data),
+            Some(client) => {
+                stored_client_accuracy(&self.client_states, client, self.num_classes, data)
             }
-            None => Ok(1.0 / self.num_classes.max(1) as f32),
-        }
+        })
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

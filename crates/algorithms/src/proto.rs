@@ -10,15 +10,16 @@ use std::collections::BTreeMap;
 
 use mhfl_data::Dataset;
 use mhfl_fl::adversary::{clip_tensor, coordinate_median};
-use mhfl_fl::train::evaluate_accuracy;
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
-    RobustAggregation,
+    Parallelism, RobustAggregation,
 };
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::loss::{accuracy, cross_entropy, prototype_loss};
 use mhfl_nn::{Layer, Sgd, StateDict};
 use mhfl_tensor::{SeededRng, Tensor};
+
+use crate::common::{evaluate_distinct, stored_client_accuracy};
 
 /// Shared prototype dimensionality. FedProto requires every client topology
 /// to produce embeddings in the same space, so all client proxies are built
@@ -146,6 +147,23 @@ impl FedProto {
             }
         }
         Ok((sums, counts))
+    }
+
+    /// FedProto keeps no single global model; the platform evaluates the
+    /// ensemble of (up to `ENSEMBLE_SIZE`) trained client models.
+    fn ensemble_accuracy(&self, data: &Dataset) -> FlResult<f32> {
+        self.require_setup()?;
+        if self.client_states.is_empty() || data.is_empty() {
+            return Ok(1.0 / self.num_classes.max(1) as f32);
+        }
+        let batch = data.as_batch();
+        let mut probs = Tensor::zeros(&[batch.len(), self.num_classes]);
+        for (cfg, state) in self.client_states.values().take(ENSEMBLE_SIZE) {
+            let mut model = ProxyModel::from_state(*cfg, state)?;
+            let out = model.forward_detailed(&batch.inputs, false)?;
+            probs.axpy(1.0, &out.logits.softmax_rows()?)?;
+        }
+        Ok(accuracy(&probs, &batch.labels)?)
     }
 }
 
@@ -277,32 +295,27 @@ impl FlAlgorithm for FedProto {
     }
 
     fn evaluate_global(&mut self, data: &Dataset) -> FlResult<f32> {
-        self.require_setup()?;
-        // FedProto keeps no single global model; the platform evaluates the
-        // ensemble of (up to ENSEMBLE_SIZE) trained client models.
-        if self.client_states.is_empty() || data.is_empty() {
-            return Ok(1.0 / self.num_classes.max(1) as f32);
-        }
-        let batch = data.as_batch();
-        let mut probs = Tensor::zeros(&[batch.len(), self.num_classes]);
-        for (cfg, state) in self.client_states.values().take(ENSEMBLE_SIZE) {
-            let mut model = ProxyModel::from_state(*cfg, state)?;
-            let out = model.forward_detailed(&batch.inputs, false)?;
-            probs.axpy(1.0, &out.logits.softmax_rows()?)?;
-        }
-        Ok(accuracy(&probs, &batch.labels)?)
+        self.ensemble_accuracy(data)
     }
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
         self.require_setup()?;
-        match self.client_states.get(&client) {
-            Some((cfg, state)) => {
-                let mut model = ProxyModel::from_state(*cfg, state)?;
-                evaluate_accuracy(&mut model, data)
+        stored_client_accuracy(&self.client_states, client, self.num_classes, data)
+    }
+
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        let sampled = clients.iter().copied().map(Some);
+        evaluate_distinct(None, sampled, parallelism, |key| match *key {
+            None => self.ensemble_accuracy(data),
+            Some(client) => {
+                stored_client_accuracy(&self.client_states, client, self.num_classes, data)
             }
-            // A client that never participated deploys an untrained model.
-            None => Ok(1.0 / self.num_classes.max(1) as f32),
-        }
+        })
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -18,13 +18,13 @@ use mhfl_fl::submodel::{PlanCache, ServerAggregator, WidthSelection};
 use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
-    RobustAggregation,
+    Parallelism, RobustAggregation,
 };
-use mhfl_models::{MhflMethod, ProxyModel};
+use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::{ParamSpec, StateDict};
 use mhfl_tensor::SeededRng;
 
-use crate::common::{build_global_model, client_proxy_config};
+use crate::common::{build_global_model, client_proxy_config, evaluate_distinct, extract_submodel};
 
 /// The standard width fractions clients may train at.
 const WIDTH_FRACTIONS: [f64; 4] = [0.25, 0.5, 0.75, 1.0];
@@ -95,6 +95,32 @@ impl WidthAlgorithm {
             .as_mut()
             .ok_or_else(|| FlError::InvalidConfig("algorithm used before setup".into()))
     }
+
+    fn global_config(&self) -> FlResult<ProxyConfig> {
+        match &self.global {
+            Some(global) => Ok(*global.config()),
+            None => Err(FlError::InvalidConfig("algorithm used before setup".into())),
+        }
+    }
+
+    /// The model `client` deploys: its nested sub-model of the global
+    /// parameters (prefix slice, matching how it would run offline), at a
+    /// width keyed on `client % 4`.
+    fn deployed_config(global: ProxyConfig, client: usize) -> ProxyConfig {
+        let width = WIDTH_FRACTIONS[client % WIDTH_FRACTIONS.len()];
+        global.with_width(width).with_aux_heads(false)
+    }
+
+    fn evaluate_deployment(&self, cfg: ProxyConfig, data: &Dataset) -> FlResult<f32> {
+        let mut model = extract_submodel(
+            &self.plans,
+            &self.global_specs,
+            &self.global_sd,
+            cfg,
+            WidthSelection::Prefix,
+        )?;
+        evaluate_accuracy(&mut model, data)
+    }
 }
 
 impl FlAlgorithm for WidthAlgorithm {
@@ -121,14 +147,13 @@ impl FlAlgorithm for WidthAlgorithm {
         let assigned = ctx.assignment(client).entry.choice.width_fraction;
         let width = self.round_width(assigned, &mut rng);
         let cfg = client_proxy_config(ctx, client, self.method).with_width(width);
-        // Zero-init skips the Box-Muller draws that the extracted sub-model
-        // would overwrite anyway; the cached plan turns extraction into one
-        // gather pass per parameter.
-        let mut model = ProxyModel::zeroed(cfg)?;
-        let plan =
-            self.plans
-                .for_client_specs(&self.global_specs, &model.param_specs(), selection)?;
-        model.load_state_dict(&plan.extract(&self.global_sd)?)?;
+        let mut model = extract_submodel(
+            &self.plans,
+            &self.global_specs,
+            &self.global_sd,
+            cfg,
+            selection,
+        )?;
         let data = ctx.client_shard_at(client, round);
         local_train_ce(&mut model, &data, ctx.train_config(), &mut rng)?;
         Ok(ClientUpdate::new(
@@ -178,21 +203,25 @@ impl FlAlgorithm for WidthAlgorithm {
     }
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
-        // A client deploys its assigned-width nested sub-model of the final
-        // global parameters (prefix slice, matching how it would run offline).
-        let Some(global) = self.global.as_ref() else {
-            return Err(FlError::InvalidConfig("algorithm used before setup".into()));
-        };
-        let width = WIDTH_FRACTIONS[client % WIDTH_FRACTIONS.len()];
-        let cfg = global.config().with_width(width).with_aux_heads(false);
-        let mut model = ProxyModel::zeroed(cfg)?;
-        let plan = self.plans.for_client_specs(
-            &self.global_specs,
-            &model.param_specs(),
-            WidthSelection::Prefix,
-        )?;
-        model.load_state_dict(&plan.extract(&self.global_sd)?)?;
-        evaluate_accuracy(&mut model, data)
+        let cfg = Self::deployed_config(self.global_config()?, client);
+        self.evaluate_deployment(cfg, data)
+    }
+
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        // The full-width deployment *is* the global model, so a sample that
+        // holds one costs no pass of its own.
+        let global = self.global_config()?;
+        let deployed = clients
+            .iter()
+            .map(|&client| Self::deployed_config(global, client));
+        evaluate_distinct(global, deployed, parallelism, |&cfg| {
+            self.evaluate_deployment(cfg, data)
+        })
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -74,6 +74,33 @@ pub trait FlAlgorithm: Send + Sync {
     /// Returns an error if evaluation fails or the client is unknown.
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32>;
 
+    /// One whole evaluation point: the global accuracy and the accuracy of
+    /// the model each client in `clients` would deploy, in `clients` order.
+    ///
+    /// The default calls [`evaluate_global`](Self::evaluate_global), then
+    /// [`evaluate_client`](Self::evaluate_client) for each client in turn,
+    /// and ignores `parallelism`. Algorithms override it to evaluate every
+    /// *distinct* deployed model once and to fan those evaluations out with
+    /// [`fan_out`](crate::fan_out); an override must return exactly the bits
+    /// the default would.
+    ///
+    /// # Errors
+    /// Returns the first error the serial loop would have hit.
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        let _ = parallelism;
+        let global = self.evaluate_global(data)?;
+        let per_client = clients
+            .iter()
+            .map(|&client| self.evaluate_client(client, data))
+            .collect::<FlResult<_>>()?;
+        Ok((global, per_client))
+    }
+
     /// Captures the algorithm's full mutable state for a run
     /// [`Checkpoint`]. Everything [`aggregate`](Self::aggregate) has ever
     /// written must be representable in the returned [`AlgorithmState`];

@@ -75,7 +75,7 @@ pub use engine::{EngineConfig, Execution, FlAlgorithm, FlEngine};
 pub use error::FlError;
 pub use metrics::{ClientRoundStat, MetricsReport, RoundRecord};
 pub use observer::{CsvTelemetry, EarlyStop, EventCounter, Observer, ProgressLogger};
-pub use parallel::{run_clients, ClientRunner, InProcessRunner, Parallelism};
+pub use parallel::{fan_out, run_clients, ClientRunner, InProcessRunner, Parallelism};
 pub use persist::{CheckpointObserver, PersistError};
 pub use schedule::{
     AvailabilityTrace, BandwidthAware, CandidatePool, Candidates, ClientScheduler, DeadlineAware,

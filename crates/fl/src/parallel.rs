@@ -6,7 +6,8 @@
 //! changing results. [`run_clients`] fans the client phase out over a
 //! [`std::thread::scope`] worker pool and returns the updates **in selection
 //! order**, so downstream aggregation — where floating-point summation order
-//! matters — is bit-identical to a sequential run.
+//! matters — is bit-identical to a sequential run. The pool itself is
+//! [`fan_out`], which an evaluation point's per-deployment passes share.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -124,67 +125,76 @@ pub fn run_clients(
     ctx: &FederationContext,
     parallelism: Parallelism,
 ) -> FlResult<Vec<ClientUpdate>> {
-    if clients.is_empty() {
-        return Ok(Vec::new());
-    }
-    let workers = parallelism.worker_count(clients.len());
+    fan_out(clients.len(), parallelism, |index| {
+        algorithm.client_update(round, clients[index], ctx)
+    })
+}
+
+/// Runs `job(0)`, …, `job(jobs - 1)` under `parallelism` and returns their
+/// results **in index order** — the one worker pool behind both the client
+/// phase ([`run_clients`]) and
+/// [`FlAlgorithm::evaluate_point`](crate::FlAlgorithm::evaluate_point).
+///
+/// A single worker ([`Parallelism::Sequential`], or one job) runs on the
+/// calling thread, which keeps its kernel-worker budget; pool threads mark
+/// themselves with [`mhfl_tensor::mark_worker_thread`] so the kernels they
+/// issue do not spawn a second level of row-range threads.
+///
+/// # Errors
+/// Returns the failing job's error with the lowest index, regardless of
+/// which thread hit it first. Once any job has failed no further jobs are
+/// started.
+pub fn fan_out<T, F>(jobs: usize, parallelism: Parallelism, job: F) -> FlResult<Vec<T>>
+where
+    T: Send,
+    F: Fn(usize) -> FlResult<T> + Sync,
+{
+    let workers = parallelism.worker_count(jobs);
     if workers <= 1 {
-        return clients
-            .iter()
-            .map(|&client| algorithm.client_update(round, client, ctx))
-            .collect();
+        return (0..jobs).map(job).collect();
     }
 
     let cursor = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let slots: Mutex<Vec<Option<FlResult<ClientUpdate>>>> =
-        Mutex::new((0..clients.len()).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<FlResult<T>>>> = Mutex::new((0..jobs).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                // The cores are already saturated by this fan-out: kernels
-                // issued from a client worker must not spawn another level
-                // of row-range threads on top of it.
                 mhfl_tensor::mark_worker_thread();
-                loop {
-                    // Stop pulling work once any client has failed: the
-                    // round is lost either way, so don't pay for the
-                    // remaining training.
-                    if failed.load(Ordering::Relaxed) {
+                // Stop pulling work once any job has failed: the round is
+                // lost either way, so don't pay for the rest of it.
+                while !failed.load(Ordering::Relaxed) {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    if index >= jobs {
                         break;
                     }
-                    let index = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&client) = clients.get(index) else {
-                        break;
-                    };
-                    let result = algorithm.client_update(round, client, ctx);
+                    let result = job(index);
                     if result.is_err() {
                         failed.store(true, Ordering::Relaxed);
                     }
-                    slots.lock().expect("client slot lock")[index] = Some(result);
+                    slots.lock().expect("fan-out slot lock")[index] = Some(result);
                 }
             });
         }
     });
 
-    // The cursor hands out indices in selection order and cancellation only
-    // skips indices pulled *after* a failure was recorded, so walking the
-    // slots in order hits every successful update before the first error and
-    // never an unfilled slot before it.
+    // The cursor hands out indices in order and cancellation only skips
+    // indices pulled *after* a failure was recorded, so walking the slots in
+    // order hits every success before the first error and never an unfilled
+    // slot before it.
     let results = slots.into_inner().expect("worker threads joined");
-    let mut updates = Vec::with_capacity(results.len());
+    let mut outputs = Vec::with_capacity(jobs);
     for (index, slot) in results.into_iter().enumerate() {
         match slot {
-            Some(Ok(update)) => updates.push(update),
-            Some(Err(error)) => return Err(error),
+            Some(result) => outputs.push(result?),
             None => {
                 return Err(FlError::InvalidConfig(format!(
-                    "client slot {index} was never filled"
+                    "fan-out slot {index} was never filled"
                 )))
             }
         }
     }
-    Ok(updates)
+    Ok(outputs)
 }
 
 #[cfg(test)]
@@ -303,6 +313,52 @@ mod tests {
         )
         .unwrap();
         assert!(updates.is_empty());
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_job_order() {
+        let modes = [
+            Parallelism::Sequential,
+            Parallelism::Threads { workers: 2 },
+            Parallelism::Threads { workers: 16 },
+        ];
+        for parallelism in modes {
+            for jobs in [0, 1, 2, 9] {
+                let squares = fan_out(jobs, parallelism, |index| Ok(index * index)).unwrap();
+                let expected: Vec<usize> = (0..jobs).map(|index| index * index).collect();
+                assert_eq!(squares, expected, "{jobs} jobs under {parallelism:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_reports_the_first_failure_in_job_order() {
+        let failing = |index: usize| match index {
+            3 | 5 => Err(FlError::InvalidConfig(format!("job {index}"))),
+            _ => Ok(index),
+        };
+        for parallelism in [Parallelism::Sequential, Parallelism::Threads { workers: 4 }] {
+            let error = fan_out(8, parallelism, failing).unwrap_err();
+            assert_eq!(error, FlError::InvalidConfig("job 3".into()));
+        }
+    }
+
+    #[test]
+    fn fan_out_stops_pulling_work_after_a_failure() {
+        // Every job fails, so each worker sees the failure flag it raised
+        // itself before it could pull a second job.
+        let started = AtomicUsize::new(0);
+        let always_failing = |index: usize| -> FlResult<()> {
+            started.fetch_add(1, Ordering::Relaxed);
+            Err(FlError::InvalidConfig(format!("job {index}")))
+        };
+        let error = fan_out(50, Parallelism::Threads { workers: 3 }, always_failing).unwrap_err();
+        assert_eq!(error, FlError::InvalidConfig("job 0".into()));
+        assert!(started.load(Ordering::Relaxed) <= 3);
+
+        started.store(0, Ordering::Relaxed);
+        assert!(fan_out(50, Parallelism::Sequential, always_failing).is_err());
+        assert_eq!(started.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -1183,14 +1183,11 @@ impl<'a> Session<'a> {
     /// [`RoundRecord`] carrying the telemetry accumulated since the previous
     /// evaluation point.
     fn evaluate(&mut self, round: usize) -> FlResult<RoundRecord> {
-        let global_accuracy = self.algorithm.evaluate_global(self.ctx.test_set())?;
-        let mut per_client_accuracy = Vec::with_capacity(self.stability_sample.len());
-        for &client in &self.stability_sample {
-            per_client_accuracy.push(
-                self.algorithm
-                    .evaluate_client(client, self.ctx.test_set())?,
-            );
-        }
+        let (global_accuracy, per_client_accuracy) = self.algorithm.evaluate_point(
+            &self.stability_sample,
+            self.ctx.test_set(),
+            self.engine.config().parallelism,
+        )?;
         let record = RoundRecord {
             round,
             sim_time_secs: self.sim_time,

@@ -355,6 +355,21 @@ impl TensorArena {
             .clear();
     }
 
+    /// Bytes of idle buffers the pool is holding on to: the calling thread's
+    /// local pool plus the shared overflow pool. Bounded by the two byte
+    /// caps; a workload whose value keeps climbing towards them is feeding
+    /// the pool sizes it never leases back.
+    pub fn retained_bytes(&self) -> usize {
+        let local = LOCAL
+            .try_with(|local| local.borrow().0.held_bytes)
+            .unwrap_or(0);
+        let shared = SHARED
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .held_bytes;
+        local + shared
+    }
+
     /// Process-wide allocation counters (all zero without the
     /// `alloc-count` feature).
     pub fn stats(&self) -> ArenaStats {

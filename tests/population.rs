@@ -14,6 +14,9 @@
 //!    over a 10⁶-client lazy population encodes, decodes and resumes to the
 //!    digest of the uninterrupted run. The in-flight section is sparse, so
 //!    the file stays small and the round trip stays fast at any population.
+//! 3. **Shards are leased, not landfilled** — deriving shards by the
+//!    thousand leaves the tensor arena holding one shard's worth of
+//!    buffers, not one buffer per shard ever derived.
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::{DataTask, ShardPlan};
@@ -22,6 +25,7 @@ use mhfl_fl::{
     Checkpoint, EngineConfig, Execution, FederationContext, FlEngine, LocalTrainConfig, Session,
 };
 use mhfl_models::MhflMethod;
+use mhfl_tensor::TensorArena;
 use pracmhbench_core::{base_family_for_task, topology_group_for_task, ExperimentSpec, RunScale};
 use proptest::prelude::*;
 
@@ -207,5 +211,37 @@ fn sparse_million_client_checkpoint_round_trips_to_equal_digest() {
         resumed.digest(),
         uninterrupted,
         "sparse-population checkpoint resume diverged from the uninterrupted run"
+    );
+}
+
+/// Deriving lazy shards must not grow the arena: a shard's sample buffer is
+/// a size nothing else asks for, so unless the generator itself leases it,
+/// every derived-and-dropped shard stays pooled (2 000 paper-scale UCI-HAR
+/// shards = 14 MB, on towards the pool's 96 MB of caps in a long run).
+/// `population-scale-smoke`'s four rounds cannot see that; this can.
+#[test]
+fn derived_shards_do_not_accumulate_in_the_arena() {
+    let ctx = spec(MhflMethod::SHeteroFl, 10_000, 5)
+        .with_scale(RunScale::Paper)
+        .build_lazy_context()
+        .unwrap();
+    // A thread of its own starts from an empty local pool.
+    let grown = std::thread::scope(|scope| {
+        scope
+            .spawn(|| {
+                let before = TensorArena::global().retained_bytes();
+                for client in 0..2_000 {
+                    drop(ctx.client_shard(client));
+                }
+                TensorArena::global()
+                    .retained_bytes()
+                    .saturating_sub(before)
+            })
+            .join()
+            .expect("derivation thread panicked")
+    });
+    assert!(
+        grown < 4 << 20,
+        "2 000 derived shards left {grown} more bytes pooled in the arena"
     );
 }
