@@ -1,9 +1,13 @@
 //! Golden-trace regression harness.
 //!
-//! Pins the per-seed [`MetricsReport::digest`] of one representative method
-//! from each of the five algorithm families, in both synchronous and
-//! asynchronous execution, against fixtures committed in
-//! `tests/fixtures/golden_digests.txt`.
+//! Pins the per-seed [`MetricsReport::digest`] of all nine methods, in both
+//! synchronous and asynchronous execution, against fixtures committed in
+//! `tests/fixtures/golden_digests.txt` (UCI-HAR, where every client is
+//! assigned the full model), and of the seven sub-model methods against
+//! `tests/fixtures/golden_digests_stackoverflow.txt` — Stack Overflow under
+//! the same constraint assigns widths and depths from 0.25 to 0.75, so it is
+//! the end-to-end pin of training sub-models narrower and shallower than the
+//! global one.
 //!
 //! The digest folds every field of the report bit-exactly, so these tests
 //! prove that performance work on the hot paths (matmul kernels, sub-model
@@ -24,15 +28,45 @@ use mhfl_device::ConstraintCase;
 use mhfl_models::MhflMethod;
 use pracmhbench_core::{Execution, ExperimentSpec, MetricsReport, RunScale};
 
-/// One representative method per algorithm family (width, depth, prototype,
-/// ensemble-transfer, homogeneous baseline).
-const FAMILIES: [MhflMethod; 5] = [
-    MhflMethod::SHeteroFl,
-    MhflMethod::DepthFl,
-    MhflMethod::FedProto,
-    MhflMethod::FedEt,
-    MhflMethod::HomogeneousSmallest,
-];
+/// A fixture file and the runs it pins, in file order.
+struct Suite {
+    task: DataTask,
+    file: &'static str,
+    methods: &'static [MhflMethod],
+}
+
+/// One representative method per algorithm family first (`tests/arena.rs`
+/// reads those rows), then the remaining width and depth methods.
+const UCI_HAR: Suite = Suite {
+    task: DataTask::UciHar,
+    file: "golden_digests.txt",
+    methods: &[
+        MhflMethod::SHeteroFl,
+        MhflMethod::DepthFl,
+        MhflMethod::FedProto,
+        MhflMethod::FedEt,
+        MhflMethod::HomogeneousSmallest,
+        MhflMethod::Fjord,
+        MhflMethod::FedRolex,
+        MhflMethod::FeDepth,
+        MhflMethod::InclusiveFl,
+    ],
+};
+
+/// Every method that trains a sub-model of one global state dict.
+const STACK_OVERFLOW: Suite = Suite {
+    task: DataTask::StackOverflow,
+    file: "golden_digests_stackoverflow.txt",
+    methods: &[
+        MhflMethod::Fjord,
+        MhflMethod::SHeteroFl,
+        MhflMethod::FedRolex,
+        MhflMethod::FeDepth,
+        MhflMethod::InclusiveFl,
+        MhflMethod::DepthFl,
+        MhflMethod::HomogeneousSmallest,
+    ],
+};
 
 /// Seeds the traces are pinned for.
 const SEEDS: [u64; 2] = [17, 43];
@@ -44,9 +78,14 @@ fn execution_label(execution: Execution) -> &'static str {
     }
 }
 
-fn run_report(method: MhflMethod, execution: Execution, seed: u64) -> MetricsReport {
+fn run_report(
+    task: DataTask,
+    method: MhflMethod,
+    execution: Execution,
+    seed: u64,
+) -> MetricsReport {
     ExperimentSpec::new(
-        DataTask::UciHar,
+        task,
         method,
         ConstraintCase::Computation {
             deadline_secs: 300.0,
@@ -56,18 +95,20 @@ fn run_report(method: MhflMethod, execution: Execution, seed: u64) -> MetricsRep
     .with_seed(seed)
     .with_execution(execution)
     .run()
-    .unwrap_or_else(|e| panic!("{method} ({execution:?}, seed {seed}) failed: {e}"))
+    .unwrap_or_else(|e| panic!("{task} {method} ({execution:?}, seed {seed}) failed: {e}"))
     .report
 }
 
-fn fixture_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_digests.txt")
+fn fixture_path(file: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(file)
 }
 
 /// Parses fixture lines of the form `method mode seed 0xDIGEST`.
-fn load_fixtures() -> Vec<(String, String, u64, u64)> {
-    let raw = std::fs::read_to_string(fixture_path())
-        .expect("tests/fixtures/golden_digests.txt is committed with the repo");
+fn load_fixtures(file: &str) -> Vec<(String, String, u64, u64)> {
+    let raw = std::fs::read_to_string(fixture_path(file))
+        .unwrap_or_else(|e| panic!("tests/fixtures/{file} is committed with the repo: {e}"));
     raw.lines()
         .filter(|l| !l.trim().is_empty() && !l.trim_start().starts_with('#'))
         .map(|line| {
@@ -81,9 +122,9 @@ fn load_fixtures() -> Vec<(String, String, u64, u64)> {
         .collect()
 }
 
-fn all_cases() -> Vec<(MhflMethod, Execution, u64)> {
+fn all_cases(suite: &Suite) -> Vec<(MhflMethod, Execution, u64)> {
     let mut cases = Vec::new();
-    for method in FAMILIES {
+    for &method in suite.methods {
         for execution in [Execution::Synchronous, Execution::async_buffered(2)] {
             for seed in SEEDS {
                 cases.push((method, execution, seed));
@@ -93,38 +134,41 @@ fn all_cases() -> Vec<(MhflMethod, Execution, u64)> {
     cases
 }
 
-#[test]
-fn golden_digests_match_committed_fixtures() {
+/// Checks every run of `suite` against its fixture file, or rewrites the
+/// file under `GOLDEN_BLESS`.
+fn check_suite(suite: &Suite) {
+    let task = suite.task;
     if std::env::var("GOLDEN_BLESS").is_ok() {
         let mut out = String::from(
             "# Golden per-seed MetricsReport digests (method mode seed digest).\n\
              # Regenerate with: GOLDEN_BLESS=1 cargo test --test golden\n",
         );
-        for (method, execution, seed) in all_cases() {
-            let digest = run_report(method, execution, seed).digest();
+        for (method, execution, seed) in all_cases(suite) {
+            let digest = run_report(task, method, execution, seed).digest();
             out.push_str(&format!(
                 "{method} {} {seed} 0x{digest:016x}\n",
                 execution_label(execution)
             ));
         }
-        std::fs::write(fixture_path(), out).expect("write fixtures");
+        std::fs::write(fixture_path(suite.file), out).expect("write fixtures");
         return;
     }
 
-    let fixtures = load_fixtures();
+    let fixtures = load_fixtures(suite.file);
     assert_eq!(
         fixtures.len(),
-        all_cases().len(),
-        "fixture count must cover all five families x two executions x seeds"
+        all_cases(suite).len(),
+        "{}: fixture count must cover every method x two executions x seeds",
+        suite.file
     );
     let mut mismatches = Vec::new();
-    for (method, execution, seed) in all_cases() {
-        let digest = run_report(method, execution, seed).digest();
+    for (method, execution, seed) in all_cases(suite) {
+        let digest = run_report(task, method, execution, seed).digest();
         let label = execution_label(execution);
         let expected = fixtures
             .iter()
             .find(|(m, e, s, _)| m == &method.to_string() && e == label && *s == seed)
-            .unwrap_or_else(|| panic!("no fixture for {method} {label} seed {seed}"))
+            .unwrap_or_else(|| panic!("no fixture for {task} {method} {label} seed {seed}"))
             .3;
         if digest != expected {
             mismatches.push(format!(
@@ -134,11 +178,23 @@ fn golden_digests_match_committed_fixtures() {
     }
     assert!(
         mismatches.is_empty(),
-        "golden traces diverged (kernel/scheduling behaviour changed):\n{}\n\
+        "{task} golden traces diverged (kernel/scheduling behaviour changed):\n{}\n\
          If the change is intentional, regenerate with GOLDEN_BLESS=1 and \
          commit the new fixtures.",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn golden_digests_match_committed_fixtures() {
+    check_suite(&UCI_HAR);
+}
+
+/// The heterogeneous pin: clients here train 0.25–0.75 width and depth
+/// sub-models, which no UCI-HAR row does.
+#[test]
+fn stackoverflow_golden_digests_match_committed_fixtures() {
+    check_suite(&STACK_OVERFLOW);
 }
 
 /// The digest is a pure function of the seed: re-running a case reproduces
@@ -147,10 +203,10 @@ fn golden_digests_match_committed_fixtures() {
 fn golden_traces_are_reproducible_within_a_process() {
     let method = MhflMethod::SHeteroFl;
     for execution in [Execution::Synchronous, Execution::async_buffered(2)] {
-        let a = run_report(method, execution, 17).digest();
-        let b = run_report(method, execution, 17).digest();
+        let a = run_report(DataTask::UciHar, method, execution, 17).digest();
+        let b = run_report(DataTask::UciHar, method, execution, 17).digest();
         assert_eq!(a, b, "same-seed reruns must be byte-identical");
-        let c = run_report(method, execution, 43).digest();
+        let c = run_report(DataTask::UciHar, method, execution, 43).digest();
         assert_ne!(a, c, "different seeds must produce different traces");
     }
 }
