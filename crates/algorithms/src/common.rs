@@ -3,11 +3,11 @@
 use std::collections::BTreeMap;
 
 use mhfl_data::Dataset;
-use mhfl_fl::submodel::{PlanCache, WidthSelection};
 use mhfl_fl::train::evaluate_accuracy;
-use mhfl_fl::{fan_out, FederationContext, FlResult, Parallelism};
+use mhfl_fl::{fan_out, AlgorithmState, FederationContext, FlError, FlResult, Parallelism};
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
-use mhfl_nn::{ParamSpec, StateDict};
+use mhfl_nn::StateDict;
+use mhfl_tensor::SeededRng;
 
 /// Builds the proxy-model configuration a client trains, combining the task's
 /// input shape with the architecture family and width/depth fractions the
@@ -46,44 +46,97 @@ pub fn global_proxy_config(ctx: &FederationContext, method: MhflMethod) -> Proxy
     .with_aux_heads(with_aux)
 }
 
-/// Builds and returns the global proxy model for a context/method.
+/// The random stream of `client`'s work in `round`.
 ///
-/// # Panics
-/// Panics only if the configuration is internally inconsistent, which would
-/// indicate a bug in the constraint-assignment code.
-pub fn build_global_model(ctx: &FederationContext, method: MhflMethod) -> ProxyModel {
-    ProxyModel::new(global_proxy_config(ctx, method)).expect("global proxy config is valid")
+/// Streams alias once `client >= 10_000` (round `r`, client `c + 10_000` is
+/// round `r + 1`, client `c`). Separating them moves every digest, so it is
+/// ROADMAP direction 2b's declared re-bless: change the derived key here,
+/// and only there.
+pub(crate) fn client_rng(ctx: &FederationContext, round: usize, client: usize) -> SeededRng {
+    SeededRng::new(ctx.seed()).derive((round * 10_000 + client) as u64)
 }
 
-/// Builds the `cfg`-shaped sub-model of the global parameters `global_sd`.
-/// Zero-init skips the Box-Muller draws the extracted parameters would
-/// overwrite anyway; the cached plan turns extraction into one gather pass
-/// per parameter.
-pub(crate) fn extract_submodel(
-    plans: &PlanCache,
-    global_specs: &[ParamSpec],
-    global_sd: &StateDict,
-    cfg: ProxyConfig,
-    selection: WidthSelection,
-) -> FlResult<ProxyModel> {
-    let mut model = ProxyModel::zeroed(cfg)?;
-    let plan = plans.for_client_specs(global_specs, &model.param_specs(), selection)?;
-    model.load_state_dict(&plan.extract(global_sd)?)?;
-    Ok(model)
+/// The local models a topology family (FedProto, Fed-ET) keeps per client
+/// between rounds, as `(config, state)` snapshots. Only the states are
+/// checkpointed: the configs are recomputed from the context by the
+/// family's `client_config`.
+pub(crate) struct ClientModels {
+    client_config: fn(&FederationContext, usize) -> ProxyConfig,
+    states: BTreeMap<usize, (ProxyConfig, StateDict)>,
 }
 
-/// Accuracy of the model a topology-family client deploys: its stored local
-/// model, or chance for a client that never participated (it would deploy an
-/// untrained model).
-pub(crate) fn stored_client_accuracy(
-    client_states: &BTreeMap<usize, (ProxyConfig, StateDict)>,
-    client: usize,
-    num_classes: usize,
-    data: &Dataset,
-) -> FlResult<f32> {
-    match client_states.get(&client) {
-        Some((cfg, state)) => evaluate_accuracy(&mut ProxyModel::from_state(*cfg, state)?, data),
-        None => Ok(1.0 / num_classes.max(1) as f32),
+impl ClientModels {
+    pub(crate) fn new(client_config: fn(&FederationContext, usize) -> ProxyConfig) -> Self {
+        ClientModels {
+            client_config,
+            states: BTreeMap::new(),
+        }
+    }
+
+    /// Rebuilds `client`'s model from its stored (or freshly initialised)
+    /// local state.
+    pub(crate) fn build(&self, ctx: &FederationContext, client: usize) -> FlResult<ProxyModel> {
+        match self.states.get(&client) {
+            Some((cfg, state)) => Ok(ProxyModel::from_state(*cfg, state)?),
+            None => Ok(ProxyModel::new((self.client_config)(ctx, client))?),
+        }
+    }
+
+    /// Stores the state `client` uploaded.
+    pub(crate) fn insert(&mut self, ctx: &FederationContext, client: usize, state: StateDict) {
+        self.states
+            .insert(client, ((self.client_config)(ctx, client), state));
+    }
+
+    /// The stored models, in client order.
+    pub(crate) fn stored(&self) -> impl Iterator<Item = &(ProxyConfig, StateDict)> {
+        self.states.values()
+    }
+
+    /// Accuracy of the model `client` deploys: its stored local model, or
+    /// chance for a client that never participated (it would deploy an
+    /// untrained model).
+    pub(crate) fn accuracy(
+        &self,
+        client: usize,
+        num_classes: usize,
+        data: &Dataset,
+    ) -> FlResult<f32> {
+        match self.states.get(&client) {
+            Some((cfg, state)) => {
+                evaluate_accuracy(&mut ProxyModel::from_state(*cfg, state)?, data)
+            }
+            None => Ok(1.0 / num_classes.max(1) as f32),
+        }
+    }
+
+    /// Writes every stored state into its `client.<id>` slot of `state`.
+    pub(crate) fn snapshot_into(&self, state: &mut AlgorithmState) {
+        for (&client, (_, sd)) in &self.states {
+            state.insert_state(AlgorithmState::client_state_key(client), sd.clone());
+        }
+    }
+
+    /// Replaces the stored models with the `client.<id>` slots of `state`.
+    pub(crate) fn restore_from(
+        &mut self,
+        state: &mut AlgorithmState,
+        ctx: &FederationContext,
+    ) -> FlResult<()> {
+        self.states.clear();
+        for (name, sd) in state.take_states_with_prefix("client.") {
+            let client = AlgorithmState::parse_client_key(&name).ok_or_else(|| {
+                FlError::InvalidConfig(format!("malformed client snapshot slot {name:?}"))
+            })?;
+            if client >= ctx.num_clients() {
+                return Err(FlError::InvalidConfig(format!(
+                    "snapshot covers client {client} but the context has only {} clients",
+                    ctx.num_clients()
+                )));
+            }
+            self.insert(ctx, client, sd);
+        }
+        Ok(())
     }
 }
 
@@ -116,7 +169,7 @@ pub(crate) fn evaluate_distinct<K: PartialEq + Sync>(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mhfl_data::{DataTask, FederatedDataset};
     use mhfl_device::{ConstraintCase, CostModel, ModelPool};
@@ -174,7 +227,7 @@ mod tests {
         let cfg = global_proxy_config(&ctx, MhflMethod::FedRolex);
         assert_eq!(cfg.width_fraction, 1.0);
         assert_eq!(cfg.depth_fraction, 1.0);
-        let model = build_global_model(&ctx, MhflMethod::FedRolex);
+        let model = ProxyModel::new(cfg).unwrap();
         assert!(model.num_parameters() > 0);
     }
 }

@@ -7,8 +7,6 @@
 //! Clients also distil the server's knowledge back into their local models at
 //! the start of their next participation (the "transfer" direction).
 
-use std::collections::BTreeMap;
-
 use mhfl_data::Dataset;
 use mhfl_fl::adversary::{clip_tensor, coordinate_median};
 use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
@@ -18,10 +16,10 @@ use mhfl_fl::{
 };
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::loss::soft_cross_entropy;
-use mhfl_nn::{Layer, Sgd, StateDict};
-use mhfl_tensor::{SeededRng, Tensor};
+use mhfl_nn::{Layer, Sgd};
+use mhfl_tensor::Tensor;
 
-use crate::common::{evaluate_distinct, stored_client_accuracy};
+use crate::common::{client_rng, evaluate_distinct, ClientModels};
 
 /// Number of server distillation steps per round.
 const SERVER_DISTILL_STEPS: usize = 5;
@@ -38,7 +36,7 @@ const TEMPERATURE: f32 = 2.0;
 /// engine run clients on a thread pool.
 pub struct FedEt {
     server_model: Option<ProxyModel>,
-    client_states: BTreeMap<usize, (ProxyConfig, StateDict)>,
+    client_models: ClientModels,
     /// Server ensemble predictions on the public set from the previous round.
     server_public_probs: Option<Tensor>,
     num_classes: usize,
@@ -50,7 +48,7 @@ impl FedEt {
     pub fn new() -> Self {
         FedEt {
             server_model: None,
-            client_states: BTreeMap::new(),
+            client_models: ClientModels::new(Self::client_config),
             server_public_probs: None,
             num_classes: 0,
             robust: RobustAggregation::None,
@@ -73,15 +71,6 @@ impl FedEt {
             task.num_classes(),
             ctx.seed() + 7 * client as u64,
         )
-    }
-
-    /// Rebuilds a client's model from its stored (or freshly initialised)
-    /// local state.
-    fn build_client_model(&self, ctx: &FederationContext, client: usize) -> FlResult<ProxyModel> {
-        match self.client_states.get(&client) {
-            Some((cfg, state)) => Ok(ProxyModel::from_state(*cfg, state)?),
-            None => Ok(ProxyModel::new(Self::client_config(ctx, client))?),
-        }
     }
 
     /// Mean maximum softmax probability — the confidence weight of a client's
@@ -177,8 +166,8 @@ impl FlAlgorithm for FedEt {
         // multiply the round's allocation cost by the participation count.
         let public_inputs = ctx.public_set().inputs();
         let cfg = *ctx.train_config();
-        let mut rng = SeededRng::new(ctx.seed()).derive((round * 10_000 + client) as u64);
-        let mut model = self.build_client_model(ctx, client)?;
+        let mut rng = client_rng(ctx, round, client);
+        let mut model = self.client_models.build(ctx, client)?;
 
         // Transfer direction: absorb the server ensemble before training.
         if let Some(probs) = &self.server_public_probs {
@@ -239,8 +228,7 @@ impl FlAlgorithm for FedEt {
                     )))
                 }
             };
-            self.client_states
-                .insert(client, (Self::client_config(ctx, client), state));
+            self.client_models.insert(ctx, client, state);
             if let RobustAggregation::NormClip { max_norm } = self.robust {
                 clip_tensor(&mut probs, max_norm);
             }
@@ -296,7 +284,7 @@ impl FlAlgorithm for FedEt {
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
         self.require_setup()?;
-        stored_client_accuracy(&self.client_states, client, self.num_classes, data)
+        self.client_models.accuracy(client, self.num_classes, data)
     }
 
     fn evaluate_point(
@@ -312,9 +300,7 @@ impl FlAlgorithm for FedEt {
         let sampled = clients.iter().copied().map(Some);
         evaluate_distinct(None, sampled, parallelism, |key| match *key {
             None => evaluate_accuracy(&mut ProxyModel::from_state(server_cfg, &server_sd)?, data),
-            Some(client) => {
-                stored_client_accuracy(&self.client_states, client, self.num_classes, data)
-            }
+            Some(client) => self.client_models.accuracy(client, self.num_classes, data),
         })
     }
 
@@ -332,9 +318,7 @@ impl FlAlgorithm for FedEt {
         if let Some(probs) = &self.server_public_probs {
             state.insert_tensor("server_public_probs", probs.clone());
         }
-        for (&client, (_, sd)) in &self.client_states {
-            state.insert_state(AlgorithmState::client_state_key(client), sd.clone());
-        }
+        self.client_models.snapshot_into(&mut state);
         Ok(state)
     }
 
@@ -348,21 +332,7 @@ impl FlAlgorithm for FedEt {
             &server_sd,
         )?);
         self.server_public_probs = state.try_take_tensor("server_public_probs");
-        self.client_states.clear();
-        for (name, sd) in state.take_states_with_prefix("client.") {
-            let client = AlgorithmState::parse_client_key(&name).ok_or_else(|| {
-                FlError::InvalidConfig(format!("malformed client snapshot slot {name:?}"))
-            })?;
-            if client >= ctx.num_clients() {
-                return Err(FlError::InvalidConfig(format!(
-                    "snapshot covers client {client} but the context has only {} clients",
-                    ctx.num_clients()
-                )));
-            }
-            self.client_states
-                .insert(client, (Self::client_config(ctx, client), sd));
-        }
-        Ok(())
+        self.client_models.restore_from(&mut state, ctx)
     }
 
     fn set_robust_aggregation(&mut self, robust: RobustAggregation) {

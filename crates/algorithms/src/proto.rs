@@ -6,8 +6,6 @@
 //! client regularises its local training so that its features stay close to
 //! the global prototype of the sample's class.
 
-use std::collections::BTreeMap;
-
 use mhfl_data::Dataset;
 use mhfl_fl::adversary::{clip_tensor, coordinate_median};
 use mhfl_fl::{
@@ -16,10 +14,10 @@ use mhfl_fl::{
 };
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::loss::{accuracy, cross_entropy, prototype_loss};
-use mhfl_nn::{Layer, Sgd, StateDict};
+use mhfl_nn::{Layer, Sgd};
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::common::{evaluate_distinct, stored_client_accuracy};
+use crate::common::{client_rng, evaluate_distinct, ClientModels};
 
 /// Shared prototype dimensionality. FedProto requires every client topology
 /// to produce embeddings in the same space, so all client proxies are built
@@ -33,12 +31,12 @@ const ENSEMBLE_SIZE: usize = 8;
 /// The FedProto algorithm.
 ///
 /// The server keeps each participating client's local weights (as a
-/// [`StateDict`] snapshot) purely for simulation bookkeeping: the client
+/// `StateDict` snapshot) purely for simulation bookkeeping: the client
 /// phase rebuilds the client's model from its stored state, trains it, and
 /// ships the updated state back inside the [`ClientUpdate`], so the phase
 /// itself needs only `&self` and parallelises freely.
 pub struct FedProto {
-    client_states: BTreeMap<usize, (ProxyConfig, StateDict)>,
+    client_models: ClientModels,
     prototypes: Tensor,
     proto_counts: Vec<f32>,
     num_classes: usize,
@@ -50,7 +48,7 @@ impl FedProto {
     /// Creates the algorithm.
     pub fn new() -> Self {
         FedProto {
-            client_states: BTreeMap::new(),
+            client_models: ClientModels::new(Self::client_config),
             prototypes: Tensor::zeros(&[0, 0]),
             proto_counts: Vec::new(),
             num_classes: 0,
@@ -78,15 +76,6 @@ impl FedProto {
         // All topologies share the prototype embedding width.
         cfg.base_dim = PROTO_DIM;
         cfg
-    }
-
-    /// Rebuilds a client's model from its stored (or freshly initialised)
-    /// local state.
-    fn build_client_model(&self, ctx: &FederationContext, client: usize) -> FlResult<ProxyModel> {
-        match self.client_states.get(&client) {
-            Some((cfg, state)) => Ok(ProxyModel::from_state(*cfg, state)?),
-            None => Ok(ProxyModel::new(Self::client_config(ctx, client))?),
-        }
     }
 
     fn has_prototypes(&self) -> Vec<bool> {
@@ -153,12 +142,12 @@ impl FedProto {
     /// ensemble of (up to `ENSEMBLE_SIZE`) trained client models.
     fn ensemble_accuracy(&self, data: &Dataset) -> FlResult<f32> {
         self.require_setup()?;
-        if self.client_states.is_empty() || data.is_empty() {
+        if self.client_models.stored().next().is_none() || data.is_empty() {
             return Ok(1.0 / self.num_classes.max(1) as f32);
         }
         let batch = data.as_batch();
         let mut probs = Tensor::zeros(&[batch.len(), self.num_classes]);
-        for (cfg, state) in self.client_states.values().take(ENSEMBLE_SIZE) {
+        for (cfg, state) in self.client_models.stored().take(ENSEMBLE_SIZE) {
             let mut model = ProxyModel::from_state(*cfg, state)?;
             let out = model.forward_detailed(&batch.inputs, false)?;
             probs.axpy(1.0, &out.logits.softmax_rows()?)?;
@@ -193,8 +182,8 @@ impl FlAlgorithm for FedProto {
         ctx: &FederationContext,
     ) -> FlResult<ClientUpdate> {
         self.require_setup()?;
-        let mut rng = SeededRng::new(ctx.seed()).derive((round * 10_000 + client) as u64);
-        let mut model = self.build_client_model(ctx, client)?;
+        let mut rng = client_rng(ctx, round, client);
+        let mut model = self.client_models.build(ctx, client)?;
         let data = ctx.client_shard_at(client, round);
         let (sums, counts) = self.train_client(&mut model, &data, ctx, &mut rng)?;
         Ok(ClientUpdate::new(
@@ -240,8 +229,7 @@ impl FlAlgorithm for FedProto {
                     )))
                 }
             };
-            self.client_states
-                .insert(client, (Self::client_config(ctx, client), state));
+            self.client_models.insert(ctx, client, state);
             if let RobustAggregation::NormClip { max_norm } = self.robust {
                 clip_tensor(&mut sums, max_norm);
             }
@@ -300,7 +288,7 @@ impl FlAlgorithm for FedProto {
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
         self.require_setup()?;
-        stored_client_accuracy(&self.client_states, client, self.num_classes, data)
+        self.client_models.accuracy(client, self.num_classes, data)
     }
 
     fn evaluate_point(
@@ -312,21 +300,18 @@ impl FlAlgorithm for FedProto {
         let sampled = clients.iter().copied().map(Some);
         evaluate_distinct(None, sampled, parallelism, |key| match *key {
             None => self.ensemble_accuracy(data),
-            Some(client) => {
-                stored_client_accuracy(&self.client_states, client, self.num_classes, data)
-            }
+            Some(client) => self.client_models.accuracy(client, self.num_classes, data),
         })
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {
+        self.require_setup()?;
         // Per-client model snapshots plus the server's prototype table; the
         // ProxyConfigs are recomputed from the context on restore.
         let mut state = AlgorithmState::new();
         state.insert_tensor("prototypes", self.prototypes.clone());
         state.insert_scalars("proto_counts", self.proto_counts.clone());
-        for (&client, (_, sd)) in &self.client_states {
-            state.insert_state(AlgorithmState::client_state_key(client), sd.clone());
-        }
+        self.client_models.snapshot_into(&mut state);
         Ok(state)
     }
 
@@ -334,21 +319,7 @@ impl FlAlgorithm for FedProto {
         self.setup(ctx)?;
         self.prototypes = state.take_tensor("prototypes")?;
         self.proto_counts = state.take_scalars("proto_counts")?;
-        self.client_states.clear();
-        for (name, sd) in state.take_states_with_prefix("client.") {
-            let client = AlgorithmState::parse_client_key(&name).ok_or_else(|| {
-                FlError::InvalidConfig(format!("malformed client snapshot slot {name:?}"))
-            })?;
-            if client >= ctx.num_clients() {
-                return Err(FlError::InvalidConfig(format!(
-                    "snapshot covers client {client} but the context has only {} clients",
-                    ctx.num_clients()
-                )));
-            }
-            self.client_states
-                .insert(client, (Self::client_config(ctx, client), sd));
-        }
-        Ok(())
+        self.client_models.restore_from(&mut state, ctx)
     }
 
     fn set_robust_aggregation(&mut self, robust: RobustAggregation) {
@@ -444,8 +415,8 @@ mod tests {
             .collect();
         alg.aggregate(1, updates, &ctx).unwrap();
         let block_counts: Vec<usize> = alg
-            .client_states
-            .values()
+            .client_models
+            .stored()
             .map(|(cfg, _)| ProxyModel::new(*cfg).unwrap().num_blocks())
             .collect();
         let mut unique = block_counts.clone();

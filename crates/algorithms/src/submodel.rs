@@ -1,0 +1,259 @@
+//! The sub-model skeleton shared by the width methods, the depth methods and
+//! the homogeneous baseline.
+//!
+//! All seven follow one recipe: the server holds one global [`StateDict`];
+//! each client receives the sub-model matching its configuration, trains it
+//! locally, and the server averages every global entry over the clients that
+//! covered it. What differs per method is confined to a `match self.method`
+//! in five places — the global configuration ([`FlAlgorithm::setup`]), the
+//! per-round client configuration and channel selection, the local trainer
+//! (both in [`FlAlgorithm::client_update`]), the post-aggregation hook
+//! ([`FlAlgorithm::aggregate`]) and the deployed configuration and its score
+//! ([`SubmodelAlgorithm::deployed_config`], [`score`]) — with the
+//! method-specific functions themselves in [`crate::width`], [`crate::depth`]
+//! and [`crate::baseline`].
+
+use mhfl_data::Dataset;
+use mhfl_fl::submodel::{PlanCache, ServerAggregator, WidthSelection};
+use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
+use mhfl_fl::{
+    AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
+    Parallelism, RobustAggregation,
+};
+use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
+use mhfl_nn::{ParamSpec, StateDict};
+
+use crate::common::{client_proxy_config, client_rng, evaluate_distinct, global_proxy_config};
+use crate::{baseline, depth, width};
+
+/// A method that trains sub-models of one global model: Fjord, SHeteroFL,
+/// FedRolex, FeDepth, InclusiveFL, DepthFL or the smallest-homogeneous
+/// baseline.
+pub(crate) struct SubmodelAlgorithm {
+    method: MhflMethod,
+    global: Option<ProxyModel>,
+    global_sd: StateDict,
+    global_specs: Vec<ParamSpec>,
+    /// Gather/scatter plans reused across rounds (see [`PlanCache`]).
+    plans: PlanCache,
+    robust: RobustAggregation,
+}
+
+impl SubmodelAlgorithm {
+    /// Creates the algorithm for one of the seven sub-model methods.
+    ///
+    /// # Panics
+    /// Panics if `method` is a topology-level method — selecting the wrong
+    /// variant is a programming error, not a runtime condition.
+    pub(crate) fn new(method: MhflMethod) -> Self {
+        assert!(
+            !matches!(method, MhflMethod::FedProto | MhflMethod::FedEt),
+            "{method} is not a sub-model method"
+        );
+        SubmodelAlgorithm {
+            method,
+            global: None,
+            global_sd: StateDict::new(),
+            global_specs: Vec::new(),
+            plans: PlanCache::new(),
+            robust: RobustAggregation::None,
+        }
+    }
+
+    /// The global model's configuration, or the error every entry point
+    /// returns before [`FlAlgorithm::setup`].
+    pub(crate) fn require_setup(&self) -> FlResult<ProxyConfig> {
+        match &self.global {
+            Some(global) => Ok(*global.config()),
+            None => Err(FlError::InvalidConfig("algorithm used before setup".into())),
+        }
+    }
+
+    /// The model `client` deploys, keyed on `client % 4` for the width and
+    /// depth methods; every baseline client deploys the global model.
+    fn deployed_config(&self, global: ProxyConfig, client: usize) -> ProxyConfig {
+        match self.method {
+            MhflMethod::HomogeneousSmallest => global,
+            MhflMethod::Fjord | MhflMethod::SHeteroFl | MhflMethod::FedRolex => {
+                width::deployed_config(global, client)
+            }
+            _ => depth::deployed_config(global, client),
+        }
+    }
+
+    /// Builds the `cfg`-shaped sub-model of the global parameters. Zero-init
+    /// skips the Box-Muller draws the extracted parameters would overwrite
+    /// anyway; the cached plan turns extraction into one gather pass per
+    /// parameter.
+    fn extract(&self, cfg: ProxyConfig, selection: WidthSelection) -> FlResult<ProxyModel> {
+        let mut model = ProxyModel::zeroed(cfg)?;
+        let plan =
+            self.plans
+                .for_client_specs(&self.global_specs, &model.param_specs(), selection)?;
+        model.load_state_dict(&plan.extract(&self.global_sd)?)?;
+        Ok(model)
+    }
+
+    /// Scores the nested (prefix-sliced, matching how it would run offline)
+    /// `cfg`-shaped sub-model of the global parameters.
+    fn evaluate_deployment(&self, cfg: ProxyConfig, data: &Dataset) -> FlResult<f32> {
+        let mut model = self.extract(cfg, WidthSelection::Prefix)?;
+        score(self.method, &mut model, data)
+    }
+}
+
+/// DepthFL models answer as the ensemble of their classifiers, every other
+/// method's with their one head.
+fn score(method: MhflMethod, model: &mut ProxyModel, data: &Dataset) -> FlResult<f32> {
+    match method {
+        MhflMethod::DepthFl => depth::evaluate_ensemble(model, data),
+        _ => evaluate_accuracy(model, data),
+    }
+}
+
+impl FlAlgorithm for SubmodelAlgorithm {
+    fn name(&self) -> String {
+        self.method.display_name().to_string()
+    }
+
+    fn setup(&mut self, ctx: &FederationContext) -> FlResult<()> {
+        let cfg = match self.method {
+            MhflMethod::HomogeneousSmallest => baseline::smallest_config(ctx),
+            method => global_proxy_config(ctx, method),
+        };
+        let global = ProxyModel::new(cfg)?;
+        self.global_sd = global.state_dict();
+        self.global_specs = global.param_specs();
+        self.global = Some(global);
+        Ok(())
+    }
+
+    fn client_update(
+        &self,
+        round: usize,
+        client: usize,
+        ctx: &FederationContext,
+    ) -> FlResult<ClientUpdate> {
+        let global = self.require_setup()?;
+        let mut rng = client_rng(ctx, round, client);
+        let (cfg, selection) = match self.method {
+            MhflMethod::HomogeneousSmallest => (global, WidthSelection::Prefix),
+            MhflMethod::Fjord | MhflMethod::SHeteroFl | MhflMethod::FedRolex => {
+                let assigned = ctx.assignment(client).entry.choice.width_fraction;
+                let width = width::round_width(self.method, assigned, &mut rng);
+                (
+                    client_proxy_config(ctx, client, self.method).with_width(width),
+                    width::selection(self.method, round),
+                )
+            }
+            method => (
+                client_proxy_config(ctx, client, method),
+                WidthSelection::Prefix,
+            ),
+        };
+        let mut model = self.extract(cfg, selection)?;
+        let data = ctx.client_shard_at(client, round);
+        match self.method {
+            MhflMethod::DepthFl => {
+                depth::local_train_depthfl(&mut model, &data, ctx.train_config(), &mut rng)?
+            }
+            _ => local_train_ce(&mut model, &data, ctx.train_config(), &mut rng)?,
+        };
+        Ok(ClientUpdate::new(
+            client,
+            data.len(),
+            ClientPayload::SubModel {
+                state: model.state_dict(),
+                selection,
+                num_blocks: model.num_blocks(),
+            },
+        ))
+    }
+
+    fn aggregate(
+        &mut self,
+        _round: usize,
+        updates: Vec<ClientUpdate>,
+        _ctx: &FederationContext,
+    ) -> FlResult<()> {
+        self.require_setup()?;
+        let mut aggregator =
+            ServerAggregator::new(self.global_specs.clone()).with_robust(self.robust);
+        let mut deepest_covered = 0usize;
+        for update in &updates {
+            let ClientPayload::SubModel {
+                state,
+                selection,
+                num_blocks,
+            } = &update.payload
+            else {
+                return Err(FlError::InvalidConfig(format!(
+                    "{} aggregation expects sub-model payloads, got {} from client {}",
+                    self.method,
+                    update.payload.kind(),
+                    update.client
+                )));
+            };
+            deepest_covered = deepest_covered.max(num_blocks.saturating_sub(1));
+            let plan = self
+                .plans
+                .for_state(&self.global_specs, state, *selection)?;
+            aggregator.add_update_with_plan(state, &plan, update.weight())?;
+        }
+        let mut merged = aggregator.finalize(&self.global_sd)?;
+        if self.method == MhflMethod::InclusiveFl && !updates.is_empty() {
+            let total_blocks = self.global.as_ref().map_or(0, ProxyModel::num_blocks);
+            depth::momentum_transfer(&self.global_sd, &mut merged, deepest_covered, total_blocks)?;
+        }
+        self.global_sd = merged;
+        Ok(())
+    }
+
+    fn evaluate_global(&mut self, data: &Dataset) -> FlResult<f32> {
+        self.require_setup()?;
+        let global = self.global.as_mut().expect("checked by require_setup");
+        global.load_state_dict(&self.global_sd)?;
+        score(self.method, global, data)
+    }
+
+    fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
+        let cfg = self.deployed_config(self.require_setup()?, client);
+        self.evaluate_deployment(cfg, data)
+    }
+
+    fn evaluate_point(
+        &mut self,
+        clients: &[usize],
+        data: &Dataset,
+        parallelism: Parallelism,
+    ) -> FlResult<(f32, Vec<f32>)> {
+        // The full-size deployment *is* the global model, so a sample that
+        // holds one costs no pass of its own.
+        let global = self.require_setup()?;
+        let deployed = clients
+            .iter()
+            .map(|&client| self.deployed_config(global, client));
+        evaluate_distinct(global, deployed, parallelism, |&cfg| {
+            self.evaluate_deployment(cfg, data)
+        })
+    }
+
+    fn snapshot(&self) -> FlResult<AlgorithmState> {
+        self.require_setup()?;
+        // The global state dict is the only mutable state: the model shell,
+        // parameter specs and plan cache are all rebuilt from the context.
+        let mut state = AlgorithmState::new();
+        state.insert_state("global", self.global_sd.clone());
+        Ok(state)
+    }
+
+    fn restore(&mut self, mut state: AlgorithmState, ctx: &FederationContext) -> FlResult<()> {
+        self.setup(ctx)?;
+        self.global_sd = state.take_state("global")?;
+        Ok(())
+    }
+
+    fn set_robust_aggregation(&mut self, robust: RobustAggregation) {
+        self.robust = robust;
+    }
+}

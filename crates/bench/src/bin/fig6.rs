@@ -2,53 +2,14 @@
 //! effectiveness of every MHFL algorithm under this constraint.
 //! Pass `--quick` for a smoke-test scale or `--paper` for the full scale.
 
-use mhfl_bench::{print_table, scale_from_args, Table};
+use mhfl_bench::constraint_figure;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
-use mhfl_models::MhflMethod;
-use pracmhbench_core::{ComparisonRow, ExperimentSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = scale_from_args();
-    let constraint = ConstraintCase::Memory;
-    let tasks = [DataTask::Cifar100, DataTask::StackOverflow];
-    for task in tasks {
-        let methods: Vec<MhflMethod> = MhflMethod::HETEROGENEOUS
-            .into_iter()
-            .filter(|m| task.modality() != mhfl_data::Modality::Nlp || m.supports_nlp())
-            .collect();
-        let spec = ExperimentSpec::new(task, MhflMethod::SHeteroFl, constraint).with_scale(scale);
-        let outcomes = spec.run_comparison(&methods)?;
-        let mut table = Table::new(
-            format!(
-                "Fig. 6 (memory-limited MHFL) — {task} ({})",
-                constraint.label()
-            ),
-            &[
-                "Method",
-                "Level",
-                "GlobalAcc",
-                "TimeToAcc(h)",
-                "Stability",
-                "Effectiveness",
-            ],
-        );
-        for outcome in &outcomes {
-            let row = ComparisonRow::from_outcome(outcome);
-            table.push_row(vec![
-                row.method,
-                row.level,
-                format!("{:.3}", row.global_accuracy),
-                row.time_to_accuracy_hours
-                    .map(|h| format!("{h:.2}"))
-                    .unwrap_or_else(|| "—".into()),
-                format!("{:.5}", row.stability),
-                row.effectiveness
-                    .map(|e| format!("{e:+.3}"))
-                    .unwrap_or_else(|| "—".into()),
-            ]);
-        }
-        print_table(&table);
-    }
-    Ok(())
+    constraint_figure(
+        "Fig. 6 (memory-limited MHFL)",
+        ConstraintCase::Memory,
+        &[DataTask::Cifar100, DataTask::StackOverflow],
+    )
 }

@@ -1,10 +1,9 @@
 //! Regenerates Fig. 8: non-IID robustness under the computation constraint
 //! (IID vs Dirichlet alpha=0.5 vs alpha=5) on CIFAR-100, CIFAR-10 and AG-News.
 
-use mhfl_bench::{print_table, scale_from_args, Table};
+use mhfl_bench::{applicable_methods, print_table, scale_from_args, Table};
 use mhfl_data::{DataTask, Partition};
 use mhfl_device::ConstraintCase;
-use mhfl_models::MhflMethod;
 use pracmhbench_core::ExperimentSpec;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,11 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             format!("Fig. 8 — non-IID performance on {task} (computation-limited)"),
             &["Method", "iid", "niid-0.5", "niid-5"],
         );
-        let methods: Vec<MhflMethod> = MhflMethod::HETEROGENEOUS
-            .into_iter()
-            .filter(|m| task.modality() != mhfl_data::Modality::Nlp || m.supports_nlp())
-            .collect();
-        for method in methods {
+        for method in applicable_methods(task) {
             let mut row = vec![method.to_string()];
             for (_, partition) in &partitions {
                 let outcome = ExperimentSpec::new(task, method, constraint)

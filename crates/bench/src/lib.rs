@@ -5,10 +5,12 @@
 //! mode used by the test suite), table formatting and series printing so the
 //! produced output has the same rows/columns the paper reports.
 
+pub mod figure;
 pub mod output;
 pub mod resume;
 pub mod runconfig;
 
+pub use figure::{applicable_methods, constraint_figure};
 pub use output::{print_series, print_table, Table};
 pub use resume::{
     arg_usize, arg_value, has_flag, next_tolerating_save_failure, run_resumable, ResumableOutcome,
