@@ -131,10 +131,7 @@ fn run_trace_replay(scale: RunScale) -> (f32, usize) {
     let ctx = spec.build_context().expect("context builds");
     let mut algorithm = build_algorithm(spec.method);
     let mut csv = CsvTelemetry::new();
-    let mut session = spec
-        .engine()
-        .session(algorithm.as_mut(), &ctx)
-        .expect("session opens");
+    let mut session = spec.open(algorithm.as_mut(), &ctx).expect("session opens");
     session.observe(Box::new(&mut csv));
     while session.next_event().expect("session advances").is_some() {}
     drop(session);
@@ -143,10 +140,7 @@ fn run_trace_replay(scale: RunScale) -> (f32, usize) {
         .expect("recorded telemetry parses")
         .with_slot_secs(5.0);
     let mut algorithm = build_algorithm(spec.method);
-    let mut session = spec
-        .engine()
-        .session(algorithm.as_mut(), &ctx)
-        .expect("session opens");
+    let mut session = spec.open(algorithm.as_mut(), &ctx).expect("session opens");
     session.set_scheduler(Box::new(trace));
     let mut report = None;
     while let Some(event) = session.next_event().expect("replay advances") {

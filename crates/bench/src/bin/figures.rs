@@ -30,12 +30,12 @@ use std::path::PathBuf;
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_bench::{
-    arg_usize, arg_value, next_tolerating_save_failure, print_table, scale_from_args, RunScale,
-    Table,
+    arg_usize, next_tolerating_save_failure, print_table, scale_from_args, RunScale, Table,
 };
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_models::MhflMethod;
+use mhfl_net::cli::arg_value;
 use pracmhbench_core::{
     CheckpointObserver, CsvTelemetry, Execution, ExperimentSpec, MetricsReport, Observer,
     RoundEvent,
@@ -64,8 +64,7 @@ fn run_point(
     let mut session = match ckpt_path.as_ref().filter(|_| resumed) {
         Some(path) => {
             let session = spec
-                .engine()
-                .restore_from(algorithm.as_mut(), &ctx, path)
+                .resume_from(algorithm.as_mut(), &ctx, path)
                 .expect("checkpoint restores");
             eprintln!(
                 "figures: buffer {buffer_size} resumes from {} at round {}",
@@ -74,10 +73,7 @@ fn run_point(
             );
             session
         }
-        None => spec
-            .engine()
-            .session(algorithm.as_mut(), &ctx)
-            .expect("session opens"),
+        None => spec.open(algorithm.as_mut(), &ctx).expect("session opens"),
     };
     session.observe(Box::new(&mut telemetry));
     if let (Some(path), Some(d)) = (ckpt_path.as_ref(), durable) {
@@ -122,7 +118,8 @@ struct DurableSweep {
 
 impl DurableSweep {
     fn from_args() -> Option<Self> {
-        let dir = PathBuf::from(arg_value("--checkpoint-dir")?);
+        let args: Vec<String> = std::env::args().collect();
+        let dir = PathBuf::from(arg_value(&args, "--checkpoint-dir")?);
         std::fs::create_dir_all(&dir).expect("create --checkpoint-dir");
         Some(DurableSweep {
             dir,

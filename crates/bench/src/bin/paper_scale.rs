@@ -1,31 +1,29 @@
-//! `paper_scale` — the hot-path engine benchmark at the paper's scale.
+//! `paper_scale` — the two paper-scale jobs nothing else in the tree does,
+//! both over one CIFAR-10 / SHeteroFL / seed 42 spec driven through the real
+//! [`Session`](mhfl_fl::Session) loop. (Timings are `examples/mhbench`'s
+//! job; this binary prints and asserts, it measures no wall-clock.)
 //!
-//! Two sections, both emitted into `BENCH_paper_scale.json`:
+//! Usage: `cargo run --release -p mhfl-bench --bin paper_scale [--quick|--paper]`
 //!
-//! * **micro** — the rebuilt hot paths timed head-to-head against their
-//!   retained reference implementations inside one binary: the blocked /
-//!   transpose-aware matmul kernels vs. the naive transpose-materialising
-//!   data flow, and plan-cached single-pass sub-model extraction +
-//!   scatter-add aggregation vs. the clone-then-gather-per-axis path with
-//!   randomly re-initialised client models. The reported `speedup` values
-//!   are the wall-clock ratios the tentpole rewrite is accountable for.
-//! * **families** — one full `RunScale::Paper` federated round (setup →
-//!   client phase at the paper's client counts → aggregation → global
-//!   evaluation) per algorithm family, with per-phase wall-clock splits.
+//! ## Arena allocation probe (default; `--alloc-audit` makes it a gate)
 //!
-//! Usage: `cargo run --release -p mhfl-bench --bin paper_scale [--quick]`
-//! (`--quick` shrinks everything to CI smoke size).
+//! Runs the first rounds of the experiment and prints what the tensor arena
+//! did in each: the counter deltas between consecutive `RoundCompleted`
+//! events. Round 1 fills the pool; every later round is a warm round and
+//! should allocate next to nothing fresh. Build with
+//! `--features alloc-count` for real numbers; with `--alloc-audit` the
+//! binary fails if any warm round exceeds [`ALLOC_CEILING_PER_ROUND`].
 //!
 //! ## Durable full runs (`--checkpoint` / `--resume`)
 //!
-//! With `--checkpoint <path>` the binary skips the micro/family sections and
-//! instead drives one **full multi-round federated run** of the width family
-//! at the selected scale, auto-saving a durable checkpoint
-//! (`mhfl_fl::persist`) to `<path>` every `--checkpoint-every <n>` rounds
-//! (default 25). If `<path>` already exists the run **resumes from it** and
-//! continues bit-exactly; `--resume <path>` is the same flow but requires
-//! the file to exist. `--stop-after-rounds <r>` saves and exits once `r`
-//! rounds have completed — the "kill" half of an interruption smoke test:
+//! With `--checkpoint <path>` the binary instead drives the **full
+//! multi-round federated run** at the selected scale, auto-saving a durable
+//! checkpoint (`mhfl_fl::persist`) to `<path>` every `--checkpoint-every <n>`
+//! rounds (default 25). If `<path>` already exists the run **resumes from
+//! it** and continues bit-exactly; `--resume <path>` is the same flow but
+//! requires the file to exist. `--stop-after-rounds <r>` saves and exits
+//! once `r` rounds have completed — the "kill" half of an interruption
+//! smoke test:
 //!
 //! ```bash
 //! # start, get interrupted at round 2...
@@ -34,32 +32,15 @@
 //! # ...relaunch: continues from round 2 and prints the final digest
 //! cargo run -p mhfl-bench --bin paper_scale -- --quick --resume run.ckpt
 //! ```
-//!
-//! ## Distributed mode (`--workers` / `--listen` / `--connect`)
-//!
-//! With `--workers <n>` the binary benchmarks the `mhfl-net` distributed
-//! engine instead of the family rounds: it binds `--listen` (default
-//! `tcp:127.0.0.1:0`), re-execs itself `n` times as workers (`--connect`),
-//! drives one full width-family run sharded across them, verifies the
-//! digest against the single-process reference, and emits a
-//! `"distributed"` section — per-phase timings plus per-worker
-//! utilisation — alongside the micro section in `BENCH_paper_scale.json`:
-//!
-//! ```bash
-//! cargo run --release -p mhfl-bench --bin paper_scale -- --quick --workers 2
-//! ```
 
-use std::time::Instant;
-
-use mhfl_bench::{arg_usize, arg_value, has_flag, run_resumable, scale_from_args, RunScale};
+use mhfl_algorithms::build_algorithm;
+use mhfl_bench::{arg_usize, print_table, run_resumable, scale_from_args, RunScale, Table};
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
-use mhfl_fl::submodel::{
-    extract_submodel, ExtractionPlan, PlanCache, ServerAggregator, WidthSelection,
-};
-use mhfl_fl::{run_clients, ClientPayload, Parallelism, Schedule};
-use mhfl_models::{InputKind, MhflMethod, ModelFamily, ProxyConfig, ProxyModel};
-use mhfl_tensor::{ArenaStats, SeededRng, Tensor, TensorArena};
+use mhfl_fl::RoundEvent;
+use mhfl_models::MhflMethod;
+use mhfl_net::cli::{arg_value, has_flag};
+use mhfl_tensor::{ArenaStats, TensorArena};
 use pracmhbench_core::ExperimentSpec;
 
 /// Committed ceiling on steady-state tensor-storage allocations per warm
@@ -70,232 +51,21 @@ use pracmhbench_core::ExperimentSpec;
 /// measured number past this line.
 const ALLOC_CEILING_PER_ROUND: u64 = 256;
 
-/// One micro-benchmark comparison: reference vs. optimised wall-clock.
-struct Micro {
-    name: &'static str,
-    reference_secs: f64,
-    optimised_secs: f64,
-}
+/// Rounds the allocation probe drives before stopping the session: the
+/// warm-up round plus enough warm ones to show the steady state.
+const PROBE_ROUNDS: usize = 5;
 
-impl Micro {
-    fn speedup(&self) -> f64 {
-        if self.optimised_secs > 0.0 {
-            self.reference_secs / self.optimised_secs
-        } else {
-            f64::INFINITY
-        }
-    }
-}
-
-fn time<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
-    let start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(f());
-    }
-    start.elapsed().as_secs_f64()
-}
-
-/// Linear-layer data flow at a paper-ish shape: forward `x·Wᵀ`, backward
-/// `dYᵀ·X` and `dY·W`, reference = materialised transposes + naive kernel.
-fn micro_linear(reps: usize) -> Micro {
-    let mut rng = SeededRng::new(7);
-    let (batch, inf, outf) = (64usize, 256usize, 256usize);
-    let x = Tensor::randn(&[batch, inf], 1.0, &mut rng);
-    let w = Tensor::randn(&[outf, inf], 0.1, &mut rng);
-    let dy = Tensor::randn(&[batch, outf], 0.5, &mut rng);
-
-    let reference_secs = time(reps, || {
-        let y = x.matmul_naive(&w.transpose().unwrap()).unwrap();
-        let dw = dy.transpose().unwrap().matmul_naive(&x).unwrap();
-        let db = dy.transpose().unwrap().row_sums().unwrap();
-        let dx = dy.matmul_naive(&w).unwrap();
-        (y, dw, db, dx)
-    });
-    let optimised_secs = time(reps, || {
-        let y = x.matmul_nt(&w).unwrap();
-        let dw = dy.matmul_tn(&x).unwrap();
-        let db = dy.col_sums().unwrap();
-        let dx = dy.matmul(&w).unwrap();
-        (y, dw, db, dx)
-    });
-    Micro {
-        name: "linear_forward_backward",
-        reference_secs,
-        optimised_secs,
-    }
-}
-
-fn extraction_fixture() -> (ProxyConfig, ProxyModel) {
-    let cfg = ProxyConfig::for_family(
-        ModelFamily::ResNet101,
-        InputKind::Image {
-            channels: 3,
-            height: 8,
-            width: 8,
-        },
-        100,
-        0,
-    );
-    let global = ProxyModel::new(cfg).unwrap();
-    (cfg, global)
-}
-
-/// Per-round client-model preparation: reference = random-init model +
-/// clone-then-gather-per-axis extraction, optimised = zero-init model +
-/// cached single-pass gather plan.
-fn micro_extraction(reps: usize) -> Micro {
-    let (cfg, global) = extraction_fixture();
-    let global_sd = global.state_dict();
-    let specs = global.param_specs();
-    let half_cfg = cfg.with_width(0.5);
-    let selection = WidthSelection::Rolling { shift: 13 };
-
-    let reference_secs = time(reps, || {
-        let mut model = ProxyModel::new(half_cfg).unwrap();
-        let sub = extract_submodel(&global_sd, &specs, &model.param_specs(), selection).unwrap();
-        model.load_state_dict(&sub).unwrap();
-        model
-    });
-    let cache = PlanCache::new();
-    let optimised_secs = time(reps, || {
-        let mut model = ProxyModel::zeroed(half_cfg).unwrap();
-        let plan = cache
-            .for_client_specs(&specs, &model.param_specs(), selection)
-            .unwrap();
-        model
-            .load_state_dict(&plan.extract(&global_sd).unwrap())
-            .unwrap();
-        model
-    });
-    Micro {
-        name: "submodel_extraction",
-        reference_secs,
-        optimised_secs,
-    }
-}
-
-/// Aggregation return path: reference = per-element coordinate decoding,
-/// optimised = plan-driven scatter-add.
-fn micro_aggregation(reps: usize) -> Micro {
-    let (cfg, global) = extraction_fixture();
-    let global_sd = global.state_dict();
-    let specs = global.param_specs();
-    let selection = WidthSelection::Rolling { shift: 5 };
-    let half_specs = ProxyModel::zeroed(cfg.with_width(0.5))
-        .unwrap()
-        .param_specs();
-    let update = extract_submodel(&global_sd, &specs, &half_specs, selection).unwrap();
-
-    // Accumulate repeatedly into one aggregator per side so the timing
-    // isolates the scatter path itself, not the zero-filled constructor.
-    let mut reference_agg = ServerAggregator::new(specs.clone());
-    let reference_secs = time(reps, || {
-        reference_agg.add_update(&update, selection, 1.0).unwrap();
-    });
-    let plan = ExtractionPlan::for_state(&specs, &update, selection).unwrap();
-    let mut planned_agg = ServerAggregator::new(specs.clone());
-    let optimised_secs = time(reps, || {
-        planned_agg
-            .add_update_with_plan(&update, &plan, 1.0)
-            .unwrap();
-    });
-    Micro {
-        name: "scatter_add_aggregation",
-        reference_secs,
-        optimised_secs,
-    }
-}
-
-/// One paper-scale federated round of one algorithm family, with per-phase
-/// wall-clock splits.
-struct FamilyRound {
-    method: MhflMethod,
-    task: DataTask,
-    clients: usize,
-    selected: usize,
-    setup_secs: f64,
-    client_phase_secs: f64,
-    aggregate_secs: f64,
-    evaluate_secs: f64,
-    global_accuracy: f32,
-}
-
-fn run_family_round(method: MhflMethod, scale: RunScale) -> FamilyRound {
-    let task = DataTask::Cifar10;
-    let spec = ExperimentSpec::new(
-        task,
-        method,
+/// The one experiment both modes run: the width family on CIFAR-10.
+fn spec(scale: RunScale) -> ExperimentSpec {
+    ExperimentSpec::new(
+        DataTask::Cifar10,
+        MhflMethod::SHeteroFl,
         ConstraintCase::Computation {
             deadline_secs: 300.0,
         },
     )
     .with_scale(scale)
-    .with_seed(42);
-    // Setup covers everything before the first round: context construction
-    // (data partitioning + device assignment) and the algorithm's own state.
-    // Starting the timer after `build_context` used to report ~0.000s setup.
-    let t = Instant::now();
-    let ctx = spec.build_context().expect("context builds");
-    let clients = ctx.num_clients();
-    // The paper samples 10% of clients per synchronous round.
-    let per_round = ((clients as f64 * 0.1).round() as usize).clamp(1, clients);
-
-    let mut algorithm = mhfl_algorithms::build_algorithm(method);
-    algorithm.setup(&ctx).expect("setup");
-    let setup_secs = t.elapsed().as_secs_f64();
-
-    let scheduler = Schedule::Uniform.build();
-    let mut rng = SeededRng::new(spec.seed ^ 0xF00D);
-    let plan = scheduler.plan_round(1, per_round, 0.0, &ctx, &mut rng);
-
-    let t = Instant::now();
-    let updates = run_clients(
-        algorithm.as_ref(),
-        1,
-        &plan.clients,
-        &ctx,
-        Parallelism::Sequential,
-    )
-    .expect("client phase");
-    let client_phase_secs = t.elapsed().as_secs_f64();
-    let selected = updates.len();
-    // Sanity: real uploads, not empty stubs.
-    assert!(updates
-        .iter()
-        .all(|u| !matches!(u.payload, ClientPayload::Empty)));
-
-    let t = Instant::now();
-    algorithm.aggregate(1, updates, &ctx).expect("aggregate");
-    let aggregate_secs = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let global_accuracy = algorithm.evaluate_global(ctx.test_set()).expect("evaluate");
-    let evaluate_secs = t.elapsed().as_secs_f64();
-
-    FamilyRound {
-        method,
-        task,
-        clients,
-        selected,
-        setup_secs,
-        client_phase_secs,
-        aggregate_secs,
-        evaluate_secs,
-        global_accuracy,
-    }
-}
-
-/// Steady-state allocation behaviour of the tensor arena under repeated
-/// federated rounds: one warm-up round fills the pool, then the per-round
-/// counter deltas over `steady_rounds` further rounds measure what a warm
-/// round still allocates fresh.
-struct ArenaProbe {
-    counting_enabled: bool,
-    warmup_fresh_allocs: u64,
-    steady_rounds: usize,
-    fresh_allocs_per_round: u64,
-    pool_hits_per_round: u64,
-    recycled_per_round: u64,
+    .with_seed(42)
 }
 
 fn stats_delta(after: ArenaStats, before: ArenaStats) -> ArenaStats {
@@ -307,50 +77,29 @@ fn stats_delta(after: ArenaStats, before: ArenaStats) -> ArenaStats {
     }
 }
 
-fn probe_arena(scale: RunScale) -> ArenaProbe {
+/// What the tensor arena did in each of the first [`PROBE_ROUNDS`] rounds of
+/// the experiment (fewer if the run is shorter): counter deltas between
+/// consecutive `RoundCompleted` events, the first measured from the moment
+/// the session opened.
+fn probe_arena(scale: RunScale) -> Vec<ArenaStats> {
+    let spec = spec(scale);
+    let ctx = spec.build_context().expect("context builds");
+    let mut algorithm = build_algorithm(spec.method);
+    let mut session = spec.open(algorithm.as_mut(), &ctx).expect("session opens");
     let arena = TensorArena::global();
-    let steady_rounds = 2usize;
-    eprintln!(
-        "paper_scale: arena allocation probe (1 warm-up + {steady_rounds} steady rounds, \
-         counting {})...",
-        if TensorArena::counting_enabled() {
-            "on"
-        } else {
-            "OFF — rebuild with --features alloc-count for real numbers"
+    let mut last = arena.stats();
+    let mut per_round = Vec::new();
+    while let Some(event) = session.next_event().expect("session advances") {
+        if let RoundEvent::RoundCompleted { .. } = event {
+            let now = arena.stats();
+            per_round.push(stats_delta(now, last));
+            last = now;
+            if per_round.len() == PROBE_ROUNDS {
+                session.stop();
+            }
         }
-    );
-    let before_warmup = arena.stats();
-    run_family_round(MhflMethod::SHeteroFl, scale);
-    let after_warmup = arena.stats();
-    for _ in 0..steady_rounds {
-        run_family_round(MhflMethod::SHeteroFl, scale);
     }
-    let steady = stats_delta(arena.stats(), after_warmup);
-    let probe = ArenaProbe {
-        counting_enabled: TensorArena::counting_enabled(),
-        warmup_fresh_allocs: stats_delta(after_warmup, before_warmup).fresh_allocs,
-        steady_rounds,
-        fresh_allocs_per_round: steady.fresh_allocs / steady_rounds as u64,
-        pool_hits_per_round: steady.pool_hits / steady_rounds as u64,
-        recycled_per_round: steady.recycled / steady_rounds as u64,
-    };
-    eprintln!(
-        "  warm-up round: {} fresh allocations; steady state: {}/round fresh, \
-         {}/round served from the pool (ceiling {})",
-        probe.warmup_fresh_allocs,
-        probe.fresh_allocs_per_round,
-        probe.pool_hits_per_round,
-        ALLOC_CEILING_PER_ROUND
-    );
-    probe
-}
-
-fn scale_label(scale: RunScale) -> &'static str {
-    match scale {
-        RunScale::Quick => "quick",
-        RunScale::Standard => "standard",
-        RunScale::Paper => "paper",
-    }
+    per_round
 }
 
 /// The durable-run flow behind `--checkpoint` / `--resume`: one full
@@ -366,18 +115,9 @@ fn run_durable(scale: RunScale, path: &str, must_exist: bool) {
     }
     let every = arg_usize("--checkpoint-every").unwrap_or(25);
     let stop_after = arg_usize("--stop-after-rounds");
-    let spec = ExperimentSpec::new(
-        DataTask::Cifar10,
-        MhflMethod::SHeteroFl,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
-    )
-    .with_scale(scale)
-    .with_seed(42);
+    let spec = spec(scale);
     eprintln!(
-        "paper_scale: durable {} run of {} (checkpoint {} every {every} rounds)",
-        scale_label(scale),
+        "paper_scale: durable {scale:?} run of {} (checkpoint {} every {every} rounds)",
         spec.method,
         path.display()
     );
@@ -401,327 +141,66 @@ fn run_durable(scale: RunScale, path: &str, must_exist: bool) {
     }
 }
 
-/// The fixed experiment the distributed benchmark shards: the width family
-/// at the selected scale, seeded like every other section.
-fn distributed_spec(scale: RunScale) -> ExperimentSpec {
-    ExperimentSpec::new(
-        DataTask::Cifar10,
-        MhflMethod::SHeteroFl,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
-    )
-    .with_scale(scale)
-    .with_seed(42)
-}
-
-/// Worker half of `--workers`: this binary re-exec'd with `--connect` plus
-/// the spec flags, serving dispatches until the server shuts the run down.
-fn run_worker_child(endpoint: &str, args: &[String]) {
-    let endpoint = mhfl_net::Endpoint::parse(endpoint).expect("--connect endpoint");
-    let spec = mhfl_net::cli::parse_spec(args).expect("worker spec flags");
-    let options = mhfl_net::WorkerOptions {
-        name: mhfl_net::cli::arg_value(args, "--name")
-            .unwrap_or_else(|| format!("pid{}", std::process::id())),
-        ..Default::default()
-    };
-    let report = mhfl_net::run_worker(&endpoint, &spec, options).expect("worker run");
-    eprintln!(
-        "paper_scale worker {}: served {} dispatch(es), {} update(s)",
-        report.worker_index, report.dispatches, report.updates_sent
-    );
-}
-
-/// Server half of `--workers`: run the micro section as usual, then one full
-/// distributed run sharded across `n` re-exec'd worker processes, verify the
-/// digest against the single-process reference, and emit the utilisation
-/// ledger into the JSON alongside the micro timings.
-fn run_distributed_bench(scale: RunScale, workers: usize, micro_reps: usize) {
-    use mhfl_net::cli::spec_flags;
-    use mhfl_net::{run_server, Endpoint, Listener};
-
-    let spec = distributed_spec(scale);
-    let listen = arg_value("--listen").unwrap_or_else(|| "tcp:127.0.0.1:0".to_string());
-    let listener = Listener::bind(&Endpoint::parse(&listen).expect("--listen endpoint"))
-        .expect("bind listener");
-    let endpoint = listener.local_endpoint().expect("local endpoint");
-    eprintln!(
-        "paper_scale: distributed {} run of {} on {endpoint} across {workers} worker(s)...",
-        scale_label(scale),
-        spec.method
-    );
-
-    let exe = std::env::current_exe().expect("current exe");
-    let children: Vec<std::process::Child> = (0..workers)
-        .map(|i| {
-            std::process::Command::new(&exe)
-                .arg("--connect")
-                .arg(endpoint.to_string())
-                .arg("--name")
-                .arg(format!("w{i}"))
-                .args(spec_flags(&spec))
-                .spawn()
-                .expect("spawn worker process")
-        })
-        .collect();
-
-    let outcome = run_server(&listener, workers, &spec).expect("distributed run");
-    for mut child in children {
-        let status = child.wait().expect("worker wait");
-        assert!(status.success(), "a worker process exited with {status}");
-    }
-
-    eprintln!("paper_scale: single-process reference for the digest check...");
-    let reference = spec.run().expect("reference run").report;
-    let digest_match = outcome.report.digest() == reference.digest();
-    assert!(
-        digest_match,
-        "distributed digest 0x{:016x} != single-process 0x{:016x}",
-        outcome.report.digest(),
-        reference.digest()
-    );
-    eprintln!(
-        "  digest 0x{:016x} matches single-process; accept {:.2}s, run {:.2}s",
-        outcome.report.digest(),
-        outcome.accept_secs,
-        outcome.run_secs
-    );
-
-    let micros = [
-        micro_linear(micro_reps),
-        micro_extraction(micro_reps),
-        micro_aggregation(micro_reps),
-    ];
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"scale\": \"{}\",\n", scale_label(scale)));
-    json.push_str(&format!("  \"micro_reps\": {micro_reps},\n"));
-    json.push_str(
-        "  \"command\": \"cargo run --release -p mhfl-bench --bin paper_scale -- --workers N\",\n",
-    );
-    json.push_str("  \"micro\": {\n");
-    for (i, m) in micros.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\": {{ \"reference_secs\": {:.6}, \"optimised_secs\": {:.6}, \"speedup\": {:.2} }}{}\n",
-            m.name,
-            m.reference_secs / micro_reps as f64,
-            m.optimised_secs / micro_reps as f64,
-            m.speedup(),
-            if i + 1 < micros.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"distributed\": {\n");
-    json.push_str(&format!(
-        "    \"method\": \"{}\", \"task\": \"{:?}\", \"workers\": {},\n",
-        spec.method, spec.task, workers
-    ));
-    json.push_str(&format!(
-        "    \"accept_secs\": {:.3}, \"run_secs\": {:.3},\n",
-        outcome.accept_secs, outcome.run_secs
-    ));
-    json.push_str(&format!(
-        "    \"digest\": \"0x{:016x}\", \"digest_match\": {digest_match},\n",
-        outcome.report.digest()
-    ));
-    json.push_str("    \"per_worker\": [\n");
-    for (i, w) in outcome.workers.iter().enumerate() {
-        let utilisation = if outcome.run_secs > 0.0 {
-            w.busy_secs / outcome.run_secs
-        } else {
-            0.0
-        };
-        json.push_str(&format!(
-            "      {{ \"name\": \"{}\", \"dispatched\": {}, \"completed\": {}, \
-             \"busy_secs\": {:.3}, \"utilisation\": {:.3}, \"died\": {} }}{}\n",
-            w.name,
-            w.dispatched,
-            w.completed,
-            w.busy_secs,
-            utilisation,
-            w.dead,
-            if i + 1 < outcome.workers.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-        eprintln!(
-            "  worker {:<8} dispatched {:>4}  completed {:>4}  busy {:>6.2}s  utilisation {:>5.1}%",
-            w.name,
-            w.dispatched,
-            w.completed,
-            w.busy_secs,
-            utilisation * 100.0
-        );
-    }
-    json.push_str("    ]\n  }\n}\n");
-    std::fs::write("BENCH_paper_scale.json", &json).expect("write BENCH_paper_scale.json");
-    println!("{json}");
-    eprintln!("paper_scale: wrote BENCH_paper_scale.json (distributed mode)");
-}
-
 fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(endpoint) = arg_value("--connect") {
-        // Worker processes share kernels with the other workers and the
-        // server on one machine; keep each single-threaded.
-        return run_worker_child(&endpoint, &args);
-    }
     // One process on one machine: let server-phase kernels use every core.
     mhfl_tensor::set_kernel_workers(0);
-    if let Some(path) = arg_value("--resume") {
+    if let Some(path) = arg_value(&args, "--resume") {
         return run_durable(scale, &path, true);
     }
-    if let Some(path) = arg_value("--checkpoint") {
+    if let Some(path) = arg_value(&args, "--checkpoint") {
         return run_durable(scale, &path, false);
     }
-    let micro_reps = match scale {
-        RunScale::Quick => 3,
-        RunScale::Standard => 20,
-        RunScale::Paper => 40,
-    };
-    if let Some(workers) = arg_usize("--workers") {
-        return run_distributed_bench(scale, workers, micro_reps);
-    }
-    // `--quick` smoke runs shrink the federated round too; everything else
-    // runs the families at the paper's client counts.
-    let family_scale = match scale {
-        RunScale::Quick => RunScale::Quick,
-        _ => RunScale::Paper,
-    };
 
-    eprintln!("paper_scale: micro benchmarks ({micro_reps} reps)...");
-    let micros = [
-        micro_linear(micro_reps),
-        micro_extraction(micro_reps),
-        micro_aggregation(micro_reps),
-    ];
-    for m in &micros {
-        eprintln!(
-            "  {:<26} reference {:>9.4}s  optimised {:>9.4}s  speedup {:>6.2}x",
-            m.name,
-            m.reference_secs,
-            m.optimised_secs,
-            m.speedup()
-        );
+    let audit = has_flag(&args, "--alloc-audit");
+    assert!(
+        !audit || TensorArena::counting_enabled(),
+        "--alloc-audit needs allocation counters; rebuild with `--features alloc-count`"
+    );
+    let per_round = probe_arena(scale);
+    let mut table = Table::new(
+        format!(
+            "Tensor-arena traffic per round ({scale:?} scale, counting {})",
+            if TensorArena::counting_enabled() {
+                "on"
+            } else {
+                "OFF — rebuild with --features alloc-count for real numbers"
+            }
+        ),
+        &["Round", "fresh_allocs", "pool_hits", "recycled", "released"],
+    );
+    for (i, delta) in per_round.iter().enumerate() {
+        table.push_row(vec![
+            if i == 0 {
+                "1 (warm-up)".into()
+            } else {
+                (i + 1).to_string()
+            },
+            delta.fresh_allocs.to_string(),
+            delta.pool_hits.to_string(),
+            delta.recycled.to_string(),
+            delta.released.to_string(),
+        ]);
     }
+    print_table(&table);
 
-    let families = [
-        MhflMethod::SHeteroFl,
-        MhflMethod::DepthFl,
-        MhflMethod::FedProto,
-        MhflMethod::FedEt,
-        MhflMethod::HomogeneousSmallest,
-    ];
-    let mut rounds = Vec::new();
-    for method in families {
-        eprintln!(
-            "paper_scale: one {} round of {method}...",
-            scale_label(family_scale)
-        );
-        let round = run_family_round(method, family_scale);
-        eprintln!(
-            "  {} clients, {} selected: client phase {:.2}s, aggregate {:.3}s, eval {:.2}s, acc {:.3}",
-            round.clients,
-            round.selected,
-            round.client_phase_secs,
-            round.aggregate_secs,
-            round.evaluate_secs,
-            round.global_accuracy
-        );
-        rounds.push(round);
-    }
-
-    let probe = probe_arena(family_scale);
-    if has_flag("--alloc-audit") {
-        assert!(
-            probe.counting_enabled,
-            "--alloc-audit needs allocation counters; rebuild with \
-             `--features alloc-count`"
-        );
-        assert!(
-            probe.fresh_allocs_per_round <= ALLOC_CEILING_PER_ROUND,
-            "steady-state tensor allocations regressed: {} fresh allocations \
-             per warm round exceeds the committed ceiling of {}",
-            probe.fresh_allocs_per_round,
-            ALLOC_CEILING_PER_ROUND
-        );
-        eprintln!(
-            "paper_scale: alloc audit passed ({} <= {} fresh allocations/round)",
-            probe.fresh_allocs_per_round, ALLOC_CEILING_PER_ROUND
+    if audit {
+        let steady = per_round.get(1..).unwrap_or_default();
+        assert!(!steady.is_empty(), "the audit needs at least two rounds");
+        for (i, delta) in steady.iter().enumerate() {
+            assert!(
+                delta.fresh_allocs <= ALLOC_CEILING_PER_ROUND,
+                "steady-state tensor allocations regressed: round {} made {} fresh \
+                 allocations, over the committed ceiling of {ALLOC_CEILING_PER_ROUND}",
+                i + 2,
+                delta.fresh_allocs
+            );
+        }
+        println!(
+            "paper_scale: alloc audit passed ({} warm rounds, each <= \
+             {ALLOC_CEILING_PER_ROUND} fresh allocations)",
+            steady.len()
         );
     }
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"family_scale\": \"{}\",\n",
-        scale_label(family_scale)
-    ));
-    json.push_str(&format!("  \"micro_reps\": {micro_reps},\n"));
-    json.push_str("  \"command\": \"cargo run --release -p mhfl-bench --bin paper_scale\",\n");
-    json.push_str("  \"micro\": {\n");
-    for (i, m) in micros.iter().enumerate() {
-        json.push_str(&format!(
-            "    \"{}\": {{ \"reference_secs\": {:.6}, \"optimised_secs\": {:.6}, \"speedup\": {:.2} }}{}\n",
-            m.name,
-            m.reference_secs / micro_reps as f64,
-            m.optimised_secs / micro_reps as f64,
-            m.speedup(),
-            if i + 1 < micros.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str("  \"families\": [\n");
-    for (i, r) in rounds.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"method\": \"{}\", \"task\": \"{:?}\", \"clients\": {}, \"selected\": {}, \
-             \"setup_secs\": {:.3}, \"client_phase_secs\": {:.3}, \"aggregate_secs\": {:.4}, \
-             \"evaluate_secs\": {:.3}, \"global_accuracy\": {:.4} }}{}\n",
-            r.method,
-            r.task,
-            r.clients,
-            r.selected,
-            r.setup_secs,
-            r.client_phase_secs,
-            r.aggregate_secs,
-            r.evaluate_secs,
-            r.global_accuracy,
-            if i + 1 < rounds.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"arena\": {\n");
-    json.push_str(&format!(
-        "    \"counting_enabled\": {},\n",
-        probe.counting_enabled
-    ));
-    json.push_str(&format!(
-        "    \"warmup_round_fresh_allocs\": {},\n",
-        probe.warmup_fresh_allocs
-    ));
-    json.push_str(&format!(
-        "    \"steady_rounds\": {},\n",
-        probe.steady_rounds
-    ));
-    json.push_str(&format!(
-        "    \"steady_fresh_allocs_per_round\": {},\n",
-        probe.fresh_allocs_per_round
-    ));
-    json.push_str(&format!(
-        "    \"steady_pool_hits_per_round\": {},\n",
-        probe.pool_hits_per_round
-    ));
-    json.push_str(&format!(
-        "    \"steady_recycled_per_round\": {},\n",
-        probe.recycled_per_round
-    ));
-    json.push_str(&format!(
-        "    \"alloc_ceiling_per_round\": {ALLOC_CEILING_PER_ROUND}\n"
-    ));
-    json.push_str("  }\n}\n");
-    std::fs::write("BENCH_paper_scale.json", &json).expect("write BENCH_paper_scale.json");
-    println!("{json}");
-    eprintln!("paper_scale: wrote BENCH_paper_scale.json");
 }

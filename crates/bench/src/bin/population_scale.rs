@@ -3,9 +3,9 @@
 //! The lazy-materialisation path ([`ExperimentSpec::build_lazy_context`])
 //! derives every client's device profile and data shard on demand from
 //! `(seed, client_id)`, so a federation's resident footprint is bounded by
-//! the clients *in flight*, never by the population. This binary proves the
-//! three claims that matter at scale, and emits them into
-//! `BENCH_population_scale.json`:
+//! the clients *in flight*, never by the population. This binary checks the
+//! three claims that matter at scale and prints what it measured (the
+//! guarded footprint number is mhbench's `har_async_lazy_1m.peak_rss_mb`):
 //!
 //! * **pick_next is sub-linear** — the uniform scheduler draw over the free
 //!   set is timed at populations 10³, 10⁵ and 10⁶; the per-pick cost must
@@ -13,8 +13,8 @@
 //!   fixed by the concurrency slots).
 //! * **per-round wall-clock is population-independent** — one asynchronous
 //!   buffered run (fixed slots, fixed buffer) at the target population and
-//!   one at a 1 000-client reference, same engine config; the per-round
-//!   times must match.
+//!   one at a 1 000-client reference, same engine config; the ratio of the
+//!   mean per-round times is printed.
 //! * **RSS is bounded** — `/proc/self/status` VmRSS is sampled before the
 //!   context is built, after setup, and at every round boundary. With
 //!   `--rss-ceiling-mb <n>` the binary *fails* if the peak exceeds the
@@ -103,7 +103,6 @@ fn time_pick_next(population: usize) -> f64 {
 }
 
 struct RunResult {
-    population: usize,
     setup_secs: f64,
     per_round_secs: Vec<f64>,
     rss_after_setup_mb: Option<f64>,
@@ -117,10 +116,7 @@ fn run_population(population: usize) -> RunResult {
     let t = Instant::now();
     let ctx: FederationContext = spec.build_lazy_context().expect("lazy context builds");
     let mut algorithm = build_algorithm(spec.method);
-    let mut session = spec
-        .engine()
-        .session(algorithm.as_mut(), &ctx)
-        .expect("session opens");
+    let mut session = spec.open(algorithm.as_mut(), &ctx).expect("session opens");
     let setup_secs = t.elapsed().as_secs_f64();
     let rss_after_setup_mb = rss_mb();
     let mut rss_peak_mb = rss_after_setup_mb;
@@ -138,7 +134,6 @@ fn run_population(population: usize) -> RunResult {
         }
     }
     RunResult {
-        population,
         setup_secs,
         per_round_secs,
         rss_after_setup_mb,
@@ -153,13 +148,8 @@ fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-fn json_f64_list(xs: &[f64]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{x:.4}")).collect();
-    format!("[{}]", items.join(", "))
-}
-
-fn json_opt(x: Option<f64>) -> String {
-    x.map_or_else(|| "null".into(), |v| format!("{v:.1}"))
+fn mb(x: Option<f64>) -> String {
+    x.map_or_else(|| "n/a".into(), |v| format!("{v:.1}"))
 }
 
 fn main() {
@@ -170,7 +160,6 @@ fn main() {
     // scaling, and deterministic wall-clock splits read better in CI logs.
     mhfl_tensor::set_kernel_workers(1);
 
-    let rss_baseline_mb = rss_mb();
     eprintln!("population_scale: timing pick_next at 10^3 / 10^5 / 10^6 clients...");
     let pick_populations = [1_000usize, 100_000, 1_000_000];
     let pick_ns: Vec<f64> = pick_populations
@@ -208,8 +197,8 @@ fn main() {
         main_run.setup_secs,
         main_run.per_round_secs.len(),
         mean(&main_run.per_round_secs),
-        json_opt(main_run.rss_after_setup_mb),
-        json_opt(main_run.rss_peak_mb),
+        mb(main_run.rss_after_setup_mb),
+        mb(main_run.rss_peak_mb),
     );
 
     let round_ratio = {
@@ -224,56 +213,6 @@ fn main() {
         "  per-round wall-clock at {population} clients is {round_ratio:.2}x the \
          {REFERENCE_POPULATION}-client reference"
     );
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"population\": {population},\n"));
-    json.push_str(&format!(
-        "  \"execution\": \"async_buffered(buffer={BUFFER}, slots={SLOTS})\",\n"
-    ));
-    json.push_str("  \"pick_next_ns\": [\n");
-    for (i, (&n, ns)) in pick_populations.iter().zip(&pick_ns).enumerate() {
-        json.push_str(&format!(
-            "    {{ \"population\": {n}, \"ns_per_pick\": {ns:.1} }}{}\n",
-            if i + 1 < pick_populations.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    json.push_str("  ],\n");
-    for (label, run) in [("reference", &reference), ("main", &main_run)] {
-        json.push_str(&format!("  \"{label}\": {{\n"));
-        json.push_str(&format!("    \"population\": {},\n", run.population));
-        json.push_str(&format!("    \"setup_secs\": {:.3},\n", run.setup_secs));
-        json.push_str(&format!(
-            "    \"per_round_secs\": {},\n",
-            json_f64_list(&run.per_round_secs)
-        ));
-        json.push_str(&format!(
-            "    \"rss_after_setup_mb\": {},\n",
-            json_opt(run.rss_after_setup_mb)
-        ));
-        json.push_str(&format!(
-            "    \"rss_peak_mb\": {}\n",
-            json_opt(run.rss_peak_mb)
-        ));
-        json.push_str("  },\n");
-    }
-    json.push_str(&format!("  \"per_round_ratio\": {round_ratio:.3},\n"));
-    json.push_str(&format!(
-        "  \"rss_baseline_mb\": {},\n",
-        json_opt(rss_baseline_mb)
-    ));
-    json.push_str(&format!(
-        "  \"rss_ceiling_mb\": {}\n",
-        rss_ceiling_mb.map_or_else(|| "null".into(), |v| v.to_string())
-    ));
-    json.push_str("}\n");
-    std::fs::write("BENCH_population_scale.json", &json)
-        .expect("write BENCH_population_scale.json");
-    println!("{json}");
-    eprintln!("population_scale: wrote BENCH_population_scale.json");
 
     if let Some(ceiling) = rss_ceiling_mb {
         let peak = main_run

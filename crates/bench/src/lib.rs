@@ -12,7 +12,5 @@ pub mod runconfig;
 
 pub use figure::{applicable_methods, constraint_figure};
 pub use output::{print_series, print_table, Table};
-pub use resume::{
-    arg_usize, arg_value, has_flag, next_tolerating_save_failure, run_resumable, ResumableOutcome,
-};
+pub use resume::{arg_usize, next_tolerating_save_failure, run_resumable, ResumableOutcome};
 pub use runconfig::{scale_from_args, RunScale};

@@ -12,28 +12,15 @@ use std::path::Path;
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_fl::{FlError, FlResult, RoundEvent, Session};
+use mhfl_net::cli::arg_value;
 use pracmhbench_core::{CheckpointObserver, ExperimentSpec, MetricsReport};
 
-/// Returns the value following `flag` in the process arguments
-/// (`--flag value`), if present.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// `true` when `flag` appears anywhere in the process arguments (a bare
-/// boolean switch, no value).
-pub fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
-/// Parses the value following `flag` as a `usize`, panicking with a usage
-/// message on garbage (these are operator-facing CLI flags).
+/// Parses the value following `flag` in the process arguments as a
+/// `usize`, panicking with a usage message on garbage (these are
+/// operator-facing CLI flags).
 pub fn arg_usize(flag: &str) -> Option<usize> {
-    arg_value(flag).map(|v| {
+    let args: Vec<String> = std::env::args().collect();
+    arg_value(&args, flag).map(|v| {
         v.parse()
             .unwrap_or_else(|_| panic!("{flag} expects an integer, got {v:?}"))
     })
@@ -70,7 +57,8 @@ pub fn next_tolerating_save_failure(session: &mut Session<'_>) -> FlResult<Optio
 }
 
 /// Runs `spec` with durable checkpointing to `path`: resumes from the file
-/// when it exists (validating the engine configuration against the spec),
+/// when it exists (validating the engine configuration against the spec and
+/// re-applying the spec's adversarial knobs, which the file does not carry),
 /// auto-saves every `every` completed rounds and at run end, and — when
 /// `stop_after_rounds` is set — saves and returns early once that many
 /// rounds have completed, simulating an interruption.
@@ -89,9 +77,8 @@ pub fn run_resumable(
 ) -> Result<ResumableOutcome, Box<dyn std::error::Error>> {
     let ctx = spec.build_context()?;
     let mut algorithm = build_algorithm(spec.method);
-    let engine = spec.engine();
     let (mut session, resumed_from) = if path.exists() {
-        let session = engine.restore_from(algorithm.as_mut(), &ctx, path)?;
+        let session = spec.resume_from(algorithm.as_mut(), &ctx, path)?;
         let from = session.completed_rounds();
         eprintln!(
             "resume: continuing from {} at round {from} (t = {:.1}s)",
@@ -100,7 +87,7 @@ pub fn run_resumable(
         );
         (session, Some(from))
     } else {
-        (engine.session(algorithm.as_mut(), &ctx)?, None)
+        (spec.open(algorithm.as_mut(), &ctx)?, None)
     };
     session.observe(Box::new(CheckpointObserver::every(path, every)));
 
@@ -138,4 +125,60 @@ pub fn run_resumable(
         report: Some(report),
         resumed_from,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
+    use mhfl_models::MhflMethod;
+    use pracmhbench_core::{Corruption, RobustAggregation, RunScale};
+
+    fn spec() -> ExperimentSpec {
+        ExperimentSpec::new(
+            DataTask::UciHar,
+            MhflMethod::SHeteroFl,
+            ConstraintCase::Computation {
+                deadline_secs: 300.0,
+            },
+        )
+        .with_scale(RunScale::Quick)
+        .with_seed(17)
+    }
+
+    fn digest(spec: &ExperimentSpec, path: &Path, stop_after_rounds: Option<usize>) -> Option<u64> {
+        let outcome = run_resumable(spec, path, 1, stop_after_rounds).expect("resumable run");
+        outcome.report.map(|r| r.digest())
+    }
+
+    #[test]
+    fn adversarial_specs_resume_to_the_digest_run_returns() {
+        let attack = Corruption::SignFlip { fraction: 0.4 };
+        let rows = [
+            ("sign_flip", spec().with_corruption(attack)),
+            ("churn", spec().with_churn(0.3)),
+            (
+                "sign_flip_median",
+                spec()
+                    .with_corruption(attack)
+                    .with_robust_aggregation(RobustAggregation::CoordinateMedian),
+            ),
+        ];
+        let clean = spec().run().unwrap().report.digest();
+        let dir = std::env::temp_dir().join(format!("mhfl_resume_tests_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        for (tag, spec) in rows {
+            let expected = spec.run().unwrap().report.digest();
+            assert_ne!(expected, clean, "{tag}: the knob must change the run");
+
+            let straight = dir.join(format!("{tag}_straight.ckpt"));
+            assert_eq!(digest(&spec, &straight, None), Some(expected), "{tag}");
+
+            let cut = dir.join(format!("{tag}_cut.ckpt"));
+            assert_eq!(digest(&spec, &cut, Some(2)), None, "{tag}: stops early");
+            assert_eq!(digest(&spec, &cut, None), Some(expected), "{tag}: resumed");
+        }
+        std::fs::remove_dir_all(&dir).expect("remove temp dir");
+    }
 }

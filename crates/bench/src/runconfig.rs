@@ -2,9 +2,9 @@
 
 pub use pracmhbench_core::RunScale;
 
-/// Parses the run scale from the process arguments / environment.
+/// Parses the run scale from the process arguments.
 ///
-/// * `--quick` or `PRACMHBENCH_QUICK=1` → [`RunScale::Quick`] (CI / smoke tests);
+/// * `--quick` → [`RunScale::Quick`] (CI / smoke tests);
 /// * `--paper` → [`RunScale::Paper`] (the paper's full scale);
 /// * otherwise → [`RunScale::Standard`].
 pub fn scale_from_args() -> RunScale {
@@ -12,9 +12,7 @@ pub fn scale_from_args() -> RunScale {
     if args.iter().any(|a| a == "--paper") {
         return RunScale::Paper;
     }
-    if args.iter().any(|a| a == "--quick")
-        || std::env::var("PRACMHBENCH_QUICK").is_ok_and(|v| v == "1")
-    {
+    if args.iter().any(|a| a == "--quick") {
         return RunScale::Quick;
     }
     RunScale::Standard

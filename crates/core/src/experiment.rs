@@ -1,13 +1,15 @@
 //! Experiment specification and the evaluation track.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::{DataTask, Dataset, Drift, FederatedDataset, Partition, ShardPlan};
 use mhfl_device::{ClientAssignment, ConstraintCase, CostModel, ModelPool};
 use mhfl_fl::{
-    ClientSource, Corruption, EngineConfig, Execution, FederationContext, FlEngine, FlResult,
-    LocalTrainConfig, MetricsReport, Parallelism, RobustAggregation, Schedule, Staleness,
+    ClientSource, Corruption, EngineConfig, Execution, FederationContext, FlAlgorithm, FlEngine,
+    FlResult, LocalTrainConfig, MetricsReport, Parallelism, RobustAggregation, Schedule, Session,
+    Staleness,
 };
 use mhfl_models::MhflMethod;
 use serde::{Deserialize, Serialize};
@@ -318,10 +320,11 @@ impl ExperimentSpec {
         .with_drift(self.drift))
     }
 
-    /// The engine this spec runs under — the entry point for driving the
-    /// experiment through the streaming session API
-    /// ([`FlEngine::session`]) instead of the blocking
-    /// [`run`](ExperimentSpec::run):
+    /// The engine configuration this spec runs under. To drive the
+    /// experiment through the streaming session API instead of the blocking
+    /// [`run`](ExperimentSpec::run), open the session with
+    /// [`open`](ExperimentSpec::open), which also applies the spec's
+    /// adversarial knobs:
     ///
     /// ```no_run
     /// # use mhfl_data::DataTask;
@@ -335,7 +338,7 @@ impl ExperimentSpec {
     /// );
     /// let ctx = spec.build_context()?;
     /// let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
-    /// let mut session = spec.engine().session(algorithm.as_mut(), &ctx)?;
+    /// let mut session = spec.open(algorithm.as_mut(), &ctx)?;
     /// while let Some(_event) = session.next_event()? {
     ///     // observe, checkpoint, stop early ...
     /// }
@@ -356,19 +359,71 @@ impl ExperimentSpec {
         })
     }
 
+    /// Opens a fresh [`Session`] for this spec: `algorithm` (built for
+    /// [`method`](ExperimentSpec::method)) over `ctx` (built by
+    /// [`build_context`](ExperimentSpec::build_context) or
+    /// [`build_lazy_context`](ExperimentSpec::build_lazy_context)), under
+    /// [`engine`](ExperimentSpec::engine), with the spec's
+    /// [`robust`](ExperimentSpec::robust),
+    /// [`corruption`](ExperimentSpec::corruption) and
+    /// [`churn_fraction`](ExperimentSpec::churn_fraction) applied. Every
+    /// driver — [`run`](ExperimentSpec::run), the resumable bench runs, the
+    /// `mhfl-net` server — opens its session here, so a spec means the same
+    /// run everywhere.
+    ///
+    /// # Errors
+    /// Propagates [`FlAlgorithm::setup`] failures.
+    pub fn open<'a>(
+        &self,
+        algorithm: &'a mut dyn FlAlgorithm,
+        ctx: &'a FederationContext,
+    ) -> FlResult<Session<'a>> {
+        self.open_or_resume(algorithm, ctx, None)
+    }
+
+    /// [`open`](ExperimentSpec::open) for a run interrupted earlier: restores
+    /// the session from the durable checkpoint at `path` (validating its
+    /// engine configuration against this spec's) and re-applies the three
+    /// adversarial knobs, which the checkpoint does not carry — they are
+    /// pure in `(seed, round, dispatch sequence)`, so the resumed run
+    /// continues bit-exactly.
+    ///
+    /// # Errors
+    /// The errors of [`FlEngine::restore_from`].
+    pub fn resume_from<'a>(
+        &self,
+        algorithm: &'a mut dyn FlAlgorithm,
+        ctx: &'a FederationContext,
+        path: impl AsRef<Path>,
+    ) -> FlResult<Session<'a>> {
+        self.open_or_resume(algorithm, ctx, Some(path.as_ref()))
+    }
+
+    fn open_or_resume<'a>(
+        &self,
+        algorithm: &'a mut dyn FlAlgorithm,
+        ctx: &'a FederationContext,
+        checkpoint: Option<&Path>,
+    ) -> FlResult<Session<'a>> {
+        algorithm.set_robust_aggregation(self.robust);
+        let engine = self.engine();
+        let mut session = match checkpoint {
+            Some(path) => engine.restore_from(algorithm, ctx, path)?,
+            None => engine.session(algorithm, ctx)?,
+        };
+        session.set_corruption(self.corruption);
+        session.set_churn(self.churn_fraction);
+        Ok(session)
+    }
+
     /// Runs the experiment.
     ///
     /// # Errors
     /// Propagates engine/algorithm failures.
     pub fn run(&self) -> FlResult<ExperimentOutcome> {
         let ctx = self.build_context()?;
-        let engine = self.engine();
         let mut algorithm = build_algorithm(self.method);
-        algorithm.set_robust_aggregation(self.robust);
-        let mut session = engine.session(algorithm.as_mut(), &ctx)?;
-        session.set_corruption(self.corruption);
-        session.set_churn(self.churn_fraction);
-        let report = session.drain()?;
+        let report = self.open(algorithm.as_mut(), &ctx)?.drain()?;
         let summary = MetricSummary {
             global_accuracy: report.final_accuracy(),
             time_to_accuracy_secs: report.time_to_accuracy(self.target_accuracy),
@@ -457,6 +512,32 @@ mod tests {
         assert!(outcome.summary.total_time_secs > 0.0);
         assert!(!outcome.report.records.is_empty());
         assert_eq!(outcome.constraint, "Comp");
+    }
+
+    #[test]
+    fn open_applies_every_adversarial_knob_of_the_spec() {
+        let clean = ExperimentSpec::new(
+            DataTask::UciHar,
+            MhflMethod::SHeteroFl,
+            ConstraintCase::Computation {
+                deadline_secs: 300.0,
+            },
+        )
+        .with_scale(RunScale::Quick)
+        .with_seed(17);
+        let spec = clean
+            .with_corruption(Corruption::SignFlip { fraction: 0.4 })
+            .with_robust_aggregation(RobustAggregation::CoordinateMedian)
+            .with_churn(0.3);
+        let ctx = spec.build_context().unwrap();
+        let mut algorithm = build_algorithm(spec.method);
+        let opened = spec
+            .open(algorithm.as_mut(), &ctx)
+            .unwrap()
+            .drain()
+            .unwrap();
+        assert_eq!(opened, spec.run().unwrap().report);
+        assert_ne!(opened.digest(), clean.run().unwrap().report.digest());
     }
 
     #[test]

@@ -584,7 +584,8 @@ impl<'a> Session<'a> {
     /// at the arrival boundary — after staleness accounting decides the
     /// update's fate, before it enters the aggregation buffer — so it is
     /// identical under every [`ClientRunner`] and across checkpoint/restore
-    /// (re-inject after a restore, like a custom runner).
+    /// (re-inject after a restore, like a custom runner —
+    /// `ExperimentSpec::resume_from` in `pracmhbench-core` does).
     pub fn set_corruption(&mut self, corruption: Corruption) {
         self.corruption = corruption;
     }
@@ -604,7 +605,7 @@ impl<'a> Session<'a> {
     /// synchronous round's flush threshold shrinks by one so the round still
     /// closes. The draw is a pure function of `(seed, dispatch sequence)`,
     /// so runs are deterministic and checkpoint/restore-stable (re-inject
-    /// after a restore).
+    /// after a restore, as `ExperimentSpec::resume_from` does).
     pub fn set_churn(&mut self, fraction: f64) {
         self.churn_fraction = fraction.clamp(0.0, 1.0);
     }

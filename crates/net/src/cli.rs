@@ -58,20 +58,30 @@ fn parse_method(value: &str) -> NetResult<MhflMethod> {
 }
 
 fn parse_constraint(value: &str) -> NetResult<ConstraintCase> {
-    // The paper's canonical parameters: 300 s computation deadline, 200 s
-    // communication budget.
-    match normalise(value).as_str() {
-        "memory" | "mem" => Ok(ConstraintCase::Memory),
-        "computation" | "comp" => Ok(ConstraintCase::Computation {
-            deadline_secs: 300.0,
+    // `computation:120` / `communication:90` carry the threshold in seconds;
+    // the bare words mean the paper's canonical parameters: 300 s computation
+    // deadline, 200 s communication budget.
+    let expected = "memory | computation[:<secs>] | communication[:<secs>] | combined";
+    let (name, secs) = match value.split_once(':') {
+        Some((name, secs)) => {
+            let secs = secs.parse::<f64>().ok().filter(|s| s.is_finite());
+            (
+                name,
+                Some(secs.ok_or_else(|| bad("--constraint", value, expected))?),
+            )
+        }
+        None => (value, None),
+    };
+    match (normalise(name).as_str(), secs) {
+        ("memory" | "mem", None) => Ok(ConstraintCase::Memory),
+        ("computation" | "comp", secs) => Ok(ConstraintCase::Computation {
+            deadline_secs: secs.unwrap_or(300.0),
         }),
-        "communication" | "comm" => Ok(ConstraintCase::Communication { budget_secs: 200.0 }),
-        "combined" => Ok(ConstraintCase::memory_plus_communication(200.0)),
-        _ => Err(bad(
-            "--constraint",
-            value,
-            "memory | computation | communication | combined",
-        )),
+        ("communication" | "comm", secs) => Ok(ConstraintCase::Communication {
+            budget_secs: secs.unwrap_or(200.0),
+        }),
+        ("combined", None) => Ok(ConstraintCase::memory_plus_communication(200.0)),
+        _ => Err(bad("--constraint", value, expected)),
     }
 }
 
@@ -165,10 +175,10 @@ pub fn parse_spec(args: &[String]) -> NetResult<ExperimentSpec> {
 /// spec.
 pub fn spec_flags(spec: &ExperimentSpec) -> Vec<String> {
     let constraint = match spec.constraint {
-        ConstraintCase::Memory => "memory",
-        ConstraintCase::Computation { .. } => "computation",
-        ConstraintCase::Communication { .. } => "communication",
-        ConstraintCase::Combined { .. } => "combined",
+        ConstraintCase::Memory => "memory".to_string(),
+        ConstraintCase::Computation { deadline_secs } => format!("computation:{deadline_secs}"),
+        ConstraintCase::Communication { budget_secs } => format!("communication:{budget_secs}"),
+        ConstraintCase::Combined { .. } => "combined".to_string(),
     };
     let scale = match spec.scale {
         RunScale::Quick => "quick",
@@ -192,7 +202,7 @@ pub fn spec_flags(spec: &ExperimentSpec) -> Vec<String> {
         "--method".into(),
         format!("{:?}", spec.method),
         "--constraint".into(),
-        constraint.into(),
+        constraint,
         "--scale".into(),
         scale.into(),
         "--seed".into(),
@@ -220,20 +230,46 @@ mod tests {
 
     #[test]
     fn spec_flags_round_trip_through_parse_spec() {
-        let spec = ExperimentSpec::new(
-            DataTask::Cifar10,
-            MhflMethod::FedProto,
+        // The paper's thresholds, non-default ones, and a case without one.
+        for constraint in [
             ConstraintCase::Computation {
                 deadline_secs: 300.0,
             },
-        )
-        .with_scale(RunScale::Quick)
-        .with_seed(7)
-        .with_execution(Execution::async_buffered(2))
-        .with_parallelism(Parallelism::Threads { workers: 3 });
-        let parsed = parse_spec(&spec_flags(&spec)).expect("round trip parses");
-        assert_eq!(parsed, spec);
-        assert_eq!(spec_fingerprint(&parsed), spec_fingerprint(&spec));
+            ConstraintCase::Computation {
+                deadline_secs: 120.0,
+            },
+            ConstraintCase::Communication { budget_secs: 90.5 },
+            ConstraintCase::Memory,
+        ] {
+            let spec = ExperimentSpec::new(DataTask::Cifar10, MhflMethod::FedProto, constraint)
+                .with_scale(RunScale::Quick)
+                .with_seed(7)
+                .with_execution(Execution::async_buffered(2))
+                .with_parallelism(Parallelism::Threads { workers: 3 });
+            let parsed = parse_spec(&spec_flags(&spec)).expect("round trip parses");
+            assert_eq!(parsed, spec);
+            assert_eq!(spec_fingerprint(&parsed), spec_fingerprint(&spec));
+        }
+    }
+
+    #[test]
+    fn bare_constraint_words_mean_the_paper_thresholds() {
+        assert_eq!(
+            parse_constraint("computation").unwrap(),
+            ConstraintCase::Computation {
+                deadline_secs: 300.0
+            }
+        );
+        assert_eq!(
+            parse_constraint("comm").unwrap(),
+            ConstraintCase::Communication { budget_secs: 200.0 }
+        );
+        for garbage in ["computation:soon", "computation:inf", "memory:4"] {
+            assert!(
+                matches!(parse_constraint(garbage), Err(NetError::Protocol { .. })),
+                "{garbage}"
+            );
+        }
     }
 
     #[test]

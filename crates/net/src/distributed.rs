@@ -65,7 +65,7 @@ pub fn run_server_with_timeout(
     let accept_secs = started.elapsed().as_secs_f64();
 
     let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
-    let mut session = spec.engine().session(algorithm.as_mut(), &ctx)?;
+    let mut session = spec.open(algorithm.as_mut(), &ctx)?;
     let runner = RemoteRunner::new(pool);
     let stats = runner.stats_handle();
     session.set_client_runner(Box::new(runner));

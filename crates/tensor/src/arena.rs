@@ -28,7 +28,8 @@
 //!
 //! With the `alloc-count` feature the arena counts its traffic
 //! (fresh allocations vs. pool hits, per thread and process-wide), which is
-//! how `paper_scale` proves near-zero steady-state allocations per round
+//! how `paper_scale --alloc-audit` bounds the fresh allocations of every
+//! warm `Session` round (counter deltas between `RoundCompleted` events)
 //! and how the kernel regression tests assert warm paths allocate nothing.
 
 use std::cell::RefCell;

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // abandon the session (simulating a crash or preemption).
         let ctx = spec.build_context()?;
         let mut algorithm = build_algorithm(spec.method);
-        let mut session = spec.engine().session(algorithm.as_mut(), &ctx)?;
+        let mut session = spec.open(algorithm.as_mut(), &ctx)?;
         while session.completed_rounds() < 2 {
             session.next_event()?;
         }

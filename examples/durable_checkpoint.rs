@@ -43,7 +43,7 @@ fn save(path: &str, execution: Execution) -> Result<(), Box<dyn std::error::Erro
     let spec = spec(execution);
     let ctx = spec.build_context()?;
     let mut algorithm = build_algorithm(spec.method);
-    let mut session = spec.engine().session(algorithm.as_mut(), &ctx)?;
+    let mut session = spec.open(algorithm.as_mut(), &ctx)?;
     while session.completed_rounds() < 2 {
         session.next_event()?;
     }

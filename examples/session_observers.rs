@@ -2,7 +2,7 @@
 //! with observers for progress logging, CSV telemetry and early stopping.
 //!
 //! The blocking `spec.run()` is a thin wrapper over this API
-//! (`engine().session(..)` + `drain()`); driving the session yourself is
+//! (`spec.open(..)` + `drain()`); driving the session yourself is
 //! what unlocks mid-run visibility for long experiments.
 //!
 //! ```bash
@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The CSV collector is attached by mutable reference so its rows stay
     // readable after the session ends (declared first to outlive it).
     let mut telemetry = CsvTelemetry::new();
-    let mut session = spec.engine().session(algorithm.as_mut(), &ctx)?;
+    let mut session = spec.open(algorithm.as_mut(), &ctx)?;
 
     // Observers see every event before it reaches this loop.
     session.observe(Box::new(ProgressLogger::stderr()));

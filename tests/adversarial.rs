@@ -41,14 +41,8 @@ fn spec(execution: Execution, seed: u64) -> ExperimentSpec {
 fn run_counted(spec: &ExperimentSpec) -> (MetricsReport, EventCounter) {
     let ctx = spec.build_context().expect("context builds");
     let mut algorithm = build_algorithm(spec.method);
-    algorithm.set_robust_aggregation(spec.robust);
     let mut counter = EventCounter::new();
-    let mut session = spec
-        .engine()
-        .session(algorithm.as_mut(), &ctx)
-        .expect("session opens");
-    session.set_corruption(spec.corruption);
-    session.set_churn(spec.churn_fraction);
+    let mut session = spec.open(algorithm.as_mut(), &ctx).expect("session opens");
     session.observe(Box::new(&mut counter));
     let mut report = None;
     while let Some(event) = session.next_event().expect("session advances") {

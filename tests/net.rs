@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
-use mhfl_fl::{Execution, FlError};
+use mhfl_fl::{Corruption, Execution, FlError, RobustAggregation};
 use mhfl_models::MhflMethod;
 use mhfl_net::{
     run_server_with_timeout, run_worker, Endpoint, Listener, ServerOutcome, WorkerOptions,
@@ -109,6 +109,22 @@ fn asynchronous_execution_is_digest_identical_distributed() {
     let reference = spec.run().expect("single-process async run").report;
     let outcome = run_distributed(spec, vec![worker("alpha"), worker("beta")])
         .expect("distributed async run");
+    assert_eq!(outcome.report.digest(), reference.digest());
+}
+
+#[test]
+fn adversarial_knobs_apply_on_the_server_side_of_a_distributed_run() {
+    let clean = spec(MhflMethod::SHeteroFl);
+    let spec = clean
+        .with_corruption(Corruption::SignFlip { fraction: 0.4 })
+        .with_robust_aggregation(RobustAggregation::CoordinateMedian);
+    let reference = spec.run().expect("single-process run").report;
+    assert_ne!(
+        reference.digest(),
+        clean.run().expect("clean run").report.digest(),
+        "the attack must change the run for this test to mean anything"
+    );
+    let outcome = run_distributed(spec, vec![worker("solo")]).expect("distributed run");
     assert_eq!(outcome.report.digest(), reference.digest());
 }
 
