@@ -335,9 +335,13 @@ mod tests {
     use mhfl_fl::{EngineConfig, FlEngine, LocalTrainConfig};
     use mhfl_models::ModelFamily;
 
+    fn data(clients: usize) -> FederatedDataset {
+        FederatedDataset::generate(DataTask::UciHar, clients, 20, None, 4)
+    }
+
     fn context(clients: usize) -> FederationContext {
         let task = DataTask::UciHar;
-        let data = FederatedDataset::generate(task, clients, 20, None, 4);
+        let data = data(clients);
         let pool = ModelPool::build(
             ModelFamily::ResNet101,
             &ModelFamily::RESNET_FAMILY,
@@ -401,7 +405,7 @@ mod tests {
             };
         }
         let ctx = FederationContext::new(
-            base.eager_data().expect("eager test context").clone(),
+            data(base.num_clients()),
             assignments,
             *base.train_config(),
             base.seed(),

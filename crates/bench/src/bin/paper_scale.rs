@@ -144,8 +144,6 @@ fn run_durable(scale: RunScale, path: &str, must_exist: bool) {
 fn main() {
     let scale = scale_from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // One process on one machine: let server-phase kernels use every core.
-    mhfl_tensor::set_kernel_workers(0);
     if let Some(path) = arg_value(&args, "--resume") {
         return run_durable(scale, &path, true);
     }

@@ -156,9 +156,6 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let population = arg_usize("--clients").unwrap_or(if quick { 100_000 } else { 1_000_000 });
     let rss_ceiling_mb = arg_usize("--rss-ceiling-mb");
-    // Keep kernels single-threaded: the point is scheduling/footprint
-    // scaling, and deterministic wall-clock splits read better in CI logs.
-    mhfl_tensor::set_kernel_workers(1);
 
     eprintln!("population_scale: timing pick_next at 10^3 / 10^5 / 10^6 clients...");
     let pick_populations = [1_000usize, 100_000, 1_000_000];

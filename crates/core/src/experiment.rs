@@ -1,5 +1,6 @@
 //! Experiment specification and the evaluation track.
 
+use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -196,12 +197,6 @@ impl ExperimentSpec {
     /// buffered aggregation).
     pub fn with_execution(mut self, execution: Execution) -> Self {
         self.execution = execution;
-        self
-    }
-
-    /// Sets the asynchronous staleness-discount curve.
-    pub fn with_staleness(mut self, staleness: Staleness) -> Self {
-        self.staleness = staleness;
         self
     }
 
@@ -486,8 +481,8 @@ impl ClientSource for LazyClientSource {
             .assign_client(&self.pool, self.method, &device, &self.cost_model, client)
     }
 
-    fn client_shard(&self, client: usize) -> Dataset {
-        self.plan.client_shard(client)
+    fn client_shard(&self, client: usize) -> Cow<'_, Dataset> {
+        Cow::Owned(self.plan.client_shard(client))
     }
 }
 
@@ -582,7 +577,6 @@ mod tests {
         .with_num_clients(1_000_000)
         .with_seed(9);
         let ctx = spec.build_lazy_context().unwrap();
-        assert!(ctx.is_lazy());
         assert_eq!(ctx.num_clients(), 1_000_000);
         // A far-out client is derivable without touching the rest, and the
         // derivation is a pure function of (seed, client).

@@ -88,6 +88,12 @@ impl FederatedDataset {
         }
     }
 
+    /// Takes the dataset apart into `(task, client shards, test, public)`
+    /// without copying a sample.
+    pub fn into_parts(self) -> (DataTask, Vec<Dataset>, Dataset, Dataset) {
+        (self.task, self.clients, self.test, self.public)
+    }
+
     /// The task this dataset realises.
     pub fn task(&self) -> DataTask {
         self.task

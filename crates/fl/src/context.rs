@@ -31,85 +31,41 @@ impl Default for LocalTrainConfig {
     }
 }
 
-/// On-demand derivation of per-client state for populations too large to
-/// materialise.
+/// Where the per-client state of a federation comes from: a resident
+/// population ([`FederationContext::new`]) or on-demand derivation for
+/// populations too large to materialise ([`FederationContext::lazy`]).
 ///
 /// A source must be *seed-deterministic and order-free*: the value returned
 /// for a client depends only on the source's own configuration and the
 /// client id, never on which other clients were derived before it — that is
 /// what makes sparse checkpoints resumable and lazy runs bit-reproducible.
-/// Implementations are typically thin wrappers over
+/// Deriving implementations are typically thin wrappers over
 /// [`mhfl_device::ConstraintCase::derive_device`] /
 /// [`ConstraintCase::assign_client`](mhfl_device::ConstraintCase::assign_client)
 /// and [`mhfl_data::ShardPlan::client_shard`].
 pub trait ClientSource: Send + Sync {
-    /// Derives the device/model assignment of `client`.
+    /// The device/model assignment of `client`.
     fn assignment(&self, client: usize) -> ClientAssignment;
 
-    /// Derives the training shard of `client`.
-    fn client_shard(&self, client: usize) -> Dataset;
+    /// The training shard of `client`: lent when the source holds it,
+    /// owned when it is derived per call.
+    fn client_shard(&self, client: usize) -> Cow<'_, Dataset>;
 }
 
-/// How the per-client state of the federation is held.
-enum Backend {
-    /// Every shard and assignment materialised up front (the classic mode;
-    /// memory is O(population)).
-    Eager {
-        data: FederatedDataset,
-        assignments: Vec<ClientAssignment>,
-    },
-    /// Shards and assignments derived on demand from a [`ClientSource`];
-    /// only the shared test/public splits are resident (memory is O(active
-    /// clients), independent of `num_clients`).
-    Lazy {
-        source: Arc<dyn ClientSource>,
-        task: DataTask,
-        num_clients: usize,
-        test: Dataset,
-        public: Dataset,
-    },
+/// The materialised population as a source: every shard and assignment
+/// resident (memory is O(population)), shards lent without a copy.
+struct ResidentSource {
+    shards: Vec<Dataset>,
+    assignments: Vec<ClientAssignment>,
 }
 
-impl Clone for Backend {
-    fn clone(&self) -> Self {
-        match self {
-            Backend::Eager { data, assignments } => Backend::Eager {
-                data: data.clone(),
-                assignments: assignments.clone(),
-            },
-            Backend::Lazy {
-                source,
-                task,
-                num_clients,
-                test,
-                public,
-            } => Backend::Lazy {
-                source: Arc::clone(source),
-                task: *task,
-                num_clients: *num_clients,
-                test: test.clone(),
-                public: public.clone(),
-            },
-        }
+impl ClientSource for ResidentSource {
+    fn assignment(&self, client: usize) -> ClientAssignment {
+        self.assignments[client]
     }
-}
 
-impl std::fmt::Debug for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backend::Eager { data, assignments } => f
-                .debug_struct("Eager")
-                .field("task", &data.task())
-                .field("num_clients", &assignments.len())
-                .finish(),
-            Backend::Lazy {
-                task, num_clients, ..
-            } => f
-                .debug_struct("Lazy")
-                .field("task", task)
-                .field("num_clients", num_clients)
-                .finish(),
-        }
+    fn client_shard(&self, client: usize) -> Cow<'_, Dataset> {
+        Cow::Borrowed(&self.shards[client])
     }
 }
 
@@ -118,19 +74,26 @@ impl std::fmt::Debug for Backend {
 /// produced by a [`mhfl_device::ConstraintCase`], and the local training
 /// hyper-parameters.
 ///
-/// Two backing modes share one API. [`FederationContext::new`] materialises
-/// everything eagerly — the right choice up to a few thousand clients, and
-/// the mode every golden digest is pinned against.
-/// [`FederationContext::lazy`] holds a [`ClientSource`] instead and derives
-/// each client's shard and assignment on demand from `(seed, client_id)`,
-/// so resident memory is O(active clients) and a million-client population
-/// costs no more to hold than a six-client one. Client state is addressed
-/// by id in both modes: [`assignment`](FederationContext::assignment)
-/// returns by value and [`client_shard`](FederationContext::client_shard)
-/// returns [`Cow`] (borrowed when eager, derived-and-owned when lazy).
-#[derive(Debug, Clone)]
+/// One representation, two sources. The shared test/public splits are
+/// always resident; per-client state sits behind one [`ClientSource`].
+/// [`FederationContext::new`] wraps a materialised population — the right
+/// choice up to a few thousand clients, and what every golden digest is
+/// pinned against. [`FederationContext::lazy`] takes a deriving source that
+/// computes each client's shard and assignment on demand from
+/// `(seed, client_id)`, so resident memory is O(active clients) and a
+/// million-client population costs no more to hold than a six-client one.
+/// Client state is addressed by id either way:
+/// [`assignment`](FederationContext::assignment) returns by value and
+/// [`client_shard`](FederationContext::client_shard) returns [`Cow`]
+/// (borrowed from a resident population, owned when derived). Cloning
+/// shares the source.
+#[derive(Clone)]
 pub struct FederationContext {
-    backend: Backend,
+    task: DataTask,
+    num_clients: usize,
+    test: Dataset,
+    public: Dataset,
+    source: Arc<dyn ClientSource>,
     train: LocalTrainConfig,
     seed: u64,
     /// Distribution-shift schedule applied to training shards by
@@ -142,9 +105,21 @@ pub struct FederationContext {
     extremes: OnceLock<(ClientAssignment, ClientAssignment)>,
 }
 
+impl std::fmt::Debug for FederationContext {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FederationContext")
+            .field("task", &self.task)
+            .field("num_clients", &self.num_clients)
+            .field("train", &self.train)
+            .field("seed", &self.seed)
+            .field("drift", &self.drift)
+            .finish_non_exhaustive()
+    }
+}
+
 impl FederationContext {
-    /// Assembles an eager context, validating that data and assignments
-    /// agree.
+    /// Assembles a context over a materialised population, validating that
+    /// data and assignments agree.
     ///
     /// # Errors
     /// Returns [`FlError::InvalidConfig`] if the number of assignments does
@@ -155,9 +130,6 @@ impl FederationContext {
         train: LocalTrainConfig,
         seed: u64,
     ) -> FlResult<Self> {
-        if data.num_clients() == 0 {
-            return Err(FlError::InvalidConfig("federation has no clients".into()));
-        }
         if assignments.len() != data.num_clients() {
             return Err(FlError::InvalidConfig(format!(
                 "{} assignments for {} clients",
@@ -165,20 +137,20 @@ impl FederationContext {
                 data.num_clients()
             )));
         }
-        Ok(FederationContext {
-            backend: Backend::Eager { data, assignments },
-            train,
-            seed,
-            drift: Drift::None,
-            extremes: OnceLock::new(),
-        })
+        let (task, shards, test, public) = data.into_parts();
+        let num_clients = shards.len();
+        let source = Arc::new(ResidentSource {
+            shards,
+            assignments,
+        });
+        Self::lazy(task, num_clients, test, public, source, train, seed)
     }
 
-    /// Assembles a lazy context over `num_clients` derivable clients.
+    /// Assembles a context over `num_clients` clients of `source`.
     ///
     /// `test` and `public` are the shared evaluation splits (small, held
-    /// eagerly); every per-client shard and assignment is derived on demand
-    /// from `source`.
+    /// resident); every per-client shard and assignment is asked of
+    /// `source` on demand.
     ///
     /// # Errors
     /// Returns [`FlError::InvalidConfig`] if `num_clients` is zero.
@@ -195,13 +167,11 @@ impl FederationContext {
             return Err(FlError::InvalidConfig("federation has no clients".into()));
         }
         Ok(FederationContext {
-            backend: Backend::Lazy {
-                source,
-                task,
-                num_clients,
-                test,
-                public,
-            },
+            task,
+            num_clients,
+            test,
+            public,
+            source,
             train,
             seed,
             drift: Drift::None,
@@ -209,74 +179,36 @@ impl FederationContext {
         })
     }
 
-    /// Whether clients are derived on demand instead of held resident.
-    pub fn is_lazy(&self) -> bool {
-        matches!(self.backend, Backend::Lazy { .. })
-    }
-
-    /// The fully materialised dataset behind an eager context, `None` for a
-    /// lazy one. Prefer the backend-agnostic accessors
-    /// ([`task`](FederationContext::task),
-    /// [`test_set`](FederationContext::test_set),
-    /// [`client_shard`](FederationContext::client_shard)); this exists for
-    /// callers that genuinely need the whole eager population at once.
-    pub fn eager_data(&self) -> Option<&FederatedDataset> {
-        match &self.backend {
-            Backend::Eager { data, .. } => Some(data),
-            Backend::Lazy { .. } => None,
-        }
-    }
-
     /// The data task this federation trains on.
     pub fn task(&self) -> DataTask {
-        match &self.backend {
-            Backend::Eager { data, .. } => data.task(),
-            Backend::Lazy { task, .. } => *task,
-        }
+        self.task
     }
 
-    /// Number of clients in the population (derivable, not resident).
+    /// Number of clients in the population (addressable, not necessarily
+    /// resident).
     pub fn num_clients(&self) -> usize {
-        match &self.backend {
-            Backend::Eager { assignments, .. } => assignments.len(),
-            Backend::Lazy { num_clients, .. } => *num_clients,
-        }
+        self.num_clients
     }
 
     /// The held-out global test set (for the global-accuracy metric).
     pub fn test_set(&self) -> &Dataset {
-        match &self.backend {
-            Backend::Eager { data, .. } => data.test(),
-            Backend::Lazy { test, .. } => test,
-        }
+        &self.test
     }
 
     /// The public proxy dataset shared by server and clients (used by
     /// knowledge-distillation aggregation).
     pub fn public_set(&self) -> &Dataset {
-        match &self.backend {
-            Backend::Eager { data, .. } => data.public(),
-            Backend::Lazy { public, .. } => public,
-        }
+        &self.public
     }
 
-    /// A client's training shard: borrowed from the resident population
-    /// when eager, derived on demand (owned) when lazy.
+    /// A client's training shard: borrowed from a resident population,
+    /// derived on demand (owned) from a lazy source.
     ///
     /// # Panics
     /// Panics if `client` is out of range.
     pub fn client_shard(&self, client: usize) -> Cow<'_, Dataset> {
-        match &self.backend {
-            Backend::Eager { data, .. } => Cow::Borrowed(data.client(client)),
-            Backend::Lazy {
-                source,
-                num_clients,
-                ..
-            } => {
-                assert!(client < *num_clients, "client {client} out of range");
-                Cow::Owned(source.client_shard(client))
-            }
-        }
+        assert!(client < self.num_clients, "client {client} out of range");
+        self.source.client_shard(client)
     }
 
     /// The training shard of a client *as seen at round `round`*:
@@ -317,22 +249,13 @@ impl FederationContext {
     }
 
     /// The device/model assignment of a client (by value — assignments are
-    /// small `Copy` records, and lazy contexts derive them on demand).
+    /// small `Copy` records, and lazy sources derive them on demand).
     ///
     /// # Panics
     /// Panics if `client` is out of range.
     pub fn assignment(&self, client: usize) -> ClientAssignment {
-        match &self.backend {
-            Backend::Eager { assignments, .. } => assignments[client],
-            Backend::Lazy {
-                source,
-                num_clients,
-                ..
-            } => {
-                assert!(client < *num_clients, "client {client} out of range");
-                source.assignment(client)
-            }
-        }
+        assert!(client < self.num_clients, "client {client} out of range");
+        self.source.assignment(client)
     }
 
     /// Local training hyper-parameters.
@@ -427,8 +350,8 @@ mod tests {
             )
         }
 
-        fn client_shard(&self, client: usize) -> Dataset {
-            self.plan.client_shard(client)
+        fn client_shard(&self, client: usize) -> Cow<'_, Dataset> {
+            Cow::Owned(self.plan.client_shard(client))
         }
     }
 
@@ -455,7 +378,6 @@ mod tests {
     #[test]
     fn context_exposes_clients_and_assignments() {
         let ctx = context();
-        assert!(!ctx.is_lazy());
         assert_eq!(ctx.num_clients(), 6);
         assert_eq!(ctx.assignment(3).client_id, 3);
         assert_eq!(ctx.seed(), 1);
@@ -463,7 +385,6 @@ mod tests {
         assert_eq!(ctx.client_shard(2).len(), 12);
         assert!(ctx.test_set().len() >= 64);
         assert_eq!(ctx.public_set().len(), 64);
-        assert!(ctx.eager_data().is_some());
     }
 
     #[test]
@@ -482,8 +403,6 @@ mod tests {
     #[test]
     fn lazy_context_derives_on_demand() {
         let ctx = lazy_context(100_000);
-        assert!(ctx.is_lazy());
-        assert!(ctx.eager_data().is_none());
         assert_eq!(ctx.num_clients(), 100_000);
         // Far-out clients derive without materialising anything else, and
         // derivation is deterministic.
@@ -497,6 +416,13 @@ mod tests {
         // Clone shares the source.
         let cloned = ctx.clone();
         assert_eq!(cloned.assignment(12_345), ctx.assignment(12_345));
+    }
+
+    /// The one behavioural difference between the two sources.
+    #[test]
+    fn resident_population_lends_shards_and_lazy_source_owns_them() {
+        assert!(matches!(context().client_shard(0), Cow::Borrowed(_)));
+        assert!(matches!(lazy_context(6).client_shard(0), Cow::Owned(_)));
     }
 
     #[test]

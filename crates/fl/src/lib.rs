@@ -83,7 +83,7 @@ pub use schedule::{
 };
 pub use session::{Checkpoint, RoundEvent, Session};
 pub use snapshot::AlgorithmState;
-pub use store::{ClientSet, ClientStore};
+pub use store::ClientSet;
 pub use update::{ClientPayload, ClientUpdate};
 
 /// Crate-wide result alias.

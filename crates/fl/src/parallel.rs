@@ -46,21 +46,6 @@ impl Parallelism {
             Parallelism::Threads { workers } => workers.min(jobs.max(1)),
         }
     }
-
-    /// The worker budget this mode grants the tensor kernels: matmul calls
-    /// issued *outside* the client fan-out (server-phase aggregation,
-    /// evaluation) may split their output rows across this many threads.
-    /// `Sequential` keeps everything on one thread. Results are bitwise
-    /// independent of the value; only wall-clock time changes.
-    pub fn kernel_workers(&self) -> usize {
-        match *self {
-            Parallelism::Sequential => 1,
-            Parallelism::Threads { workers: 0 } => std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            Parallelism::Threads { workers } => workers.max(1),
-        }
-    }
 }
 
 /// A pluggable executor for the client phase of one round.
@@ -136,9 +121,8 @@ pub fn run_clients(
 /// [`FlAlgorithm::evaluate_point`](crate::FlAlgorithm::evaluate_point).
 ///
 /// A single worker ([`Parallelism::Sequential`], or one job) runs on the
-/// calling thread, which keeps its kernel-worker budget; pool threads mark
-/// themselves with [`mhfl_tensor::mark_worker_thread`] so the kernels they
-/// issue do not spawn a second level of row-range threads.
+/// calling thread. This pool is the only parallelism level of a run: the
+/// tensor kernels a job issues stay on the job's thread.
 ///
 /// # Errors
 /// Returns the failing job's error with the lowest index, regardless of
@@ -160,7 +144,6 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                mhfl_tensor::mark_worker_thread();
                 // Stop pulling work once any job has failed: the round is
                 // lost either way, so don't pay for the rest of it.
                 while !failed.load(Ordering::Relaxed) {

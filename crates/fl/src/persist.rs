@@ -50,11 +50,11 @@
 //! any version-2 file this module wrote — the property the committed
 //! format-stability fixture pins.
 //!
-//! Version 2 changed only the `driver` section: the in-flight set is stored
-//! as a sorted sparse id list (O(active clients)) where version 1 wrote one
-//! flag per client plus a popcount (O(population) — a non-starter for
-//! million-client federations). Version-1 files are still read; they
-//! re-encode as version 2.
+//! Exactly one version is read and written. Version 2 stores the in-flight
+//! set in the `driver` section as a sorted sparse id list (O(active
+//! clients)); version 1 wrote one flag per client plus a popcount
+//! (O(population) — a non-starter for million-client federations) and is
+//! rejected as [`PersistError::UnsupportedVersion`], like any other version.
 //!
 //! # Entry points
 //!
@@ -83,12 +83,10 @@ pub use crate::wire::{Decoder, Encoder, PersistError, PersistResult};
 /// The 8-byte file magic ("MHFL checkpoint, line 1 of the format family").
 pub const MAGIC: [u8; 8] = *b"MHFLCKP1";
 
-/// The newest on-disk format version this build reads and writes. Version 1
-/// (dense in-flight map) is still decoded for back-compatibility.
+/// The one on-disk format version this build reads and writes.
 pub const FORMAT_VERSION: u32 = 2;
 
-/// Every section of a checkpoint, in canonical file order (identical in
-/// format versions 1 and 2).
+/// Every section of a checkpoint, in canonical file order.
 const SECTIONS: [(u8, &str); 9] = [
     (1, "config"),
     (2, "algorithm"),
@@ -235,7 +233,7 @@ fn put_event(e: &mut Encoder, event: &RoundEvent) {
             put_report(e, report);
         }
         // Tag 7 is additive: fixtures written before churn existed contain
-        // no such events, so format v1/v2 files keep decoding unchanged.
+        // no such events, so such files keep decoding unchanged.
         RoundEvent::ClientChurned {
             round,
             client,
@@ -460,7 +458,7 @@ pub fn encode_checkpoint(checkpoint: &Checkpoint) -> Vec<u8> {
     out.into_bytes()
 }
 
-/// Decodes a checkpoint from bytes (format version 1 or 2), verifying the
+/// Decodes a checkpoint from bytes, verifying the
 /// magic, format version, every section checksum and the configuration
 /// fingerprint before reconstructing any state.
 ///
@@ -481,7 +479,7 @@ pub fn decode_checkpoint(bytes: &[u8]) -> PersistResult<Checkpoint> {
         return Err(PersistError::BadMagic { found });
     }
     let format_version = frame.take_u32()?;
-    if format_version == 0 || format_version > FORMAT_VERSION {
+    if format_version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: format_version,
             supported: FORMAT_VERSION,
@@ -585,64 +583,30 @@ pub fn decode_checkpoint(bytes: &[u8]) -> PersistResult<Checkpoint> {
     let seq = d.take_u64()?;
     let started = d.take_bool()?;
     let finished = d.take_bool()?;
-    let in_flight = if format_version == 1 {
-        // Version 1: one flag per client plus a redundant popcount.
-        let in_flight_len = d.take_len(1)?;
-        if in_flight_len != num_clients {
-            return Err(PersistError::Malformed {
-                section: "driver",
-                detail: format!(
-                    "in-flight map covers {in_flight_len} clients, config section says {num_clients}"
-                ),
-            });
-        }
-        let mut flags = Vec::with_capacity(in_flight_len);
-        for _ in 0..in_flight_len {
-            flags.push(d.take_bool()?);
-        }
-        let in_flight_count = d.take_usize()?;
-        let ids: Vec<usize> = flags
-            .iter()
-            .enumerate()
-            .filter_map(|(id, &set)| set.then_some(id))
-            .collect();
-        if ids.len() != in_flight_count {
-            return Err(PersistError::Malformed {
-                section: "driver",
-                detail: format!(
-                    "in-flight count {in_flight_count} does not match {} set flags",
-                    ids.len()
-                ),
-            });
-        }
-        ids
-    } else {
-        // Version 2: a sorted sparse id list.
-        let count = d.take_len(8)?;
-        if count > num_clients {
-            return Err(PersistError::Malformed {
-                section: "driver",
-                detail: format!("{count} clients in flight out of {num_clients}"),
-            });
-        }
-        let mut ids = Vec::with_capacity(count);
-        for _ in 0..count {
-            ids.push(d.take_usize()?);
-        }
-        if !ids.windows(2).all(|w| w[0] < w[1]) {
-            return Err(PersistError::Malformed {
-                section: "driver",
-                detail: "in-flight ids are not strictly ascending".into(),
-            });
-        }
-        if ids.last().is_some_and(|&last| last >= num_clients) {
-            return Err(PersistError::Malformed {
-                section: "driver",
-                detail: format!("in-flight id out of range for {num_clients} clients"),
-            });
-        }
-        ids
-    };
+    // The in-flight set: a sorted sparse id list.
+    let in_flight_len = d.take_len(8)?;
+    if in_flight_len > num_clients {
+        return Err(PersistError::Malformed {
+            section: "driver",
+            detail: format!("{in_flight_len} clients in flight out of {num_clients}"),
+        });
+    }
+    let mut in_flight = Vec::with_capacity(in_flight_len);
+    for _ in 0..in_flight_len {
+        in_flight.push(d.take_usize()?);
+    }
+    if !in_flight.windows(2).all(|w| w[0] < w[1]) {
+        return Err(PersistError::Malformed {
+            section: "driver",
+            detail: "in-flight ids are not strictly ascending".into(),
+        });
+    }
+    if in_flight.last().is_some_and(|&last| last >= num_clients) {
+        return Err(PersistError::Malformed {
+            section: "driver",
+            detail: format!("in-flight id out of range for {num_clients} clients"),
+        });
+    }
     let idle_advances = d.take_usize()?;
     let sync_round_end = d.take_f64()?;
     let sync_expected = d.take_usize()?;

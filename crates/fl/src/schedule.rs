@@ -25,6 +25,7 @@
 //!
 //! [`RoundCost`]: mhfl_device::RoundCost
 
+use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use mhfl_tensor::SeededRng;
@@ -430,6 +431,37 @@ impl ClientScheduler for BandwidthAware {
     }
 }
 
+/// The one availability gate behind [`AvailabilityTrace`], [`DiurnalTrace`]
+/// and [`TraceReplay`]: samples `per_round` clients uniformly among those
+/// `is_online` admits, or — when nobody is reachable — returns an empty plan
+/// that waits out `idle_secs` and tries again.
+fn plan_among_online(
+    is_online: impl Fn(usize) -> bool,
+    idle_secs: f64,
+    per_round: usize,
+    ctx: &FederationContext,
+    rng: &mut SeededRng,
+) -> RoundPlan {
+    let online: Vec<usize> = (0..ctx.num_clients()).filter(|&c| is_online(c)).collect();
+    if online.is_empty() {
+        return RoundPlan {
+            clients: Vec::new(),
+            round_secs: idle_secs,
+        };
+    }
+    let take = per_round.min(online.len());
+    let clients: Vec<usize> = rng
+        .choose_indices(online.len(), take)
+        .into_iter()
+        .map(|i| online[i])
+        .collect();
+    let round_secs = max_cost_secs(ctx, &clients);
+    RoundPlan {
+        clients,
+        round_secs,
+    }
+}
+
 /// Availability-trace scheduling: each client flips on/offline per a seeded
 /// trace discretised into slots of `period_secs`. Within slot `s`, client
 /// `c` is online with probability `online_fraction ×` its device's expected
@@ -482,27 +514,13 @@ impl ClientScheduler for AvailabilityTrace {
         ctx: &FederationContext,
         rng: &mut SeededRng,
     ) -> RoundPlan {
-        let online: Vec<usize> = (0..ctx.num_clients())
-            .filter(|&c| self.is_online(c, now, ctx))
-            .collect();
-        if online.is_empty() {
-            // Nobody is reachable: wait out the slot and try again.
-            return RoundPlan {
-                clients: Vec::new(),
-                round_secs: self.period_secs.max(f64::EPSILON),
-            };
-        }
-        let take = per_round.min(online.len());
-        let clients: Vec<usize> = rng
-            .choose_indices(online.len(), take)
-            .into_iter()
-            .map(|i| online[i])
-            .collect();
-        let round_secs = max_cost_secs(ctx, &clients);
-        RoundPlan {
-            clients,
-            round_secs,
-        }
+        plan_among_online(
+            |c| self.is_online(c, now, ctx),
+            self.idle_wait_secs(),
+            per_round,
+            ctx,
+            rng,
+        )
     }
 
     fn is_available(&self, client: usize, now: f64, ctx: &FederationContext) -> bool {
@@ -596,27 +614,13 @@ impl ClientScheduler for DiurnalTrace {
         ctx: &FederationContext,
         rng: &mut SeededRng,
     ) -> RoundPlan {
-        let online: Vec<usize> = (0..ctx.num_clients())
-            .filter(|&c| self.is_online(c, now, ctx))
-            .collect();
-        if online.is_empty() {
-            // Nobody is reachable: wait out the slot and try again.
-            return RoundPlan {
-                clients: Vec::new(),
-                round_secs: self.slot_secs.max(f64::EPSILON),
-            };
-        }
-        let take = per_round.min(online.len());
-        let clients: Vec<usize> = rng
-            .choose_indices(online.len(), take)
-            .into_iter()
-            .map(|i| online[i])
-            .collect();
-        let round_secs = max_cost_secs(ctx, &clients);
-        RoundPlan {
-            clients,
-            round_secs,
-        }
+        plan_among_online(
+            |c| self.is_online(c, now, ctx),
+            self.idle_wait_secs(),
+            per_round,
+            ctx,
+            rng,
+        )
     }
 
     fn is_available(&self, client: usize, now: f64, ctx: &FederationContext) -> bool {
@@ -641,8 +645,10 @@ impl ClientScheduler for DiurnalTrace {
 /// empty trace leaves every client offline forever).
 #[derive(Debug, Clone)]
 pub struct TraceReplay {
-    /// Per-client merged online windows, each sorted by start time.
-    windows: Vec<Vec<(f64, f64)>>,
+    /// Per-client merged online windows, each sorted by start time. Keyed
+    /// sparsely: client ids come from a file, so memory must follow the
+    /// number of rows, not the largest id.
+    windows: BTreeMap<usize, Vec<(f64, f64)>>,
     /// Largest window end over all clients — the wrap-around period.
     horizon: f64,
     /// How far the asynchronous engine advances the clock when nobody is
@@ -656,7 +662,7 @@ impl TraceReplay {
     /// least `round,client,dispatch_secs,arrival_secs` (plus the header)
     /// are rejected.
     pub fn from_csv(csv: &str) -> crate::FlResult<Self> {
-        let mut raw: Vec<(usize, f64, f64)> = Vec::new();
+        let mut windows: BTreeMap<usize, Vec<(f64, f64)>> = BTreeMap::new();
         for (lineno, line) in csv.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with("round,") {
@@ -682,15 +688,10 @@ impl TraceReplay {
             if !dispatch.is_finite() || !arrival.is_finite() || arrival < dispatch {
                 return Err(parse_err("window"));
             }
-            raw.push((client, dispatch, arrival));
-        }
-        let num_clients = raw.iter().map(|&(c, ..)| c + 1).max().unwrap_or(0);
-        let mut windows = vec![Vec::new(); num_clients];
-        for (client, start, end) in raw {
-            windows[client].push((start, end));
+            windows.entry(client).or_default().push((dispatch, arrival));
         }
         let mut horizon = 0.0f64;
-        for spans in &mut windows {
+        for spans in windows.values_mut() {
             spans.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
             // Merge overlapping observations into maximal online windows.
             let mut merged: Vec<(f64, f64)> = Vec::with_capacity(spans.len());
@@ -721,11 +722,14 @@ impl TraceReplay {
 
     /// Number of clients the trace covers (highest observed id + 1).
     pub fn trace_clients(&self) -> usize {
-        self.windows.len()
+        self.windows
+            .keys()
+            .next_back()
+            .map_or(0, |&highest| highest.saturating_add(1))
     }
 
     fn is_online(&self, client: usize, now: f64) -> bool {
-        let Some(spans) = self.windows.get(client) else {
+        let Some(spans) = self.windows.get(&client) else {
             return false;
         };
         if spans.is_empty() || self.horizon <= 0.0 {
@@ -751,27 +755,13 @@ impl ClientScheduler for TraceReplay {
         ctx: &FederationContext,
         rng: &mut SeededRng,
     ) -> RoundPlan {
-        let online: Vec<usize> = (0..ctx.num_clients())
-            .filter(|&c| self.is_online(c, now))
-            .collect();
-        if online.is_empty() {
-            // Nobody was recorded online here: wait out one slot.
-            return RoundPlan {
-                clients: Vec::new(),
-                round_secs: self.slot_secs,
-            };
-        }
-        let take = per_round.min(online.len());
-        let clients: Vec<usize> = rng
-            .choose_indices(online.len(), take)
-            .into_iter()
-            .map(|i| online[i])
-            .collect();
-        let round_secs = max_cost_secs(ctx, &clients);
-        RoundPlan {
-            clients,
-            round_secs,
-        }
+        plan_among_online(
+            |c| self.is_online(c, now),
+            self.idle_wait_secs(),
+            per_round,
+            ctx,
+            rng,
+        )
     }
 
     fn is_available(&self, client: usize, now: f64, _ctx: &FederationContext) -> bool {
@@ -1317,6 +1307,13 @@ mod tests {
             TraceReplay::from_csv("1,0,5.0,1.0").is_err(),
             "arrival before dispatch"
         );
+        // Client ids come from the file: a huge one must cost O(rows) memory
+        // and no id arithmetic may overflow.
+        for id in [usize::MAX, 1_000_000_000_000_000] {
+            let replay = TraceReplay::from_csv(&format!("0,{id},0,1")).unwrap();
+            assert_eq!(replay.trace_clients(), id.saturating_add(1));
+            assert!(replay.is_online(id, 0.5) && !replay.is_online(0, 0.5));
+        }
         let empty = TraceReplay::from_csv("").unwrap();
         assert_eq!(empty.trace_clients(), 0);
         assert!(!empty.is_online(0, 0.0));

@@ -303,29 +303,6 @@ impl DriveMode {
     }
 }
 
-/// Restores the previous process-global kernel worker count when dropped,
-/// so a session's worker budget does not outlive it. The setting is still
-/// process-global while the session is alive — concurrent engines in one
-/// process share it — which only ever affects wall-clock, never results
-/// (kernels are worker-count invariant).
-struct KernelWorkersGuard {
-    previous: usize,
-}
-
-impl KernelWorkersGuard {
-    fn set(workers: usize) -> Self {
-        let previous = mhfl_tensor::kernel_workers();
-        mhfl_tensor::set_kernel_workers(workers);
-        KernelWorkersGuard { previous }
-    }
-}
-
-impl Drop for KernelWorkersGuard {
-    fn drop(&mut self) {
-        mhfl_tensor::set_kernel_workers(self.previous);
-    }
-}
-
 /// A full snapshot of a [`Session`] mid-run.
 ///
 /// Everything the driver needs to continue bit-exactly is captured: the
@@ -454,7 +431,6 @@ pub struct Session<'a> {
     runner: Box<dyn ClientRunner + 'a>,
     corruption: Corruption,
     churn_fraction: f64,
-    _workers: KernelWorkersGuard,
 }
 
 impl<'a> Session<'a> {
@@ -463,9 +439,6 @@ impl<'a> Session<'a> {
         algorithm: &'a mut dyn FlAlgorithm,
         ctx: &'a FederationContext,
     ) -> FlResult<Self> {
-        // Same ordering as the old `run()`: grant the kernels their worker
-        // budget before any tensor work, then let the algorithm initialise.
-        let workers = KernelWorkersGuard::set(engine.config().parallelism.kernel_workers());
         algorithm.setup(ctx)?;
         let scheduler = engine.config().schedule.build();
         let rng = SeededRng::new(ctx.seed() ^ 0xF00D);
@@ -499,7 +472,6 @@ impl<'a> Session<'a> {
             runner: Box::new(InProcessRunner),
             corruption: Corruption::None,
             churn_fraction: 0.0,
-            _workers: workers,
         })
     }
 
@@ -538,26 +510,12 @@ impl<'a> Session<'a> {
         self.observers.push(observer);
     }
 
-    /// Builder-style [`observe`](Session::observe).
-    #[must_use]
-    pub fn with_observer(mut self, observer: Box<dyn Observer + 'a>) -> Self {
-        self.observe(observer);
-        self
-    }
-
     /// Replaces the executor for the client phase (default:
     /// [`InProcessRunner`]). A runner that honours the selection-order
     /// contract of [`ClientRunner`] leaves every digest unchanged — only
     /// *where* the client updates are computed moves.
     pub fn set_client_runner(&mut self, runner: Box<dyn ClientRunner + 'a>) {
         self.runner = runner;
-    }
-
-    /// Builder-style [`set_client_runner`](Session::set_client_runner).
-    #[must_use]
-    pub fn with_client_runner(mut self, runner: Box<dyn ClientRunner + 'a>) -> Self {
-        self.set_client_runner(runner);
-        self
     }
 
     /// Replaces the client scheduler (default: the one built from
@@ -570,13 +528,6 @@ impl<'a> Session<'a> {
     /// checkpoints and must be re-injected after a restore.
     pub fn set_scheduler(&mut self, scheduler: Box<dyn ClientScheduler>) {
         self.scheduler = scheduler;
-    }
-
-    /// Builder-style [`set_scheduler`](Session::set_scheduler).
-    #[must_use]
-    pub fn with_scheduler(mut self, scheduler: Box<dyn ClientScheduler>) -> Self {
-        self.set_scheduler(scheduler);
-        self
     }
 
     /// Sets the byzantine-corruption policy applied to arriving updates
@@ -766,7 +717,6 @@ impl<'a> Session<'a> {
             )));
         }
         let engine = FlEngine::new(checkpoint.config);
-        let workers = KernelWorkersGuard::set(engine.config().parallelism.kernel_workers());
         algorithm.restore(checkpoint.algorithm.clone(), ctx)?;
         let mut mode =
             DriveMode::for_config(engine.config(), engine.per_round(ctx), ctx.num_clients());
@@ -808,7 +758,6 @@ impl<'a> Session<'a> {
             churn_fraction: 0.0,
             algorithm,
             ctx,
-            _workers: workers,
         })
     }
 

@@ -4,13 +4,13 @@
 //! whole population — `vec![false; num_clients]` for the in-flight map,
 //! dense per-client arrays in checkpoints — which bounds population size by
 //! memory even when only a handful of clients are ever active. This module
-//! provides the sparse replacements: [`ClientSet`] (a sorted id set) and
-//! [`ClientStore`] (a sorted id → value map). Both cost O(resident) memory
-//! and keep their keys in ascending order, which the schedulers exploit for
-//! O(busy) free-slot indexing ([`crate::schedule::CandidatePool`]) and the
-//! checkpoint codec for canonical (byte-stable) encodings.
+//! provides the sparse replacement: [`ClientSet`], a sorted id set. It
+//! costs O(resident) memory and keeps its ids in ascending order, which the
+//! schedulers exploit for O(busy) free-slot indexing
+//! ([`crate::schedule::CandidatePool`]) and the checkpoint codec for
+//! canonical (byte-stable) encodings.
 //!
-//! Sorted `Vec`s rather than hash maps: populations are addressed by dense
+//! A sorted `Vec` rather than a hash set: populations are addressed by dense
 //! small-integer ids, resident sets are small (bounded by concurrency, not
 //! population), iteration order must be deterministic for bit-exact resume,
 //! and binary search on a contiguous array beats hashing at these sizes.
@@ -97,103 +97,6 @@ impl FromIterator<usize> for ClientSet {
     }
 }
 
-/// A sparse, sorted map from client id to per-client state.
-///
-/// The keyed replacement for population-sized `Vec<T>`s: only clients that
-/// actually hold state are resident, keys iterate in ascending order (so
-/// anything folded from an iteration — digests, encodings — is
-/// deterministic), and lookups are O(log resident).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ClientStore<T> {
-    entries: Vec<(usize, T)>,
-}
-
-impl<T> ClientStore<T> {
-    /// Creates an empty store.
-    pub fn new() -> Self {
-        ClientStore {
-            entries: Vec::new(),
-        }
-    }
-
-    /// Number of resident clients.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no client holds state.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Whether `client` holds state.
-    pub fn contains(&self, client: usize) -> bool {
-        self.position(client).is_ok()
-    }
-
-    /// The state of `client`, if resident.
-    pub fn get(&self, client: usize) -> Option<&T> {
-        self.position(client).ok().map(|p| &self.entries[p].1)
-    }
-
-    /// Mutable access to the state of `client`, if resident.
-    pub fn get_mut(&mut self, client: usize) -> Option<&mut T> {
-        match self.position(client) {
-            Ok(p) => Some(&mut self.entries[p].1),
-            Err(_) => None,
-        }
-    }
-
-    /// Inserts or replaces the state of `client`; returns the previous
-    /// state if there was one.
-    pub fn insert(&mut self, client: usize, value: T) -> Option<T> {
-        match self.position(client) {
-            Ok(p) => Some(std::mem::replace(&mut self.entries[p].1, value)),
-            Err(p) => {
-                self.entries.insert(p, (client, value));
-                None
-            }
-        }
-    }
-
-    /// Removes and returns the state of `client`, if resident.
-    pub fn remove(&mut self, client: usize) -> Option<T> {
-        match self.position(client) {
-            Ok(p) => Some(self.entries.remove(p).1),
-            Err(_) => None,
-        }
-    }
-
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// `(client, state)` pairs in ascending client order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.entries.iter().map(|(c, v)| (*c, v))
-    }
-
-    /// Resident client ids in ascending order.
-    pub fn keys(&self) -> impl Iterator<Item = usize> + '_ {
-        self.entries.iter().map(|(c, _)| *c)
-    }
-
-    fn position(&self, client: usize) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&client, |(c, _)| *c)
-    }
-}
-
-impl<T> FromIterator<(usize, T)> for ClientStore<T> {
-    fn from_iter<I: IntoIterator<Item = (usize, T)>>(iter: I) -> Self {
-        let mut store = ClientStore::new();
-        for (client, value) in iter {
-            store.insert(client, value);
-        }
-        store
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,36 +126,5 @@ mod tests {
         assert_eq!(set.as_slice(), &[1, 4, 9]);
         let collected: ClientSet = [7usize, 2, 7].into_iter().collect();
         assert_eq!(collected.as_slice(), &[2, 7]);
-    }
-
-    #[test]
-    fn store_keyed_access_is_sparse_and_ordered() {
-        let mut store: ClientStore<&'static str> = ClientStore::new();
-        assert!(store.is_empty());
-        assert_eq!(store.insert(1_000_000, "m"), None);
-        assert_eq!(store.insert(2, "a"), None);
-        assert_eq!(store.insert(2, "b"), Some("a"), "insert replaces");
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.get(2), Some(&"b"));
-        assert_eq!(store.get(3), None);
-        assert!(store.contains(1_000_000));
-        *store.get_mut(2).unwrap() = "c";
-        assert_eq!(
-            store.iter().collect::<Vec<_>>(),
-            vec![(2, &"c"), (1_000_000, &"m")],
-            "iteration is ascending regardless of insertion order"
-        );
-        assert_eq!(store.keys().collect::<Vec<_>>(), vec![2, 1_000_000]);
-        assert_eq!(store.remove(2), Some("c"));
-        assert_eq!(store.remove(2), None);
-        store.clear();
-        assert!(store.is_empty());
-    }
-
-    #[test]
-    fn store_from_iterator_last_value_wins() {
-        let store: ClientStore<u32> = [(5, 1u32), (1, 2), (5, 3)].into_iter().collect();
-        assert_eq!(store.get(5), Some(&3));
-        assert_eq!(store.len(), 2);
     }
 }

@@ -403,11 +403,6 @@ impl ProxyModel {
         self.blocks.len()
     }
 
-    /// Number of auxiliary classifiers.
-    pub fn num_aux_heads(&self) -> usize {
-        self.aux_heads.len()
-    }
-
     /// Total number of scalar parameters.
     pub fn num_parameters(&self) -> usize {
         num_params_of(self)

@@ -139,11 +139,6 @@ impl Sequential {
         self.layers.push((name.into(), Box::new(layer)));
     }
 
-    /// Appends an already-boxed sub-layer.
-    pub fn push_boxed(&mut self, name: impl Into<String>, layer: Box<dyn Layer>) {
-        self.layers.push((name.into(), layer));
-    }
-
     /// Number of sub-layers.
     pub fn len(&self) -> usize {
         self.layers.len()

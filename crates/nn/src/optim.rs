@@ -70,11 +70,6 @@ impl Sgd {
         &self.config
     }
 
-    /// Updates the learning rate (e.g. for decay schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-
     /// Applies one update step to every parameter of `layer` using the
     /// gradients accumulated since the last [`Layer::zero_grad`].
     ///

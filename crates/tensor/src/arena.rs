@@ -14,10 +14,10 @@
 //! * **recycling** happens on the tensor drop path: storage returns to the
 //!   pool instead of being freed (see `Storage` in `tensor.rs`);
 //! * a **per-thread local pool** serves leases and recycles without any
-//!   synchronisation, so kernel worker threads and the federated client
-//!   fan-out never contend on a lock;
+//!   synchronisation, so the federated client fan-out threads never contend
+//!   on a lock;
 //! * a shared, mutex-protected **overflow pool** catches buffers from
-//!   threads that exit (scoped kernel workers live for one call) and feeds
+//!   threads that exit (fan-out workers live for one round) and feeds
 //!   threads whose local pool misses, so recycling works across the thread
 //!   topology, not just within one thread.
 //!
@@ -100,8 +100,8 @@ static SHARED: Mutex<Pool> = Mutex::new(Pool {
 });
 
 /// A thread's private pool. On thread exit the retained buffers drain into
-/// [`SHARED`] instead of being freed, which is what lets one-shot scoped
-/// kernel worker threads hand their scratch to the next kernel invocation.
+/// [`SHARED`] instead of being freed, which is what lets one round's scoped
+/// fan-out workers hand their buffers to the next round's.
 struct LocalPool(Pool);
 
 impl Drop for LocalPool {

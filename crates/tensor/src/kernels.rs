@@ -1,4 +1,4 @@
-//! Blocked matmul kernels and the row-range worker pool.
+//! Blocked matmul kernels.
 //!
 //! The three kernels here ([`matmul`], [`matmul_nt`], [`matmul_tn`]) are the
 //! hot path of every proxy-model forward/backward step. They are written
@@ -6,133 +6,39 @@
 //! reference kernel ([`Tensor::matmul_naive`](crate::Tensor::matmul_naive)).
 //! For every output element the partial products are accumulated in strictly
 //! ascending `k` order with plain `f32` multiply-then-add (no FMA, no
-//! multiple accumulators per element), so blocking, panel packing and
-//! row-range threading change *where* the arithmetic happens but never its
-//! result — the golden-trace regression harness depends on this.
+//! multiple accumulators per element), so blocking and panel packing change
+//! *where* the arithmetic happens but never its result — the golden-trace
+//! regression harness depends on this.
 //!
-//! Speed comes from three sources instead:
+//! Speed comes from two sources instead:
 //!
 //! * **cache blocking** — `k`/`j` panels sized to L1 so a panel of the
 //!   right-hand side is reused across many output rows before eviction,
 //!   with explicit packing once the row stride exceeds the panel width;
 //! * **transpose-aware variants** — `matmul_nt` (`A·Bᵀ`) and `matmul_tn`
 //!   (`Aᵀ·B`) read the operand in its natural layout, so `Linear` and
-//!   attention layers no longer materialise explicit transposes;
-//! * **row-range threading** — output rows are split into contiguous
-//!   chunks across a scoped worker pool (one thread per configured kernel
-//!   worker). Each element is still produced by exactly one thread in the
-//!   same order, so results are independent of the worker count.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+//!   attention layers no longer materialise explicit transposes.
+//!
+//! Every kernel runs on the calling thread: the one parallelism level of a
+//! run is the federated client fan-out (`mhfl_fl::Parallelism`), whose
+//! workers each drive their own kernels.
 
 /// Rows of a right-hand-side `k`-panel (`KC × NC × 4` bytes ≈ one 32 KiB L1
 /// data cache).
 const KC: usize = 64;
 /// Columns of a right-hand-side panel.
 const NC: usize = 128;
-/// Total multiply-adds below which row-range threading never pays for the
-/// scoped-thread spawn.
-const PAR_FLOP_THRESHOLD: usize = 1 << 17;
-
-/// Number of worker threads the kernels may fan output rows across.
-/// Configured process-wide; `1` (the default) keeps every kernel on the
-/// calling thread.
-static KERNEL_WORKERS: AtomicUsize = AtomicUsize::new(1);
-
-thread_local! {
-    /// Set on threads that are already part of an outer worker pool (e.g.
-    /// the federated client fan-out): kernels on such threads stay
-    /// sequential instead of oversubscribing the machine.
-    static IN_WORKER_POOL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Sets the number of worker threads matmul kernels may split output rows
-/// across. `0` resolves to the number of available cores. Results are
-/// bitwise independent of this setting; only wall-clock time changes.
-pub fn set_kernel_workers(workers: usize) {
-    let resolved = if workers == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        workers
-    };
-    KERNEL_WORKERS.store(resolved.max(1), Ordering::Relaxed);
-}
-
-/// The currently configured kernel worker count.
-pub fn kernel_workers() -> usize {
-    KERNEL_WORKERS.load(Ordering::Relaxed).max(1)
-}
-
-/// Marks the calling thread as part of an outer worker pool: matmul kernels
-/// invoked from it run sequentially (the cores are already busy running
-/// sibling workers). Called by the federated client fan-out for each of its
-/// worker threads.
-pub fn mark_worker_thread() {
-    IN_WORKER_POOL.with(|flag| flag.set(true));
-}
-
-/// Worker count effective for kernels launched from the calling thread.
-fn effective_workers() -> usize {
-    if IN_WORKER_POOL.with(Cell::get) {
-        1
-    } else {
-        kernel_workers()
-    }
-}
-
-/// Runs `kernel(first_row, rows_in_chunk, out_chunk)` over contiguous chunks
-/// of the `rows × cols` output, on the calling thread when the work is small
-/// and across a scoped worker pool otherwise. Chunks never share an output
-/// element, so the split is observation-free.
-fn run_row_chunks(
-    out: &mut [f32],
-    rows: usize,
-    cols: usize,
-    flops_per_row: usize,
-    kernel: impl Fn(usize, usize, &mut [f32]) + Sync,
-) {
-    let workers = effective_workers().min(rows.max(1));
-    if workers <= 1 || cols == 0 || rows.saturating_mul(flops_per_row) < PAR_FLOP_THRESHOLD {
-        kernel(0, rows, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(workers);
-    std::thread::scope(|scope| {
-        for (index, chunk) in out.chunks_mut(chunk_rows * cols).enumerate() {
-            let kernel = &kernel;
-            scope.spawn(move || kernel(index * chunk_rows, chunk.len() / cols, chunk));
-        }
-    });
-}
 
 /// Blocked `[m, k] × [k, n] -> [m, n]`: `out` must be zeroed, row-major.
 pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    run_row_chunks(out, m, n, k.saturating_mul(n), |row0, nrows, chunk| {
-        matmul_rows(a, b, k, n, row0, nrows, chunk);
-    });
-}
-
-/// The [`matmul`] kernel for output rows `row0 .. row0 + nrows`.
-fn matmul_rows(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    row0: usize,
-    nrows: usize,
-    out: &mut [f32],
-) {
     if n <= NC {
         // The full row of B fits the panel budget: block over k only. For
         // each output element the k-blocks arrive in ascending order, and
         // within a block kk ascends — the naive accumulation order.
         for kb in (0..k).step_by(KC) {
             let kend = (kb + KC).min(k);
-            for i in 0..nrows {
-                let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
+            for i in 0..m {
+                let arow = &a[i * k..(i + 1) * k];
                 let orow = &mut out[i * n..(i + 1) * n];
                 for kk in kb..kend {
                     let aik = arow[kk];
@@ -150,9 +56,8 @@ fn matmul_rows(
     }
     // Wide B: pack an L1-sized KC×NC panel so the inner loop streams a
     // contiguous buffer instead of striding across full B rows. The panel
-    // is leased from the arena — worker threads drain their pools into the
-    // shared pool on exit, so even scoped one-shot workers reuse the panel
-    // of a previous kernel invocation instead of allocating.
+    // is leased from the arena, so a warm thread reuses the panel of a
+    // previous kernel invocation instead of allocating.
     let arena = crate::arena::TensorArena::global();
     let mut panel = arena.lease_zeroed(KC * NC);
     for jb in (0..n).step_by(NC) {
@@ -165,8 +70,8 @@ fn matmul_rows(
                 let src = (kb + p) * n + jb;
                 panel[p * nc..(p + 1) * nc].copy_from_slice(&b[src..src + nc]);
             }
-            for i in 0..nrows {
-                let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
+            for i in 0..m {
+                let arow = &a[i * k..(i + 1) * k];
                 let orow = &mut out[i * n + jb..i * n + jend];
                 for p in 0..kc {
                     let aik = arow[kb + p];
@@ -188,26 +93,12 @@ fn matmul_rows(
 /// materialising `Bᵀ`): every output element is a dot product of two
 /// contiguous rows. `out` must be zeroed.
 pub(crate) fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    run_row_chunks(out, m, n, k.saturating_mul(n), |row0, nrows, chunk| {
-        matmul_nt_rows(a, b, k, n, row0, nrows, chunk);
-    });
-}
-
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    k: usize,
-    n: usize,
-    row0: usize,
-    nrows: usize,
-    out: &mut [f32],
-) {
     // Pack L1-sized panels of Bᵀ on the fly: `panel[p][j] = b[jb + j][kb + p]`
     // relocates the values (a tile-local transpose) without touching the
     // arithmetic, which then runs the same contiguous, vectorisable inner-j
     // loop as the plain blocked kernel — per (i, j) the k-blocks and the
     // within-block p both ascend, i.e. the naive accumulation order. Leased
-    // from the arena, like the matmul_rows panel.
+    // from the arena, like the matmul panel.
     let arena = crate::arena::TensorArena::global();
     let mut panel = arena.lease_zeroed(KC * NC);
     for jb in (0..n).step_by(NC) {
@@ -222,8 +113,8 @@ fn matmul_nt_rows(
                     panel[p * nc + j] = bv;
                 }
             }
-            for i in 0..nrows {
-                let arow = &a[(row0 + i) * k..(row0 + i) * k + k];
+            for i in 0..m {
+                let arow = &a[i * k..(i + 1) * k];
                 let orow = &mut out[i * n + jb..i * n + jend];
                 for p in 0..kc {
                     let aik = arow[kb + p];
@@ -245,33 +136,17 @@ fn matmul_nt_rows(
 /// materialising `Aᵀ`): the reduction runs over the shared leading (sample)
 /// axis, reading both operands row-contiguously. `out` must be zeroed.
 pub(crate) fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
-    run_row_chunks(out, m, n, k.saturating_mul(n), |row0, nrows, chunk| {
-        matmul_tn_rows(a, b, m, k, n, row0, nrows, chunk);
-    });
-}
-
-#[allow(clippy::too_many_arguments)] // a flat kernel signature, on purpose
-fn matmul_tn_rows(
-    a: &[f32],
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    row0: usize,
-    nrows: usize,
-    out: &mut [f32],
-) {
     // Block over output rows so the live block stays cache-resident while
     // the s (sample) loop streams A and B once per block. Every output
     // element belongs to exactly one block, so its s order is untouched.
     let ob = (4096 / n.max(1)).max(4);
-    for obs in (0..nrows).step_by(ob) {
-        let oend = (obs + ob).min(nrows);
+    for obs in (0..m).step_by(ob) {
+        let oend = (obs + ob).min(m);
         for s in 0..k {
             let arow = &a[s * m..s * m + m];
             let brow = &b[s * n..s * n + n];
             for o in obs..oend {
-                let av = arow[row0 + o];
+                let av = arow[o];
                 if av == 0.0 {
                     continue;
                 }
@@ -284,39 +159,13 @@ fn matmul_tn_rows(
     }
 }
 
-/// Serialises tests that mutate the process-global worker count, so exact
-/// assertions on [`kernel_workers`] cannot race sibling tests running on
-/// other threads of the test harness.
-#[cfg(test)]
-pub(crate) fn worker_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-#[cfg(test)]
+#[cfg(all(test, feature = "alloc-count"))]
 mod tests {
-    use super::*;
-
-    #[test]
-    fn worker_config_round_trips_and_clamps() {
-        let _guard = worker_test_lock();
-        set_kernel_workers(3);
-        assert_eq!(kernel_workers(), 3);
-        set_kernel_workers(0);
-        assert!(kernel_workers() >= 1);
-        set_kernel_workers(1);
-        assert_eq!(kernel_workers(), 1);
-    }
-
     /// After one warm-up call the pool holds the output buffer and the
     /// packing panel, so repeated identical matmuls must allocate nothing.
     /// This is the regression guard for the panels-allocated-per-call bug.
-    #[cfg(feature = "alloc-count")]
     #[test]
     fn warm_matmul_allocates_nothing() {
-        let _guard = worker_test_lock();
-        set_kernel_workers(1);
         let arena = crate::arena::TensorArena::global();
         let mut rng = crate::SeededRng::new(3);
         let a = crate::Tensor::randn(&[32, 64], 1.0, &mut rng);
@@ -337,27 +186,5 @@ mod tests {
             "warm matmul must be allocation-free: {stats:?}"
         );
         assert!(stats.pool_hits > 0, "warm matmul must lease from the pool");
-    }
-
-    #[test]
-    fn row_chunking_covers_every_row_exactly_once() {
-        let _guard = worker_test_lock();
-        set_kernel_workers(4);
-        let (m, n) = (37, 8);
-        let mut out = vec![0.0f32; m * n];
-        // Force the threaded path with a huge per-row flop estimate.
-        run_row_chunks(&mut out, m, n, usize::MAX / m, |row0, nrows, chunk| {
-            for r in 0..nrows {
-                for c in 0..n {
-                    chunk[r * n + c] += (row0 + r) as f32;
-                }
-            }
-        });
-        for r in 0..m {
-            for c in 0..n {
-                assert_eq!(out[r * n + c], r as f32, "row {r} col {c}");
-            }
-        }
-        set_kernel_workers(1);
     }
 }

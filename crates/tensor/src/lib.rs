@@ -14,9 +14,8 @@
 //!
 //! The library intentionally avoids `unsafe`, SIMD intrinsics and GPU
 //! support, but the matmul path is performance-engineered: [`kernels`]
-//! provides blocked/tiled kernels with L1-sized packed panels,
-//! transpose-aware `A·Bᵀ`/`Aᵀ·B` variants and optional row-range threading
-//! over a worker pool ([`set_kernel_workers`]) — all bitwise identical to
+//! provides blocked/tiled kernels with L1-sized packed panels and
+//! transpose-aware `A·Bᵀ`/`Aᵀ·B` variants — all bitwise identical to
 //! the retained naive reference kernel ([`Tensor::matmul_naive`]), so
 //! reproducibility survives every optimisation.
 //!
@@ -50,7 +49,6 @@ mod tensor;
 
 pub use arena::{ArenaStats, TensorArena};
 pub use error::TensorError;
-pub use kernels::{kernel_workers, mark_worker_thread, set_kernel_workers};
 pub use rng::{RngState, SeededRng};
 pub use shape::Shape;
 pub use tensor::Tensor;

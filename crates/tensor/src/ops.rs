@@ -152,8 +152,7 @@ impl Tensor {
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// Runs the blocked kernel of [`crate::kernels`]; bitwise identical to
-    /// [`Tensor::matmul_naive`] for finite inputs and independent of the
-    /// configured kernel worker count.
+    /// [`Tensor::matmul_naive`] for finite inputs.
     ///
     /// # Errors
     /// Returns an error if either operand is not rank-2 or the inner
@@ -552,19 +551,6 @@ mod tests {
             let tn_ref = at.transpose().unwrap().matmul_naive(&b).unwrap();
             assert_eq!(tn, tn_ref, "matmul_tn diverged at {m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn matmul_is_worker_count_invariant() {
-        let _guard = crate::kernels::worker_test_lock();
-        let mut rng = crate::SeededRng::new(11);
-        let a = Tensor::randn(&[64, 48], 1.0, &mut rng);
-        let b = Tensor::randn(&[48, 160], 1.0, &mut rng);
-        let sequential = a.matmul(&b).unwrap();
-        crate::set_kernel_workers(4);
-        let threaded = a.matmul(&b).unwrap();
-        crate::set_kernel_workers(1);
-        assert_eq!(sequential, threaded);
     }
 
     #[test]

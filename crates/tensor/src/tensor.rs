@@ -21,11 +21,6 @@ impl Storage {
     fn new(data: Vec<f32>) -> Self {
         Storage { data }
     }
-
-    /// Moves the buffer out, leaving an empty vec for the no-op drop.
-    fn take(&mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
 }
 
 impl Drop for Storage {
@@ -189,20 +184,6 @@ impl Tensor {
         }
     }
 
-    /// Creates a tensor with entries drawn uniformly from `[low, high)`.
-    pub fn rand_uniform(dims: &[usize], low: f32, high: f32, rng: &mut SeededRng) -> Self {
-        if rng.is_zero_init() {
-            return Tensor::zeros(dims);
-        }
-        let shape = Shape::new(dims);
-        let mut data = TensorArena::global().lease(shape.len());
-        data.extend((0..shape.len()).map(|_| rng.uniform(low, high)));
-        Tensor {
-            shape,
-            data: Storage::new(data),
-        }
-    }
-
     /// Kaiming/He initialisation for a weight of shape `[fan_out, fan_in, ...]`.
     pub fn kaiming(dims: &[usize], fan_in: usize, rng: &mut SeededRng) -> Self {
         let std = (2.0 / fan_in.max(1) as f32).sqrt();
@@ -242,15 +223,6 @@ impl Tensor {
     /// Mutable view of the underlying data (row-major).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its underlying buffer.
-    ///
-    /// The buffer leaves the arena's custody: it is the caller's to keep,
-    /// and the caller may hand it back via [`TensorArena::recycle`] (or by
-    /// rewrapping it with [`Tensor::from_pool`]) when done.
-    pub fn into_vec(mut self) -> Vec<f32> {
-        self.data.take()
     }
 
     /// Reads the element at a multi-dimensional index.

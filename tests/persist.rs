@@ -12,13 +12,12 @@
 //!    wrong magic, future format versions and mismatched configuration
 //!    fingerprints all return *typed* `PersistError`s: decoding never
 //!    panics and never silently restores a wrong checkpoint.
-//! 3. **Format stability** — the committed fixtures pin both generations of
-//!    the format: `tests/fixtures/checkpoint_v1.ckpt` (dense in-flight map)
-//!    must keep decoding and resuming to the pinned digest, and
-//!    `tests/fixtures/checkpoint_v2.ckpt` (sparse in-flight list) must
-//!    additionally re-encode byte-identically (the on-disk analogue of
-//!    `golden_digests.txt`). Only the current-version fixture can be
-//!    re-blessed after an *intentional* format change with:
+//! 3. **Format stability** — the committed fixture
+//!    `tests/fixtures/checkpoint_v2.ckpt` must keep decoding, resuming to
+//!    the pinned digest and re-encoding byte-identically (the on-disk
+//!    analogue of `golden_digests.txt`). Exactly one format version is
+//!    read: the same file with any other version word is rejected. The
+//!    fixture can be re-blessed after an *intentional* format change with:
 //!
 //!    ```text
 //!    PERSIST_BLESS=1 cargo test --test persist -- --test-threads=1
@@ -235,6 +234,18 @@ fn future_format_versions_are_rejected_not_misparsed() {
         Checkpoint::from_bytes(&bytes),
         Err(PersistError::UnsupportedVersion { found: 0, .. })
     ));
+    // Exactly one version is read: the committed current-version fixture
+    // with its version word patched to the retired version 1, or to 3, is
+    // refused before any section is parsed.
+    let fixture = std::fs::read(fixture_dir().join("checkpoint_v2.ckpt")).unwrap();
+    for version in [1u32, 3] {
+        let mut bytes = fixture.clone();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            Checkpoint::from_bytes(&bytes),
+            Err(PersistError::UnsupportedVersion { found, supported: 2 }) if found == version
+        ));
+    }
 }
 
 #[test]
@@ -412,28 +423,6 @@ fn decode_and_resume_fixture(ckpt: &str, digest: &str) -> (Vec<u8>, Checkpoint) 
         "{ckpt} resume digest moved; re-bless with PERSIST_BLESS=1 if intentional"
     );
     (bytes, checkpoint)
-}
-
-/// The version-1 fixture (dense in-flight map) predates the sparse driver
-/// section and can no longer be re-blessed: it is the permanent record of
-/// the old format. It must keep decoding and resuming bit-exactly, and its
-/// re-encode must be a *valid current-version* file with the same state —
-/// but not the same bytes, since encoding always writes the newest version.
-#[test]
-fn committed_v1_fixture_still_decodes_and_resumes_to_the_pinned_digest() {
-    let (bytes, checkpoint) =
-        decode_and_resume_fixture("checkpoint_v1.ckpt", "checkpoint_v1.digest");
-    let reencoded = checkpoint.to_bytes();
-    assert_ne!(
-        reencoded, bytes,
-        "a v1 file must re-encode as the current version, not byte-identically"
-    );
-    let roundtripped = Checkpoint::from_bytes(&reencoded).expect("re-encoded v1 decodes as v2");
-    assert_eq!(
-        roundtripped.to_bytes(),
-        reencoded,
-        "the upgraded encoding must itself be canonical"
-    );
 }
 
 #[test]

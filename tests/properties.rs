@@ -163,9 +163,7 @@ proptest! {
         k in 0usize..80,
         n in 1usize..160,
         seed in 0u64..1000,
-        workers in 1usize..4,
     ) {
-        mhfl_tensor::set_kernel_workers(workers);
         let mut rng = SeededRng::new(seed);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
@@ -187,7 +185,6 @@ proptest! {
         let tn = at.matmul_tn(&b).unwrap();
         let tn_ref = at.transpose().unwrap().matmul_naive(&b).unwrap();
         prop_assert_eq!(bits(&tn), bits(&tn_ref), "matmul_tn diverged at {}x{}x{}", m, k, n);
-        mhfl_tensor::set_kernel_workers(1);
     }
 
     /// `col_sums` is bitwise the transpose-then-row-sums reduction.
