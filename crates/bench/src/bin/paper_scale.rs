@@ -34,14 +34,26 @@
 //! ```
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_bench::{arg_usize, print_table, run_resumable, scale_from_args, RunScale, Table};
+use mhfl_bench::{print_table, run_resumable, Args, Flag, Table};
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_fl::RoundEvent;
 use mhfl_models::MhflMethod;
-use mhfl_net::cli::{arg_value, has_flag};
 use mhfl_tensor::{ArenaStats, TensorArena};
-use pracmhbench_core::ExperimentSpec;
+use pracmhbench_core::{ExperimentSpec, RunScale};
+
+const USAGE: &str = "paper_scale [--quick|--paper] [--alloc-audit] \
+    [--checkpoint <path> | --resume <path>] [--checkpoint-every <n>] [--stop-after-rounds <r>]";
+
+const FLAGS: &[Flag] = &[
+    Flag::Switch("--quick"),
+    Flag::Switch("--paper"),
+    Flag::Switch("--alloc-audit"),
+    Flag::Value("--checkpoint"),
+    Flag::Value("--resume"),
+    Flag::Count("--checkpoint-every"),
+    Flag::Count("--stop-after-rounds"),
+];
 
 /// Committed ceiling on steady-state tensor-storage allocations per warm
 /// federated round (width family, any scale). The arena serves warm-round
@@ -105,7 +117,7 @@ fn probe_arena(scale: RunScale) -> Vec<ArenaStats> {
 /// The durable-run flow behind `--checkpoint` / `--resume`: one full
 /// multi-round width-family run with auto-saved on-disk checkpoints, resumed
 /// from the file when it already exists.
-fn run_durable(scale: RunScale, path: &str, must_exist: bool) {
+fn run_durable(args: &Args, path: &str, must_exist: bool) {
     let path = std::path::Path::new(path);
     if must_exist && !path.exists() {
         panic!(
@@ -113,8 +125,9 @@ fn run_durable(scale: RunScale, path: &str, must_exist: bool) {
             path.display()
         );
     }
-    let every = arg_usize("--checkpoint-every").unwrap_or(25);
-    let stop_after = arg_usize("--stop-after-rounds");
+    let every = args.count("--checkpoint-every").unwrap_or(25);
+    let stop_after = args.count("--stop-after-rounds");
+    let scale = args.scale();
     let spec = spec(scale);
     eprintln!(
         "paper_scale: durable {scale:?} run of {} (checkpoint {} every {every} rounds)",
@@ -142,16 +155,16 @@ fn run_durable(scale: RunScale, path: &str, must_exist: bool) {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(path) = arg_value(&args, "--resume") {
-        return run_durable(scale, &path, true);
+    let args = Args::from_env(USAGE, FLAGS, &[]);
+    if let Some(path) = args.value("--resume") {
+        return run_durable(&args, path, true);
     }
-    if let Some(path) = arg_value(&args, "--checkpoint") {
-        return run_durable(scale, &path, false);
+    if let Some(path) = args.value("--checkpoint") {
+        return run_durable(&args, path, false);
     }
 
-    let audit = has_flag(&args, "--alloc-audit");
+    let scale = args.scale();
+    let audit = args.has("--alloc-audit");
     assert!(
         !audit || TensorArena::counting_enabled(),
         "--alloc-audit needs allocation counters; rebuild with `--features alloc-count`"

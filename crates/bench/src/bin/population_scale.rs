@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_bench::arg_usize;
+use mhfl_bench::{Args, Flag};
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_fl::{Candidates, Execution, FederationContext, RoundEvent, Schedule};
@@ -153,9 +153,22 @@ fn mb(x: Option<f64>) -> String {
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let population = arg_usize("--clients").unwrap_or(if quick { 100_000 } else { 1_000_000 });
-    let rss_ceiling_mb = arg_usize("--rss-ceiling-mb");
+    let args = Args::from_env(
+        "population_scale [--quick] [--clients <n>] [--rss-ceiling-mb <n>]",
+        &[
+            Flag::Switch("--quick"),
+            Flag::Count("--clients"),
+            Flag::Count("--rss-ceiling-mb"),
+        ],
+        &[],
+    );
+    let default_population = if args.has("--quick") {
+        100_000
+    } else {
+        1_000_000
+    };
+    let population = args.count("--clients").unwrap_or(default_population);
+    let rss_ceiling_mb = args.count("--rss-ceiling-mb");
 
     eprintln!("population_scale: timing pick_next at 10^3 / 10^5 / 10^6 clients...");
     let pick_populations = [1_000usize, 100_000, 1_000_000];

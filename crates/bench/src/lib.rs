@@ -1,16 +1,16 @@
-//! Shared helpers for the PracMHBench benchmark harness binaries.
+//! Shared helpers for the PracMHBench bench binaries.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper.
-//! The helpers here provide consistent command-line handling (a `--quick`
-//! mode used by the test suite), table formatting and series printing so the
-//! produced output has the same rows/columns the paper reports.
+//! `reproduce` regenerates every figure, table and study of the paper (one
+//! table of entries over one run helper); `paper_scale` and
+//! `population_scale` are CI gates. The helpers here provide the declared,
+//! typo-rejecting command line ([`Args`]), durable checkpoint/resume
+//! ([`run_resumable`]) and table/series printing, so the produced output has
+//! the same rows/columns the paper reports.
 
-pub mod figure;
-pub mod output;
-pub mod resume;
-pub mod runconfig;
+mod cli;
+mod output;
+mod resume;
 
-pub use figure::{applicable_methods, constraint_figure};
+pub use cli::{Args, Flag};
 pub use output::{print_series, print_table, Table};
-pub use resume::{arg_usize, next_tolerating_save_failure, run_resumable, ResumableOutcome};
-pub use runconfig::{scale_from_args, RunScale};
+pub use resume::{run_resumable, ResumableOutcome};

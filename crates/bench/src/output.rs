@@ -1,14 +1,14 @@
-//! Table and series printing shared by the figure/table regeneration binaries.
+//! Table and series printing shared by the bench binaries.
 
 /// A simple named table: headers plus string rows.
 #[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Table title (printed above the table).
-    pub title: String,
+    title: String,
     /// Column headers.
-    pub headers: Vec<String>,
+    headers: Vec<String>,
     /// Data rows.
-    pub rows: Vec<Vec<String>>,
+    rows: Vec<Vec<String>>,
 }
 
 impl Table {
@@ -27,7 +27,7 @@ impl Table {
     }
 
     /// Renders the table as aligned plain text.
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         let headers: Vec<&str> = self.headers.iter().map(String::as_str).collect();
         format!(
             "{}\n{}",

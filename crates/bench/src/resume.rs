@@ -1,30 +1,19 @@
-//! Durable checkpoint/resume plumbing shared by the long-running bench
-//! binaries (`paper_scale`, `figures`).
+//! Durable checkpoint/resume: the one resume loop of the bench binaries
+//! (`paper_scale --checkpoint/--resume` and every run of
+//! `reproduce --checkpoint-dir`).
 //!
 //! A paper-scale run is hours of wall-clock; the session layer's durable
-//! checkpoints (`mhfl_fl::persist`) make it interruption-tolerant. The
-//! helpers here wrap the common shape — *resume from the checkpoint file if
-//! it exists, otherwise start fresh; auto-save every N rounds; optionally
-//! stop after a round budget (for smoke tests that simulate the
-//! interruption)* — so every binary exposes the same `--resume` contract.
+//! checkpoints (`mhfl_fl::persist`) make it interruption-tolerant.
+//! [`run_resumable`] wraps the common shape — *resume from the checkpoint
+//! file if it exists, otherwise start fresh; auto-save every N rounds;
+//! optionally stop after a round budget (for smoke tests that simulate the
+//! interruption)* — so every binary exposes the same resume contract.
 
 use std::path::Path;
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_fl::{FlError, FlResult, RoundEvent, Session};
-use mhfl_net::cli::arg_value;
 use pracmhbench_core::{CheckpointObserver, ExperimentSpec, MetricsReport};
-
-/// Parses the value following `flag` in the process arguments as a
-/// `usize`, panicking with a usage message on garbage (these are
-/// operator-facing CLI flags).
-pub fn arg_usize(flag: &str) -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    arg_value(&args, flag).map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{flag} expects an integer, got {v:?}"))
-    })
-}
 
 /// The outcome of one resumable run.
 pub struct ResumableOutcome {
@@ -42,7 +31,7 @@ pub struct ResumableOutcome {
 /// live (see `Session::next_event`), and a long run should not lose its
 /// in-memory progress to a transient disk error — the failure is logged and
 /// the run continues on the previous good checkpoint.
-pub fn next_tolerating_save_failure(session: &mut Session<'_>) -> FlResult<Option<RoundEvent>> {
+fn next_tolerating_save_failure(session: &mut Session<'_>) -> FlResult<Option<RoundEvent>> {
     loop {
         match session.next_event() {
             Err(FlError::Persist(e)) => {

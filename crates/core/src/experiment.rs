@@ -419,6 +419,14 @@ impl ExperimentSpec {
         let ctx = self.build_context()?;
         let mut algorithm = build_algorithm(self.method);
         let report = self.open(algorithm.as_mut(), &ctx)?.drain()?;
+        Ok(self.outcome(report))
+    }
+
+    /// Summarises a finished run of this spec — however it was driven
+    /// (blocking, streamed, resumed from a checkpoint) — in the paper's
+    /// metrics. Effectiveness is left empty: it needs the baseline run of
+    /// [`run_comparison`](ExperimentSpec::run_comparison).
+    pub fn outcome(&self, report: MetricsReport) -> ExperimentOutcome {
         let summary = MetricSummary {
             global_accuracy: report.final_accuracy(),
             time_to_accuracy_secs: report.time_to_accuracy(self.target_accuracy),
@@ -426,31 +434,36 @@ impl ExperimentSpec {
             effectiveness: None,
             total_time_secs: report.total_sim_time_secs(),
         };
-        Ok(ExperimentOutcome {
+        ExperimentOutcome {
             method: self.method,
             task: self.task,
             constraint: self.constraint.label(),
             summary,
             report,
-        })
+        }
     }
 
     /// Runs a set of methods on this spec's task/constraint, including the
     /// smallest-homogeneous baseline, and fills in the effectiveness metric
-    /// of every outcome relative to that baseline.
+    /// of every outcome relative to that baseline. Every run goes through
+    /// `run` — [`ExperimentSpec::run`] itself, or a driver of the same
+    /// result such as a checkpointing one.
     ///
     /// # Errors
     /// Propagates failures from any individual run.
-    pub fn run_comparison(&self, methods: &[MhflMethod]) -> FlResult<Vec<ExperimentOutcome>> {
-        let baseline = ExperimentSpec {
+    pub fn run_comparison<E>(
+        &self,
+        methods: &[MhflMethod],
+        mut run: impl FnMut(&ExperimentSpec) -> Result<ExperimentOutcome, E>,
+    ) -> Result<Vec<ExperimentOutcome>, E> {
+        let baseline = run(&ExperimentSpec {
             method: MhflMethod::HomogeneousSmallest,
             ..*self
-        }
-        .run()?;
+        })?;
         let baseline_acc = baseline.summary.global_accuracy;
         let mut outcomes = Vec::with_capacity(methods.len() + 1);
         for &method in methods {
-            let mut outcome = ExperimentSpec { method, ..*self }.run()?;
+            let mut outcome = run(&ExperimentSpec { method, ..*self })?;
             outcome.summary.effectiveness = Some(outcome.summary.global_accuracy - baseline_acc);
             outcomes.push(outcome);
         }
@@ -545,7 +558,10 @@ mod tests {
         .with_scale(RunScale::Quick)
         .with_seed(3);
         let outcomes = spec
-            .run_comparison(&[MhflMethod::FeDepth, MhflMethod::SHeteroFl])
+            .run_comparison(
+                &[MhflMethod::FeDepth, MhflMethod::SHeteroFl],
+                ExperimentSpec::run,
+            )
             .unwrap();
         assert_eq!(outcomes.len(), 3);
         assert!(outcomes[0].summary.effectiveness.is_some());

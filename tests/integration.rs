@@ -101,7 +101,10 @@ fn effectiveness_is_relative_to_homogeneous_baseline() {
         MhflMethod::SHeteroFl,
         ConstraintCase::Memory,
     )
-    .run_comparison(&[MhflMethod::SHeteroFl, MhflMethod::DepthFl])
+    .run_comparison(
+        &[MhflMethod::SHeteroFl, MhflMethod::DepthFl],
+        ExperimentSpec::run,
+    )
     .unwrap();
     assert_eq!(outcomes.len(), 3);
     let baseline = outcomes.last().unwrap();

@@ -231,7 +231,7 @@ fn schedules_flow_through_comparison_runs() {
     let outcomes = quick(MhflMethod::SHeteroFl)
         .with_schedule(Schedule::FastestOfK { factor: 2 })
         .with_parallelism(Parallelism::Threads { workers: 3 })
-        .run_comparison(&[MhflMethod::SHeteroFl])
+        .run_comparison(&[MhflMethod::SHeteroFl], ExperimentSpec::run)
         .unwrap();
     assert_eq!(outcomes.len(), 2);
     assert!(outcomes[0].summary.effectiveness.is_some());
