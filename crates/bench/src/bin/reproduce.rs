@@ -866,6 +866,104 @@ fn adversarial_study(repro: &Repro) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhfl_fl::{Schedule, Staleness};
+
+    /// This binary's source, and the benchmark's workload table.
+    const REPRODUCE: &str = include_str!("reproduce.rs");
+    const WORKLOADS: &str = include_str!("../../../../examples/mhbench/workloads.rs");
+
+    /// Where a knob variant earns its committed row: the `reproduce` entry
+    /// or mhbench workload that constructs it, and the text naming it there.
+    /// The inert `None` variants are the adversarial study's clean column.
+    enum Row {
+        Entry(&'static str, &'static str),
+        Workload(&'static str, &'static str),
+    }
+
+    const CLEAN_COLUMN: Row = Row::Entry("adversarial_study", "\"clean\"");
+
+    // One exhaustive match per knob enum, so a variant without a row does
+    // not compile.
+    fn schedule_row(knob: Schedule) -> Row {
+        match knob {
+            Schedule::Uniform => Row::Workload("har_async_lazy_1m", "Schedule::Uniform"),
+        }
+    }
+
+    fn staleness_row(knob: Staleness) -> Row {
+        match knob {
+            Staleness::Sqrt => Row::Workload("har_async_lazy_1m", "Staleness::Sqrt"),
+        }
+    }
+
+    fn corruption_row(knob: Corruption) -> Row {
+        match knob {
+            Corruption::None => CLEAN_COLUMN,
+            Corruption::SignFlip { .. } => Row::Entry("adversarial_study", "Corruption::SignFlip"),
+        }
+    }
+
+    fn drift_row(knob: Drift) -> Row {
+        match knob {
+            Drift::None => CLEAN_COLUMN,
+            Drift::LabelShift { .. } => Row::Entry("adversarial_study", "Drift::LabelShift"),
+        }
+    }
+
+    fn robust_row(knob: RobustAggregation) -> Row {
+        match knob {
+            RobustAggregation::None => CLEAN_COLUMN,
+            RobustAggregation::NormClip { .. } => {
+                Row::Entry("adversarial_study", "RobustAggregation::NormClip")
+            }
+            RobustAggregation::CoordinateMedian => {
+                Row::Entry("adversarial_study", "RobustAggregation::CoordinateMedian")
+            }
+        }
+    }
+
+    fn execution_row(knob: Execution) -> Row {
+        match knob {
+            Execution::Synchronous => Row::Entry("async_study", "Execution::Synchronous"),
+            Execution::AsyncBuffered { .. } => {
+                Row::Workload("har_async_lazy_1m", "Execution::AsyncBuffered")
+            }
+        }
+    }
+
+    #[test]
+    fn every_knob_variant_names_its_committed_row() {
+        let (reproduce, _tests) = REPRODUCE
+            .split_once("#[cfg(test)]")
+            .expect("the test module is last");
+        let rows = [
+            schedule_row(Schedule::Uniform),
+            staleness_row(Staleness::Sqrt),
+            corruption_row(Corruption::None),
+            corruption_row(Corruption::SignFlip { fraction: 0.4 }),
+            drift_row(Drift::None),
+            drift_row(Drift::LabelShift { period_rounds: 1 }),
+            robust_row(RobustAggregation::None),
+            robust_row(RobustAggregation::NormClip { max_norm: 5.0 }),
+            robust_row(RobustAggregation::CoordinateMedian),
+            execution_row(Execution::Synchronous),
+            execution_row(Execution::async_buffered(2)),
+        ];
+        for row in rows {
+            let (row, source, names) = match row {
+                Row::Entry(entry, names) => {
+                    assert!(ENTRIES.iter().any(|&(name, _)| name == entry), "{entry}");
+                    (entry, reproduce, names)
+                }
+                Row::Workload(workload, names) => {
+                    let named = format!("name: \"{workload}\"");
+                    assert!(WORKLOADS.contains(&named), "{workload}");
+                    (workload, WORKLOADS, names)
+                }
+            };
+            assert!(source.contains(names), "{row} does not name {names}");
+        }
+    }
 
     fn spec() -> ExperimentSpec {
         ExperimentSpec::new(DataTask::UciHar, MhflMethod::SHeteroFl, COMPUTATION)

@@ -9,8 +9,8 @@ use mhfl_data::{DataTask, Dataset, Drift, FederatedDataset, Partition, ShardPlan
 use mhfl_device::{ClientAssignment, ConstraintCase, CostModel, ModelPool};
 use mhfl_fl::{
     ClientSource, Corruption, EngineConfig, Execution, FederationContext, FlAlgorithm, FlEngine,
-    FlResult, LocalTrainConfig, MetricsReport, Parallelism, RobustAggregation, Schedule, Session,
-    Staleness,
+    FlError, FlResult, LocalTrainConfig, MetricsReport, Parallelism, RobustAggregation, Schedule,
+    Session, Staleness,
 };
 use mhfl_models::MhflMethod;
 use serde::{Deserialize, Serialize};
@@ -96,8 +96,6 @@ pub struct ExperimentSpec {
     pub target_accuracy: f32,
     /// Experiment seed.
     pub seed: u64,
-    /// Client-selection policy for each round.
-    pub schedule: Schedule,
     /// Thread-level execution mode of the per-round client phase. Does not
     /// affect results: threaded and sequential runs produce identical
     /// reports.
@@ -105,9 +103,6 @@ pub struct ExperimentSpec {
     /// Round-advancement mode: classic synchronous rounds or FedBuff-style
     /// asynchronous buffered aggregation on an event-driven clock.
     pub execution: Execution,
-    /// Staleness-discount curve for asynchronous execution (sqrt /
-    /// polynomial / hinge, per the FedBuff ablations).
-    pub staleness: Staleness,
     /// Per-update staleness bound for asynchronous execution: updates
     /// staler than this are discarded before aggregation (counted by
     /// [`MetricsReport::dropped_updates`](mhfl_fl::MetricsReport)).
@@ -123,7 +118,7 @@ pub struct ExperimentSpec {
     /// Probability in `[0, 1]` that a dispatched client silently churns
     /// mid-round and its update never arrives (`0.0` is inert).
     pub churn_fraction: f64,
-    /// Label/concept drift schedule over rounds ([`Drift::None`] is inert).
+    /// Label drift schedule over rounds ([`Drift::None`] is inert).
     pub drift: Drift,
 }
 
@@ -139,10 +134,8 @@ impl ExperimentSpec {
             num_clients: None,
             target_accuracy: 0.5,
             seed: 42,
-            schedule: Schedule::Uniform,
             parallelism: Parallelism::Sequential,
             execution: Execution::Synchronous,
-            staleness: Staleness::Sqrt,
             max_staleness: None,
             corruption: Corruption::None,
             robust: RobustAggregation::None,
@@ -178,12 +171,6 @@ impl ExperimentSpec {
     /// Sets the time-to-accuracy target.
     pub fn with_target_accuracy(mut self, target: f32) -> Self {
         self.target_accuracy = target;
-        self
-    }
-
-    /// Sets the client-selection policy (deadline-aware, fastest-of-k, ...).
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -225,7 +212,7 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the label/concept drift schedule.
+    /// Sets the label drift schedule.
     pub fn with_drift(mut self, drift: Drift) -> Self {
         self.drift = drift;
         self
@@ -346,10 +333,10 @@ impl ExperimentSpec {
             sample_ratio,
             eval_every: (rounds / 4).max(1),
             stability_clients: 8,
-            schedule: self.schedule,
+            schedule: Schedule::Uniform,
             parallelism: self.parallelism,
             execution: self.execution,
-            staleness: self.staleness,
+            staleness: Staleness::Sqrt,
             max_staleness: self.max_staleness,
         })
     }
@@ -367,7 +354,9 @@ impl ExperimentSpec {
     /// run everywhere.
     ///
     /// # Errors
-    /// Propagates [`FlAlgorithm::setup`] failures.
+    /// [`FlError::InvalidConfig`] if the norm-clip bound is not a positive
+    /// finite number, or the sign-flip or churn fraction lies outside
+    /// `[0, 1]`; otherwise propagates [`FlAlgorithm::setup`] failures.
     pub fn open<'a>(
         &self,
         algorithm: &'a mut dyn FlAlgorithm,
@@ -384,7 +373,8 @@ impl ExperimentSpec {
     /// continues bit-exactly.
     ///
     /// # Errors
-    /// The errors of [`FlEngine::restore_from`].
+    /// The knob errors of [`open`](ExperimentSpec::open), then those of
+    /// [`FlEngine::restore_from`].
     pub fn resume_from<'a>(
         &self,
         algorithm: &'a mut dyn FlAlgorithm,
@@ -400,6 +390,7 @@ impl ExperimentSpec {
         ctx: &'a FederationContext,
         checkpoint: Option<&Path>,
     ) -> FlResult<Session<'a>> {
+        self.check_knobs()?;
         algorithm.set_robust_aggregation(self.robust);
         let engine = self.engine();
         let mut session = match checkpoint {
@@ -409,6 +400,33 @@ impl ExperimentSpec {
         session.set_corruption(self.corruption);
         session.set_churn(self.churn_fraction);
         Ok(session)
+    }
+
+    /// Refuses adversarial knobs that would silently change the run: a
+    /// norm-clip bound that is not a positive finite number (a negative one
+    /// sign-flips every update it clips, NaN disables clipping), and a
+    /// sign-flip or churn fraction outside `[0, 1]` or NaN.
+    fn check_knobs(&self) -> FlResult<()> {
+        let check_fraction = |what: &str, value: f64| {
+            if (0.0..=1.0).contains(&value) {
+                Ok(())
+            } else {
+                Err(FlError::InvalidConfig(format!(
+                    "{what} {value} is not a fraction in [0, 1]"
+                )))
+            }
+        };
+        if let RobustAggregation::NormClip { max_norm } = self.robust {
+            if !(max_norm.is_finite() && max_norm > 0.0) {
+                return Err(FlError::InvalidConfig(format!(
+                    "norm-clip bound {max_norm} is not a positive finite number"
+                )));
+            }
+        }
+        if let Corruption::SignFlip { fraction } = self.corruption {
+            check_fraction("sign-flip fraction", fraction)?;
+        }
+        check_fraction("churn fraction", self.churn_fraction)
     }
 
     /// Runs the experiment.
@@ -546,6 +564,42 @@ mod tests {
             .unwrap();
         assert_eq!(opened, spec.run().unwrap().report);
         assert_ne!(opened.digest(), clean.run().unwrap().report.digest());
+    }
+
+    #[test]
+    fn misapplied_adversarial_knobs_are_refused() {
+        let clean = ExperimentSpec::new(
+            DataTask::UciHar,
+            MhflMethod::SHeteroFl,
+            ConstraintCase::Memory,
+        )
+        .with_scale(RunScale::Quick)
+        .with_seed(17);
+        let clip =
+            |max_norm| clean.with_robust_aggregation(RobustAggregation::NormClip { max_norm });
+        let flip = |fraction| clean.with_corruption(Corruption::SignFlip { fraction });
+        let churn = |churn_fraction| ExperimentSpec {
+            churn_fraction,
+            ..clean
+        };
+        for spec in [
+            clip(-5.0),
+            clip(0.0),
+            clip(f32::NAN),
+            clip(f32::INFINITY),
+            flip(-0.1),
+            flip(1.5),
+            flip(f64::NAN),
+            flip(f64::INFINITY),
+            churn(-0.5),
+            churn(1.5),
+            churn(f64::NAN),
+        ] {
+            assert!(
+                matches!(spec.run(), Err(FlError::InvalidConfig(_))),
+                "{spec:?}"
+            );
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub use mhfl_data::Drift;
 pub use mhfl_fl::{
     AlgorithmState, Checkpoint, CheckpointObserver, ClientRoundStat, Corruption, CsvTelemetry,
     EarlyStop, EventCounter, Execution, MetricsReport, Observer, Parallelism, PersistError,
-    ProgressLogger, RobustAggregation, RoundEvent, Schedule, Session, Staleness, TraceReplay,
+    ProgressLogger, RobustAggregation, RoundEvent, Session, TraceReplay,
 };
 pub use platform::{base_family_for_task, topology_group_for_task, PlatformInventory};
 pub use report::{format_table, ComparisonRow};

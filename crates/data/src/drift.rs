@@ -1,25 +1,18 @@
-//! Label and concept drift over rounds for the synthetic tasks.
+//! Label drift over rounds for the synthetic tasks.
 //!
 //! Real federations are not stationary: the label distribution rotates
-//! (seasonality, fashion), and the input distribution shifts under the same
-//! labels (sensor aging, lighting). [`Drift`] describes a deterministic
-//! schedule of such shifts over training rounds, and [`apply_drift`]
-//! materialises the round-`r` view of a shard as a pure function of
-//! `(shard, drift, seed, round)` — no hidden state, so lazy and eager
-//! client materialisation, checkpoint restores and distributed runners all
-//! see the same drifted data.
+//! (seasonality, fashion). [`Drift`] describes a deterministic schedule of
+//! such shifts over training rounds, and [`apply_drift`] materialises the
+//! round-`r` view of a shard as a pure function of `(shard, drift, round)`
+//! — no hidden state, so lazy and eager client materialisation, checkpoint
+//! restores and distributed runners all see the same drifted data.
 //!
 //! The test set is never drifted: the benchmark measures how well training
 //! under drift tracks the *reference* task.
 
-use mhfl_tensor::{SeededRng, Tensor};
 use serde::{Deserialize, Serialize};
 
 use crate::Dataset;
-
-/// Salt for the per-epoch concept-shift offset stream, disjoint from the
-/// generator template streams.
-const DRIFT_SALT: u64 = 0xD21F_75EE_D000_0000;
 
 /// A deterministic schedule of distribution shift over training rounds.
 ///
@@ -38,15 +31,6 @@ pub enum Drift {
     LabelShift {
         /// Rounds per drift epoch (clamped to at least 1).
         period_rounds: usize,
-    },
-    /// Concept drift: each epoch adds a fresh seeded offset vector to every
-    /// sample's features (the same offset for all samples and clients of the
-    /// epoch), so p(x|y) moves while labels stay put.
-    ConceptShift {
-        /// Rounds per drift epoch (clamped to at least 1).
-        period_rounds: usize,
-        /// Standard deviation of the per-feature offset.
-        magnitude: f32,
     },
 }
 
@@ -67,7 +51,7 @@ impl Drift {
 /// Returns `None` when the view is identical to `data` (no drift, or epoch
 /// 0) so callers can keep the borrowed original instead of copying —
 /// [`Drift::None`] therefore costs nothing and changes nothing.
-pub fn apply_drift(data: &Dataset, drift: Drift, seed: u64, round: usize) -> Option<Dataset> {
+pub fn apply_drift(data: &Dataset, drift: Drift, round: usize) -> Option<Dataset> {
     match drift {
         Drift::None => None,
         Drift::LabelShift { period_rounds } => {
@@ -87,40 +71,13 @@ pub fn apply_drift(data: &Dataset, drift: Drift, seed: u64, round: usize) -> Opt
                 data.num_classes(),
             ))
         }
-        Drift::ConceptShift {
-            period_rounds,
-            magnitude,
-        } => {
-            let epoch = Drift::epoch(period_rounds, round);
-            if epoch == 0 || data.is_empty() {
-                return None;
-            }
-            let dims = data.inputs().dims().to_vec();
-            let samples = dims.first().copied().unwrap_or(0);
-            let feature_len = data.inputs().len() / samples.max(1);
-            // One offset vector per epoch, shared across samples, shards
-            // and clients: the whole federation's world shifts together.
-            let mut rng = SeededRng::new(seed ^ DRIFT_SALT).derive(epoch as u64);
-            let offsets: Vec<f32> = (0..feature_len)
-                .map(|_| rng.normal(0.0, magnitude))
-                .collect();
-            let mut values = data.inputs().as_slice().to_vec();
-            for (i, v) in values.iter_mut().enumerate() {
-                *v += offsets[i % feature_len.max(1)];
-            }
-            let inputs = Tensor::from_vec(values, &dims).expect("same shape as the source");
-            Some(Dataset::new(
-                inputs,
-                data.labels().to_vec(),
-                data.num_classes(),
-            ))
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mhfl_tensor::Tensor;
 
     fn toy() -> Dataset {
         let inputs = Tensor::from_vec(vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0], &[3, 2]).unwrap();
@@ -130,55 +87,20 @@ mod tests {
     #[test]
     fn none_and_epoch_zero_are_identity() {
         let data = toy();
-        assert!(apply_drift(&data, Drift::None, 7, 500).is_none());
+        assert!(apply_drift(&data, Drift::None, 500).is_none());
         let label = Drift::LabelShift { period_rounds: 10 };
-        assert!(apply_drift(&data, label, 7, 1).is_none());
-        assert!(apply_drift(&data, label, 7, 10).is_none());
-        let concept = Drift::ConceptShift {
-            period_rounds: 10,
-            magnitude: 0.5,
-        };
-        assert!(apply_drift(&data, concept, 7, 10).is_none());
+        assert!(apply_drift(&data, label, 1).is_none());
+        assert!(apply_drift(&data, label, 10).is_none());
     }
 
     #[test]
     fn label_shift_rotates_by_epoch() {
         let data = toy();
         let drift = Drift::LabelShift { period_rounds: 2 };
-        let e1 = apply_drift(&data, drift, 7, 3).unwrap();
+        let e1 = apply_drift(&data, drift, 3).unwrap();
         assert_eq!(e1.labels(), &[1, 2, 0]);
         assert_eq!(e1.inputs(), data.inputs(), "inputs untouched");
-        let e2 = apply_drift(&data, drift, 7, 5).unwrap();
+        let e2 = apply_drift(&data, drift, 5).unwrap();
         assert_eq!(e2.labels(), &[2, 0, 1]);
-    }
-
-    #[test]
-    fn concept_shift_is_seeded_per_epoch_and_shared_across_shards() {
-        let data = toy();
-        let drift = Drift::ConceptShift {
-            period_rounds: 2,
-            magnitude: 0.5,
-        };
-        let a = apply_drift(&data, drift, 7, 3).unwrap();
-        let b = apply_drift(&data, drift, 7, 4).unwrap();
-        assert_eq!(a, b, "same epoch, same offsets");
-        assert_eq!(a.labels(), data.labels(), "labels untouched");
-        let other_epoch = apply_drift(&data, drift, 7, 5).unwrap();
-        assert_ne!(a.inputs(), other_epoch.inputs());
-        let other_seed = apply_drift(&data, drift, 8, 3).unwrap();
-        assert_ne!(a.inputs(), other_seed.inputs());
-        // The offset is per feature, identical for every sample.
-        let delta: Vec<f32> = a
-            .inputs()
-            .as_slice()
-            .iter()
-            .zip(data.inputs().as_slice())
-            .map(|(x, y)| x - y)
-            .collect();
-        // Rounding of `value + offset` differs per value, so compare
-        // approximately.
-        assert!((delta[0] - delta[2]).abs() < 1e-5);
-        assert!((delta[1] - delta[3]).abs() < 1e-5);
-        assert!((delta[0] - delta[1]).abs() > 1e-5);
     }
 }

@@ -5,12 +5,11 @@
 //! slow or offline, never wrong. This module adds the adversarial axis:
 //!
 //! * [`Corruption`] — a seeded policy that turns a deterministic subset of
-//!   clients byzantine and mutates their uploaded payload tensors at the
-//!   arrival boundary (sign-flip, additive Gaussian noise, or gradient
-//!   scaling). Membership and noise are pure functions of `(seed, client)`
-//!   and `(seed, round, client)` respectively, on RNG streams salted away
-//!   from every stream the honest simulation draws, so `Corruption::None`
-//!   is bit-identical to a build without this module.
+//!   clients byzantine and sign-flips their uploaded payload tensors at the
+//!   arrival boundary. Membership is a pure function of `(seed, client)` on
+//!   an RNG stream salted away from every stream the honest simulation
+//!   draws, so `Corruption::None` is bit-identical to a build without this
+//!   module.
 //! * [`RobustAggregation`] — the server-side counter-measure, threaded
 //!   through all five algorithm families via
 //!   [`FlAlgorithm::set_robust_aggregation`](crate::FlAlgorithm::set_robust_aggregation):
@@ -32,8 +31,6 @@ use crate::update::{ClientPayload, ClientUpdate};
 
 /// Salt for the byzantine-membership stream: which clients are corrupt.
 const BYZANTINE_SALT: u64 = 0xBAD5_EED5_0000_0001;
-/// Salt for the per-(round, client) corruption noise stream.
-const NOISE_SALT: u64 = 0xBAD5_EED5_0000_0002;
 
 /// A seeded byzantine-client policy applied to arriving [`ClientUpdate`]s.
 ///
@@ -51,21 +48,6 @@ pub enum Corruption {
         /// Expected fraction of byzantine clients in `[0, 1]`.
         fraction: f64,
     },
-    /// Byzantine clients add i.i.d. Gaussian noise to every payload value.
-    GaussianNoise {
-        /// Expected fraction of byzantine clients in `[0, 1]`.
-        fraction: f64,
-        /// Standard deviation of the additive noise.
-        sigma: f32,
-    },
-    /// Byzantine clients scale every payload tensor (a scaled-gradient /
-    /// model-boosting attack; use a negative factor for an aimed one).
-    Scale {
-        /// Expected fraction of byzantine clients in `[0, 1]`.
-        fraction: f64,
-        /// Multiplier applied to every payload value.
-        factor: f32,
-    },
 }
 
 impl Corruption {
@@ -78,9 +60,7 @@ impl Corruption {
     pub fn fraction(&self) -> f64 {
         match *self {
             Corruption::None => 0.0,
-            Corruption::SignFlip { fraction }
-            | Corruption::GaussianNoise { fraction, .. }
-            | Corruption::Scale { fraction, .. } => fraction,
+            Corruption::SignFlip { fraction } => fraction,
         }
     }
 
@@ -96,38 +76,30 @@ impl Corruption {
             .bernoulli(fraction)
     }
 
-    /// Corrupts `update` in place if its client is byzantine. `round` is the
-    /// round the update was trained for, so replayed/restored runs corrupt
+    /// Corrupts `update` in place if its client is byzantine. Corruption
+    /// draws no randomness, so replayed and restored runs corrupt
     /// identically.
-    pub fn apply(&self, update: &mut ClientUpdate, seed: u64, round: usize) {
+    pub fn apply(&self, update: &mut ClientUpdate, seed: u64) {
         if self.is_none() || !self.is_byzantine(seed, update.client) {
             return;
         }
-        let mut rng =
-            SeededRng::new(seed ^ NOISE_SALT).derive((round * 10_000 + update.client) as u64);
-        let mut corrupt = |tensor: &mut Tensor| match *self {
+        let corrupt = |tensor: &mut Tensor| match *self {
             Corruption::None => {}
             Corruption::SignFlip { .. } => tensor.map_inplace(|v| -v),
-            Corruption::GaussianNoise { sigma, .. } => {
-                for v in tensor.as_mut_slice() {
-                    *v += rng.normal(0.0, sigma);
-                }
-            }
-            Corruption::Scale { factor, .. } => tensor.scale_inplace(factor),
         };
-        let corrupt_state = |state: &mut StateDict, corrupt: &mut dyn FnMut(&mut Tensor)| {
+        let corrupt_state = |state: &mut StateDict| {
             for (_, tensor) in state.iter_mut() {
                 corrupt(tensor);
             }
         };
         match &mut update.payload {
-            ClientPayload::SubModel { state, .. } => corrupt_state(state, &mut corrupt),
+            ClientPayload::SubModel { state, .. } => corrupt_state(state),
             ClientPayload::Prototypes { state, sums, .. } => {
-                corrupt_state(state, &mut corrupt);
+                corrupt_state(state);
                 corrupt(sums);
             }
             ClientPayload::PublicLogits { state, probs, .. } => {
-                corrupt_state(state, &mut corrupt);
+                corrupt_state(state);
                 corrupt(probs);
             }
             ClientPayload::Empty => {}
@@ -275,42 +247,13 @@ mod tests {
     fn sign_flip_negates_only_byzantine_clients() {
         let policy = Corruption::SignFlip { fraction: 1.0 };
         let mut update = update_with_state(3, &[1.0, -2.0, 0.5]);
-        policy.apply(&mut update, 7, 1);
+        policy.apply(&mut update, 7);
         assert_eq!(state_values(&update), vec![-1.0, 2.0, -0.5]);
 
         let honest = Corruption::SignFlip { fraction: 0.0 };
         let mut update = update_with_state(3, &[1.0, -2.0, 0.5]);
-        honest.apply(&mut update, 7, 1);
+        honest.apply(&mut update, 7);
         assert_eq!(state_values(&update), vec![1.0, -2.0, 0.5]);
-    }
-
-    #[test]
-    fn gaussian_noise_is_seeded_per_round_and_client() {
-        let policy = Corruption::GaussianNoise {
-            fraction: 1.0,
-            sigma: 0.1,
-        };
-        let base = [0.0f32; 8];
-        let mut a = update_with_state(2, &base);
-        let mut b = update_with_state(2, &base);
-        policy.apply(&mut a, 7, 1);
-        policy.apply(&mut b, 7, 1);
-        assert_eq!(state_values(&a), state_values(&b), "same (round, client)");
-        let mut c = update_with_state(2, &base);
-        policy.apply(&mut c, 7, 2);
-        assert_ne!(state_values(&a), state_values(&c), "round changes noise");
-        assert!(state_values(&a).iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn scale_applies_factor() {
-        let policy = Corruption::Scale {
-            fraction: 1.0,
-            factor: -5.0,
-        };
-        let mut update = update_with_state(0, &[1.0, 2.0]);
-        policy.apply(&mut update, 7, 1);
-        assert_eq!(state_values(&update), vec![-5.0, -10.0]);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! lives in the unified session driver ([`crate::Session`]), which the
 //! synchronous mode shares; this module owns the staleness *policy*:
 //!
-//! * [`Staleness`] — the configurable discount curves (the `s(t, τ)`
-//!   ablations of the FedBuff paper), applied per update by the driver;
+//! * [`Staleness`] — the discount curve, applied per update by the driver;
 //! * [`staleness_weight`] — the default `1/sqrt(1 + s)` shorthand;
 //! * the per-update [`max_staleness`](crate::EngineConfig::max_staleness)
 //!   bound is enforced by the driver before an update enters the buffer,
@@ -20,46 +19,22 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The staleness-discount curve applied to asynchronously buffered updates
-/// (the `s(t, τ)` ablations of the FedBuff paper). An update that watched
-/// `staleness` server aggregations complete while in flight has its
-/// aggregation weight multiplied by [`Staleness::weight`].
+/// The staleness-discount curve applied to asynchronously buffered updates.
+/// An update that watched `staleness` server aggregations complete while in
+/// flight has its aggregation weight multiplied by [`Staleness::weight`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub enum Staleness {
     /// `1 / sqrt(1 + s)` — FedBuff's default and the engine's.
     #[default]
     Sqrt,
-    /// `(1 + s)^-exp` — the polynomial family; `exp = 0.5` reproduces
-    /// [`Staleness::Sqrt`], larger exponents punish stale updates harder,
-    /// `exp = 0` accepts every update at full weight.
-    Polynomial {
-        /// The discount exponent (non-negative).
-        exp: f32,
-    },
-    /// Full weight up to `cutoff` aggregations of staleness, then a sharp
-    /// `1 / (1 + (s - cutoff))` decay (FedBuff's hinge variant).
-    Hinge {
-        /// Largest staleness that still gets weight `1.0`.
-        cutoff: usize,
-    },
 }
 
 impl Staleness {
-    /// The weight multiplier for an update of the given staleness. Every
-    /// curve is `1.0` at zero staleness, monotonically non-increasing, and
-    /// strictly positive.
+    /// The weight multiplier for an update of the given staleness: `1.0` at
+    /// zero staleness, monotonically decreasing, and strictly positive.
     pub fn weight(&self, staleness: usize) -> f32 {
-        let s = staleness as f32;
         match *self {
-            Staleness::Sqrt => 1.0 / (1.0 + s).sqrt(),
-            Staleness::Polynomial { exp } => (1.0 + s).powf(-exp.max(0.0)),
-            Staleness::Hinge { cutoff } => {
-                if staleness <= cutoff {
-                    1.0
-                } else {
-                    1.0 / (1.0 + (staleness - cutoff) as f32)
-                }
-            }
+            Staleness::Sqrt => 1.0 / (1.0 + staleness as f32).sqrt(),
         }
     }
 }
@@ -67,9 +42,7 @@ impl Staleness {
 /// The FedBuff staleness discount: an update that watched `staleness`
 /// server aggregations complete while in flight is weighted by
 /// `1 / sqrt(1 + staleness)`. Monotonically decreasing, equal to `1.0` for
-/// a fresh update. Shorthand for [`Staleness::Sqrt`]`.weight(staleness)`;
-/// other curves are configured through
-/// [`EngineConfig::staleness`](crate::EngineConfig).
+/// a fresh update. Shorthand for [`Staleness::Sqrt`]`.weight(staleness)`.
 pub fn staleness_weight(staleness: usize) -> f32 {
     Staleness::Sqrt.weight(staleness)
 }
@@ -85,46 +58,6 @@ mod tests {
         assert!(weights.windows(2).all(|w| w[1] < w[0]));
         assert!(weights.iter().all(|&w| w > 0.0 && w <= 1.0));
         assert!((staleness_weight(3) - 0.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn polynomial_curve_generalises_sqrt() {
-        // exp = 0.5 is exactly the sqrt curve.
-        for s in 0..30 {
-            let sqrt = Staleness::Sqrt.weight(s);
-            let poly = Staleness::Polynomial { exp: 0.5 }.weight(s);
-            assert!((sqrt - poly).abs() < 1e-6, "s={s}: {sqrt} vs {poly}");
-        }
-        // exp = 0 accepts everything at full weight.
-        assert_eq!(Staleness::Polynomial { exp: 0.0 }.weight(25), 1.0);
-        // Negative exponents are clamped rather than rewarding staleness.
-        assert_eq!(Staleness::Polynomial { exp: -2.0 }.weight(9), 1.0);
-        // Larger exponents discount harder.
-        let soft = Staleness::Polynomial { exp: 0.5 }.weight(8);
-        let hard = Staleness::Polynomial { exp: 2.0 }.weight(8);
-        assert!(hard < soft);
-        // Monotone non-increasing, positive, 1.0 when fresh.
-        let w: Vec<f32> = (0..20)
-            .map(|s| Staleness::Polynomial { exp: 1.0 }.weight(s))
-            .collect();
-        assert_eq!(w[0], 1.0);
-        assert!(w.windows(2).all(|p| p[1] <= p[0]));
-        assert!(w.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn hinge_curve_is_flat_then_decays() {
-        let hinge = Staleness::Hinge { cutoff: 3 };
-        for s in 0..=3 {
-            assert_eq!(hinge.weight(s), 1.0, "within the cutoff, full weight");
-        }
-        assert_eq!(hinge.weight(4), 0.5);
-        assert_eq!(hinge.weight(5), 1.0 / 3.0);
-        let w: Vec<f32> = (0..20).map(|s| hinge.weight(s)).collect();
-        assert!(w.windows(2).all(|p| p[1] <= p[0]));
-        assert!(w.iter().all(|&x| x > 0.0));
-        // cutoff = 0 starts decaying immediately.
-        assert_eq!(Staleness::Hinge { cutoff: 0 }.weight(1), 0.5);
     }
 
     #[test]

@@ -222,7 +222,7 @@ impl FederationContext {
     /// Panics if `client` is out of range.
     pub fn client_shard_at(&self, client: usize, round: usize) -> Cow<'_, Dataset> {
         let shard = self.client_shard(client);
-        match apply_drift(&shard, self.drift, self.seed, round) {
+        match apply_drift(&shard, self.drift, round) {
             Some(drifted) => Cow::Owned(drifted),
             None => shard,
         }

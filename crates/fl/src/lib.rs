@@ -21,9 +21,9 @@
 //!   updates — always delivered in selection order — into the global state.
 //!
 //! Which clients run each round is decided by a pluggable
-//! [`ClientScheduler`] ([`UniformSampler`], [`DeadlineAware`],
-//! [`PowerOfChoice`], [`BandwidthAware`], [`AvailabilityTrace`]),
-//! configured via the [`Schedule`] enum.
+//! [`ClientScheduler`]: the [`UniformSampler`] that the [`Schedule`] enum
+//! configures, or one installed with [`Session::set_scheduler`] such as
+//! [`TraceReplay`].
 //!
 //! Rounds advance either synchronously (the clock moves by whole rounds,
 //! stragglers dominate) or through FedBuff-style asynchronous buffered
@@ -78,8 +78,7 @@ pub use observer::{CsvTelemetry, EarlyStop, EventCounter, Observer, ProgressLogg
 pub use parallel::{fan_out, run_clients, ClientRunner, InProcessRunner, Parallelism};
 pub use persist::{CheckpointObserver, PersistError};
 pub use schedule::{
-    AvailabilityTrace, BandwidthAware, CandidatePool, Candidates, ClientScheduler, DeadlineAware,
-    DiurnalTrace, PowerOfChoice, RoundPlan, Schedule, TraceReplay, UniformSampler,
+    CandidatePool, Candidates, ClientScheduler, RoundPlan, Schedule, TraceReplay, UniformSampler,
 };
 pub use session::{Checkpoint, RoundEvent, Session};
 pub use snapshot::AlgorithmState;

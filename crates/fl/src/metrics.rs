@@ -191,8 +191,8 @@ impl MetricsReport {
     /// not appear (use [`participation_fairness`] to reason about them).
     ///
     /// Under uniform sampling every client's count concentrates around
-    /// `rounds × sample_ratio`; cost-sensitive policies (bandwidth-aware,
-    /// fastest-of-k) and the asynchronous engine skew the distribution
+    /// `rounds × sample_ratio`; cost-sensitive policies and the
+    /// asynchronous engine skew the distribution
     /// toward cheap/fast clients — this accessor is the raw material for
     /// quantifying that selection bias.
     ///

@@ -50,12 +50,12 @@ use crate::{
 
 /// Consecutive idle clock advances (no client dispatchable, nothing in
 /// flight) after which an asynchronous run gives up instead of spinning
-/// forever — only reachable when the availability trace keeps every client
-/// offline for this many slots in a row.
+/// forever — only reachable when an availability-gated scheduler keeps every
+/// client offline for this many slots in a row.
 const MAX_IDLE_ADVANCES: usize = 10_000;
 
 /// Salt for the per-dispatch churn stream, disjoint from every honest
-/// simulation stream and from the corruption salts.
+/// simulation stream and from the corruption salt.
 const CHURN_SALT: u64 = 0xBAD5_EED5_0000_0003;
 
 /// One typed occurrence on the simulated clock, yielded by
@@ -889,9 +889,8 @@ impl<'a> Session<'a> {
             self.seq += 1;
         }
         if expected == 0 {
-            // The scheduler skipped every candidate (e.g. a missed
-            // deadline): the round aggregates empty and the clock still
-            // advances.
+            // The scheduler selected nobody (e.g. nobody was reachable):
+            // the round aggregates empty and the clock still advances.
             return self.flush_round();
         }
         Ok(())
@@ -1018,13 +1017,8 @@ impl<'a> Session<'a> {
         if is_async {
             update.staleness_weight = self.engine.config().staleness.weight(staleness);
         }
-        if !self.corruption.is_none() {
-            // Byzantine corruption strikes in transit: the round key is the
-            // round the update was trained for, so replayed and restored
-            // runs corrupt bit-identically.
-            self.corruption
-                .apply(&mut update, self.ctx.seed(), arrival.dispatched_version + 1);
-        }
+        // Byzantine corruption strikes in transit.
+        self.corruption.apply(&mut update, self.ctx.seed());
         let stat = ClientRoundStat {
             client,
             // Patched to the actual aggregation round when the buffer

@@ -666,85 +666,15 @@ pub fn take_stat(d: &mut Decoder<'_>) -> PersistResult<ClientRoundStat> {
     })
 }
 
-/// Encodes a [`Schedule`].
-pub fn put_schedule(e: &mut Encoder, schedule: Schedule) {
-    match schedule {
-        Schedule::Uniform => e.put_u8(0),
-        Schedule::DeadlineAware { deadline_secs } => {
-            e.put_u8(1);
-            e.put_f64(deadline_secs);
-        }
-        Schedule::FastestOfK { factor } => {
-            e.put_u8(2);
-            e.put_usize(factor);
-        }
-        Schedule::BandwidthAware { factor } => {
-            e.put_u8(3);
-            e.put_usize(factor);
-        }
-        Schedule::AvailabilityTrace {
-            period_secs,
-            online_fraction,
-        } => {
-            e.put_u8(4);
-            e.put_f64(period_secs);
-            e.put_f64(online_fraction);
-        }
-        Schedule::DiurnalTrace {
-            day_secs,
-            slot_secs,
-            peak_online,
-            trough_online,
-        } => {
-            e.put_u8(5);
-            e.put_f64(day_secs);
-            e.put_f64(slot_secs);
-            e.put_f64(peak_online);
-            e.put_f64(trough_online);
-        }
-    }
-}
-
-/// Decodes a [`Schedule`] written by [`put_schedule`].
-///
-/// # Errors
-/// Returns [`PersistError::Malformed`] on an unknown tag.
-pub fn take_schedule(d: &mut Decoder<'_>) -> PersistResult<Schedule> {
-    match d.take_u8()? {
-        0 => Ok(Schedule::Uniform),
-        1 => Ok(Schedule::DeadlineAware {
-            deadline_secs: d.take_f64()?,
-        }),
-        2 => Ok(Schedule::FastestOfK {
-            factor: d.take_usize()?,
-        }),
-        3 => Ok(Schedule::BandwidthAware {
-            factor: d.take_usize()?,
-        }),
-        4 => Ok(Schedule::AvailabilityTrace {
-            period_secs: d.take_f64()?,
-            online_fraction: d.take_f64()?,
-        }),
-        5 => Ok(Schedule::DiurnalTrace {
-            day_secs: d.take_f64()?,
-            slot_secs: d.take_f64()?,
-            peak_online: d.take_f64()?,
-            trough_online: d.take_f64()?,
-        }),
-        tag => Err(PersistError::Malformed {
-            section: d.section,
-            detail: format!("unknown schedule tag {tag}"),
-        }),
-    }
-}
-
 /// Encodes an [`EngineConfig`] (every field, canonical order).
 pub fn put_config(e: &mut Encoder, config: &EngineConfig) {
     e.put_usize(config.rounds);
     e.put_f64(config.sample_ratio);
     e.put_usize(config.eval_every);
     e.put_usize(config.stability_clients);
-    put_schedule(e, config.schedule);
+    match config.schedule {
+        Schedule::Uniform => e.put_u8(0),
+    }
     match config.parallelism {
         Parallelism::Sequential => e.put_u8(0),
         Parallelism::Threads { workers } => {
@@ -765,14 +695,6 @@ pub fn put_config(e: &mut Encoder, config: &EngineConfig) {
     }
     match config.staleness {
         Staleness::Sqrt => e.put_u8(0),
-        Staleness::Polynomial { exp } => {
-            e.put_u8(1);
-            e.put_f32(exp);
-        }
-        Staleness::Hinge { cutoff } => {
-            e.put_u8(2);
-            e.put_usize(cutoff);
-        }
     }
     match config.max_staleness {
         None => e.put_bool(false),
@@ -792,7 +714,15 @@ pub fn take_config(d: &mut Decoder<'_>) -> PersistResult<EngineConfig> {
     let sample_ratio = d.take_f64()?;
     let eval_every = d.take_usize()?;
     let stability_clients = d.take_usize()?;
-    let schedule = take_schedule(d)?;
+    let schedule = match d.take_u8()? {
+        0 => Schedule::Uniform,
+        tag => {
+            return Err(PersistError::Malformed {
+                section: d.section,
+                detail: format!("unknown schedule tag {tag}"),
+            })
+        }
+    };
     let parallelism = match d.take_u8()? {
         0 => Parallelism::Sequential,
         1 => Parallelism::Threads {
@@ -820,10 +750,6 @@ pub fn take_config(d: &mut Decoder<'_>) -> PersistResult<EngineConfig> {
     };
     let staleness = match d.take_u8()? {
         0 => Staleness::Sqrt,
-        1 => Staleness::Polynomial { exp: d.take_f32()? },
-        2 => Staleness::Hinge {
-            cutoff: d.take_usize()?,
-        },
         tag => {
             return Err(PersistError::Malformed {
                 section: d.section,
@@ -1347,24 +1273,14 @@ mod tests {
                 sample_ratio: 0.25,
                 eval_every: 7,
                 stability_clients: 3,
-                schedule: Schedule::DiurnalTrace {
-                    day_secs: 86_400.0,
-                    slot_secs: 60.0,
-                    peak_online: 0.9,
-                    trough_online: 0.1,
-                },
+                schedule: Schedule::Uniform,
                 parallelism: Parallelism::Threads { workers: 8 },
                 execution: Execution::AsyncBuffered {
                     buffer_size: 16,
                     concurrency: 64,
                 },
-                staleness: Staleness::Hinge { cutoff: 5 },
+                staleness: Staleness::Sqrt,
                 max_staleness: Some(12),
-            },
-            EngineConfig {
-                schedule: Schedule::BandwidthAware { factor: 3 },
-                staleness: Staleness::Polynomial { exp: 1.5 },
-                ..EngineConfig::default()
             },
         ];
         for config in configs {
@@ -1374,6 +1290,33 @@ mod tests {
             let mut d = Decoder::new(&bytes, "t");
             assert_eq!(take_config(&mut d).unwrap(), config);
             d.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn retired_schedule_and_staleness_tags_are_refused() {
+        // The schedule tag is the fifth field and the staleness tag the
+        // last-but-one; earlier codecs wrote tags 1–5 and 1–2 there, with
+        // variant fields after them.
+        let mut e = Encoder::new();
+        put_config(&mut e, &EngineConfig::default());
+        let bytes = e.into_bytes();
+        let schedule_at = 8 * 4;
+        let staleness_at = bytes.len() - 2;
+        assert_eq!((bytes[schedule_at], bytes[staleness_at]), (0, 0));
+        let retired = (1..=5u8)
+            .map(|tag| (schedule_at, tag, "schedule"))
+            .chain((1..=2u8).map(|tag| (staleness_at, tag, "staleness")));
+        for (at, tag, what) in retired {
+            let mut bytes = bytes.clone();
+            bytes[at] = tag;
+            let mut d = Decoder::new(&bytes, "config");
+            match take_config(&mut d) {
+                Err(PersistError::Malformed { detail, .. }) => {
+                    assert_eq!(detail, format!("unknown {what} tag {tag}"));
+                }
+                other => panic!("{what} tag {tag}: {other:?}"),
+            }
         }
     }
 }

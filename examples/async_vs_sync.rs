@@ -15,7 +15,7 @@
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_models::MhflMethod;
-use pracmhbench_core::{format_table, Execution, ExperimentSpec, Parallelism, RunScale, Schedule};
+use pracmhbench_core::{format_table, Execution, ExperimentSpec, Parallelism, RunScale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = ExperimentSpec::new(
@@ -27,19 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .with_parallelism(Parallelism::threads())
     .with_seed(17);
 
-    let modes: [(&str, ExperimentSpec); 3] = [
+    let modes: [(&str, ExperimentSpec); 2] = [
         ("sync", base),
         (
             "async (K=2)",
             base.with_execution(Execution::async_buffered(2)),
-        ),
-        (
-            "async (K=2) + availability trace",
-            base.with_execution(Execution::async_buffered(2))
-                .with_schedule(Schedule::AvailabilityTrace {
-                    period_secs: 400.0,
-                    online_fraction: 0.8,
-                }),
         ),
     ];
 
@@ -75,7 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
     println!("\nThe buffered engine refills client slots the moment an update arrives,");
-    println!("so stragglers no longer gate the clock; the availability trace shows the");
-    println!("same machinery coping with devices that drop offline mid-run.");
+    println!("so stragglers no longer gate the clock.");
     Ok(())
 }

@@ -1,6 +1,6 @@
 //! Integration tests of the failure-mode scenario suite: byzantine update
-//! corruption + robust aggregation, mid-round client churn, label/concept
-//! drift, and trace-replay scheduling.
+//! corruption + robust aggregation, mid-round client churn, label drift,
+//! and trace-replay scheduling.
 //!
 //! The headline property pinned here: with every scenario knob at its
 //! default, the event stream and report are bit-identical to a build that

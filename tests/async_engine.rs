@@ -3,8 +3,9 @@
 use mhfl_data::{DataTask, Dataset, FederatedDataset};
 use mhfl_device::{ConstraintCase, CostModel, ModelPool};
 use mhfl_fl::{
-    staleness_weight, ClientPayload, ClientUpdate, EngineConfig, Execution, FederationContext,
-    FlAlgorithm, FlEngine, FlResult, LocalTrainConfig, Parallelism, Schedule, Staleness,
+    staleness_weight, ClientPayload, ClientScheduler, ClientUpdate, EngineConfig, Execution,
+    FederationContext, FlAlgorithm, FlEngine, FlResult, LocalTrainConfig, MetricsReport,
+    Parallelism, Staleness, TraceReplay,
 };
 use mhfl_models::{MhflMethod, ModelFamily};
 use pracmhbench_core::{ExperimentSpec, RunScale};
@@ -70,6 +71,19 @@ fn context(num_clients: usize, seed: u64) -> FederationContext {
         &CostModel::default(),
     );
     FederationContext::new(data, assignments, LocalTrainConfig::default(), seed).unwrap()
+}
+
+/// Runs `config` over `ctx` with `trace` replayed as the scheduler.
+fn run_replayed(
+    config: EngineConfig,
+    ctx: &FederationContext,
+    trace: TraceReplay,
+) -> (MetricsReport, RecordingAlgorithm) {
+    let mut alg = RecordingAlgorithm::default();
+    let mut session = FlEngine::new(config).session(&mut alg, ctx).unwrap();
+    session.set_scheduler(Box::new(trace));
+    let report = session.drain().unwrap();
+    (report, alg)
 }
 
 fn async_config(rounds: usize, buffer_size: usize) -> EngineConfig {
@@ -161,15 +175,8 @@ fn arrivals_drive_an_increasing_clock() {
 #[test]
 fn empty_availability_terminates_without_panicking() {
     let ctx = context(6, 3);
-    let engine = FlEngine::new(EngineConfig {
-        schedule: Schedule::AvailabilityTrace {
-            period_secs: 50.0,
-            online_fraction: 0.0,
-        },
-        ..async_config(4, 2)
-    });
-    let mut alg = RecordingAlgorithm::default();
-    let report = engine.run(&mut alg, &ctx).unwrap();
+    let empty = TraceReplay::from_csv("").unwrap().with_slot_secs(50.0);
+    let (report, alg) = run_replayed(async_config(4, 2), &ctx, empty);
     // Nobody was ever dispatchable: no aggregations, no records, no panic.
     assert!(alg.batches.is_empty());
     assert!(report.records.is_empty());
@@ -178,17 +185,22 @@ fn empty_availability_terminates_without_panicking() {
 #[test]
 fn intermittent_availability_still_makes_progress() {
     let ctx = context(10, 9);
-    let engine = FlEngine::new(EngineConfig {
-        schedule: Schedule::AvailabilityTrace {
-            period_secs: 200.0,
-            online_fraction: 0.6,
-        },
-        ..async_config(5, 2)
-    });
-    let mut alg = RecordingAlgorithm::default();
-    let report = engine.run(&mut alg, &ctx).unwrap();
+    // Even clients are reachable for the first half of every 1 000 s, odd
+    // clients for the second half.
+    let csv: String = (0..10)
+        .map(|c| {
+            let start = if c % 2 == 0 { 0.0 } else { 500.0 };
+            format!("1,{c},{start},{}\n", start + 500.0)
+        })
+        .collect();
+    let trace = TraceReplay::from_csv(&csv).unwrap().with_slot_secs(25.0);
+    let (report, alg) = run_replayed(async_config(5, 2), &ctx, trace.clone());
     assert_eq!(alg.batches.len(), 5);
     assert!(report.total_sim_time_secs() > 0.0);
+    // Every aggregated update was dispatched while its client was online.
+    for stat in report.client_stats() {
+        assert!(trace.is_available(stat.client, stat.dispatch_secs, &ctx));
+    }
 }
 
 #[test]
@@ -237,12 +249,13 @@ fn real_algorithms_run_async_end_to_end() {
 #[test]
 fn staleness_curve_is_configurable_on_the_engine() {
     let ctx = context(12, 7);
-    let base = async_config(10, 2);
-    let run = |staleness| {
+    let config = EngineConfig {
+        staleness: Staleness::Sqrt,
+        ..async_config(10, 2)
+    };
+    let run = || {
         let mut alg = RecordingAlgorithm::default();
-        let report = FlEngine::new(EngineConfig { staleness, ..base })
-            .run(&mut alg, &ctx)
-            .unwrap();
+        let report = FlEngine::new(config).run(&mut alg, &ctx).unwrap();
         let weights: Vec<f32> = alg
             .batches
             .iter()
@@ -252,32 +265,19 @@ fn staleness_curve_is_configurable_on_the_engine() {
         (report, weights)
     };
 
-    // Every update's weight follows the configured curve exactly.
-    let (sqrt_report, sqrt_weights) = run(Staleness::Sqrt);
-    let (hinge_report, hinge_weights) = run(Staleness::Hinge { cutoff: 1_000 });
-    let (poly_report, poly_weights) = run(Staleness::Polynomial { exp: 0.0 });
+    // Every update's weight follows the configured curve exactly, and the
+    // curve discounts the stale updates this run provably has.
+    let (report, weights) = run();
+    let stats: Vec<_> = report.client_stats().collect();
+    assert_eq!(weights.len(), stats.len());
+    for (weight, stat) in weights.iter().zip(&stats) {
+        assert_eq!(*weight, Staleness::Sqrt.weight(stat.staleness));
+    }
+    assert!(weights.iter().any(|&w| w < 1.0));
+    assert!(report.mean_staleness() > 0.0);
 
-    // A hinge far beyond any observed staleness and a zero-exponent
-    // polynomial both accept every update at full weight — and since the
-    // event schedule is identical, their traces are byte-identical.
-    assert!(hinge_weights.iter().all(|&w| w == 1.0));
-    assert!(poly_weights.iter().all(|&w| w == 1.0));
-    assert_eq!(hinge_report.digest(), poly_report.digest());
-
-    // The sqrt curve discounts the stale updates this run provably has.
-    // (The recording stub ignores weights when "evaluating", so only the
-    // weights themselves — not the stub's telemetry — can differ.)
-    assert!(sqrt_weights.iter().any(|&w| w < 1.0));
-    assert!(sqrt_report.mean_staleness() > 0.0);
-    assert_eq!(sqrt_weights.len(), hinge_weights.len());
-    assert!(
-        sqrt_weights.iter().zip(&hinge_weights).any(|(s, h)| s < h),
-        "some stale update must be discounted only by sqrt"
-    );
-
-    // And the engine reproduces each curve deterministically.
-    let (sqrt_again, _) = run(Staleness::Sqrt);
-    assert_eq!(sqrt_report, sqrt_again);
+    // And the engine reproduces the curve deterministically.
+    assert_eq!(report, run().0);
 }
 
 #[test]
