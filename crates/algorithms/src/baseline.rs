@@ -27,39 +27,16 @@ pub(crate) fn smallest_config(ctx: &FederationContext) -> ProxyConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::test_context;
     use crate::submodel::SubmodelAlgorithm;
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_fl::{EngineConfig, FlAlgorithm, FlEngine, LocalTrainConfig};
-    use mhfl_models::{MhflMethod, ModelFamily};
+    use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
+    use mhfl_fl::{EngineConfig, FlAlgorithm, FlEngine};
+    use mhfl_models::MhflMethod;
 
     fn context(clients: usize) -> FederationContext {
-        let task = DataTask::UciHar;
-        let data = FederatedDataset::generate(task, clients, 20, None, 3);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            task.num_classes(),
-        );
-        let case = ConstraintCase::Memory;
-        let devices = case.build_population(clients, 1);
-        let assignments = case.assign_clients(
-            &pool,
-            MhflMethod::HomogeneousSmallest,
-            &devices,
-            &CostModel::default(),
-        );
-        FederationContext::new(
-            data,
-            assignments,
-            LocalTrainConfig {
-                local_steps: 4,
-                ..LocalTrainConfig::default()
-            },
-            3,
-        )
-        .unwrap()
+        let method = MhflMethod::HomogeneousSmallest;
+        test_context(DataTask::UciHar, method, ConstraintCase::Memory, clients, 3)
     }
 
     #[test]

@@ -46,14 +46,13 @@ pub fn global_proxy_config(ctx: &FederationContext, method: MhflMethod) -> Proxy
     .with_aux_heads(with_aux)
 }
 
-/// The random stream of `client`'s work in `round`.
-///
-/// Streams alias once `client >= 10_000` (round `r`, client `c + 10_000` is
-/// round `r + 1`, client `c`). Separating them moves every digest, so it is
-/// ROADMAP direction 2b's declared re-bless: change the derived key here,
-/// and only there.
+/// The random stream of `client`'s work in `round`: the round's stream of
+/// the experiment seed, then the client's stream of that. Two levels, so
+/// every `(round, client)` pair gets its own stream at any population size.
 pub(crate) fn client_rng(ctx: &FederationContext, round: usize, client: usize) -> SeededRng {
-    SeededRng::new(ctx.seed()).derive((round * 10_000 + client) as u64)
+    SeededRng::new(ctx.seed())
+        .derive(round as u64)
+        .derive(client as u64)
 }
 
 /// The local models a topology family (FedProto, Fed-ET) keeps per client
@@ -171,40 +170,57 @@ pub(crate) fn evaluate_distinct<K: PartialEq + Sync>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mhfl_data::{DataTask, FederatedDataset};
+    use mhfl_data::{DataTask, ShardPlan};
     use mhfl_device::{ConstraintCase, CostModel, ModelPool};
     use mhfl_fl::LocalTrainConfig;
     use mhfl_models::ModelFamily;
 
+    /// A resident federation of `method` clients under `case`, assigned from
+    /// the ResNet pool: twenty samples and four local steps per client,
+    /// everything seeded by `seed`.
     pub(crate) fn test_context(
         task: DataTask,
-        base_family: ModelFamily,
         method: MhflMethod,
+        case: ConstraintCase,
         num_clients: usize,
+        seed: u64,
     ) -> FederationContext {
-        let data = FederatedDataset::generate(task, num_clients, 16, None, 11);
         let pool = ModelPool::build(
-            base_family,
+            ModelFamily::ResNet101,
             &ModelFamily::RESNET_FAMILY,
             &MhflMethod::ALL,
             task.num_classes(),
         );
-        let case = ConstraintCase::Computation {
-            deadline_secs: 400.0,
+        let assignments = (0..num_clients)
+            .map(|client| {
+                let device = case.derive_device(seed, client);
+                case.assign_client(&pool, method, &device, &CostModel::default(), client)
+            })
+            .collect();
+        let plan = ShardPlan::new(task, num_clients, 20, None, seed);
+        let train = LocalTrainConfig {
+            local_steps: 4,
+            ..LocalTrainConfig::default()
         };
-        let devices = case.build_population(num_clients, 5);
-        let assignments = case.assign_clients(&pool, method, &devices, &CostModel::default());
-        FederationContext::new(data, assignments, LocalTrainConfig::default(), 11).unwrap()
+        FederationContext::new(plan.materialise(), assignments, train, seed).unwrap()
+    }
+
+    const COMP_400: ConstraintCase = ConstraintCase::Computation {
+        deadline_secs: 400.0,
+    };
+
+    /// One round's client 10 000 and the next round's client 0 draw from
+    /// different streams.
+    #[test]
+    fn client_streams_do_not_alias_across_rounds() {
+        let ctx = test_context(DataTask::UciHar, MhflMethod::SHeteroFl, COMP_400, 1, 11);
+        let first = |round, client| client_rng(&ctx, round, client).uniform(0.0, 1.0);
+        assert_ne!(first(0, 10_000), first(1, 0));
     }
 
     #[test]
     fn client_configs_follow_assignments() {
-        let ctx = test_context(
-            DataTask::Cifar10,
-            ModelFamily::ResNet101,
-            MhflMethod::SHeteroFl,
-            8,
-        );
+        let ctx = test_context(DataTask::Cifar10, MhflMethod::SHeteroFl, COMP_400, 8, 11);
         for client in 0..ctx.num_clients() {
             let cfg = client_proxy_config(&ctx, client, MhflMethod::SHeteroFl);
             let a = ctx.assignment(client);
@@ -218,12 +234,7 @@ pub(crate) mod tests {
 
     #[test]
     fn global_config_is_full_size() {
-        let ctx = test_context(
-            DataTask::Cifar10,
-            ModelFamily::ResNet101,
-            MhflMethod::FedRolex,
-            6,
-        );
+        let ctx = test_context(DataTask::Cifar10, MhflMethod::FedRolex, COMP_400, 6, 11);
         let cfg = global_proxy_config(&ctx, MhflMethod::FedRolex);
         assert_eq!(cfg.width_fraction, 1.0);
         assert_eq!(cfg.depth_fraction, 1.0);

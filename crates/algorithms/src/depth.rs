@@ -161,34 +161,15 @@ pub(crate) fn evaluate_ensemble(model: &mut ProxyModel, data: &Dataset) -> FlRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::test_context;
     use crate::submodel::SubmodelAlgorithm;
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
+    use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
     use mhfl_fl::{EngineConfig, FederationContext, FlAlgorithm, FlEngine};
-    use mhfl_models::{MhflMethod, ModelFamily};
+    use mhfl_models::MhflMethod;
 
     fn context(method: MhflMethod, clients: usize) -> FederationContext {
-        let task = DataTask::UciHar;
-        let data = FederatedDataset::generate(task, clients, 20, None, 2);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            task.num_classes(),
-        );
-        let case = ConstraintCase::Memory;
-        let devices = case.build_population(clients, 4);
-        let assignments = case.assign_clients(&pool, method, &devices, &CostModel::default());
-        FederationContext::new(
-            data,
-            assignments,
-            LocalTrainConfig {
-                local_steps: 4,
-                ..LocalTrainConfig::default()
-            },
-            2,
-        )
-        .unwrap()
+        test_context(DataTask::UciHar, method, ConstraintCase::Memory, clients, 2)
     }
 
     fn run(method: MhflMethod) -> f32 {

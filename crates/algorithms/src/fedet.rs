@@ -343,34 +343,19 @@ impl FlAlgorithm for FedEt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_fl::{EngineConfig, FlEngine, LocalTrainConfig};
-    use mhfl_models::ModelFamily;
+    use crate::common::tests::test_context;
+    use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
+    use mhfl_fl::{EngineConfig, FlEngine};
 
     fn context(clients: usize) -> FederationContext {
-        let task = DataTask::UciHar;
-        let data = FederatedDataset::generate(task, clients, 20, None, 5);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            task.num_classes(),
-        );
-        let case = ConstraintCase::Memory;
-        let devices = case.build_population(clients, 8);
-        let assignments =
-            case.assign_clients(&pool, MhflMethod::FedEt, &devices, &CostModel::default());
-        FederationContext::new(
-            data,
-            assignments,
-            LocalTrainConfig {
-                local_steps: 4,
-                ..LocalTrainConfig::default()
-            },
+        test_context(
+            DataTask::UciHar,
+            MhflMethod::FedEt,
+            ConstraintCase::Memory,
+            clients,
             5,
         )
-        .unwrap()
     }
 
     #[test]

@@ -54,8 +54,8 @@ mod tests {
     use super::*;
     use crate::common::tests::test_context;
     use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
     use mhfl_fl::{FlError, FlResult, Parallelism};
-    use mhfl_models::ModelFamily;
 
     #[test]
     fn factory_builds_every_method() {
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn every_entry_point_errors_before_setup() {
         for method in MhflMethod::ALL {
-            let ctx = test_context(DataTask::UciHar, ModelFamily::ResNet101, method, 4);
+            let ctx = test_context(DataTask::UciHar, method, ConstraintCase::Memory, 4, 11);
             let mut twin = build_algorithm(method);
             twin.setup(&ctx).unwrap();
             let real_update = twin.client_update(1, 0, &ctx).unwrap();

@@ -330,42 +330,19 @@ impl FlAlgorithm for FedProto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_fl::{EngineConfig, FlEngine, LocalTrainConfig};
+    use crate::common::tests::test_context;
+    use mhfl_data::{DataTask, ShardPlan};
+    use mhfl_device::ConstraintCase;
+    use mhfl_fl::{EngineConfig, FlEngine};
     use mhfl_models::ModelFamily;
 
-    fn data(clients: usize) -> FederatedDataset {
-        FederatedDataset::generate(DataTask::UciHar, clients, 20, None, 4)
-    }
-
     fn context(clients: usize) -> FederationContext {
-        let task = DataTask::UciHar;
-        let data = data(clients);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            task.num_classes(),
-        );
         // A tight compute deadline forces slow devices onto smaller family
         // members, so the federation is genuinely topology-heterogeneous.
         let case = ConstraintCase::Computation {
             deadline_secs: 60.0,
         };
-        let devices = case.build_population(clients, 6);
-        let assignments =
-            case.assign_clients(&pool, MhflMethod::FedProto, &devices, &CostModel::default());
-        FederationContext::new(
-            data,
-            assignments,
-            LocalTrainConfig {
-                local_steps: 4,
-                ..LocalTrainConfig::default()
-            },
-            4,
-        )
-        .unwrap()
+        test_context(DataTask::UciHar, MhflMethod::FedProto, case, clients, 4)
     }
 
     #[test]
@@ -405,7 +382,7 @@ mod tests {
             };
         }
         let ctx = FederationContext::new(
-            data(base.num_clients()),
+            ShardPlan::new(DataTask::UciHar, base.num_clients(), 20, None, 4).materialise(),
             assignments,
             *base.train_config(),
             base.seed(),

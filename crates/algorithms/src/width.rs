@@ -55,35 +55,17 @@ pub(crate) fn deployed_config(global: ProxyConfig, client: usize) -> ProxyConfig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::test_context;
     use crate::submodel::SubmodelAlgorithm;
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_fl::{EngineConfig, FederationContext, FlAlgorithm, FlEngine, LocalTrainConfig};
-    use mhfl_models::ModelFamily;
+    use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
+    use mhfl_fl::{EngineConfig, FederationContext, FlAlgorithm, FlEngine};
 
     fn context(task: DataTask, method: MhflMethod, clients: usize) -> FederationContext {
-        let data = FederatedDataset::generate(task, clients, 20, None, 1);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            task.num_classes(),
-        );
         let case = ConstraintCase::Computation {
             deadline_secs: 350.0,
         };
-        let devices = case.build_population(clients, 2);
-        let assignments = case.assign_clients(&pool, method, &devices, &CostModel::default());
-        FederationContext::new(
-            data,
-            assignments,
-            LocalTrainConfig {
-                local_steps: 4,
-                ..LocalTrainConfig::default()
-            },
-            1,
-        )
-        .unwrap()
+        test_context(task, method, case, clients, 1)
     }
 
     fn run_method(method: MhflMethod, task: DataTask) -> f32 {

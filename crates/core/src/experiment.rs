@@ -5,7 +5,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_data::{DataTask, Dataset, Drift, FederatedDataset, Partition, ShardPlan};
+use mhfl_data::{DataTask, Dataset, Drift, Partition, ShardPlan};
 use mhfl_device::{ClientAssignment, ConstraintCase, CostModel, ModelPool};
 use mhfl_fl::{
     ClientSource, Corruption, EngineConfig, Execution, FederationContext, FlAlgorithm, FlEngine,
@@ -218,67 +218,74 @@ impl ExperimentSpec {
         self
     }
 
-    /// Builds the federation context this spec describes.
+    /// Builds the federation context this spec describes, with every
+    /// client's data shard and device assignment materialised up front and
+    /// lent without a copy.
+    ///
+    /// The clients are the ones [`build_lazy_context`] derives on each touch:
+    /// the assignments are those of the same [`LazyClientSource`], collected
+    /// client by client, and [`ShardPlan::materialise`] holds exactly the
+    /// shards [`ShardPlan::client_shard`] derives. So the two constructors
+    /// give the same clients and the same run digests; they differ only in
+    /// memory, O(population) here against O(active clients).
+    ///
+    /// [`build_lazy_context`]: ExperimentSpec::build_lazy_context
     ///
     /// # Errors
-    /// Returns an error if the context is inconsistent (should not happen for
-    /// specs built through the public API).
+    /// [`FlError::InvalidConfig`] if the spec describes an empty federation.
     pub fn build_context(&self) -> FlResult<FederationContext> {
-        let (default_clients, samples_per_client, _rounds, _ratio) =
-            self.scale.parameters(self.task);
-        let num_clients = self.num_clients.unwrap_or(default_clients);
-        let data = FederatedDataset::generate(
-            self.task,
-            num_clients,
-            samples_per_client,
-            self.partition,
-            self.seed,
-        );
-        let pool = ModelPool::build(
-            base_family_for_task(self.task),
-            &topology_group_for_task(self.task),
-            &MhflMethod::ALL,
-            self.task.num_classes(),
-        );
-        let devices = self.constraint.build_population(num_clients, self.seed);
-        let assignments =
-            self.constraint
-                .assign_clients(&pool, self.method, &devices, &CostModel::default());
-        let train = LocalTrainConfig::default();
-        Ok(FederationContext::new(data, assignments, train, self.seed)?.with_drift(self.drift))
+        let source = self.client_source()?;
+        let assignments = (0..source.plan.num_clients())
+            .map(|client| source.assignment(client))
+            .collect();
+        let data = source.plan.materialise();
+        let ctx =
+            FederationContext::new(data, assignments, LocalTrainConfig::default(), self.seed)?;
+        Ok(ctx.with_drift(self.drift))
     }
 
-    /// Builds a *lazy* federation context for this spec: no per-client state
-    /// is materialised up front. Device profiles and data shards are derived
-    /// on demand from `(seed, client_id)` by a [`LazyClientSource`], so the
-    /// resident footprint is O(active clients) regardless of the population —
-    /// the construction behind the million-client runs of the
-    /// `population_scale` benchmark.
-    ///
-    /// Lazy populations are a *distinct* population kind from the eager ones
-    /// [`build_context`](ExperimentSpec::build_context) builds: both draw
-    /// devices and shards from the same per-case distributions, but the
-    /// per-client draws differ, so digests are not comparable across the two
-    /// constructors. Within the lazy kind everything is deterministic in
+    /// Builds the federation context of
+    /// [`build_context`](ExperimentSpec::build_context) with nothing
+    /// materialised up front: a [`LazyClientSource`] derives each client's
+    /// device assignment and data shard on demand from `(seed, client_id)`,
+    /// so the resident footprint is O(active clients) regardless of the
+    /// population — the construction behind the million-client runs of the
+    /// `population_scale` benchmark. Everything is deterministic in
     /// `(seed, client_id)` and independent of access order.
     ///
     /// # Errors
-    /// Returns an error if the spec describes an empty federation.
+    /// [`FlError::InvalidConfig`] if the spec describes an empty federation.
     pub fn build_lazy_context(&self) -> FlResult<FederationContext> {
+        let source = self.client_source()?;
+        let plan = source.plan;
+        Ok(FederationContext::lazy(
+            self.task,
+            plan.num_clients(),
+            plan.test(),
+            plan.public(),
+            Arc::new(source),
+            LocalTrainConfig::default(),
+            self.seed,
+        )?
+        .with_drift(self.drift))
+    }
+
+    /// The per-client derivation both context constructors build on.
+    fn client_source(&self) -> FlResult<LazyClientSource> {
         let (default_clients, samples_per_client, _rounds, _ratio) =
             self.scale.parameters(self.task);
         let num_clients = self.num_clients.unwrap_or(default_clients);
-        let plan = ShardPlan::new(
-            self.task,
-            num_clients,
-            samples_per_client,
-            self.partition,
-            self.seed,
-        );
-        let test = plan.test();
-        let public = plan.public();
-        let source = LazyClientSource {
-            plan,
+        if num_clients == 0 {
+            return Err(FlError::InvalidConfig("federation has no clients".into()));
+        }
+        Ok(LazyClientSource {
+            plan: ShardPlan::new(
+                self.task,
+                num_clients,
+                samples_per_client,
+                self.partition,
+                self.seed,
+            ),
             case: self.constraint,
             method: self.method,
             pool: ModelPool::build(
@@ -289,17 +296,7 @@ impl ExperimentSpec {
             ),
             cost_model: CostModel::default(),
             seed: self.seed,
-        };
-        Ok(FederationContext::lazy(
-            self.task,
-            num_clients,
-            test,
-            public,
-            Arc::new(source),
-            LocalTrainConfig::default(),
-            self.seed,
-        )?
-        .with_drift(self.drift))
+        })
     }
 
     /// The engine configuration this spec runs under. To drive the
@@ -490,11 +487,11 @@ impl ExperimentSpec {
     }
 }
 
-/// The production [`ClientSource`]: derives a client's device profile and
-/// data shard on first touch, entirely from `(seed, client_id)`. Holds only
-/// O(1) state (a [`ShardPlan`] recipe, the model pool, the constraint case),
-/// so cloning a lazy context or sharing it across threads stays cheap at any
-/// population size.
+/// The production deriving [`ClientSource`]: derives a client's device
+/// assignment and data shard on each touch, entirely from
+/// `(seed, client_id)`. Holds only O(1) state (a [`ShardPlan`] recipe, the
+/// model pool, the constraint case), so cloning a derived context or sharing
+/// it across threads stays cheap at any population size.
 #[derive(Debug)]
 pub struct LazyClientSource {
     plan: ShardPlan,
@@ -632,6 +629,17 @@ mod tests {
             .with_num_clients(9);
         let ctx = spec.build_context().unwrap();
         assert_eq!(ctx.num_clients(), 9);
+    }
+
+    #[test]
+    fn empty_federation_is_a_typed_error() {
+        let spec = ExperimentSpec::new(DataTask::UciHar, MhflMethod::Fjord, ConstraintCase::Memory)
+            .with_scale(RunScale::Quick)
+            .with_num_clients(0);
+        let invalid = |r: FlResult<_>| matches!(r, Err(FlError::InvalidConfig(_)));
+        assert!(invalid(spec.build_context().map(drop)));
+        assert!(invalid(spec.build_lazy_context().map(drop)));
+        assert!(invalid(spec.run().map(drop)));
     }
 
     #[test]

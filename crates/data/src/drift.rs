@@ -4,7 +4,7 @@
 //! (seasonality, fashion). [`Drift`] describes a deterministic schedule of
 //! such shifts over training rounds, and [`apply_drift`] materialises the
 //! round-`r` view of a shard as a pure function of `(shard, drift, round)`
-//! — no hidden state, so lazy and eager client materialisation, checkpoint
+//! — no hidden state, so resident and derived client storage, checkpoint
 //! restores and distributed runners all see the same drifted data.
 //!
 //! The test set is never drifted: the benchmark measures how well training

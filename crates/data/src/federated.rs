@@ -1,13 +1,14 @@
 //! Federated dataset assembly: per-client shards plus a global test set.
 
-use mhfl_tensor::SeededRng;
 use serde::{Deserialize, Serialize};
 
-use crate::{generate_dataset, DataTask, Dataset, Partition};
+use crate::{DataTask, Dataset, Partition};
 
 /// A fully materialised federated learning task: one training shard per
 /// client, a held-out global test set and a small public "proxy" set used by
-/// distillation-based algorithms (Fed-ET).
+/// distillation-based algorithms (Fed-ET). Built by
+/// [`ShardPlan::materialise`](crate::ShardPlan::materialise), so every shard
+/// is the one the plan derives for that client.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FederatedDataset {
     task: DataTask,
@@ -18,60 +19,11 @@ pub struct FederatedDataset {
 }
 
 impl FederatedDataset {
-    /// Generates a federated dataset.
-    ///
-    /// * `num_clients` — number of participating clients.
-    /// * `samples_per_client` — average training samples per client.
-    /// * `partition` — IID / Dirichlet / by-user split. When `None`, the
-    ///   paper's default for the task is used (IID for CIFAR-10/100 and
-    ///   AG-News, natural per-user for the rest).
-    /// * `seed` — controls data generation and partitioning end to end.
-    pub fn generate(
-        task: DataTask,
-        num_clients: usize,
-        samples_per_client: usize,
-        partition: Option<Partition>,
-        seed: u64,
-    ) -> Self {
-        let partition = partition.unwrap_or(if task.naturally_non_iid() {
-            Partition::ByUser {
-                dominant_classes: (task.num_classes() / 2).max(1),
-            }
-        } else {
-            Partition::Iid
-        });
-        let total_train = (num_clients * samples_per_client).max(num_clients);
-        // All three splits share the class templates (same template seed) but
-        // contain different samples (different sample seeds).
-        let train = generate_dataset(task, total_train, seed, None);
-        let test = crate::generate_dataset_with_seeds(
-            task,
-            (total_train / 4).clamp(64, 2048),
-            seed,
-            seed ^ 0x7E57,
-            None,
-        );
-        let public = crate::generate_dataset_with_seeds(task, 64, seed, seed ^ 0x9B11C, None);
-
-        let mut rng = SeededRng::new(seed ^ 0x5917);
-        let shards = partition.split(&train, num_clients, &mut rng);
-        let clients = shards.iter().map(|idx| train.subset(idx)).collect();
-        FederatedDataset {
-            task,
-            clients,
-            test,
-            public,
-            partition,
-        }
-    }
-
-    /// Assembles a federated dataset from already-built parts — the bridge
-    /// from lazy population plans ([`crate::ShardPlan::materialise`]) and
-    /// from tests that construct bespoke shard layouts.
+    /// Assembles a federated dataset from a plan's derived parts.
     ///
     /// # Panics
     /// Panics if `clients` is empty.
-    pub fn from_parts(
+    pub(crate) fn from_parts(
         task: DataTask,
         clients: Vec<Dataset>,
         test: Dataset,
@@ -168,10 +120,21 @@ impl FederatedDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ShardPlan;
+
+    fn materialise(
+        task: DataTask,
+        clients: usize,
+        samples: usize,
+        partition: Option<Partition>,
+        seed: u64,
+    ) -> FederatedDataset {
+        ShardPlan::new(task, clients, samples, partition, seed).materialise()
+    }
 
     #[test]
     fn generate_produces_expected_structure() {
-        let fed = FederatedDataset::generate(DataTask::Cifar10, 10, 20, None, 0);
+        let fed = materialise(DataTask::Cifar10, 10, 20, None, 0);
         assert_eq!(fed.num_clients(), 10);
         assert_eq!(fed.task(), DataTask::Cifar10);
         assert!(fed.test().len() >= 50);
@@ -182,16 +145,16 @@ mod tests {
 
     #[test]
     fn default_partition_follows_paper() {
-        let iid = FederatedDataset::generate(DataTask::Cifar100, 10, 30, None, 1);
+        let iid = materialise(DataTask::Cifar100, 10, 30, None, 1);
         assert_eq!(iid.partition(), Partition::Iid);
-        let natural = FederatedDataset::generate(DataTask::HarBox, 10, 30, None, 1);
+        let natural = materialise(DataTask::HarBox, 10, 30, None, 1);
         assert!(matches!(natural.partition(), Partition::ByUser { .. }));
         assert!(natural.label_skew() > iid.label_skew());
     }
 
     #[test]
     fn explicit_dirichlet_partition_is_respected() {
-        let fed = FederatedDataset::generate(
+        let fed = materialise(
             DataTask::Cifar10,
             8,
             40,
@@ -204,8 +167,8 @@ mod tests {
 
     #[test]
     fn generation_is_reproducible() {
-        let a = FederatedDataset::generate(DataTask::AgNews, 5, 10, None, 7);
-        let b = FederatedDataset::generate(DataTask::AgNews, 5, 10, None, 7);
+        let a = materialise(DataTask::AgNews, 5, 10, None, 7);
+        let b = materialise(DataTask::AgNews, 5, 10, None, 7);
         for (ca, cb) in a.clients().iter().zip(b.clients()) {
             assert_eq!(ca, cb);
         }
@@ -215,7 +178,7 @@ mod tests {
     #[test]
     fn every_client_has_data() {
         for task in DataTask::ALL {
-            let fed = FederatedDataset::generate(task, 6, 15, None, 3);
+            let fed = materialise(task, 6, 15, None, 3);
             assert!(
                 fed.clients().iter().all(|c| !c.is_empty()),
                 "{task} has empty clients"

@@ -1,31 +1,25 @@
-//! Lazy, order-free federated shard generation for very large populations.
+//! Per-client, order-free federated shard derivation: the one definition of
+//! a population's data.
 //!
-//! [`FederatedDataset::generate`] materialises every client shard up front,
-//! which bounds the population at roughly what fits in memory (~10³
-//! clients). A [`ShardPlan`] is the sub-linear alternative: it stores only
-//! the *recipe* — task, partition, per-client sample budget and seed — and
-//! derives any single client's shard on demand from `(seed, client_id)`
-//! alone. Deriving client `i` never touches the generator state of any
-//! other client, so shards are order-free: a run that visits clients
-//! `{931_204, 7, 500_000}` produces bit-identical shards to one that visits
-//! all million in order.
+//! A [`ShardPlan`] stores only the *recipe* — task, partition, per-client
+//! sample budget and seed — and derives any single client's shard from
+//! `(seed, client_id)` alone. Deriving client `i` never touches the
+//! generator state of any other client, so shards are order-free: a run that
+//! visits clients `{931_204, 7, 500_000}` produces bit-identical shards to
+//! one that visits all million in order.
 //!
-//! The lazy partition contract is *defined here*, not inherited from the
-//! eager splitter: the eager path shuffles one global sample pool, which is
-//! inherently sequential, so a plan instead realises the partition as
-//! per-client class-weight vectors feeding the class-conditional sample
-//! generators of [`generate_dataset_with_seeds`]. The statistical shape
-//! matches the eager strategies (uniform labels for IID, Dirichlet label
-//! marginals per client, dominant-class concentration for by-user) but the
-//! two populations are distinct by construction — a plan is a new population
-//! kind, not a compressed encoding of an eager one. Within the lazy world
-//! the determinism guarantee is exact: [`ShardPlan::materialise`] eagerly
-//! assembles the identical [`FederatedDataset`] that per-client calls would
-//! produce, which the property suite pins bit-for-bit.
+//! The partition is realised as per-client class-weight vectors feeding the
+//! class-conditional sample generators of [`generate_dataset_with_seeds`]:
+//! uniform labels for IID, Dirichlet label marginals per client,
+//! dominant-class concentration for by-user. How the shards are *stored* is
+//! the caller's choice and changes nothing observable:
+//! [`ShardPlan::materialise`] assembles every shard up front into a
+//! [`FederatedDataset`] (resident, lent without a copy), while a deriving
+//! source calls [`ShardPlan::client_shard`] on each touch (O(active
+//! clients) memory). Both hold bit-identical shards.
 //!
-//! Test and public splits reuse the eager derivations (`seed ^ 0x7E57` and
-//! `seed ^ 0x9B11C` sample streams over shared class templates), so global
-//! evaluation works the same against either population kind.
+//! Test and public splits are drawn from the `seed ^ 0x7E57` and
+//! `seed ^ 0x9B11C` sample streams over the shared class templates.
 
 use mhfl_tensor::SeededRng;
 use serde::{Deserialize, Serialize};
@@ -33,15 +27,16 @@ use serde::{Deserialize, Serialize};
 use crate::{generate_dataset_with_seeds, DataTask, Dataset, FederatedDataset, Partition};
 
 /// Sample-seed stream label for per-client shard draws (distinct from the
-/// eager partition stream `seed ^ 0x5917` and the test/public streams).
+/// class-weight stream `seed ^ 0x5917` and the test/public streams).
 const SHARD_STREAM: u64 = 0xC11E_57D5;
 
-/// A seed-deterministic recipe for a federated population whose client
-/// shards are derived on demand instead of stored.
+/// A seed-deterministic recipe for a federated population: every client's
+/// shard is a pure function of `(seed, client_id)`.
 ///
 /// The plan itself is a few words of memory regardless of `num_clients`;
-/// resident data is bounded by the shards actually requested plus the shared
-/// test/public splits.
+/// resident data is bounded by the shards actually requested (or
+/// [materialised](ShardPlan::materialise)) plus the shared test/public
+/// splits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ShardPlan {
     task: DataTask,
@@ -53,8 +48,7 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Creates a plan. `partition` defaults to the task's paper default
-    /// (IID for CIFAR-10/100 and AG-News, natural per-user otherwise),
-    /// mirroring [`FederatedDataset::generate`].
+    /// (IID for CIFAR-10/100 and AG-News, natural per-user otherwise).
     ///
     /// # Panics
     /// Panics if `num_clients` is zero.
@@ -128,9 +122,7 @@ impl ShardPlan {
                 let preferred = SeededRng::new(self.seed ^ 0x5917)
                     .derive(client as u64)
                     .choose_indices(num_classes, dominant);
-                // The eager by-user router sends ~95% of a user's samples to
-                // its dominant classes; realise the same concentration as an
-                // explicit label marginal.
+                // ~95% of a user's samples fall in its dominant classes.
                 let background = 0.05 / (num_classes - dominant) as f64;
                 let mut weights = vec![background; num_classes];
                 let boost = 0.95 / dominant as f64;
@@ -163,17 +155,16 @@ impl ShardPlan {
     }
 
     /// Nominal total training samples across the whole population (used only
-    /// to size the test split like the eager path; saturates instead of
-    /// overflowing at extreme populations).
+    /// to size the test split; saturates instead of overflowing at extreme
+    /// populations).
     fn total_train(&self) -> usize {
         self.num_clients
             .saturating_mul(self.samples_per_client)
             .max(self.num_clients)
     }
 
-    /// The held-out global test set — same derivation as the eager path
-    /// (`seed ^ 0x7E57` samples over the shared class templates), so lazy
-    /// and eager populations of one spec evaluate against identical data.
+    /// The held-out global test set: `seed ^ 0x7E57` samples over the shared
+    /// class templates.
     pub fn test(&self) -> Dataset {
         generate_dataset_with_seeds(
             self.task,
@@ -184,16 +175,14 @@ impl ShardPlan {
         )
     }
 
-    /// The public proxy set shared by server and clients (`seed ^ 0x9B11C`),
-    /// identical to the eager derivation.
+    /// The public proxy set shared by server and clients (`seed ^ 0x9B11C`).
     pub fn public(&self) -> Dataset {
         generate_dataset_with_seeds(self.task, 64, self.seed, self.seed ^ 0x9B11C, None)
     }
 
-    /// Eagerly materialises the whole population into a
-    /// [`FederatedDataset`]: every shard this plan would ever derive,
-    /// assembled up front. O(population) memory — the bridge the property
-    /// suite uses to pin lazy ≡ eager, and a convenience for small plans.
+    /// Materialises the whole population into a [`FederatedDataset`]: every
+    /// shard this plan derives, assembled up front. O(population) memory,
+    /// and every shard lent without a copy afterwards.
     pub fn materialise(&self) -> FederatedDataset {
         let clients = (0..self.num_clients)
             .map(|c| self.client_shard(c))
@@ -239,16 +228,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "at least one client")]
+    fn zero_clients_rejected() {
+        let _ = ShardPlan::new(DataTask::Cifar10, 0, 8, None, 6);
+    }
+
+    #[test]
     fn materialise_matches_per_client_derivation() {
         let plan = ShardPlan::new(DataTask::AgNews, 6, 10, None, 11);
-        let eager = plan.materialise();
-        assert_eq!(eager.num_clients(), 6);
+        let resident = plan.materialise();
+        assert_eq!(resident.num_clients(), 6);
         for c in 0..6 {
-            assert_eq!(eager.client(c), &plan.client_shard(c));
+            assert_eq!(resident.client(c), &plan.client_shard(c));
         }
-        assert_eq!(eager.test(), &plan.test());
-        assert_eq!(eager.public(), &plan.public());
-        assert_eq!(eager.partition(), plan.partition());
+        assert_eq!(resident.test(), &plan.test());
+        assert_eq!(resident.public(), &plan.public());
+        assert_eq!(resident.partition(), plan.partition());
     }
 
     #[test]

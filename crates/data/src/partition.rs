@@ -1,16 +1,15 @@
 //! Client partitioning strategies.
 
-use mhfl_tensor::SeededRng;
 use serde::{Deserialize, Serialize};
 
-use crate::Dataset;
-
-/// How a task's samples are split across federated clients.
+/// How a task's samples are spread across federated clients: the label
+/// marginal each client's shard is drawn from
+/// ([`ShardPlan::client_class_weights`](crate::ShardPlan::client_class_weights)).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Partition {
-    /// Independent and identically distributed: samples are shuffled and
-    /// dealt round-robin, so every client sees (approximately) the global
-    /// label distribution. Used for CIFAR-10/100 and AG-News in the paper.
+    /// Independent and identically distributed: every client draws from the
+    /// uniform label distribution. Used for CIFAR-10/100 and AG-News in the
+    /// paper.
     Iid,
     /// Label-skewed non-IID via a symmetric Dirichlet prior over the label
     /// distribution of each client. Small `alpha` (e.g. 0.5) is strongly
@@ -21,180 +20,39 @@ pub enum Partition {
         alpha: f64,
     },
     /// Natural per-user partition: each client corresponds to a simulated
-    /// user who concentrates on a small number of dominant classes
-    /// (Stack Overflow, HAR-BOX, UCI-HAR in the paper).
+    /// user who concentrates ~95 % of their samples on a small number of
+    /// dominant classes (Stack Overflow, HAR-BOX, UCI-HAR in the paper).
     ByUser {
         /// Number of dominant classes per user.
         dominant_classes: usize,
     },
 }
 
-impl Partition {
-    /// Splits the dataset's sample indices into `num_clients` shards.
-    ///
-    /// Every sample is assigned to exactly one client; clients are guaranteed
-    /// at least one sample as long as there are at least as many samples as
-    /// clients.
-    pub fn split(
-        &self,
-        dataset: &Dataset,
-        num_clients: usize,
-        rng: &mut SeededRng,
-    ) -> Vec<Vec<usize>> {
-        assert!(num_clients > 0, "at least one client is required");
-        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
-        match *self {
-            Partition::Iid => {
-                let mut indices: Vec<usize> = (0..dataset.len()).collect();
-                rng.shuffle(&mut indices);
-                for (i, idx) in indices.into_iter().enumerate() {
-                    shards[i % num_clients].push(idx);
-                }
-            }
-            Partition::Dirichlet { alpha } => {
-                let num_classes = dataset.num_classes();
-                // Indices grouped by class.
-                let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); num_classes];
-                for (i, &l) in dataset.labels().iter().enumerate() {
-                    by_class[l.min(num_classes - 1)].push(i);
-                }
-                for class_indices in by_class.iter_mut() {
-                    rng.shuffle(class_indices);
-                    if class_indices.is_empty() {
-                        continue;
-                    }
-                    let proportions = rng.dirichlet(alpha.max(1e-3), num_clients);
-                    // Convert proportions into contiguous slices of this class.
-                    let mut cursor = 0usize;
-                    for (client, &p) in proportions.iter().enumerate() {
-                        let take = if client + 1 == num_clients {
-                            class_indices.len() - cursor
-                        } else {
-                            ((p * class_indices.len() as f64).round() as usize)
-                                .min(class_indices.len() - cursor)
-                        };
-                        shards[client].extend_from_slice(&class_indices[cursor..cursor + take]);
-                        cursor += take;
-                    }
-                }
-            }
-            Partition::ByUser { dominant_classes } => {
-                let num_classes = dataset.num_classes();
-                let dominant = dominant_classes.clamp(1, num_classes);
-                // Each user prefers a few classes; samples are routed to a
-                // user that prefers their class (or uniformly if none does).
-                let preferences: Vec<Vec<usize>> = (0..num_clients)
-                    .map(|c| {
-                        let mut user_rng = rng.derive(c as u64 + 17);
-                        user_rng.choose_indices(num_classes, dominant)
-                    })
-                    .collect();
-                for (i, &label) in dataset.labels().iter().enumerate() {
-                    let candidates: Vec<usize> = (0..num_clients)
-                        .filter(|&c| preferences[c].contains(&label))
-                        .collect();
-                    let client = if candidates.is_empty() {
-                        rng.index(num_clients)
-                    } else {
-                        candidates[rng.index(candidates.len())]
-                    };
-                    shards[client].push(i);
-                }
-            }
-        }
-        // Rebalance: make sure no client is left empty when samples allow it.
-        if dataset.len() >= num_clients {
-            while let Some(empty) = shards.iter().position(Vec::is_empty) {
-                let donor = shards
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(_, s)| s.len())
-                    .map(|(i, _)| i)
-                    .expect("at least one shard");
-                if shards[donor].len() <= 1 {
-                    break;
-                }
-                let moved = shards[donor].pop().expect("donor non-empty");
-                shards[empty].push(moved);
-            }
-        }
-        shards
-    }
-
-    /// Measures the label-skew of a partition as the mean total-variation
-    /// distance between each client's label distribution and the global one.
-    /// 0 means perfectly IID; values near 1 mean single-class clients.
-    pub fn label_skew(dataset: &Dataset, shards: &[Vec<usize>]) -> f64 {
-        let num_classes = dataset.num_classes();
-        let global = dataset.class_histogram();
-        let total: usize = global.iter().sum();
-        if total == 0 || shards.is_empty() {
-            return 0.0;
-        }
-        let global_dist: Vec<f64> = global.iter().map(|&c| c as f64 / total as f64).collect();
-        let mut sum_tv = 0.0;
-        let mut counted = 0usize;
-        for shard in shards {
-            if shard.is_empty() {
-                continue;
-            }
-            let mut hist = vec![0usize; num_classes];
-            for &i in shard {
-                hist[dataset.labels()[i].min(num_classes - 1)] += 1;
-            }
-            let tv: f64 = hist
-                .iter()
-                .zip(&global_dist)
-                .map(|(&h, &g)| (h as f64 / shard.len() as f64 - g).abs())
-                .sum::<f64>()
-                / 2.0;
-            sum_tv += tv;
-            counted += 1;
-        }
-        sum_tv / counted.max(1) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{generate_dataset, DataTask};
+    use crate::{DataTask, ShardPlan};
 
-    fn dataset() -> Dataset {
-        generate_dataset(DataTask::Cifar10, 600, 0, None)
-    }
-
-    fn assert_covers_all(shards: &[Vec<usize>], n: usize) {
-        let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all.len(), n, "every sample assigned exactly once");
-        all.dedup();
-        assert_eq!(all.len(), n, "no duplicates");
-    }
-
-    #[test]
-    fn iid_split_is_balanced_and_complete() {
-        let ds = dataset();
-        let mut rng = SeededRng::new(1);
-        let shards = Partition::Iid.split(&ds, 10, &mut rng);
-        assert_covers_all(&shards, ds.len());
-        for s in &shards {
-            assert!((s.len() as i64 - 60).abs() <= 1);
-        }
-        assert!(Partition::label_skew(&ds, &shards) < 0.2);
+    fn label_skew(task: DataTask, clients: usize, partition: Partition, seed: u64) -> f64 {
+        ShardPlan::new(task, clients, 60, Some(partition), seed)
+            .materialise()
+            .label_skew()
     }
 
     #[test]
     fn dirichlet_small_alpha_is_more_skewed() {
-        let ds = dataset();
-        let mut rng = SeededRng::new(2);
-        let skewed = Partition::Dirichlet { alpha: 0.5 }.split(&ds, 10, &mut rng);
-        let mut rng = SeededRng::new(2);
-        let flat = Partition::Dirichlet { alpha: 5.0 }.split(&ds, 10, &mut rng);
-        assert_covers_all(&skewed, ds.len());
-        assert_covers_all(&flat, ds.len());
-        let skew_small = Partition::label_skew(&ds, &skewed);
-        let skew_large = Partition::label_skew(&ds, &flat);
+        let skew_small = label_skew(
+            DataTask::Cifar10,
+            10,
+            Partition::Dirichlet { alpha: 0.5 },
+            2,
+        );
+        let skew_large = label_skew(
+            DataTask::Cifar10,
+            10,
+            Partition::Dirichlet { alpha: 5.0 },
+            2,
+        );
         assert!(
             skew_small > skew_large,
             "alpha=0.5 ({skew_small}) should be more skewed than alpha=5 ({skew_large})"
@@ -203,44 +61,13 @@ mod tests {
 
     #[test]
     fn by_user_partition_concentrates_classes() {
-        let ds = dataset();
-        let mut rng = SeededRng::new(3);
-        let shards = Partition::ByUser {
+        let by_user = Partition::ByUser {
             dominant_classes: 2,
-        }
-        .split(&ds, 20, &mut rng);
-        assert_covers_all(&shards, ds.len());
-        let skew = Partition::label_skew(&ds, &shards);
+        };
+        let skew = label_skew(DataTask::Cifar10, 20, by_user, 3);
         assert!(
             skew > 0.3,
             "natural partition should be clearly non-IID, got {skew}"
         );
-    }
-
-    #[test]
-    fn no_client_left_empty_when_enough_samples() {
-        let ds = generate_dataset(DataTask::AgNews, 40, 4, None);
-        let mut rng = SeededRng::new(5);
-        for partition in [
-            Partition::Iid,
-            Partition::Dirichlet { alpha: 0.1 },
-            Partition::ByUser {
-                dominant_classes: 1,
-            },
-        ] {
-            let shards = partition.split(&ds, 8, &mut rng);
-            assert!(
-                shards.iter().all(|s| !s.is_empty()),
-                "{partition:?} left a client empty"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one client")]
-    fn zero_clients_rejected() {
-        let ds = dataset();
-        let mut rng = SeededRng::new(6);
-        let _ = Partition::Iid.split(&ds, 0, &mut rng);
     }
 }

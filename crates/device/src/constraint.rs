@@ -5,7 +5,7 @@ use mhfl_tensor::SeededRng;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    CostModel, DeviceCapability, DeviceProfile, ImaPopulation, ModelPool, PoolEntry, RoundCost,
+    ima::ima_device, CostModel, DeviceCapability, DeviceProfile, ModelPool, PoolEntry, RoundCost,
 };
 
 /// A practical resource-constraint case under which MHFL is evaluated.
@@ -84,43 +84,20 @@ impl ConstraintCase {
         }
     }
 
-    /// Builds the per-client device population appropriate for this case.
+    /// The device of client `client_id` in the population seeded by `seed`
+    /// — the one definition of a federation's devices.
     ///
-    /// * Computation/communication-limited cases draw from the IMA-like
-    ///   smartphone population.
+    /// * Computation/communication-limited and combined cases draw from the
+    ///   IMA-like smartphone population (`ima_device`, which carries memory
+    ///   tiers).
     /// * The memory-limited case samples the three device classes of
     ///   Table III (16 GB / 4 GB / CPU-only) with proportions following the
     ///   real-world RAM distribution the paper cites (roughly 25 % high-end,
     ///   50 % mid-range, 25 % low-end).
-    /// * Combined cases use the IMA population (which carries memory tiers).
-    pub fn build_population(&self, num_clients: usize, seed: u64) -> Vec<DeviceCapability> {
-        match self {
-            ConstraintCase::Memory => {
-                let classes = DeviceProfile::memory_classes();
-                let weights = [0.25f64, 0.50, 0.25];
-                let mut rng = SeededRng::new(seed);
-                (0..num_clients)
-                    .map(|_| DeviceCapability::from(&classes[rng.weighted_index(&weights)]))
-                    .collect()
-            }
-            _ => {
-                let pop = ImaPopulation::generate(num_clients.max(1), seed);
-                (0..num_clients).map(|i| pop.device_for_client(i)).collect()
-            }
-        }
-    }
-
-    /// Derives the device of a single client from `(seed, client_id)` alone
-    /// — the lazy counterpart of
-    /// [`build_population`](ConstraintCase::build_population) for
-    /// populations too large to materialise.
     ///
-    /// Per-client derivations use their own derived RNG streams, so they are
-    /// order-free; the marginal distributions match the eager builder (the
-    /// Table III memory classes for [`ConstraintCase::Memory`], the IMA-like
-    /// population otherwise), but the eager builder consumes one sequential
-    /// stream across the population, so eager and lazy populations of the
-    /// same seed are distinct by construction.
+    /// Every client draws from its own derived RNG stream, so the device is
+    /// a pure function of `(seed, client_id)`, independent of which other
+    /// clients were derived before it.
     pub fn derive_device(&self, seed: u64, client_id: usize) -> DeviceCapability {
         match self {
             ConstraintCase::Memory => {
@@ -129,14 +106,13 @@ impl ConstraintCase {
                 let mut rng = SeededRng::new(seed).derive(client_id as u64);
                 DeviceCapability::from(&classes[rng.weighted_index(&weights)])
             }
-            _ => ImaPopulation::device_at(seed, client_id),
+            _ => ima_device(seed, client_id),
         }
     }
 
     /// Assigns one client the largest model from the pool its device can
-    /// handle under this constraint — the shared per-device body of
-    /// [`assign_clients`](ConstraintCase::assign_clients), exposed so lazy
-    /// populations can derive a single assignment on demand.
+    /// handle under this constraint (paper §IV: "the largest trainable model
+    /// is assigned to the client").
     pub fn assign_client(
         &self,
         pool: &ModelPool,
@@ -177,25 +153,6 @@ impl ConstraintCase {
                     && (!memory || cost.memory_bytes <= device.memory_bytes)
             }
         }
-    }
-
-    /// Assigns every client the largest model from the pool that its device
-    /// can handle under this constraint (paper §IV: "the largest trainable
-    /// model is assigned to the client").
-    pub fn assign_clients(
-        &self,
-        pool: &ModelPool,
-        method: MhflMethod,
-        devices: &[DeviceCapability],
-        cost_model: &CostModel,
-    ) -> Vec<ClientAssignment> {
-        devices
-            .iter()
-            .enumerate()
-            .map(|(client_id, device)| {
-                self.assign_client(pool, method, device, cost_model, client_id)
-            })
-            .collect()
     }
 }
 
@@ -257,11 +214,10 @@ mod tests {
             memory_bytes: 1 << 33,
             availability: 1.0,
         };
-        let assignments =
-            case.assign_clients(&pool, MhflMethod::SHeteroFl, &[slow, fast], &cost_model);
-        assert!(assignments[0].entry.stats.params <= assignments[1].entry.stats.params);
-        assert_eq!(assignments.len(), 2);
-        assert_eq!(assignments[1].client_id, 1);
+        let slow = case.assign_client(&pool, MhflMethod::SHeteroFl, &slow, &cost_model, 0);
+        let fast = case.assign_client(&pool, MhflMethod::SHeteroFl, &fast, &cost_model, 1);
+        assert!(slow.entry.stats.params <= fast.entry.stats.params);
+        assert_eq!(fast.client_id, 1);
     }
 
     #[test]
@@ -281,10 +237,11 @@ mod tests {
             memory_bytes: 1 << 33,
             availability: 1.0,
         };
-        let a = case.assign_clients(&pool, MhflMethod::FedRolex, &[narrow, wide], &cost_model);
-        assert!(a[0].entry.stats.params <= a[1].entry.stats.params);
+        let narrow = case.assign_client(&pool, MhflMethod::FedRolex, &narrow, &cost_model, 0);
+        let wide = case.assign_client(&pool, MhflMethod::FedRolex, &wide, &cost_model, 1);
+        assert!(narrow.entry.stats.params <= wide.entry.stats.params);
         // The wide-bandwidth client can afford the full model within 200 s.
-        assert!((a[1].width_fraction() - 1.0).abs() < 1e-9);
+        assert!((wide.width_fraction() - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -296,8 +253,8 @@ mod tests {
         let cost_model = CostModel::default();
         let case = ConstraintCase::Memory;
         let device = DeviceCapability::from(&DeviceProfile::jetson_tx2_nx());
-        let shetero = case.assign_clients(&pool, MhflMethod::SHeteroFl, &[device], &cost_model)[0];
-        let depthfl = case.assign_clients(&pool, MhflMethod::DepthFl, &[device], &cost_model)[0];
+        let shetero = case.assign_client(&pool, MhflMethod::SHeteroFl, &device, &cost_model, 0);
+        let depthfl = case.assign_client(&pool, MhflMethod::DepthFl, &device, &cost_model, 0);
         assert!(
             depthfl.entry.stats.params <= shetero.entry.stats.params,
             "DepthFL should be forced to a smaller model under memory pressure"
@@ -308,7 +265,6 @@ mod tests {
     fn combined_constraints_are_at_least_as_restrictive() {
         let pool = pool();
         let cost_model = CostModel::default();
-        let devices = ConstraintCase::Memory.build_population(20, 3);
         let single = ConstraintCase::Memory;
         let combined = ConstraintCase::all_combined(200.0, 100.0);
         for method in [
@@ -316,9 +272,10 @@ mod tests {
             MhflMethod::DepthFl,
             MhflMethod::FedRolex,
         ] {
-            let a_single = single.assign_clients(&pool, method, &devices, &cost_model);
-            let a_comb = combined.assign_clients(&pool, method, &devices, &cost_model);
-            for (s, c) in a_single.iter().zip(&a_comb) {
+            for client in 0..20 {
+                let device = single.derive_device(3, client);
+                let s = single.assign_client(&pool, method, &device, &cost_model, client);
+                let c = combined.assign_client(&pool, method, &device, &cost_model, client);
                 assert!(c.entry.stats.params <= s.entry.stats.params);
             }
         }
@@ -326,25 +283,24 @@ mod tests {
 
     #[test]
     fn populations_match_case_semantics() {
-        let mem_pop = ConstraintCase::Memory.build_population(50, 1);
+        let population = |case: ConstraintCase| -> Vec<DeviceCapability> {
+            (0..50)
+                .map(|client| case.derive_device(1, client))
+                .collect()
+        };
         // Memory populations only contain the three Table III classes.
         let classes: Vec<u64> = DeviceProfile::memory_classes()
             .iter()
             .map(|p| p.memory_bytes)
             .collect();
+        let mem_pop = population(ConstraintCase::Memory);
         assert!(mem_pop.iter().all(|d| classes.contains(&d.memory_bytes)));
 
-        let comp_pop = ConstraintCase::Computation {
-            deadline_secs: 100.0,
-        }
-        .build_population(50, 1);
-        assert_eq!(comp_pop.len(), 50);
         // Reproducible.
-        let comp_pop2 = ConstraintCase::Computation {
+        let comp = ConstraintCase::Computation {
             deadline_secs: 100.0,
-        }
-        .build_population(50, 1);
-        assert_eq!(comp_pop, comp_pop2);
+        };
+        assert_eq!(population(comp), population(comp));
     }
 
     #[test]
@@ -363,22 +319,8 @@ mod tests {
             let _ = case.derive_device(11, 3);
             assert_eq!(a, case.derive_device(11, 987_654));
             assert_ne!(a, case.derive_device(11, 987_655));
-            // The per-client assignment equals the per-device body of the
-            // eager assigner for the same device.
-            let lazy = case.assign_client(&pool, MhflMethod::SHeteroFl, &a, &cost_model, 987_654);
-            let eager = case.assign_clients(&pool, MhflMethod::SHeteroFl, &[a], &cost_model)[0];
-            assert_eq!(lazy.entry, eager.entry);
-            assert_eq!(lazy.cost, eager.cost);
-            assert_eq!(lazy.client_id, 987_654);
-        }
-        // Memory-case lazy devices stay within the Table III classes.
-        let classes: Vec<u64> = DeviceProfile::memory_classes()
-            .iter()
-            .map(|p| p.memory_bytes)
-            .collect();
-        for c in 0..200 {
-            let d = ConstraintCase::Memory.derive_device(5, c);
-            assert!(classes.contains(&d.memory_bytes));
+            let one = case.assign_client(&pool, MhflMethod::SHeteroFl, &a, &cost_model, 987_654);
+            assert_eq!(one.client_id, 987_654);
         }
     }
 
@@ -412,7 +354,7 @@ mod tests {
             memory_bytes: 1 << 30,
             availability: 1.0,
         };
-        let a = case.assign_clients(&pool, MhflMethod::Fjord, &[device], &cost_model);
-        assert!((a[0].width_fraction() - 0.25).abs() < 1e-9);
+        let a = case.assign_client(&pool, MhflMethod::Fjord, &device, &cost_model, 0);
+        assert!((a.width_fraction() - 0.25).abs() < 1e-9);
     }
 }

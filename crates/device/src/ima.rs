@@ -3,8 +3,8 @@
 //! The paper builds its computation- and communication-limited cases from
 //! the IMA dataset (Yang et al., WWW'21), which records the compute power
 //! and network bandwidth of more than 1,000 real smartphones. That dataset
-//! is not redistributable here, so [`ImaPopulation`] samples a population
-//! with the same qualitative properties: long-tailed compute capability
+//! is not redistributable here, so [`ima_device`] defines a population with
+//! the same qualitative properties: long-tailed compute capability
 //! (flagships ≫ entry-level phones), long-tailed bandwidth (Wi-Fi vs.
 //! congested cellular), and weak correlation between the two.
 
@@ -27,162 +27,85 @@ pub struct DeviceCapability {
     pub availability: f64,
 }
 
-/// A seeded population of heterogeneous device capabilities.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ImaPopulation {
-    devices: Vec<DeviceCapability>,
-    seed: u64,
-}
+/// RAM tiers of the ScientiaMobile smartphone survey the paper cites, with
+/// their population shares (weighted toward the mid-range).
+const RAM_TIERS: [(u64, f64); 5] = [
+    (2 * GIB, 0.10),
+    (4 * GIB, 0.30),
+    (6 * GIB, 0.30),
+    (8 * GIB, 0.22),
+    (12 * GIB, 0.08),
+];
 
-impl ImaPopulation {
-    /// Generates a population of `size` devices from `seed`.
-    ///
-    /// Compute capability and bandwidth are log-normally distributed;
-    /// memory is drawn from the discrete RAM tiers reported by the
-    /// ScientiaMobile smartphone survey the paper cites (2/4/6/8/12 GB),
-    /// weighted toward the mid-range.
-    pub fn generate(size: usize, seed: u64) -> Self {
-        let mut rng = SeededRng::new(seed);
-        // Availability draws come from a separate stream so adding them did
-        // not shift the compute/bandwidth/RAM draws of existing seeds.
-        let mut avail_rng = SeededRng::new(seed ^ 0xA7A1_1AB1);
-        let ram_tiers: [(u64, f64); 5] = [
-            (2 * GIB, 0.10),
-            (4 * GIB, 0.30),
-            (6 * GIB, 0.30),
-            (8 * GIB, 0.22),
-            (12 * GIB, 0.08),
-        ];
-        let weights: Vec<f64> = ram_tiers.iter().map(|(_, w)| *w).collect();
-        let devices = (0..size)
-            .map(|_| {
-                // Median ≈ 25 GFLOP/s with a heavy upper tail (flagship SoCs).
-                let compute = (rng.log_normal(3.2, 0.7) as f64).clamp(2.0, 600.0);
-                // Median ≈ 20 Mbps uplink, between slow cellular and fast Wi-Fi.
-                let bandwidth = (rng.log_normal(3.0, 0.8) as f64).clamp(1.0, 400.0);
-                let memory_bytes = ram_tiers[rng.weighted_index(&weights)].0;
-                // Phones churn: most are reachable 60–95 % of the time.
-                let availability = f64::from(avail_rng.uniform(0.60, 0.95));
-                DeviceCapability {
-                    compute_gflops: compute,
-                    bandwidth_mbps: bandwidth,
-                    memory_bytes,
-                    availability,
-                }
-            })
-            .collect();
-        ImaPopulation { devices, seed }
+/// The capability of device `index` of the seeded IMA-like smartphone
+/// population.
+///
+/// Compute capability and bandwidth are log-normally distributed; memory is
+/// drawn from the discrete RAM tiers (2/4/6/8/12 GB); availability is
+/// uniform on `[0.60, 0.95]` from the dedicated `seed ^ 0xA7A1_1AB1` stream.
+/// Each device draws from its own derived stream, so the definition is
+/// order-free: `ima_device(seed, i)` is bit-identical whether or not any
+/// other device was derived first, and a population of any size costs
+/// nothing until a device is asked for.
+pub(crate) fn ima_device(seed: u64, index: usize) -> DeviceCapability {
+    let mut rng = SeededRng::new(seed).derive(index as u64);
+    let mut avail_rng = SeededRng::new(seed ^ 0xA7A1_1AB1).derive(index as u64);
+    let weights = RAM_TIERS.map(|(_, w)| w);
+    // Median ≈ 25 GFLOP/s with a heavy upper tail (flagship SoCs).
+    let compute = (rng.log_normal(3.2, 0.7) as f64).clamp(2.0, 600.0);
+    // Median ≈ 20 Mbps uplink, between slow cellular and fast Wi-Fi.
+    let bandwidth = (rng.log_normal(3.0, 0.8) as f64).clamp(1.0, 400.0);
+    let memory_bytes = RAM_TIERS[rng.weighted_index(&weights)].0;
+    // Phones churn: most are reachable 60–95 % of the time.
+    let availability = f64::from(avail_rng.uniform(0.60, 0.95));
+    DeviceCapability {
+        compute_gflops: compute,
+        bandwidth_mbps: bandwidth,
+        memory_bytes,
+        availability,
     }
-
-    /// Derives the capability of a single device from `(seed, index)` alone,
-    /// without materialising a population — the lazy counterpart of
-    /// [`generate`](ImaPopulation::generate) for populations too large to
-    /// hold resident.
-    ///
-    /// Each device draws from its own derived stream, so derivations are
-    /// order-free: `device_at(seed, i)` is bit-identical whether or not any
-    /// other device was derived first. The marginals match `generate` —
-    /// log-normal compute and bandwidth, discrete RAM tiers, uniform
-    /// availability from the dedicated `seed ^ 0xA7A1_1AB1` stream — but
-    /// `generate` consumes one *sequential* stream across its whole
-    /// population, so the two constructors define distinct population kinds
-    /// for the same seed (eager contexts keep using `generate`; lazy
-    /// contexts use this).
-    pub fn device_at(seed: u64, index: usize) -> DeviceCapability {
-        let mut rng = SeededRng::new(seed).derive(index as u64);
-        let mut avail_rng = SeededRng::new(seed ^ 0xA7A1_1AB1).derive(index as u64);
-        let ram_tiers: [(u64, f64); 5] = [
-            (2 * GIB, 0.10),
-            (4 * GIB, 0.30),
-            (6 * GIB, 0.30),
-            (8 * GIB, 0.22),
-            (12 * GIB, 0.08),
-        ];
-        let weights: Vec<f64> = ram_tiers.iter().map(|(_, w)| *w).collect();
-        let compute = (rng.log_normal(3.2, 0.7) as f64).clamp(2.0, 600.0);
-        let bandwidth = (rng.log_normal(3.0, 0.8) as f64).clamp(1.0, 400.0);
-        let memory_bytes = ram_tiers[rng.weighted_index(&weights)].0;
-        let availability = f64::from(avail_rng.uniform(0.60, 0.95));
-        DeviceCapability {
-            compute_gflops: compute,
-            bandwidth_mbps: bandwidth,
-            memory_bytes,
-            availability,
-        }
-    }
-
-    /// Number of devices in the population.
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Returns `true` if the population is empty.
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
-    }
-
-    /// The seed the population was generated from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// All devices.
-    pub fn devices(&self) -> &[DeviceCapability] {
-        &self.devices
-    }
-
-    /// The device assigned to client `index` (wraps around if the federation
-    /// has more clients than the population).
-    pub fn device_for_client(&self, index: usize) -> DeviceCapability {
-        self.devices[index % self.devices.len()]
-    }
-
-    /// Population percentile (0–100) of compute capability.
-    pub fn compute_percentile(&self, pct: f64) -> f64 {
-        percentile(self.devices.iter().map(|d| d.compute_gflops), pct)
-    }
-
-    /// Population percentile (0–100) of bandwidth.
-    pub fn bandwidth_percentile(&self, pct: f64) -> f64 {
-        percentile(self.devices.iter().map(|d| d.bandwidth_mbps), pct)
-    }
-}
-
-fn percentile(values: impl Iterator<Item = f64>, pct: f64) -> f64 {
-    let mut v: Vec<f64> = values.collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite values"));
-    let rank = (pct.clamp(0.0, 100.0) / 100.0 * (v.len() - 1) as f64).round() as usize;
-    v[rank]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn population(size: usize, seed: u64) -> Vec<DeviceCapability> {
+        (0..size).map(|i| ima_device(seed, i)).collect()
+    }
+
+    /// Population percentile (0–100) of one capability.
+    fn percentile(devices: &[DeviceCapability], of: fn(&DeviceCapability) -> f64, pct: f64) -> f64 {
+        let mut v: Vec<f64> = devices.iter().map(of).collect();
+        v.sort_by(f64::total_cmp);
+        v[(pct / 100.0 * (v.len() - 1) as f64).round() as usize]
+    }
+
     #[test]
     fn population_is_reproducible_and_sized() {
-        let a = ImaPopulation::generate(200, 42);
-        let b = ImaPopulation::generate(200, 42);
-        assert_eq!(a, b);
+        let a = population(200, 42);
+        assert_eq!(a, population(200, 42));
         assert_eq!(a.len(), 200);
-        let c = ImaPopulation::generate(200, 43);
-        assert_ne!(a, c);
+        assert_ne!(a, population(200, 43));
     }
 
     #[test]
     fn capability_spread_is_heterogeneous() {
-        let pop = ImaPopulation::generate(500, 7);
-        let p10 = pop.compute_percentile(10.0);
-        let p90 = pop.compute_percentile(90.0);
+        let pop = population(500, 7);
+        let compute = |d: &DeviceCapability| d.compute_gflops;
+        let (p10, p90) = (
+            percentile(&pop, compute, 10.0),
+            percentile(&pop, compute, 90.0),
+        );
         assert!(
             p90 / p10 > 3.0,
             "compute spread should be wide: p10={p10}, p90={p90}"
         );
-        let b10 = pop.bandwidth_percentile(10.0);
-        let b90 = pop.bandwidth_percentile(90.0);
+        let bandwidth = |d: &DeviceCapability| d.bandwidth_mbps;
+        let (b10, b90) = (
+            percentile(&pop, bandwidth, 10.0),
+            percentile(&pop, bandwidth, 90.0),
+        );
         assert!(
             b90 / b10 > 3.0,
             "bandwidth spread should be wide: p10={b10}, p90={b90}"
@@ -191,8 +114,7 @@ mod tests {
 
     #[test]
     fn memory_comes_from_discrete_tiers() {
-        let pop = ImaPopulation::generate(300, 9);
-        for d in pop.devices() {
+        for d in population(300, 9) {
             let gib = d.memory_bytes / GIB;
             assert!(
                 [2, 4, 6, 8, 12].contains(&gib),
@@ -202,38 +124,23 @@ mod tests {
     }
 
     #[test]
-    fn client_assignment_wraps_around() {
-        let pop = ImaPopulation::generate(10, 1);
-        assert_eq!(
-            pop.device_for_client(3).compute_gflops,
-            pop.device_for_client(13).compute_gflops
-        );
-    }
-
-    #[test]
     fn device_at_is_order_free_and_in_distribution() {
         // Same (seed, index) → same device, no matter what else was derived.
-        let a = ImaPopulation::device_at(42, 123_456);
-        let _ = ImaPopulation::device_at(42, 7);
-        let b = ImaPopulation::device_at(42, 123_456);
+        let a = ima_device(42, 123_456);
+        let _ = ima_device(42, 7);
+        let b = ima_device(42, 123_456);
         assert_eq!(a, b);
         // Distinct indices and seeds give distinct devices.
-        assert_ne!(a, ImaPopulation::device_at(42, 123_457));
-        assert_ne!(a, ImaPopulation::device_at(43, 123_456));
-        // The marginals respect the same physical bounds and RAM tiers.
-        for i in 0..500 {
-            let d = ImaPopulation::device_at(7, i);
-            assert!(d.compute_gflops >= 2.0 && d.compute_gflops <= 600.0);
-            assert!(d.bandwidth_mbps >= 1.0 && d.bandwidth_mbps <= 400.0);
-            assert!([2, 4, 6, 8, 12].contains(&(d.memory_bytes / GIB)));
+        assert_ne!(a, ima_device(42, 123_457));
+        assert_ne!(a, ima_device(43, 123_456));
+        for d in population(500, 7) {
             assert!((0.60..=0.95).contains(&d.availability));
         }
     }
 
     #[test]
     fn values_are_within_physical_bounds() {
-        let pop = ImaPopulation::generate(1000, 3);
-        for d in pop.devices() {
+        for d in population(1000, 3) {
             assert!(d.compute_gflops >= 2.0 && d.compute_gflops <= 600.0);
             assert!(d.bandwidth_mbps >= 1.0 && d.bandwidth_mbps <= 400.0);
         }

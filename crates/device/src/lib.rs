@@ -10,8 +10,10 @@
 //!
 //! * [`DeviceProfile`] — named device classes with compute throughput,
 //!   memory capacity and network bandwidth (Table III of the paper);
-//! * [`ImaPopulation`] — a seeded synthetic population standing in for the
-//!   IMA dataset of >1,000 smartphone capability/bandwidth traces;
+//! * [`DeviceCapability`] — one participant's resources, drawn per client
+//!   from the Table III classes or from a seeded synthetic population
+//!   standing in for the IMA dataset of >1,000 smartphone
+//!   capability/bandwidth traces ([`ConstraintCase::derive_device`]);
 //! * [`CostModel`] — converts a model's analytical statistics
 //!   ([`mhfl_models::ModelStats`]) into per-round training time,
 //!   communication time and peak training memory on a given device,
@@ -34,6 +36,6 @@ mod profile;
 
 pub use constraint::{ClientAssignment, ConstraintCase};
 pub use cost::{CostModel, MethodOverhead, RoundCost};
-pub use ima::{DeviceCapability, ImaPopulation};
+pub use ima::DeviceCapability;
 pub use pool::{ModelChoice, ModelPool, PoolEntry};
 pub use profile::DeviceProfile;

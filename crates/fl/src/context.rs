@@ -31,18 +31,19 @@ impl Default for LocalTrainConfig {
     }
 }
 
-/// Where the per-client state of a federation comes from: a resident
-/// population ([`FederationContext::new`]) or on-demand derivation for
-/// populations too large to materialise ([`FederationContext::lazy`]).
+/// Where the per-client state of a federation is kept: resident
+/// ([`FederationContext::new`]) or derived on each touch
+/// ([`FederationContext::lazy`]).
 ///
 /// A source must be *seed-deterministic and order-free*: the value returned
 /// for a client depends only on the source's own configuration and the
 /// client id, never on which other clients were derived before it — that is
-/// what makes sparse checkpoints resumable and lazy runs bit-reproducible.
-/// Deriving implementations are typically thin wrappers over
+/// what makes sparse checkpoints resumable and derived runs
+/// bit-reproducible. Deriving implementations are thin wrappers over
 /// [`mhfl_device::ConstraintCase::derive_device`] /
 /// [`ConstraintCase::assign_client`](mhfl_device::ConstraintCase::assign_client)
-/// and [`mhfl_data::ShardPlan::client_shard`].
+/// and [`mhfl_data::ShardPlan::client_shard`], the same calls a resident
+/// population is materialised from.
 pub trait ClientSource: Send + Sync {
     /// The device/model assignment of `client`.
     fn assignment(&self, client: usize) -> ClientAssignment;
@@ -52,7 +53,7 @@ pub trait ClientSource: Send + Sync {
     fn client_shard(&self, client: usize) -> Cow<'_, Dataset>;
 }
 
-/// The materialised population as a source: every shard and assignment
+/// A materialised population as a source: every shard and assignment
 /// resident (memory is O(population)), shards lent without a copy.
 struct ResidentSource {
     shards: Vec<Dataset>,
@@ -74,19 +75,20 @@ impl ClientSource for ResidentSource {
 /// produced by a [`mhfl_device::ConstraintCase`], and the local training
 /// hyper-parameters.
 ///
-/// One representation, two sources. The shared test/public splits are
+/// One population, two ways to store it. The shared test/public splits are
 /// always resident; per-client state sits behind one [`ClientSource`].
-/// [`FederationContext::new`] wraps a materialised population — the right
-/// choice up to a few thousand clients, and what every golden digest is
-/// pinned against. [`FederationContext::lazy`] takes a deriving source that
-/// computes each client's shard and assignment on demand from
-/// `(seed, client_id)`, so resident memory is O(active clients) and a
-/// million-client population costs no more to hold than a six-client one.
+/// [`FederationContext::new`] holds a materialised population, every shard
+/// lent without a copy — the right choice up to a few thousand clients.
+/// [`FederationContext::lazy`] takes a deriving source that computes each
+/// client's shard and assignment on demand from `(seed, client_id)`, so
+/// resident memory is O(active clients) and a million-client population
+/// costs no more to hold than a six-client one. Materialised from the same
+/// derivation, the two hold the same clients and give the same digests.
 /// Client state is addressed by id either way:
 /// [`assignment`](FederationContext::assignment) returns by value and
 /// [`client_shard`](FederationContext::client_shard) returns [`Cow`]
-/// (borrowed from a resident population, owned when derived). Cloning
-/// shares the source.
+/// (borrowed when resident, owned when derived). Cloning shares the
+/// source.
 #[derive(Clone)]
 pub struct FederationContext {
     task: DataTask,
@@ -302,32 +304,51 @@ impl FederationContext {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use mhfl_data::{DataTask, ShardPlan};
+    use mhfl_data::ShardPlan;
     use mhfl_device::{ConstraintCase, CostModel, ModelPool};
     use mhfl_models::{MhflMethod, ModelFamily};
+
+    const TASK: DataTask = DataTask::UciHar;
 
     fn pool() -> ModelPool {
         ModelPool::build(
             ModelFamily::ResNet101,
             &ModelFamily::RESNET_FAMILY,
             &MhflMethod::HETEROGENEOUS,
-            10,
+            TASK.num_classes(),
         )
     }
 
+    /// A resident UCI-HAR federation of SHeteroFL clients under `case`: ten
+    /// samples per client, everything seeded by 0 and the context seed 1.
+    pub(crate) fn test_context(case: ConstraintCase, num_clients: usize) -> FederationContext {
+        let plan = ShardPlan::new(TASK, num_clients, 10, None, 0);
+        let pool = pool();
+        let assignments = (0..num_clients)
+            .map(|client| {
+                let device = case.derive_device(0, client);
+                case.assign_client(
+                    &pool,
+                    MhflMethod::SHeteroFl,
+                    &device,
+                    &CostModel::default(),
+                    client,
+                )
+            })
+            .collect();
+        FederationContext::new(
+            plan.materialise(),
+            assignments,
+            LocalTrainConfig::default(),
+            1,
+        )
+        .unwrap()
+    }
+
     fn context() -> FederationContext {
-        let data = FederatedDataset::generate(DataTask::Cifar10, 6, 12, None, 0);
-        let case = ConstraintCase::Memory;
-        let devices = case.build_population(6, 0);
-        let assignments = case.assign_clients(
-            &pool(),
-            MhflMethod::SHeteroFl,
-            &devices,
-            &CostModel::default(),
-        );
-        FederationContext::new(data, assignments, LocalTrainConfig::default(), 1).unwrap()
+        test_context(ConstraintCase::Memory, 6)
     }
 
     /// A lazy source over the seed-derived device/shard recipes.
@@ -356,7 +377,7 @@ mod tests {
     }
 
     fn lazy_context(num_clients: usize) -> FederationContext {
-        let plan = ShardPlan::new(DataTask::Cifar10, num_clients, 12, None, 0);
+        let plan = ShardPlan::new(TASK, num_clients, 10, None, 0);
         let source = LazySource {
             plan,
             case: ConstraintCase::Memory,
@@ -364,7 +385,7 @@ mod tests {
             seed: 0,
         };
         FederationContext::lazy(
-            DataTask::Cifar10,
+            TASK,
             num_clients,
             plan.test(),
             plan.public(),
@@ -381,8 +402,8 @@ mod tests {
         assert_eq!(ctx.num_clients(), 6);
         assert_eq!(ctx.assignment(3).client_id, 3);
         assert_eq!(ctx.seed(), 1);
-        assert_eq!(ctx.task(), DataTask::Cifar10);
-        assert_eq!(ctx.client_shard(2).len(), 12);
+        assert_eq!(ctx.task(), TASK);
+        assert_eq!(ctx.client_shard(2).len(), 10);
         assert!(ctx.test_set().len() >= 64);
         assert_eq!(ctx.public_set().len(), 64);
     }
@@ -418,7 +439,7 @@ mod tests {
         assert_eq!(cloned.assignment(12_345), ctx.assignment(12_345));
     }
 
-    /// The one behavioural difference between the two sources.
+    /// The one behavioural difference between the two ways of storing it.
     #[test]
     fn resident_population_lends_shards_and_lazy_source_owns_them() {
         assert!(matches!(context().client_shard(0), Cow::Borrowed(_)));
@@ -427,7 +448,7 @@ mod tests {
 
     #[test]
     fn mismatched_assignments_are_rejected() {
-        let data = FederatedDataset::generate(DataTask::Cifar10, 4, 10, None, 0);
+        let data = ShardPlan::new(TASK, 4, 10, None, 0).materialise();
         let err = FederationContext::new(data, Vec::new(), LocalTrainConfig::default(), 0);
         assert!(matches!(err, Err(FlError::InvalidConfig(_))));
     }

@@ -369,10 +369,9 @@ impl FlEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClientPayload, LocalTrainConfig};
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_models::{MhflMethod, ModelFamily};
+    use crate::context::tests::test_context;
+    use crate::ClientPayload;
+    use mhfl_device::ConstraintCase;
 
     /// A trivial algorithm that records the engine's phase calls and returns
     /// a rising accuracy so the bookkeeping can be verified in isolation.
@@ -424,24 +423,12 @@ mod tests {
     }
 
     fn context(num_clients: usize) -> FederationContext {
-        let data = FederatedDataset::generate(DataTask::UciHar, num_clients, 10, None, 0);
-        let pool = ModelPool::build(
-            ModelFamily::HarCnn,
-            &[ModelFamily::HarCnn],
-            &MhflMethod::HETEROGENEOUS,
-            6,
-        );
-        let case = ConstraintCase::Computation {
-            deadline_secs: 100.0,
-        };
-        let devices = case.build_population(num_clients, 0);
-        let assignments = case.assign_clients(
-            &pool,
-            MhflMethod::SHeteroFl,
-            &devices,
-            &CostModel::default(),
-        );
-        FederationContext::new(data, assignments, LocalTrainConfig::default(), 3).unwrap()
+        test_context(
+            ConstraintCase::Computation {
+                deadline_secs: 100.0,
+            },
+            num_clients,
+        )
     }
 
     fn config(rounds: usize, ratio: f64, eval_every: usize, stability: usize) -> EngineConfig {

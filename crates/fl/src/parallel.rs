@@ -183,10 +183,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClientPayload, LocalTrainConfig};
-    use mhfl_data::{DataTask, Dataset, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_models::{MhflMethod, ModelFamily};
+    use crate::context::tests::test_context;
+    use crate::ClientPayload;
+    use mhfl_data::Dataset;
+    use mhfl_device::ConstraintCase;
 
     /// Returns a deterministic per-client token so ordering is observable.
     struct TokenAlgorithm;
@@ -230,22 +230,7 @@ mod tests {
     }
 
     fn context(num_clients: usize) -> FederationContext {
-        let data = FederatedDataset::generate(DataTask::UciHar, num_clients, 8, None, 0);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            6,
-        );
-        let case = ConstraintCase::Memory;
-        let devices = case.build_population(num_clients, 0);
-        let assignments = case.assign_clients(
-            &pool,
-            MhflMethod::SHeteroFl,
-            &devices,
-            &CostModel::default(),
-        );
-        FederationContext::new(data, assignments, LocalTrainConfig::default(), 0).unwrap()
+        test_context(ConstraintCase::Memory, num_clients)
     }
 
     #[test]

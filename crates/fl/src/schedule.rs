@@ -405,28 +405,11 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LocalTrainConfig;
-    use mhfl_data::{DataTask, FederatedDataset};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_models::{MhflMethod, ModelFamily};
+    use crate::context::tests::test_context;
+    use mhfl_device::ConstraintCase;
 
     fn context(num_clients: usize) -> FederationContext {
-        let data = FederatedDataset::generate(DataTask::UciHar, num_clients, 10, None, 0);
-        let pool = ModelPool::build(
-            ModelFamily::ResNet101,
-            &ModelFamily::RESNET_FAMILY,
-            &MhflMethod::ALL,
-            6,
-        );
-        let case = ConstraintCase::Memory;
-        let devices = case.build_population(num_clients, 3);
-        let assignments = case.assign_clients(
-            &pool,
-            MhflMethod::SHeteroFl,
-            &devices,
-            &CostModel::default(),
-        );
-        FederationContext::new(data, assignments, LocalTrainConfig::default(), 3).unwrap()
+        test_context(ConstraintCase::Memory, num_clients)
     }
 
     /// Clients 2 and 5 are online over `[0, 50]`, client 3 over `[60, 90]`.

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             MhflMethod::FeDepth,
             MhflMethod::DepthFl,
         ] {
-            let assignment = case.assign_clients(&pool, method, &[device], &cost_model)[0];
+            let assignment = case.assign_client(&pool, method, &device, &cost_model, 0);
             rows.push(vec![
                 profile.name.clone(),
                 format!("{:.0} GiB", profile.memory_gib()),

@@ -1,13 +1,13 @@
 //! Integration tests of the FedBuff-style asynchronous buffered engine.
 
-use mhfl_data::{DataTask, Dataset, FederatedDataset};
-use mhfl_device::{ConstraintCase, CostModel, ModelPool};
+use mhfl_data::{DataTask, Dataset};
+use mhfl_device::ConstraintCase;
 use mhfl_fl::{
     staleness_weight, ClientPayload, ClientScheduler, ClientUpdate, EngineConfig, Execution,
-    FederationContext, FlAlgorithm, FlEngine, FlResult, LocalTrainConfig, MetricsReport,
-    Parallelism, Staleness, TraceReplay,
+    FederationContext, FlAlgorithm, FlEngine, FlResult, MetricsReport, Parallelism, Staleness,
+    TraceReplay,
 };
-use mhfl_models::{MhflMethod, ModelFamily};
+use mhfl_models::MhflMethod;
 use pracmhbench_core::{ExperimentSpec, RunScale};
 
 /// Records every aggregate call so buffer behaviour is observable.
@@ -55,22 +55,16 @@ impl FlAlgorithm for RecordingAlgorithm {
 /// A heterogeneous-cost federation (memory-tiered devices give visibly
 /// different per-round durations, which is what creates staleness).
 fn context(num_clients: usize, seed: u64) -> FederationContext {
-    let data = FederatedDataset::generate(DataTask::UciHar, num_clients, 10, None, seed);
-    let pool = ModelPool::build(
-        ModelFamily::ResNet101,
-        &ModelFamily::RESNET_FAMILY,
-        &MhflMethod::ALL,
-        6,
-    );
-    let case = ConstraintCase::Memory;
-    let devices = case.build_population(num_clients, seed);
-    let assignments = case.assign_clients(
-        &pool,
+    ExperimentSpec::new(
+        DataTask::UciHar,
         MhflMethod::SHeteroFl,
-        &devices,
-        &CostModel::default(),
-    );
-    FederationContext::new(data, assignments, LocalTrainConfig::default(), seed).unwrap()
+        ConstraintCase::Memory,
+    )
+    .with_scale(RunScale::Quick)
+    .with_num_clients(num_clients)
+    .with_seed(seed)
+    .build_context()
+    .unwrap()
 }
 
 /// Runs `config` over `ctx` with `trace` replayed as the scheduler.

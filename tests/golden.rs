@@ -78,12 +78,7 @@ fn execution_label(execution: Execution) -> &'static str {
     }
 }
 
-fn run_report(
-    task: DataTask,
-    method: MhflMethod,
-    execution: Execution,
-    seed: u64,
-) -> MetricsReport {
+fn spec(task: DataTask, method: MhflMethod, execution: Execution, seed: u64) -> ExperimentSpec {
     ExperimentSpec::new(
         task,
         method,
@@ -94,9 +89,18 @@ fn run_report(
     .with_scale(RunScale::Quick)
     .with_seed(seed)
     .with_execution(execution)
-    .run()
-    .unwrap_or_else(|e| panic!("{task} {method} ({execution:?}, seed {seed}) failed: {e}"))
-    .report
+}
+
+fn run_report(
+    task: DataTask,
+    method: MhflMethod,
+    execution: Execution,
+    seed: u64,
+) -> MetricsReport {
+    spec(task, method, execution, seed)
+        .run()
+        .unwrap_or_else(|e| panic!("{task} {method} ({execution:?}, seed {seed}) failed: {e}"))
+        .report
 }
 
 fn fixture_path(file: &str) -> std::path::PathBuf {
@@ -195,6 +199,32 @@ fn golden_digests_match_committed_fixtures() {
 #[test]
 fn stackoverflow_golden_digests_match_committed_fixtures() {
     check_suite(&STACK_OVERFLOW);
+}
+
+/// The Stack Overflow fixture exists to pin narrower sub-models, so every
+/// federation it runs must actually mix them: at least three distinct
+/// `(width, depth)` levels per seed and method.
+#[test]
+fn stackoverflow_golden_federations_are_heterogeneous() {
+    for &method in STACK_OVERFLOW.methods {
+        for seed in SEEDS {
+            let ctx = spec(STACK_OVERFLOW.task, method, Execution::Synchronous, seed)
+                .build_context()
+                .unwrap();
+            let mut levels: Vec<(f64, f64)> = Vec::new();
+            for client in 0..ctx.num_clients() {
+                let a = ctx.assignment(client);
+                let level = (a.width_fraction(), a.depth_fraction());
+                if !levels.contains(&level) {
+                    levels.push(level);
+                }
+            }
+            assert!(
+                levels.len() >= 3,
+                "{method} seed {seed} assigns only {levels:?}"
+            );
+        }
+    }
 }
 
 /// The digest is a pure function of the seed: re-running a case reproduces

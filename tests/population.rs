@@ -1,32 +1,32 @@
-//! Lazy million-client populations: the property suite behind the
+//! One population, two ways to store it: the property suite behind
+//! `ExperimentSpec::build_context` / `build_lazy_context` and the
 //! `population_scale` benchmark.
 //!
-//! Two families of guarantees are pinned here:
+//! Three families of guarantees are pinned here:
 //!
-//! 1. **Lazy ≡ eager** — a lazy context ([`ExperimentSpec::build_lazy_context`])
-//!    and the *eagerly materialised* federation built from the very same
-//!    `(seed, client_id)` derivations — [`ShardPlan::materialise`] for the
-//!    data, a per-client [`ConstraintCase::derive_device`] /
-//!    [`ConstraintCase::assign_client`] loop for the devices — are
-//!    bit-identical: every shard, every assignment, the shared test/public
-//!    sets, and the full run digest of every algorithm family.
+//! 1. **Resident ≡ derived** — a context materialised up front
+//!    ([`ExperimentSpec::build_context`]) and one derived on each touch
+//!    ([`ExperimentSpec::build_lazy_context`]) hold the same clients: every
+//!    shard, every assignment, the shared test/public sets and the
+//!    extremes, for three tasks × four constraint cases × every family. Run
+//!    digests agree, and a checkpoint cut from a resident run resumes on the
+//!    derived context to the uninterrupted digest.
 //! 2. **Sparse checkpoints** — a checkpoint cut from an asynchronous run
-//!    over a 10⁶-client lazy population encodes, decodes and resumes to the
-//!    digest of the uninterrupted run. The in-flight section is sparse, so
-//!    the file stays small and the round trip stays fast at any population.
+//!    over a 10⁶-client derived population encodes, decodes and resumes to
+//!    the digest of the uninterrupted run. The in-flight section is sparse,
+//!    so the file stays small and the round trip stays fast at any
+//!    population.
 //! 3. **Shards are leased, not landfilled** — deriving shards by the
 //!    thousand leaves the tensor arena holding one shard's worth of
 //!    buffers, not one buffer per shard ever derived.
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_data::{DataTask, ShardPlan};
-use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-use mhfl_fl::{
-    Checkpoint, EngineConfig, Execution, FederationContext, FlEngine, LocalTrainConfig, Session,
-};
+use mhfl_data::DataTask;
+use mhfl_device::ConstraintCase;
+use mhfl_fl::{Checkpoint, EngineConfig, Execution, FlEngine, RoundEvent, Session};
 use mhfl_models::MhflMethod;
 use mhfl_tensor::TensorArena;
-use pracmhbench_core::{base_family_for_task, topology_group_for_task, ExperimentSpec, RunScale};
+use pracmhbench_core::{ExperimentSpec, RunScale};
 use proptest::prelude::*;
 
 /// One representative method per algorithm family.
@@ -38,16 +38,26 @@ const FAMILIES: [MhflMethod; 5] = [
     MhflMethod::HomogeneousSmallest,
 ];
 
-/// Samples per client at `RunScale::Quick` — the eager twin must shard with
-/// the same recipe the lazy spec uses. (A mismatch cannot pass silently:
-/// the per-sample shard comparison below would fail.)
-const QUICK_SAMPLES_PER_CLIENT: usize = 16;
+/// One task per modality.
+const TASKS: [DataTask; 3] = [DataTask::UciHar, DataTask::StackOverflow, DataTask::Cifar10];
 
-const TASK: DataTask = DataTask::UciHar;
+/// Memory, Comp 300 s, Comm 200 s and Mem+Comm 200 s.
+const CASES: [ConstraintCase; 4] = [
+    ConstraintCase::Memory,
+    ConstraintCase::Computation {
+        deadline_secs: 300.0,
+    },
+    ConstraintCase::Communication { budget_secs: 200.0 },
+    ConstraintCase::Combined {
+        deadline_secs: None,
+        comm_budget_secs: Some(200.0),
+        memory: true,
+    },
+];
 
 fn spec(method: MhflMethod, num_clients: usize, seed: u64) -> ExperimentSpec {
     ExperimentSpec::new(
-        TASK,
+        DataTask::UciHar,
         method,
         ConstraintCase::Computation {
             deadline_secs: 300.0,
@@ -58,94 +68,129 @@ fn spec(method: MhflMethod, num_clients: usize, seed: u64) -> ExperimentSpec {
     .with_seed(seed)
 }
 
-/// The eager twin of `spec.build_lazy_context()`: identical derivations,
-/// fully materialised up front through the *eager* constructor.
-fn materialised_twin(spec: &ExperimentSpec, num_clients: usize) -> FederationContext {
-    let plan = ShardPlan::new(
-        spec.task,
-        num_clients,
-        QUICK_SAMPLES_PER_CLIENT,
-        None,
-        spec.seed,
-    );
-    let pool = ModelPool::build(
-        base_family_for_task(spec.task),
-        &topology_group_for_task(spec.task),
-        &MhflMethod::ALL,
-        spec.task.num_classes(),
-    );
-    let cost_model = CostModel::default();
-    let assignments = (0..num_clients)
-        .map(|client| {
-            let device = spec.constraint.derive_device(spec.seed, client);
-            spec.constraint
-                .assign_client(&pool, spec.method, &device, &cost_model, client)
+/// Every spec of the contract grid for `method`: each task under each case.
+fn grid(method: MhflMethod, seed: u64) -> impl Iterator<Item = ExperimentSpec> {
+    TASKS.into_iter().flat_map(move |task| {
+        CASES.into_iter().map(move |case| {
+            ExperimentSpec::new(task, method, case)
+                .with_scale(RunScale::Quick)
+                .with_seed(seed)
         })
-        .collect();
-    FederationContext::new(
-        plan.materialise(),
-        assignments,
-        LocalTrainConfig::default(),
-        spec.seed,
-    )
-    .unwrap()
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Every per-client artefact of a lazy context is bit-identical to the
-    /// eagerly materialised federation from the same seed, for any seed,
-    /// population size and algorithm family.
+    /// Every per-client artefact of a derived context is bit-identical to
+    /// the resident context of the same spec, for any seed and population
+    /// size, on every task × case × family of the grid.
     #[test]
     fn lazy_context_is_bit_identical_to_its_materialisation(
         seed in 0u64..5,
         num_clients in 3usize..12,
-        family in 0usize..5,
     ) {
-        let spec = spec(FAMILIES[family], num_clients, seed);
-        let lazy = spec.build_lazy_context().unwrap();
-        let eager = materialised_twin(&spec, num_clients);
+        for method in FAMILIES {
+            for spec in grid(method, seed) {
+                let spec = spec.with_num_clients(num_clients);
+                let lazy = spec.build_lazy_context().unwrap();
+                let resident = spec.build_context().unwrap();
 
-        prop_assert_eq!(lazy.num_clients(), eager.num_clients());
-        prop_assert_eq!(lazy.task(), eager.task());
-        prop_assert_eq!(lazy.test_set(), eager.test_set());
-        prop_assert_eq!(lazy.public_set(), eager.public_set());
-        for client in 0..num_clients {
-            prop_assert_eq!(lazy.assignment(client), eager.assignment(client));
-            prop_assert_eq!(
-                lazy.client_shard(client).as_ref(),
-                eager.client_shard(client).as_ref(),
-                "shard {} differs between lazy and materialised",
-                client
-            );
+                prop_assert_eq!(lazy.num_clients(), resident.num_clients());
+                prop_assert_eq!(lazy.task(), resident.task());
+                prop_assert_eq!(lazy.test_set(), resident.test_set());
+                prop_assert_eq!(lazy.public_set(), resident.public_set());
+                for client in 0..num_clients {
+                    prop_assert_eq!(lazy.assignment(client), resident.assignment(client));
+                    prop_assert_eq!(
+                        lazy.client_shard(client).as_ref(),
+                        resident.client_shard(client).as_ref(),
+                        "{:?}: shard {} differs between derived and resident",
+                        spec,
+                        client
+                    );
+                }
+                prop_assert_eq!(lazy.smallest_assignment(), resident.smallest_assignment());
+                prop_assert_eq!(lazy.largest_assignment(), resident.largest_assignment());
+            }
         }
-        prop_assert_eq!(lazy.smallest_assignment(), eager.smallest_assignment());
-        prop_assert_eq!(lazy.largest_assignment(), eager.largest_assignment());
     }
 }
 
-/// A full engine run over a lazy context and over its materialised twin
-/// produce bit-identical metric digests, for every algorithm family in both
-/// execution modes — lazy materialisation is invisible to the algorithms.
+/// Every family in both execution modes on `task`'s row of the grid.
+fn digest_cells(task: DataTask) -> impl Iterator<Item = ExperimentSpec> {
+    FAMILIES.into_iter().flat_map(move |method| {
+        grid(method, 43)
+            .filter(move |spec| spec.task == task)
+            .flat_map(|spec| {
+                [Execution::Synchronous, Execution::async_buffered(2)]
+                    .map(|execution| spec.with_execution(execution))
+            })
+    })
+}
+
+/// Under `engine`, a run on `spec`'s resident context and a run on its
+/// derived one produce bit-identical digests, and a checkpoint cut from the
+/// resident run at its first arrival resumes on the derived context to the
+/// same digest — how a population is stored is invisible to the algorithms
+/// and to checkpoints.
+fn assert_storage_is_invisible(spec: &ExperimentSpec, engine: &FlEngine) {
+    let resident = spec.build_context().unwrap();
+    let lazy = spec.build_lazy_context().unwrap();
+
+    let mut algorithm = build_algorithm(spec.method);
+    let mut session = engine.session(algorithm.as_mut(), &resident).unwrap();
+    while !matches!(
+        session.next_event().unwrap(),
+        Some(RoundEvent::UpdateArrived { .. })
+    ) {}
+    let checkpoint = session.checkpoint().unwrap();
+    let uninterrupted = session.drain().unwrap().digest();
+
+    let mut algorithm = build_algorithm(spec.method);
+    let derived = engine.run(algorithm.as_mut(), &lazy).unwrap();
+    assert_eq!(
+        derived.digest(),
+        uninterrupted,
+        "{spec:?}: derived and resident runs diverged"
+    );
+    let mut algorithm = build_algorithm(spec.method);
+    let resumed = Session::restore(algorithm.as_mut(), &lazy, &checkpoint)
+        .unwrap()
+        .drain()
+        .unwrap();
+    assert_eq!(
+        resumed.digest(),
+        uninterrupted,
+        "{spec:?}: resident checkpoint resumed on the derived context diverged"
+    );
+}
+
+/// Resident and derived storage are invisible on the full Quick schedule
+/// (every client, four rounds, per-client state carried between them) of
+/// every UCI-HAR and Stack Overflow cell.
 #[test]
 fn lazy_and_materialised_runs_share_digests_for_every_family() {
-    for method in FAMILIES {
-        for execution in [Execution::Synchronous, Execution::async_buffered(2)] {
-            let spec = spec(method, 6, 43).with_execution(execution);
-            let lazy = spec.build_lazy_context().unwrap();
-            let eager = materialised_twin(&spec, 6);
-            let engine = spec.engine();
+    for spec in digest_cells(DataTask::UciHar).chain(digest_cells(DataTask::StackOverflow)) {
+        assert_storage_is_invisible(&spec, &spec.engine());
+    }
+}
 
-            let mut alg_lazy = build_algorithm(method);
-            let lazy_digest = engine.run(alg_lazy.as_mut(), &lazy).unwrap().digest();
-            let mut alg_eager = build_algorithm(method);
-            let eager_digest = engine.run(alg_eager.as_mut(), &eager).unwrap().digest();
-            assert_eq!(
-                lazy_digest, eager_digest,
-                "{method} ({execution:?}): lazy and materialised runs diverged"
-            );
-        }
+/// The same contract on every CIFAR-10 cell. Its conv proxies cost seconds
+/// per full Quick run, so each run is cut to one evaluated aggregation (one
+/// client per sync round, two arrivals per async buffer): every family
+/// still trains, aggregates, evaluates and checkpoints on it.
+#[test]
+fn lazy_and_materialised_cifar10_runs_share_digests_for_every_family() {
+    for spec in digest_cells(DataTask::Cifar10) {
+        let engine = FlEngine::new(EngineConfig {
+            rounds: 1,
+            sample_ratio: 1.0 / 6.0,
+            eval_every: 1,
+            stability_clients: 1,
+            ..*spec.engine().config()
+        });
+        assert_storage_is_invisible(&spec, &engine);
     }
 }
 

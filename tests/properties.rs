@@ -1,6 +1,6 @@
 //! Property-based tests on the core invariants of the platform.
 
-use mhfl_data::{generate_dataset, DataTask, Partition};
+use mhfl_data::DataTask;
 use mhfl_device::{ConstraintCase, CostModel, DeviceCapability, ModelPool};
 use mhfl_fl::submodel::{axis_indices, extract_submodel, ServerAggregator, WidthSelection};
 use mhfl_models::{InputKind, MhflMethod, ModelFamily, ModelSpec, ProxyConfig, ProxyModel};
@@ -59,25 +59,6 @@ proptest! {
         prop_assert!(merged.l2_distance_sq(&global_sd) < 1e-8);
     }
 
-    /// Every partition strategy assigns every sample exactly once.
-    #[test]
-    fn partitions_are_exact_covers(clients in 2usize..12, alpha in 0.1f64..10.0) {
-        let ds = generate_dataset(DataTask::Cifar10, 120, 3, None);
-        let mut rng = SeededRng::new(9);
-        for partition in [
-            Partition::Iid,
-            Partition::Dirichlet { alpha },
-            Partition::ByUser { dominant_classes: 3 },
-        ] {
-            let shards = partition.split(&ds, clients, &mut rng);
-            let mut all: Vec<usize> = shards.iter().flatten().copied().collect();
-            all.sort_unstable();
-            prop_assert_eq!(all.len(), ds.len());
-            all.dedup();
-            prop_assert_eq!(all.len(), ds.len());
-        }
-    }
-
     /// Constraint-based assignment always yields a feasible-or-smallest model
     /// and never a model larger than the unconstrained choice.
     #[test]
@@ -96,7 +77,7 @@ proptest! {
         };
         let cost_model = CostModel::default();
         let case = ConstraintCase::Memory;
-        let a = case.assign_clients(&pool, MhflMethod::SHeteroFl, &[device], &cost_model)[0];
+        let a = case.assign_client(&pool, MhflMethod::SHeteroFl, &device, &cost_model, 0);
         let smallest = pool
             .entries_for_method(MhflMethod::SHeteroFl)
             .last()
