@@ -33,11 +33,11 @@
 use std::time::Instant;
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_bench::{Args, Flag};
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_fl::{Candidates, Execution, FederationContext, RoundEvent, Schedule};
 use mhfl_models::MhflMethod;
+use mhfl_net::cli::{Args, Flag};
 use mhfl_tensor::SeededRng;
 use pracmhbench_core::{ExperimentSpec, RunScale};
 

@@ -35,11 +35,11 @@ use std::error::Error;
 use std::path::{Path, PathBuf};
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_bench::{print_series, print_table, run_resumable, Args, Flag, Table};
+use mhfl_bench::{print_series, print_table, run_resumable, Table};
 use mhfl_data::{DataTask, Modality, Partition};
 use mhfl_device::{ConstraintCase, CostModel, DeviceCapability, DeviceProfile};
 use mhfl_models::{MhflMethod, ModelFamily, ModelSpec};
-use mhfl_net::cli::spec_fingerprint;
+use mhfl_net::cli::{spec_fingerprint, Args, Flag};
 use pracmhbench_core::{
     ComparisonRow, Corruption, CsvTelemetry, Drift, Execution, ExperimentOutcome, ExperimentSpec,
     MetricsReport, Observer, PlatformInventory, RobustAggregation, RoundEvent, RunScale,

@@ -8,7 +8,7 @@ fn misuse_exits_with_code_2_and_a_usage_line() {
     let reproduce = env!("CARGO_BIN_EXE_reproduce");
     let paper_scale = env!("CARGO_BIN_EXE_paper_scale");
     let population_scale = env!("CARGO_BIN_EXE_population_scale");
-    let cases: [(&str, &[&str]); 10] = [
+    let cases: [(&str, &[&str]); 11] = [
         (reproduce, &["fig4", "--qiuck"]),
         (reproduce, &["fig10", "--quick"]),
         (reproduce, &["fig4", "--quick", "--paper"]),
@@ -16,6 +16,7 @@ fn misuse_exits_with_code_2_and_a_usage_line() {
         (reproduce, &["--quick"]),
         (reproduce, &["--all", "fig4", "--quick"]),
         (paper_scale, &["--quick", "--paper"]),
+        (paper_scale, &["--quick"]),
         (paper_scale, &["--quick", "--checkpoint-every", "often"]),
         (population_scale, &["--quick", "--rss-ceiling", "600"]),
         (population_scale, &["--quick", "--clients"]),

@@ -206,9 +206,10 @@ impl ExperimentSpec {
         self
     }
 
-    /// Sets the mid-round churn probability (clamped to `[0, 1]`).
+    /// Sets the mid-round churn probability; [`open`](Self::open) refuses
+    /// one outside `[0, 1]`.
     pub fn with_churn(mut self, fraction: f64) -> Self {
-        self.churn_fraction = fraction.clamp(0.0, 1.0);
+        self.churn_fraction = fraction;
         self
     }
 
@@ -575,10 +576,7 @@ mod tests {
         let clip =
             |max_norm| clean.with_robust_aggregation(RobustAggregation::NormClip { max_norm });
         let flip = |fraction| clean.with_corruption(Corruption::SignFlip { fraction });
-        let churn = |churn_fraction| ExperimentSpec {
-            churn_fraction,
-            ..clean
-        };
+        let churn = |fraction| clean.with_churn(fraction);
         for spec in [
             clip(-5.0),
             clip(0.0),

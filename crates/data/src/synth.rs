@@ -1,7 +1,7 @@
 //! Seeded synthetic sample generators, one per task modality.
 
 use mhfl_models::InputKind;
-use mhfl_tensor::{SeededRng, Tensor, TensorArena};
+use mhfl_tensor::{SeededRng, Tensor};
 
 use crate::{DataTask, Dataset};
 
@@ -48,10 +48,6 @@ pub fn generate_dataset_with_seeds(
         labels.push(sample_rng.weighted_index(weights));
     }
 
-    // The generators lease their sample buffer from the arena: tensor
-    // storage recycles into the pool on drop, and nothing else leases a
-    // shard-sized buffer, so a fresh `Vec` per lazily derived shard would
-    // pile up there until the pool's byte caps.
     let inputs = match task.input_kind() {
         InputKind::Image {
             channels,
@@ -101,7 +97,7 @@ fn image_samples(
                 .collect()
         })
         .collect();
-    let mut data = TensorArena::global().lease(labels.len() * sample_len);
+    let mut data = Vec::with_capacity(labels.len() * sample_len);
     for &label in labels {
         let template = &templates[label];
         for &t in template {
@@ -110,7 +106,7 @@ fn image_samples(
     }
     let mut dims = vec![labels.len()];
     dims.extend_from_slice(&[channels, height, width]);
-    Tensor::from_pool(data, &dims).expect("consistent image dimensions")
+    Tensor::from_vec(data, &dims).expect("consistent image dimensions")
 }
 
 fn token_samples(
@@ -127,7 +123,7 @@ fn token_samples(
     // background distribution.
     let topic_size = (vocab / num_classes.max(1)).max(1);
     let topic_prob = (0.35 + 0.15 * separation as f64).min(0.95);
-    let mut data = TensorArena::global().lease(labels.len() * seq_len);
+    let mut data = Vec::with_capacity(labels.len() * seq_len);
     for &label in labels {
         let mut topic_rng = template_rng.derive(label as u64 + 101);
         let topic_start = topic_rng.index(vocab.saturating_sub(topic_size).max(1));
@@ -140,7 +136,7 @@ fn token_samples(
             data.push(token.min(vocab - 1) as f32);
         }
     }
-    Tensor::from_pool(data, &[labels.len(), seq_len]).expect("consistent token dimensions")
+    Tensor::from_vec(data, &[labels.len(), seq_len]).expect("consistent token dimensions")
 }
 
 fn feature_samples(
@@ -156,14 +152,14 @@ fn feature_samples(
             (0..dim).map(|_| rng.normal(0.0, separation)).collect()
         })
         .collect();
-    let mut data = TensorArena::global().lease(labels.len() * dim);
+    let mut data = Vec::with_capacity(labels.len() * dim);
     for &label in labels {
         let centroid = &centroids[label];
         for &c in centroid {
             data.push(c + sample_rng.normal(0.0, 0.7));
         }
     }
-    Tensor::from_pool(data, &[labels.len(), dim]).expect("consistent feature dimensions")
+    Tensor::from_vec(data, &[labels.len(), dim]).expect("consistent feature dimensions")
 }
 
 #[cfg(test)]

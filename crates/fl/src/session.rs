@@ -541,13 +541,6 @@ impl<'a> Session<'a> {
         self.corruption = corruption;
     }
 
-    /// Builder-style [`set_corruption`](Session::set_corruption).
-    #[must_use]
-    pub fn with_corruption(mut self, corruption: Corruption) -> Self {
-        self.set_corruption(corruption);
-        self
-    }
-
     /// Sets the mid-round dropout probability (default `0.0`, observably
     /// inert). Each dispatched update is independently lost with this
     /// probability — the client trains, but its upload never reaches the
@@ -559,13 +552,6 @@ impl<'a> Session<'a> {
     /// after a restore, as `ExperimentSpec::resume_from` does).
     pub fn set_churn(&mut self, fraction: f64) {
         self.churn_fraction = fraction.clamp(0.0, 1.0);
-    }
-
-    /// Builder-style [`set_churn`](Session::set_churn).
-    #[must_use]
-    pub fn with_churn(mut self, fraction: f64) -> Self {
-        self.set_churn(fraction);
-        self
     }
 
     /// Advances the simulation until the next event is available and returns

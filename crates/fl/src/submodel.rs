@@ -28,7 +28,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use mhfl_nn::{AxisRole, ParamSpec, StateDict};
-use mhfl_tensor::{Tensor, TensorArena};
+use mhfl_tensor::Tensor;
 
 use crate::adversary::RobustAggregation;
 use crate::{FlError, FlResult};
@@ -200,7 +200,7 @@ impl PlanEntry {
             return Ok(src.clone());
         }
         let src_data = src.as_slice();
-        let mut data = TensorArena::global().lease(self.client_len);
+        let mut data = Vec::with_capacity(self.client_len);
         let tail = self.axis_offsets.last().map_or(&[][..], Vec::as_slice);
         self.for_each_base(&mut |base| {
             if self.tail_contiguous {
@@ -211,7 +211,7 @@ impl PlanEntry {
                 }
             }
         });
-        Ok(Tensor::from_pool(data, &self.client_dims)?)
+        Ok(Tensor::from_vec(data, &self.client_dims)?)
     }
 
     /// Single-pass scatter-add of a client tensor into `sums`/`counts`
@@ -780,20 +780,18 @@ impl ServerAggregator {
             return self.finalize_median(previous_global);
         }
         let mut out = StateDict::new();
-        let arena = TensorArena::global();
         for spec in &self.global_specs {
             let prev = previous_global.require(&spec.name)?;
             let sums = &self.sums[&spec.name];
             let counts = &self.counts[&spec.name];
-            let mut data = arena.lease(prev.len());
-            data.extend(
-                prev.as_slice()
-                    .iter()
-                    .zip(sums.as_slice())
-                    .zip(counts.as_slice())
-                    .map(|((&p, &s), &c)| if c > 0.0 { s / c } else { p }),
-            );
-            out.insert(spec.name.clone(), Tensor::from_pool(data, &spec.shape)?);
+            let data = prev
+                .as_slice()
+                .iter()
+                .zip(sums.as_slice())
+                .zip(counts.as_slice())
+                .map(|((&p, &s), &c)| if c > 0.0 { s / c } else { p })
+                .collect();
+            out.insert(spec.name.clone(), Tensor::from_vec(data, &spec.shape)?);
         }
         Ok(out)
     }
@@ -804,8 +802,7 @@ impl ServerAggregator {
     /// client must not be able to buy leverage by claiming more samples.
     fn finalize_median(&self, previous_global: &StateDict) -> FlResult<StateDict> {
         let mut out = StateDict::new();
-        let arena = TensorArena::global();
-        let mut scratch = arena.lease(self.per_update.len());
+        let mut scratch = Vec::with_capacity(self.per_update.len());
         for spec in &self.global_specs {
             let prev = previous_global.require(&spec.name)?;
             let counts = &self.counts[&spec.name];
@@ -814,30 +811,28 @@ impl ServerAggregator {
                 .iter()
                 .map(|(s, c)| (s[&spec.name].as_slice(), c[&spec.name].as_slice()))
                 .collect();
-            let mut data = arena.lease(prev.len());
-            data.extend(
-                prev.as_slice()
-                    .iter()
-                    .zip(counts.as_slice())
-                    .enumerate()
-                    .map(|(i, (&p, &c))| {
-                        if c <= 0.0 {
-                            return p;
+            let data = prev
+                .as_slice()
+                .iter()
+                .zip(counts.as_slice())
+                .enumerate()
+                .map(|(i, (&p, &c))| {
+                    if c <= 0.0 {
+                        return p;
+                    }
+                    scratch.clear();
+                    for (sums, counts) in &views {
+                        // A client covered this coordinate iff its own
+                        // scatter (unit weight) counted it.
+                        if counts[i] > 0.0 {
+                            scratch.push(sums[i] / counts[i]);
                         }
-                        scratch.clear();
-                        for (sums, counts) in &views {
-                            // A client covered this coordinate iff its own
-                            // scatter (unit weight) counted it.
-                            if counts[i] > 0.0 {
-                                scratch.push(sums[i] / counts[i]);
-                            }
-                        }
-                        crate::adversary::coordinate_median(&mut scratch).unwrap_or(p)
-                    }),
-            );
-            out.insert(spec.name.clone(), Tensor::from_pool(data, &spec.shape)?);
+                    }
+                    crate::adversary::coordinate_median(&mut scratch).unwrap_or(p)
+                })
+                .collect();
+            out.insert(spec.name.clone(), Tensor::from_vec(data, &spec.shape)?);
         }
-        arena.recycle(scratch);
         Ok(out)
     }
 }

@@ -462,14 +462,11 @@ pub fn take_tensor(d: &mut Decoder<'_>) -> PersistResult<Tensor> {
             remaining: d.remaining(),
         });
     }
-    // Decode into arena-leased storage: checkpoint restores and the
-    // remote-shard reassembly path both stream many same-shaped tensors
-    // through here, so each decode after the first reuses a recycled buffer.
-    let mut data = mhfl_tensor::TensorArena::global().lease(len);
+    let mut data = Vec::with_capacity(len);
     for _ in 0..len {
         data.push(d.take_f32()?);
     }
-    Tensor::from_pool(data, &dims).map_err(|e| PersistError::Malformed {
+    Tensor::from_vec(data, &dims).map_err(|e| PersistError::Malformed {
         section: d.section,
         detail: format!("tensor reconstruction failed: {e}"),
     })

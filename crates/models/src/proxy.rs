@@ -325,12 +325,10 @@ impl ProxyModel {
 
     /// Builds the model with every parameter zero-filled (no random draws).
     ///
-    /// Parameter storage is leased from the process-wide
-    /// [`TensorArena`](mhfl_tensor::TensorArena) (the zero-init RNG makes
-    /// every [`Tensor::randn`](mhfl_tensor::Tensor::randn) call resolve to
-    /// an arena-leased zero buffer), so rebuilding client models round
-    /// after round recycles the previous round's buffers instead of
-    /// allocating.
+    /// The zero-init RNG makes every
+    /// [`Tensor::randn`](mhfl_tensor::Tensor::randn) call resolve to
+    /// [`Tensor::zeros`](mhfl_tensor::Tensor::zeros), so no normal draw is
+    /// made.
     ///
     /// Used when the parameters will be overwritten wholesale immediately
     /// after construction — e.g. loading an extracted sub-model whose plan

@@ -11,19 +11,19 @@
 //!     --scale quick --seed 42
 //! ```
 
-use mhfl_net::cli::{arg_value, parse_spec};
+use mhfl_net::cli::{parse_spec, Args, Flag, SPEC_FLAGS};
 use mhfl_net::{run_server, Endpoint, Listener};
 
+const USAGE: &str = "mhfl-server [--listen <endpoint>] [--workers <n>] [--task <task>] \
+    [--method <method>] [--constraint <case>] [--scale <scale>] [--seed <n>] \
+    [--execution <mode>] [--parallelism <mode>]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let endpoint = arg_value(&args, "--listen").unwrap_or_else(|| "tcp:127.0.0.1:4400".into());
-    let endpoint = Endpoint::parse(&endpoint).unwrap_or_else(|e| fail(&e.to_string()));
-    let workers: usize = arg_value(&args, "--workers")
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| fail("--workers expects a number"))
-        })
-        .unwrap_or(2);
+    let own = [Flag::Value("--listen"), Flag::Count("--workers")];
+    let args = Args::from_env(USAGE, &[SPEC_FLAGS, &own].concat(), &[]);
+    let endpoint = args.value("--listen").unwrap_or("tcp:127.0.0.1:4400");
+    let endpoint = Endpoint::parse(endpoint).unwrap_or_else(|e| fail(&e.to_string()));
+    let workers = args.count("--workers").unwrap_or(2);
     let spec = parse_spec(&args).unwrap_or_else(|e| fail(&e.to_string()));
 
     let listener = Listener::bind(&endpoint).unwrap_or_else(|e| fail(&e.to_string()));

@@ -15,30 +15,36 @@
 
 use std::time::Duration;
 
-use mhfl_net::cli::{arg_value, parse_spec};
+use mhfl_net::cli::{parse_spec, Args, Flag, SPEC_FLAGS};
 use mhfl_net::{run_worker, Endpoint, WorkerOptions};
 
+const USAGE: &str = "mhfl-worker --connect <endpoint> [--name <name>] [--heartbeat-ms <ms>] \
+    [--die-after <n>] [--task <task>] [--method <method>] [--constraint <case>] \
+    [--scale <scale>] [--seed <n>] [--execution <mode>] [--parallelism <mode>]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let endpoint = arg_value(&args, "--connect").unwrap_or_else(|| fail("--connect is required"));
-    let endpoint = Endpoint::parse(&endpoint).unwrap_or_else(|e| fail(&e.to_string()));
+    let own = [
+        Flag::Value("--connect"),
+        Flag::Value("--name"),
+        Flag::Count("--heartbeat-ms"),
+        Flag::Count("--die-after"),
+    ];
+    let args = Args::from_env(USAGE, &[SPEC_FLAGS, &own].concat(), &[]);
+    let endpoint = args
+        .value("--connect")
+        .unwrap_or_else(|| fail("--connect is required"));
+    let endpoint = Endpoint::parse(endpoint).unwrap_or_else(|e| fail(&e.to_string()));
     let spec = parse_spec(&args).unwrap_or_else(|e| fail(&e.to_string()));
 
     let mut options = WorkerOptions {
-        name: arg_value(&args, "--name").unwrap_or_else(|| format!("pid{}", std::process::id())),
+        name: args
+            .value("--name")
+            .map_or_else(|| format!("pid{}", std::process::id()), str::to_string),
+        die_after_updates: args.count("--die-after"),
         ..WorkerOptions::default()
     };
-    if let Some(ms) = arg_value(&args, "--heartbeat-ms") {
-        let ms: u64 = ms
-            .parse()
-            .unwrap_or_else(|_| fail("--heartbeat-ms expects milliseconds"));
-        options.heartbeat = Duration::from_millis(ms);
-    }
-    if let Some(n) = arg_value(&args, "--die-after") {
-        options.die_after_updates = Some(
-            n.parse()
-                .unwrap_or_else(|_| fail("--die-after expects a count")),
-        );
+    if let Some(ms) = args.count("--heartbeat-ms") {
+        options.heartbeat = Duration::from_millis(ms as u64);
     }
 
     let name = options.name.clone();

@@ -1,10 +1,15 @@
-//! Shared command-line spec parsing for the `mhfl-server` / `mhfl-worker`
-//! binaries and the distributed bench/example drivers.
+//! Command-line parsing for the `mhfl-server` / `mhfl-worker` binaries and
+//! the bench binaries.
+//!
+//! Each binary declares the flags and bare words it accepts ([`Args`]), and
+//! anything else — a typo'd flag, an unknown entry, a missing or
+//! non-integer value, `--quick` with `--paper` — is a usage error (exit code
+//! 2) instead of a silently different run.
 //!
 //! Both sides of a distributed run must be launched with the *same*
-//! experiment spec — the worker rebuilds the federation context from it —
-//! so the flags here round-trip through [`spec_flags`] and any residual
-//! mismatch is caught by the [`spec_fingerprint`] handshake.
+//! experiment spec — the worker rebuilds the federation context from the
+//! [`SPEC_FLAGS`] that [`parse_spec`] reads — and any residual mismatch is
+//! caught by the [`spec_fingerprint`] handshake.
 
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
@@ -15,18 +20,117 @@ use pracmhbench_core::{ExperimentSpec, RunScale};
 
 use crate::error::{NetError, NetResult};
 
-/// The value following `flag` in `args`, if present.
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// One flag a binary accepts.
+#[derive(Debug, Clone, Copy)]
+pub enum Flag {
+    /// `--name` on its own.
+    Switch(&'static str),
+    /// `--name <value>`.
+    Value(&'static str),
+    /// `--name <n>` with a non-negative integer `n`.
+    Count(&'static str),
 }
 
-/// Whether `flag` appears in `args`.
-pub fn has_flag(args: &[String], flag: &str) -> bool {
-    args.iter().any(|a| a == flag)
+/// Arguments that passed their binary's declaration.
+#[derive(Debug, Default)]
+pub struct Args {
+    switches: Vec<String>,
+    values: Vec<(String, String)>,
+    words: Vec<String>,
 }
+
+impl Args {
+    /// Parses the process arguments against `flags` and `words`; on misuse
+    /// prints the error and `usage` to stderr and exits with code 2.
+    pub fn from_env(usage: &str, flags: &[Flag], words: &[&str]) -> Args {
+        Args::parse(flags, words, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\nusage: {usage}");
+            std::process::exit(2)
+        })
+    }
+
+    fn parse(
+        flags: &[Flag],
+        words: &[&str],
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Args, String> {
+        let mut parsed = Args::default();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let flag = flags.iter().find(|f| match f {
+                Flag::Switch(n) | Flag::Value(n) | Flag::Count(n) => *n == arg,
+            });
+            match flag {
+                Some(Flag::Switch(_)) => parsed.switches.push(arg),
+                Some(&Flag::Value(name) | &Flag::Count(name)) => {
+                    let value = args
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{name} needs a value"))?;
+                    if matches!(flag, Some(Flag::Count(_))) && value.parse::<usize>().is_err() {
+                        return Err(format!(
+                            "{name} expects a non-negative integer, got {value:?}"
+                        ));
+                    }
+                    parsed.values.push((arg, value));
+                }
+                None if words.contains(&arg.as_str()) => parsed.words.push(arg),
+                None => return Err(format!("unknown argument {arg:?}")),
+            }
+        }
+        if parsed.has("--quick") && parsed.has("--paper") {
+            return Err("--quick and --paper are mutually exclusive".into());
+        }
+        Ok(parsed)
+    }
+
+    /// Whether the switch `name` was given.
+    pub fn has(&self, name: &str) -> bool {
+        self.switches.iter().any(|s| s == name)
+    }
+
+    /// The value given for `name`.
+    pub fn value(&self, name: &str) -> Option<&str> {
+        self.values
+            .iter()
+            .find(|(flag, _)| flag == name)
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// The integer given for the [`Flag::Count`] `name`.
+    pub fn count(&self, name: &str) -> Option<usize> {
+        self.value(name).and_then(|v| v.parse().ok())
+    }
+
+    /// The bare words given, in order.
+    pub fn words(&self) -> &[String] {
+        &self.words
+    }
+
+    /// `--quick` → [`RunScale::Quick`], `--paper` → [`RunScale::Paper`],
+    /// neither → [`RunScale::Standard`].
+    pub fn scale(&self) -> RunScale {
+        if self.has("--quick") {
+            RunScale::Quick
+        } else if self.has("--paper") {
+            RunScale::Paper
+        } else {
+            RunScale::Standard
+        }
+    }
+}
+
+/// The flags [`parse_spec`] reads; a binary that builds its experiment spec
+/// from the command line declares these beside its own.
+pub const SPEC_FLAGS: &[Flag] = &[
+    Flag::Value("--task"),
+    Flag::Value("--method"),
+    Flag::Value("--constraint"),
+    Flag::Value("--scale"),
+    Flag::Value("--seed"),
+    Flag::Value("--execution"),
+    Flag::Value("--parallelism"),
+];
 
 fn normalise(name: &str) -> String {
     name.chars()
@@ -131,87 +235,43 @@ fn parse_parallelism(value: &str) -> NetResult<Parallelism> {
     Err(bad("--parallelism", value, "seq | threads:<n>"))
 }
 
-/// Builds an [`ExperimentSpec`] from the shared flag set. Every flag is
+/// Builds an [`ExperimentSpec`] from the [`SPEC_FLAGS`]. Every flag is
 /// optional; the defaults give the quick smoke spec (UCI-HAR / SHeteroFL /
 /// memory / seed 42 / synchronous / sequential).
 ///
 /// # Errors
 /// Returns [`NetError::Protocol`] on an unrecognised value.
-pub fn parse_spec(args: &[String]) -> NetResult<ExperimentSpec> {
-    let task = match arg_value(args, "--task") {
-        Some(v) => parse_task(&v)?,
+pub fn parse_spec(args: &Args) -> NetResult<ExperimentSpec> {
+    let task = match args.value("--task") {
+        Some(v) => parse_task(v)?,
         None => DataTask::UciHar,
     };
-    let method = match arg_value(args, "--method") {
-        Some(v) => parse_method(&v)?,
+    let method = match args.value("--method") {
+        Some(v) => parse_method(v)?,
         None => MhflMethod::SHeteroFl,
     };
-    let constraint = match arg_value(args, "--constraint") {
-        Some(v) => parse_constraint(&v)?,
+    let constraint = match args.value("--constraint") {
+        Some(v) => parse_constraint(v)?,
         None => ConstraintCase::Memory,
     };
     let mut spec = ExperimentSpec::new(task, method, constraint);
-    spec = spec.with_scale(match arg_value(args, "--scale") {
-        Some(v) => parse_scale(&v)?,
+    spec = spec.with_scale(match args.value("--scale") {
+        Some(v) => parse_scale(v)?,
         None => RunScale::Quick,
     });
-    if let Some(v) = arg_value(args, "--seed") {
+    if let Some(v) = args.value("--seed") {
         let seed = v
             .parse::<u64>()
-            .map_err(|_| bad("--seed", &v, "an unsigned integer"))?;
+            .map_err(|_| bad("--seed", v, "an unsigned integer"))?;
         spec = spec.with_seed(seed);
     }
-    if let Some(v) = arg_value(args, "--execution") {
-        spec = spec.with_execution(parse_execution(&v)?);
+    if let Some(v) = args.value("--execution") {
+        spec = spec.with_execution(parse_execution(v)?);
     }
-    if let Some(v) = arg_value(args, "--parallelism") {
-        spec = spec.with_parallelism(parse_parallelism(&v)?);
+    if let Some(v) = args.value("--parallelism") {
+        spec = spec.with_parallelism(parse_parallelism(v)?);
     }
     Ok(spec)
-}
-
-/// Serialises a spec back to the flag set [`parse_spec`] reads — how the
-/// bench and example launch worker processes with a guaranteed-identical
-/// spec.
-pub fn spec_flags(spec: &ExperimentSpec) -> Vec<String> {
-    let constraint = match spec.constraint {
-        ConstraintCase::Memory => "memory".to_string(),
-        ConstraintCase::Computation { deadline_secs } => format!("computation:{deadline_secs}"),
-        ConstraintCase::Communication { budget_secs } => format!("communication:{budget_secs}"),
-        ConstraintCase::Combined { .. } => "combined".to_string(),
-    };
-    let scale = match spec.scale {
-        RunScale::Quick => "quick",
-        RunScale::Standard => "standard",
-        RunScale::Paper => "paper",
-    };
-    let execution = match spec.execution {
-        Execution::Synchronous => "sync".to_string(),
-        Execution::AsyncBuffered {
-            buffer_size,
-            concurrency,
-        } => format!("async:{buffer_size}:{concurrency}"),
-    };
-    let parallelism = match spec.parallelism {
-        Parallelism::Sequential => "seq".to_string(),
-        Parallelism::Threads { workers } => format!("threads:{workers}"),
-    };
-    vec![
-        "--task".into(),
-        format!("{:?}", spec.task),
-        "--method".into(),
-        format!("{:?}", spec.method),
-        "--constraint".into(),
-        constraint,
-        "--scale".into(),
-        scale.into(),
-        "--seed".into(),
-        spec.seed.to_string(),
-        "--execution".into(),
-        execution,
-        "--parallelism".into(),
-        parallelism,
-    ]
 }
 
 /// FNV-1a fingerprint of the full spec. Server and worker exchange it in
@@ -228,27 +288,109 @@ pub fn spec_fingerprint(spec: &ExperimentSpec) -> u64 {
 mod tests {
     use super::*;
 
+    const FLAGS: &[Flag] = &[
+        Flag::Switch("--quick"),
+        Flag::Switch("--paper"),
+        Flag::Value("--checkpoint-dir"),
+        Flag::Count("--rss-ceiling-mb"),
+    ];
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        Args::parse(FLAGS, &["fig4", "fig8"], args.iter().map(|a| a.to_string()))
+    }
+
+    fn spec(args: &[&str]) -> NetResult<ExperimentSpec> {
+        let args = Args::parse(SPEC_FLAGS, &[], args.iter().map(|a| a.to_string()))
+            .expect("only spec flags");
+        parse_spec(&args)
+    }
+
+    #[test]
+    fn declared_arguments_parse() {
+        let args = parse(&[
+            "fig8",
+            "--quick",
+            "--checkpoint-dir",
+            "ckpts",
+            "--rss-ceiling-mb",
+            "600",
+            "fig4",
+        ])
+        .unwrap();
+        assert_eq!(args.words(), ["fig8", "fig4"]);
+        assert_eq!(args.scale(), RunScale::Quick);
+        assert_eq!(args.value("--checkpoint-dir"), Some("ckpts"));
+        assert_eq!(args.count("--rss-ceiling-mb"), Some(600));
+        assert_eq!(args.count("--checkpoint-dir"), None);
+        assert_eq!(parse(&["--paper"]).unwrap().scale(), RunScale::Paper);
+        assert_eq!(parse(&[]).unwrap().scale(), RunScale::Standard);
+    }
+
+    #[test]
+    fn misuse_is_an_error_not_a_different_run() {
+        let cases: [(&[&str], &str); 9] = [
+            (&["--qiuck"], "unknown argument \"--qiuck\""),
+            (&["--rss-ceiling", "600"], "unknown argument"),
+            (&["-q"], "unknown argument"),
+            (&["fig10"], "unknown argument \"fig10\""),
+            (&["--checkpoint-dir"], "--checkpoint-dir needs a value"),
+            (&["--rss-ceiling-mb", "--quick"], "needs a value"),
+            (&["--rss-ceiling-mb", "-1"], "non-negative integer"),
+            (&["--rss-ceiling-mb", "1.5"], "non-negative integer"),
+            (&["--quick", "--paper"], "mutually exclusive"),
+        ];
+        for (args, error) in cases {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(error), "{args:?}: {err}");
+        }
+    }
+
     #[test]
     fn spec_flags_round_trip_through_parse_spec() {
         // The paper's thresholds, non-default ones, and a case without one.
-        for constraint in [
-            ConstraintCase::Computation {
-                deadline_secs: 300.0,
-            },
-            ConstraintCase::Computation {
-                deadline_secs: 120.0,
-            },
-            ConstraintCase::Communication { budget_secs: 90.5 },
-            ConstraintCase::Memory,
+        for (flag, constraint) in [
+            (
+                "computation:300",
+                ConstraintCase::Computation {
+                    deadline_secs: 300.0,
+                },
+            ),
+            (
+                "computation:120",
+                ConstraintCase::Computation {
+                    deadline_secs: 120.0,
+                },
+            ),
+            (
+                "communication:90.5",
+                ConstraintCase::Communication { budget_secs: 90.5 },
+            ),
+            ("memory", ConstraintCase::Memory),
         ] {
-            let spec = ExperimentSpec::new(DataTask::Cifar10, MhflMethod::FedProto, constraint)
+            let expected = ExperimentSpec::new(DataTask::Cifar10, MhflMethod::FedProto, constraint)
                 .with_scale(RunScale::Quick)
                 .with_seed(7)
                 .with_execution(Execution::async_buffered(2))
                 .with_parallelism(Parallelism::Threads { workers: 3 });
-            let parsed = parse_spec(&spec_flags(&spec)).expect("round trip parses");
-            assert_eq!(parsed, spec);
-            assert_eq!(spec_fingerprint(&parsed), spec_fingerprint(&spec));
+            let parsed = spec(&[
+                "--task",
+                "Cifar10",
+                "--method",
+                "FedProto",
+                "--constraint",
+                flag,
+                "--scale",
+                "quick",
+                "--seed",
+                "7",
+                "--execution",
+                "async:2:0",
+                "--parallelism",
+                "threads:3",
+            ])
+            .expect("spec flags parse");
+            assert_eq!(parsed, expected);
+            assert_eq!(spec_fingerprint(&parsed), spec_fingerprint(&expected));
         }
     }
 
@@ -285,7 +427,9 @@ mod tests {
 
     #[test]
     fn unknown_values_are_typed_errors() {
-        let args = vec!["--task".to_string(), "mnist".to_string()];
-        assert!(matches!(parse_spec(&args), Err(NetError::Protocol { .. })));
+        assert!(matches!(
+            spec(&["--task", "mnist"]),
+            Err(NetError::Protocol { .. })
+        ));
     }
 }

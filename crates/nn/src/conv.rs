@@ -1,6 +1,6 @@
 //! 2-D convolution.
 
-use mhfl_tensor::{SeededRng, Tensor, TensorArena};
+use mhfl_tensor::{SeededRng, Tensor};
 
 use crate::layer::join_name;
 use crate::{AxisRole, Layer, NnError, Param, Result};
@@ -105,7 +105,7 @@ impl Layer for Conv2d {
         let x = input.as_slice();
         let wgt = self.weight.value.as_slice();
         let b = self.bias.value.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(batch * self.out_channels * oh * ow);
+        let mut out = vec![0.0; batch * self.out_channels * oh * ow];
 
         for n in 0..batch {
             for oc in 0..self.out_channels {
@@ -136,7 +136,7 @@ impl Layer for Conv2d {
             }
         }
         self.cached_input = Some(input.clone());
-        Ok(Tensor::from_pool(out, &[batch, self.out_channels, oh, ow])?)
+        Ok(Tensor::from_vec(out, &[batch, self.out_channels, oh, ow])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -155,7 +155,7 @@ impl Layer for Conv2d {
         let dy = grad_output.as_slice();
         let wgt = self.weight.value.as_slice();
 
-        let mut dx = TensorArena::global().lease_zeroed(x.len());
+        let mut dx = vec![0.0; x.len()];
         let dw = self.weight.grad.as_mut_slice();
         let db = self.bias.grad.as_mut_slice();
 
@@ -191,7 +191,7 @@ impl Layer for Conv2d {
                 }
             }
         }
-        Ok(Tensor::from_pool(dx, dims)?)
+        Ok(Tensor::from_vec(dx, dims)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {

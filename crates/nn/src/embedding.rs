@@ -1,6 +1,6 @@
 //! Token embedding layer for the NLP proxy models.
 
-use mhfl_tensor::{SeededRng, Tensor, TensorArena};
+use mhfl_tensor::{SeededRng, Tensor};
 
 use crate::layer::join_name;
 use crate::{AxisRole, Layer, NnError, Param, Result};
@@ -74,14 +74,14 @@ impl Layer for Embedding {
             .map(|&v| (v.round().max(0.0) as usize).min(self.vocab - 1))
             .collect();
         let table = self.table.value.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(b * s * self.dim);
+        let mut out = vec![0.0; b * s * self.dim];
         for (pos, &id) in ids.iter().enumerate() {
             out[pos * self.dim..(pos + 1) * self.dim]
                 .copy_from_slice(&table[id * self.dim..(id + 1) * self.dim]);
         }
         self.cached_ids = Some(ids);
         self.cached_dims = Some(dims);
-        Ok(Tensor::from_pool(out, &[b, s, self.dim])?)
+        Ok(Tensor::from_vec(out, &[b, s, self.dim])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

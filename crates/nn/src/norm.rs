@@ -9,7 +9,7 @@
 //! * [`ChannelNorm2d`] — instance normalisation over the spatial extent of
 //!   each channel, used by the convolutional (ResNet/MobileNet-like) proxies.
 
-use mhfl_tensor::{Tensor, TensorArena};
+use mhfl_tensor::Tensor;
 
 use crate::layer::join_name;
 use crate::{AxisRole, Layer, NnError, Param, Result};
@@ -18,9 +18,6 @@ const EPS: f32 = 1e-5;
 
 /// Normalises groups of contiguous values and applies a per-position affine
 /// transform. Shared implementation detail of both normalisation layers.
-///
-/// The cached buffers are arena-leased and recycled on drop, so replacing a
-/// layer's cache every forward step is allocation-free in steady state.
 #[derive(Debug, Clone)]
 struct GroupStats {
     /// Cached normalised values, one entry per input element.
@@ -30,19 +27,10 @@ struct GroupStats {
     group_size: usize,
 }
 
-impl Drop for GroupStats {
-    fn drop(&mut self) {
-        let arena = TensorArena::global();
-        arena.recycle(std::mem::take(&mut self.xhat));
-        arena.recycle(std::mem::take(&mut self.inv_std));
-    }
-}
-
 fn normalise_groups(data: &[f32], group_size: usize) -> GroupStats {
     let groups = data.len() / group_size;
-    let arena = TensorArena::global();
-    let mut xhat = arena.lease_zeroed(data.len());
-    let mut inv_std = arena.lease_zeroed(groups);
+    let mut xhat = vec![0.0; data.len()];
+    let mut inv_std = vec![0.0; groups];
     for g in 0..groups {
         let slice = &data[g * group_size..(g + 1) * group_size];
         let mean: f32 = slice.iter().sum::<f32>() / group_size as f32;
@@ -66,7 +54,7 @@ fn normalise_groups(data: &[f32], group_size: usize) -> GroupStats {
 fn normalise_groups_backward(stats: &GroupStats, d_xhat: &[f32]) -> Vec<f32> {
     let n = stats.group_size as f32;
     let groups = d_xhat.len() / stats.group_size;
-    let mut dx = TensorArena::global().lease_zeroed(d_xhat.len());
+    let mut dx = vec![0.0; d_xhat.len()];
     for g in 0..groups {
         let lo = g * stats.group_size;
         let hi = lo + stats.group_size;
@@ -131,16 +119,14 @@ impl Layer for LayerNorm {
         let stats = normalise_groups(input.as_slice(), self.features);
         let g = self.gamma.value.as_slice();
         let b = self.beta.value.as_slice();
-        let mut data = TensorArena::global().lease(stats.xhat.len());
-        data.extend(
-            stats
-                .xhat
-                .iter()
-                .enumerate()
-                .map(|(i, &xh)| g[i % self.features] * xh + b[i % self.features]),
-        );
+        let data = stats
+            .xhat
+            .iter()
+            .enumerate()
+            .map(|(i, &xh)| g[i % self.features] * xh + b[i % self.features])
+            .collect();
         self.cache = Some((stats, dims.clone()));
-        Ok(Tensor::from_pool(data, &dims)?)
+        Ok(Tensor::from_vec(data, &dims)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -157,12 +143,13 @@ impl Layer for LayerNorm {
             self.gamma.grad.as_mut_slice()[c] += dyi * stats.xhat[i];
             self.beta.grad.as_mut_slice()[c] += dyi;
         }
-        let arena = TensorArena::global();
-        let mut d_xhat = arena.lease(dy.len());
-        d_xhat.extend(dy.iter().enumerate().map(|(i, &dyi)| dyi * g[i % f]));
+        let d_xhat: Vec<f32> = dy
+            .iter()
+            .enumerate()
+            .map(|(i, &dyi)| dyi * g[i % f])
+            .collect();
         let dx = normalise_groups_backward(stats, &d_xhat);
-        arena.recycle(d_xhat);
-        Ok(Tensor::from_pool(dx, dims)?)
+        Ok(Tensor::from_vec(dx, dims)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {
@@ -231,13 +218,17 @@ impl Layer for ChannelNorm2d {
         let g = self.gamma.value.as_slice();
         let b = self.beta.value.as_slice();
         let c = self.channels;
-        let mut data = TensorArena::global().lease(stats.xhat.len());
-        data.extend(stats.xhat.iter().enumerate().map(|(i, &xh)| {
-            let channel = (i / spatial) % c;
-            g[channel] * xh + b[channel]
-        }));
+        let data = stats
+            .xhat
+            .iter()
+            .enumerate()
+            .map(|(i, &xh)| {
+                let channel = (i / spatial) % c;
+                g[channel] * xh + b[channel]
+            })
+            .collect();
         self.cache = Some((stats, dims.clone()));
-        Ok(Tensor::from_pool(data, &dims)?)
+        Ok(Tensor::from_vec(data, &dims)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -254,16 +245,13 @@ impl Layer for ChannelNorm2d {
             self.gamma.grad.as_mut_slice()[channel] += dyi * stats.xhat[i];
             self.beta.grad.as_mut_slice()[channel] += dyi;
         }
-        let arena = TensorArena::global();
-        let mut d_xhat = arena.lease(dy.len());
-        d_xhat.extend(
-            dy.iter()
-                .enumerate()
-                .map(|(i, &dyi)| dyi * g[(i / spatial) % c]),
-        );
+        let d_xhat: Vec<f32> = dy
+            .iter()
+            .enumerate()
+            .map(|(i, &dyi)| dyi * g[(i / spatial) % c])
+            .collect();
         let dx = normalise_groups_backward(stats, &d_xhat);
-        arena.recycle(d_xhat);
-        Ok(Tensor::from_pool(dx, dims)?)
+        Ok(Tensor::from_vec(dx, dims)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {

@@ -1,6 +1,6 @@
 //! Pooling and reshaping layers.
 
-use mhfl_tensor::{Tensor, TensorArena};
+use mhfl_tensor::Tensor;
 
 use crate::{Layer, NnError, Param, Result};
 
@@ -31,7 +31,7 @@ impl Layer for GlobalAvgPool2d {
         let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let spatial = (h * w) as f32;
         let x = input.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(b * c);
+        let mut out = vec![0.0; b * c];
         for n in 0..b {
             for ch in 0..c {
                 let start = (n * c + ch) * h * w;
@@ -39,7 +39,7 @@ impl Layer for GlobalAvgPool2d {
             }
         }
         self.cached_dims = Some(dims);
-        Ok(Tensor::from_pool(out, &[b, c])?)
+        Ok(Tensor::from_vec(out, &[b, c])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -50,7 +50,7 @@ impl Layer for GlobalAvgPool2d {
         let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let spatial = (h * w) as f32;
         let dy = grad_output.as_slice();
-        let mut dx = TensorArena::global().lease_zeroed(b * c * h * w);
+        let mut dx = vec![0.0; b * c * h * w];
         for n in 0..b {
             for ch in 0..c {
                 let g = dy[n * c + ch] / spatial;
@@ -58,7 +58,7 @@ impl Layer for GlobalAvgPool2d {
                 dx[start..start + h * w].iter_mut().for_each(|v| *v = g);
             }
         }
-        Ok(Tensor::from_pool(dx, dims)?)
+        Ok(Tensor::from_vec(dx, dims)?)
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
@@ -133,7 +133,7 @@ impl Layer for MeanPool1d {
         let dims = input.dims().to_vec();
         let (b, s, f) = (dims[0], dims[1], dims[2]);
         let x = input.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(b * f);
+        let mut out = vec![0.0; b * f];
         for n in 0..b {
             for t in 0..s {
                 for j in 0..f {
@@ -143,7 +143,7 @@ impl Layer for MeanPool1d {
         }
         out.iter_mut().for_each(|v| *v /= s as f32);
         self.cached_dims = Some(dims);
-        Ok(Tensor::from_pool(out, &[b, f])?)
+        Ok(Tensor::from_vec(out, &[b, f])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -153,7 +153,7 @@ impl Layer for MeanPool1d {
             .ok_or_else(|| NnError::MissingForwardCache("MeanPool1d".into()))?;
         let (b, s, f) = (dims[0], dims[1], dims[2]);
         let dy = grad_output.as_slice();
-        let mut dx = TensorArena::global().lease_zeroed(b * s * f);
+        let mut dx = vec![0.0; b * s * f];
         for n in 0..b {
             for t in 0..s {
                 for j in 0..f {
@@ -161,7 +161,7 @@ impl Layer for MeanPool1d {
                 }
             }
         }
-        Ok(Tensor::from_pool(dx, dims)?)
+        Ok(Tensor::from_vec(dx, dims)?)
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}

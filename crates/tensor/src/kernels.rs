@@ -55,11 +55,8 @@ pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &m
         return;
     }
     // Wide B: pack an L1-sized KC×NC panel so the inner loop streams a
-    // contiguous buffer instead of striding across full B rows. The panel
-    // is leased from the arena, so a warm thread reuses the panel of a
-    // previous kernel invocation instead of allocating.
-    let arena = crate::arena::TensorArena::global();
-    let mut panel = arena.lease_zeroed(KC * NC);
+    // contiguous buffer instead of striding across full B rows.
+    let mut panel = vec![0.0; KC * NC];
     for jb in (0..n).step_by(NC) {
         let jend = (jb + NC).min(n);
         let nc = jend - jb;
@@ -86,7 +83,6 @@ pub(crate) fn matmul(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &m
             }
         }
     }
-    arena.recycle(panel);
 }
 
 /// Transpose-aware `[m, k] × [n, k]ᵀ -> [m, n]` (`A·Bᵀ` without
@@ -97,10 +93,8 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out:
     // relocates the values (a tile-local transpose) without touching the
     // arithmetic, which then runs the same contiguous, vectorisable inner-j
     // loop as the plain blocked kernel — per (i, j) the k-blocks and the
-    // within-block p both ascend, i.e. the naive accumulation order. Leased
-    // from the arena, like the matmul panel.
-    let arena = crate::arena::TensorArena::global();
-    let mut panel = arena.lease_zeroed(KC * NC);
+    // within-block p both ascend, i.e. the naive accumulation order.
+    let mut panel = vec![0.0; KC * NC];
     for jb in (0..n).step_by(NC) {
         let jend = (jb + NC).min(n);
         let nc = jend - jb;
@@ -129,7 +123,6 @@ pub(crate) fn matmul_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out:
             }
         }
     }
-    arena.recycle(panel);
 }
 
 /// Transpose-aware `[k, m]ᵀ × [k, n] -> [m, n]` (`Aᵀ·B` without
@@ -156,35 +149,5 @@ pub(crate) fn matmul_tn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out:
                 }
             }
         }
-    }
-}
-
-#[cfg(all(test, feature = "alloc-count"))]
-mod tests {
-    /// After one warm-up call the pool holds the output buffer and the
-    /// packing panel, so repeated identical matmuls must allocate nothing.
-    /// This is the regression guard for the panels-allocated-per-call bug.
-    #[test]
-    fn warm_matmul_allocates_nothing() {
-        let arena = crate::arena::TensorArena::global();
-        let mut rng = crate::SeededRng::new(3);
-        let a = crate::Tensor::randn(&[32, 64], 1.0, &mut rng);
-        // n = 256 > NC forces the packed-panel path.
-        let b = crate::Tensor::randn(&[64, 256], 1.0, &mut rng);
-        // Two warm-up calls: `reference` keeps its buffer, so the pool needs
-        // a second pass to hold both an output buffer and a packing panel.
-        let reference = a.matmul(&b).unwrap();
-        drop(a.matmul(&b).unwrap());
-        arena.reset_thread_stats();
-        for _ in 0..8 {
-            let out = a.matmul(&b).unwrap();
-            assert_eq!(out, reference);
-        }
-        let stats = arena.thread_stats();
-        assert_eq!(
-            stats.fresh_allocs, 0,
-            "warm matmul must be allocation-free: {stats:?}"
-        );
-        assert!(stats.pool_hits > 0, "warm matmul must lease from the pool");
     }
 }

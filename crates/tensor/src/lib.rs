@@ -19,13 +19,6 @@
 //! the retained naive reference kernel ([`Tensor::matmul_naive`]), so
 //! reproducibility survives every optimisation.
 //!
-//! Tensor storage itself is pooled: every buffer is leased from the
-//! process-wide [`TensorArena`] and recycled on drop, so steady-state
-//! federated rounds run nearly allocation-free (the `alloc-count` feature
-//! compiles in counters that prove it). The pool is observably inert —
-//! recycled storage is re-zeroed or returned empty, never leaked across
-//! leases.
-//!
 //! ```
 //! use mhfl_tensor::Tensor;
 //!
@@ -39,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod arena;
 mod error;
 pub mod kernels;
 mod ops;
@@ -47,7 +39,6 @@ mod rng;
 mod shape;
 mod tensor;
 
-pub use arena::{ArenaStats, TensorArena};
 pub use error::TensorError;
 pub use rng::{RngState, SeededRng};
 pub use shape::Shape;

@@ -1,14 +1,12 @@
 //! Arithmetic, linear algebra and reduction operations on [`Tensor`].
 
-use crate::arena::TensorArena;
 use crate::{Result, Tensor, TensorError};
 
 impl Tensor {
     /// Applies a function to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let mut data = TensorArena::global().lease(self.len());
-        data.extend(self.as_slice().iter().map(|&x| f(x)));
-        Tensor::from_pool(data, self.dims()).expect("map preserves shape")
+        let data = self.as_slice().iter().map(|&x| f(x)).collect();
+        Tensor::from_vec(data, self.dims()).expect("map preserves shape")
     }
 
     /// Applies a function to every element in place.
@@ -28,14 +26,13 @@ impl Tensor {
                 op: "zip_with",
             });
         }
-        let mut data = TensorArena::global().lease(self.len());
-        data.extend(
-            self.as_slice()
-                .iter()
-                .zip(rhs.as_slice())
-                .map(|(&a, &b)| f(a, b)),
-        );
-        Tensor::from_pool(data, self.dims())
+        let data = self
+            .as_slice()
+            .iter()
+            .zip(rhs.as_slice())
+            .map(|(&a, &b)| f(a, b))
+            .collect();
+        Tensor::from_vec(data, self.dims())
     }
 
     /// Elementwise addition.
@@ -166,9 +163,9 @@ impl Tensor {
                 op: "matmul",
             });
         }
-        let mut out = TensorArena::global().lease_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         crate::kernels::matmul(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_pool(out, &[m, n])
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// The retained naive reference kernel: `ikj` loop order, one pass, no
@@ -190,7 +187,7 @@ impl Tensor {
         }
         let a = self.as_slice();
         let b = rhs.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         // ikj loop order keeps the inner loop contiguous over both `b` and `out`.
         for i in 0..m {
             for kk in 0..k {
@@ -205,7 +202,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_pool(out, &[m, n])
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Transpose-aware product `self × rhsᵀ`: `[m, k] x [n, k] -> [m, n]`,
@@ -225,9 +222,9 @@ impl Tensor {
                 op: "matmul_nt",
             });
         }
-        let mut out = TensorArena::global().lease_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         crate::kernels::matmul_nt(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_pool(out, &[m, n])
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Transpose-aware product `selfᵀ × rhs`: `[k, m] x [k, n] -> [m, n]`,
@@ -247,9 +244,9 @@ impl Tensor {
                 op: "matmul_tn",
             });
         }
-        let mut out = TensorArena::global().lease_zeroed(m * n);
+        let mut out = vec![0.0; m * n];
         crate::kernels::matmul_tn(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_pool(out, &[m, n])
+        Tensor::from_vec(out, &[m, n])
     }
 
     /// Transpose of a rank-2 tensor.
@@ -266,13 +263,13 @@ impl Tensor {
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
         let src = self.as_slice();
-        let mut out = TensorArena::global().lease_zeroed(rows * cols);
+        let mut out = vec![0.0; rows * cols];
         for r in 0..rows {
             for c in 0..cols {
                 out[c * rows + r] = src[r * cols + c];
             }
         }
-        Tensor::from_pool(out, &[cols, rows])
+        Tensor::from_vec(out, &[cols, rows])
     }
 
     /// Sum of all elements.
@@ -326,13 +323,14 @@ impl Tensor {
             });
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut data = TensorArena::global().lease(rows);
-        data.extend((0..rows).map(|r| {
-            self.as_slice()[r * cols..(r + 1) * cols]
-                .iter()
-                .sum::<f32>()
-        }));
-        Tensor::from_pool(data, &[rows])
+        let data = (0..rows)
+            .map(|r| {
+                self.as_slice()[r * cols..(r + 1) * cols]
+                    .iter()
+                    .sum::<f32>()
+            })
+            .collect();
+        Tensor::from_vec(data, &[rows])
     }
 
     /// Per-column sums of a rank-2 tensor. Each column is accumulated in
@@ -351,14 +349,14 @@ impl Tensor {
             });
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut data = TensorArena::global().lease_zeroed(cols);
+        let mut data = vec![0.0; cols];
         for r in 0..rows {
             let row = &self.as_slice()[r * cols..(r + 1) * cols];
             for (acc, value) in data.iter_mut().zip(row) {
                 *acc += value;
             }
         }
-        Tensor::from_pool(data, &[cols])
+        Tensor::from_vec(data, &[cols])
     }
 
     /// Per-column means of a rank-2 tensor.
@@ -377,7 +375,7 @@ impl Tensor {
         if rows == 0 {
             return Err(TensorError::Empty("col_means"));
         }
-        let mut data = TensorArena::global().lease_zeroed(cols);
+        let mut data = vec![0.0; cols];
         for r in 0..rows {
             let row = &self.as_slice()[r * cols..(r + 1) * cols];
             for (acc, value) in data.iter_mut().zip(row) {
@@ -385,7 +383,7 @@ impl Tensor {
             }
         }
         data.iter_mut().for_each(|x| *x /= rows as f32);
-        Tensor::from_pool(data, &[cols])
+        Tensor::from_vec(data, &[cols])
     }
 
     /// Row-wise softmax of a rank-2 tensor (numerically stabilised).
@@ -401,11 +399,10 @@ impl Tensor {
             });
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let arena = TensorArena::global();
-        let mut out = arena.lease_zeroed(rows * cols);
-        // One leased scratch row reused across all rows instead of a fresh
-        // `exps` vector per row.
-        let mut exps = arena.lease(cols);
+        let mut out = vec![0.0; rows * cols];
+        // One scratch row reused across all rows instead of a fresh `exps`
+        // vector per row.
+        let mut exps = Vec::with_capacity(cols);
         for r in 0..rows {
             let row = &self.as_slice()[r * cols..(r + 1) * cols];
             let maxv = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -416,8 +413,7 @@ impl Tensor {
                 out[r * cols + c] = exps[c] / denom;
             }
         }
-        arena.recycle(exps);
-        Tensor::from_pool(out, &[rows, cols])
+        Tensor::from_vec(out, &[rows, cols])
     }
 
     /// Row-wise argmax of a rank-2 tensor (predicted class per sample).

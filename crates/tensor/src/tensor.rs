@@ -2,65 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::arena::TensorArena;
 use crate::{Result, SeededRng, Shape, TensorError};
-
-/// The owned buffer behind a tensor, with a pool-recycling drop path.
-///
-/// `Storage` is a thin wrapper over `Vec<f32>` whose `Drop` hands the buffer
-/// back to the process-wide [`TensorArena`] instead of freeing it, and whose
-/// `Clone` leases the copy's buffer from the same pool. Everything else
-/// derefs through to the vector, so the rest of the crate reads and writes
-/// storage exactly as it did when the field was a plain `Vec<f32>`.
-#[derive(Default)]
-struct Storage {
-    data: Vec<f32>,
-}
-
-impl Storage {
-    fn new(data: Vec<f32>) -> Self {
-        Storage { data }
-    }
-}
-
-impl Drop for Storage {
-    fn drop(&mut self) {
-        crate::arena::recycle_storage(std::mem::take(&mut self.data));
-    }
-}
-
-impl Clone for Storage {
-    fn clone(&self) -> Self {
-        let mut buf = TensorArena::global().lease(self.data.len());
-        buf.extend_from_slice(&self.data);
-        Storage { data: buf }
-    }
-}
-
-impl PartialEq for Storage {
-    fn eq(&self, other: &Self) -> bool {
-        self.data == other.data
-    }
-}
-
-impl std::fmt::Debug for Storage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        self.data.fmt(f)
-    }
-}
-
-impl std::ops::Deref for Storage {
-    type Target = Vec<f32>;
-    fn deref(&self) -> &Vec<f32> {
-        &self.data
-    }
-}
-
-impl std::ops::DerefMut for Storage {
-    fn deref_mut(&mut self) -> &mut Vec<f32> {
-        &mut self.data
-    }
-}
 
 /// A dense, row-major, `f32` n-dimensional array.
 ///
@@ -78,7 +20,7 @@ impl std::ops::DerefMut for Storage {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
-    data: Storage,
+    data: Vec<f32>,
 }
 
 impl Tensor {
@@ -95,53 +37,20 @@ impl Tensor {
                 actual: data.len(),
             });
         }
-        Ok(Tensor {
-            shape,
-            data: Storage::new(data),
-        })
-    }
-
-    /// Creates a tensor from an arena-leased buffer (see
-    /// [`TensorArena::lease`]). Functionally identical to
-    /// [`Tensor::from_vec`] — every tensor recycles its storage on drop —
-    /// but states the pooled provenance at the call site, which is how the
-    /// hot paths document that they allocate nothing in steady state.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::ShapeDataMismatch`] if `data.len()` is not the
-    /// product of `dims`.
-    pub fn from_pool(data: Vec<f32>, dims: &[usize]) -> Result<Self> {
-        Tensor::from_vec(data, dims)
+        Ok(Tensor { shape, data })
     }
 
     /// Creates a rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
-        let mut data = TensorArena::global().lease(1);
-        data.push(value);
         Tensor {
             shape: Shape::scalar(),
-            data: Storage::new(data),
+            data: vec![value],
         }
     }
 
-    /// Creates a tensor filled with zeros, with storage leased from the
-    /// process-wide [`TensorArena`].
+    /// Creates a tensor filled with zeros.
     pub fn zeros(dims: &[usize]) -> Self {
-        Tensor::zeroed_in(TensorArena::global(), dims)
-    }
-
-    /// Creates a zero-filled tensor whose storage is leased from `arena`.
-    ///
-    /// Recycled buffers are re-zeroed before reuse, so this is
-    /// indistinguishable from a fresh allocation — stale pool contents can
-    /// never leak into a new tensor.
-    pub fn zeroed_in(arena: &TensorArena, dims: &[usize]) -> Self {
-        let shape = Shape::new(dims);
-        let len = shape.len();
-        Tensor {
-            shape,
-            data: Storage::new(arena.lease_zeroed(len)),
-        }
+        Tensor::full(dims, 0.0)
     }
 
     /// Creates a tensor filled with ones.
@@ -152,13 +61,8 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        let len = shape.len();
-        let mut data = TensorArena::global().lease(len);
-        data.resize(len, value);
-        Tensor {
-            shape,
-            data: Storage::new(data),
-        }
+        let data = vec![value; shape.len()];
+        Tensor { shape, data }
     }
 
     /// Creates a square identity matrix of size `n`.
@@ -176,12 +80,8 @@ impl Tensor {
             return Tensor::zeros(dims);
         }
         let shape = Shape::new(dims);
-        let mut data = TensorArena::global().lease(shape.len());
-        data.extend((0..shape.len()).map(|_| rng.normal(0.0, std)));
-        Tensor {
-            shape,
-            data: Storage::new(data),
-        }
+        let data = (0..shape.len()).map(|_| rng.normal(0.0, std)).collect();
+        Tensor { shape, data }
     }
 
     /// Kaiming/He initialisation for a weight of shape `[fan_out, fan_in, ...]`.
@@ -257,7 +157,7 @@ impl Tensor {
         }
         Ok(Tensor {
             shape: target,
-            data: self.data.clone(), // Storage::clone leases from the pool
+            data: self.data.clone(),
         })
     }
 
@@ -280,9 +180,7 @@ impl Tensor {
         }
         let inner: usize = self.dims()[1..].iter().product();
         let start = index * inner;
-        let mut data = TensorArena::global().lease(inner);
-        data.extend_from_slice(&self.data[start..start + inner]);
-        Tensor::from_pool(data, &self.dims()[1..])
+        Tensor::from_vec(self.data[start..start + inner].to_vec(), &self.dims()[1..])
     }
 
     /// Stacks rank-`k` tensors of identical shape into a rank-`k+1` tensor
@@ -292,7 +190,7 @@ impl Tensor {
     /// Returns an error if `parts` is empty or the shapes differ.
     pub fn stack(parts: &[Tensor]) -> Result<Tensor> {
         let first = parts.first().ok_or(TensorError::Empty("stack"))?;
-        let mut data = TensorArena::global().lease(first.len() * parts.len());
+        let mut data = Vec::with_capacity(first.len() * parts.len());
         for p in parts {
             if p.shape != first.shape {
                 return Err(TensorError::ShapeMismatch {
@@ -326,7 +224,7 @@ impl Tensor {
         }
         let outer = self.dims()[0];
         let inner: usize = self.dims()[1..].iter().product();
-        let mut data = TensorArena::global().lease(indices.len() * inner);
+        let mut data = Vec::with_capacity(indices.len() * inner);
         for &i in indices {
             if i >= outer {
                 return Err(TensorError::IndexOutOfBounds {
@@ -354,7 +252,7 @@ impl Tensor {
             });
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut data = TensorArena::global().lease(rows * indices.len());
+        let mut data = Vec::with_capacity(rows * indices.len());
         for r in 0..rows {
             for &c in indices {
                 if c >= cols {
@@ -392,7 +290,7 @@ impl Tensor {
         }
         let outer: usize = dims[..axis].iter().product();
         let inner: usize = dims[axis + 1..].iter().product();
-        let mut data = TensorArena::global().lease(outer * indices.len() * inner);
+        let mut data = Vec::with_capacity(outer * indices.len() * inner);
         for o in 0..outer {
             for &i in indices {
                 let start = (o * axis_len + i) * inner;
@@ -465,7 +363,7 @@ impl Tensor {
         let first = parts.first().ok_or(TensorError::Empty("concat_axis0"))?;
         let tail = &first.dims()[1..];
         let mut rows = 0;
-        let mut data = TensorArena::global().lease(parts.iter().map(Tensor::len).sum());
+        let mut data = Vec::with_capacity(parts.iter().map(Tensor::len).sum());
         for p in parts {
             if p.rank() == 0 || &p.dims()[1..] != tail {
                 return Err(TensorError::ShapeMismatch {

@@ -2,7 +2,7 @@
 //! `ExperimentSpec::build_context` / `build_lazy_context` and the
 //! `population_scale` benchmark.
 //!
-//! Three families of guarantees are pinned here:
+//! Two families of guarantees are pinned here:
 //!
 //! 1. **Resident ≡ derived** — a context materialised up front
 //!    ([`ExperimentSpec::build_context`]) and one derived on each touch
@@ -16,16 +16,12 @@
 //!    the digest of the uninterrupted run. The in-flight section is sparse,
 //!    so the file stays small and the round trip stays fast at any
 //!    population.
-//! 3. **Shards are leased, not landfilled** — deriving shards by the
-//!    thousand leaves the tensor arena holding one shard's worth of
-//!    buffers, not one buffer per shard ever derived.
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_fl::{Checkpoint, EngineConfig, Execution, FlEngine, RoundEvent, Session};
 use mhfl_models::MhflMethod;
-use mhfl_tensor::TensorArena;
 use pracmhbench_core::{ExperimentSpec, RunScale};
 use proptest::prelude::*;
 
@@ -256,37 +252,5 @@ fn sparse_million_client_checkpoint_round_trips_to_equal_digest() {
         resumed.digest(),
         uninterrupted,
         "sparse-population checkpoint resume diverged from the uninterrupted run"
-    );
-}
-
-/// Deriving lazy shards must not grow the arena: a shard's sample buffer is
-/// a size nothing else asks for, so unless the generator itself leases it,
-/// every derived-and-dropped shard stays pooled (2 000 paper-scale UCI-HAR
-/// shards = 14 MB, on towards the pool's 96 MB of caps in a long run).
-/// `population-scale-smoke`'s four rounds cannot see that; this can.
-#[test]
-fn derived_shards_do_not_accumulate_in_the_arena() {
-    let ctx = spec(MhflMethod::SHeteroFl, 10_000, 5)
-        .with_scale(RunScale::Paper)
-        .build_lazy_context()
-        .unwrap();
-    // A thread of its own starts from an empty local pool.
-    let grown = std::thread::scope(|scope| {
-        scope
-            .spawn(|| {
-                let before = TensorArena::global().retained_bytes();
-                for client in 0..2_000 {
-                    drop(ctx.client_shard(client));
-                }
-                TensorArena::global()
-                    .retained_bytes()
-                    .saturating_sub(before)
-            })
-            .join()
-            .expect("derivation thread panicked")
-    });
-    assert!(
-        grown < 4 << 20,
-        "2 000 derived shards left {grown} more bytes pooled in the arena"
     );
 }
