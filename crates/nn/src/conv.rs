@@ -1,5 +1,7 @@
 //! 2-D convolution.
 
+use std::ops::Range;
+
 use mhfl_tensor::{SeededRng, Tensor};
 
 use crate::layer::join_name;
@@ -9,9 +11,15 @@ use crate::{AxisRole, Layer, NnError, Param, Result};
 ///
 /// The weight has shape `[out_channels, in_channels, k, k]` with axis roles
 /// `[OutFeatures, InFeatures, Fixed, Fixed]`, so width-heterogeneous
-/// extraction slices channels but never the spatial kernel. The
-/// implementation uses direct loops — the proxy models operate on tiny
-/// feature maps where clarity beats an im2col + GEMM pipeline.
+/// extraction slices channels but never the spatial kernel.
+///
+/// The loops are reordered for speed under a bitwise contract: every
+/// destination element receives the same addends, in the same order, as the
+/// plain direct loops kept as the test reference. An output starts at
+/// `b[oc]` and adds `x·w` for ascending `(ic, ky, kx)`; a `dw` element adds
+/// `g·x` onto its prior value for ascending `(n, oy, ox)`; a `dx` element
+/// sums `g·w` for ascending `(oc, oy, ox)`. Padding taps are skipped, never
+/// added as zero, and an output gradient of exactly zero contributes nothing.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -86,57 +94,115 @@ impl Conv2d {
     }
 }
 
+/// The outputs `o` in `0..out_len` whose kernel tap at offset `off` lands
+/// inside the input, i.e. `0 <= o·s + off − p < in_len`.
+fn valid_range(off: usize, p: usize, s: usize, in_len: usize, out_len: usize) -> Range<usize> {
+    let hi = (in_len + p).saturating_sub(off).div_ceil(s).min(out_len);
+    let lo = p.saturating_sub(off).div_ceil(s).min(hi);
+    lo..hi
+}
+
+/// The kernel offsets whose tap at output `o` lands inside the input, i.e.
+/// `0 <= o·s + off − p < in_len` for `off` in `0..k`.
+fn valid_taps(o: usize, p: usize, s: usize, in_len: usize, k: usize) -> Range<usize> {
+    let hi = (in_len + p).saturating_sub(o * s).min(k);
+    let lo = p.saturating_sub(o * s).min(hi);
+    lo..hi
+}
+
+/// `dw += g·x` and `dx += g·w`, element by element over equal-length runs.
+fn accumulate(g: f32, dw: &mut [f32], x: &[f32], dx: &mut [f32], w: &[f32]) {
+    for (((dw, &x), dx), &w) in dw.iter_mut().zip(x).zip(dx.iter_mut()).zip(w) {
+        *dw += g * x;
+        *dx += g * w;
+    }
+}
+
+/// Views `src` as `[.., a, b]` and returns it laid out as `[.., b, a]`.
+fn swap_inner_axes(src: &[f32], a: usize, b: usize) -> Vec<f32> {
+    let mut dst = vec![0.0; src.len()];
+    for (src, dst) in src.chunks_exact(a * b).zip(dst.chunks_exact_mut(a * b)) {
+        for (i, row) in src.chunks_exact(b).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                dst[j * a + i] = v;
+            }
+        }
+    }
+    dst
+}
+
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let dims = input.dims();
-        if input.rank() != 4 || dims[1] != self.in_channels {
+        let k = self.kernel;
+        let p = self.padding;
+        // The map must be non-empty and, padded, hold one whole kernel.
+        let min_side = k.saturating_sub(2 * p).max(1);
+        if input.rank() != 4
+            || dims[1] != self.in_channels
+            || dims[2] < min_side
+            || dims[3] < min_side
+        {
             return Err(NnError::BadInput {
                 layer: "Conv2d".into(),
-                expected: format!("[batch, {}, h, w] input", self.in_channels),
+                expected: format!(
+                    "[batch, {}, h, w] input with h, w >= {min_side}",
+                    self.in_channels
+                ),
                 got: dims.to_vec(),
             });
         }
-        let (batch, _, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let oh = self.output_size(h);
-        let ow = self.output_size(w);
-        let k = self.kernel;
+        let (batch, h, w) = (dims[0], dims[2], dims[3]);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
         let s = self.stride;
-        let p = self.padding as isize;
+        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
         let x = input.as_slice();
         let wgt = self.weight.value.as_slice();
         let b = self.bias.value.as_slice();
-        let mut out = vec![0.0; batch * self.out_channels * oh * ow];
+        let rows: Vec<_> = (0..k).map(|ky| valid_range(ky, p, s, h, oh)).collect();
+        let cols: Vec<_> = (0..k).map(|kx| valid_range(kx, p, s, w, ow)).collect();
+        let mut out = vec![0.0; batch * oc_n * oh * ow];
 
-        for n in 0..batch {
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut acc = b[oc];
-                        for ic in 0..self.in_channels {
-                            for ky in 0..k {
-                                let iy = (oy * s + ky) as isize - p;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = (ox * s + kx) as isize - p;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
+        for (x_n, out_n) in x
+            .chunks_exact(ic_n * h * w)
+            .zip(out.chunks_exact_mut(oc_n * oh * ow))
+        {
+            for ((y, w_oc), &bias) in out_n
+                .chunks_exact_mut(oh * ow)
+                .zip(wgt.chunks_exact(ic_n * k * k))
+                .zip(b)
+            {
+                y.fill(bias);
+                for (x_c, w_c) in x_n.chunks_exact(h * w).zip(w_oc.chunks_exact(k * k)) {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let cols = cols[kx].clone();
+                            // An empty range has no first column to offset.
+                            if cols.is_empty() {
+                                continue;
+                            }
+                            let wv = w_c[ky * k + kx];
+                            for oy in rows[ky].clone() {
+                                let x_row = &x_c[(oy * s + ky - p) * w..][..w];
+                                let y_row = &mut y[oy * ow..][cols.clone()];
+                                if s == 1 {
+                                    let x_run = &x_row[cols.start + kx - p..][..cols.len()];
+                                    for (yv, &xv) in y_row.iter_mut().zip(x_run) {
+                                        *yv += xv * wv;
                                     }
-                                    let xv = x[((n * self.in_channels + ic) * h + iy as usize) * w
-                                        + ix as usize];
-                                    let wv = wgt[((oc * self.in_channels + ic) * k + ky) * k + kx];
-                                    acc += xv * wv;
+                                } else {
+                                    for (yv, ox) in y_row.iter_mut().zip(cols.clone()) {
+                                        *yv += x_row[ox * s + kx - p] * wv;
+                                    }
                                 }
                             }
                         }
-                        out[((n * self.out_channels + oc) * oh + oy) * ow + ox] = acc;
                     }
                 }
             }
         }
         self.cached_input = Some(input.clone());
-        Ok(Tensor::from_vec(out, &[batch, self.out_channels, oh, ow])?)
+        Ok(Tensor::from_vec(out, &[batch, oc_n, oh, ow])?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -146,51 +212,73 @@ impl Layer for Conv2d {
             .ok_or_else(|| NnError::MissingForwardCache("Conv2d".into()))?;
         let dims = input.dims();
         let (batch, h, w) = (dims[0], dims[2], dims[3]);
-        let odims = grad_output.dims();
-        let (oh, ow) = (odims[2], odims[3]);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
+        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
+        if grad_output.dims() != [batch, oc_n, oh, ow] {
+            return Err(NnError::BadInput {
+                layer: "Conv2d".into(),
+                expected: format!("gradient of shape {:?}", [batch, oc_n, oh, ow]),
+                got: grad_output.dims().to_vec(),
+            });
+        }
         let k = self.kernel;
+        let kk = k * k;
         let s = self.stride;
-        let p = self.padding as isize;
-        let x = input.as_slice();
-        let dy = grad_output.as_slice();
-        let wgt = self.weight.value.as_slice();
+        let p = self.padding;
+        let kx_taps: Vec<_> = (0..ow).map(|ox| valid_taps(ox, p, s, w, k)).collect();
 
-        let mut dx = vec![0.0; x.len()];
-        let dw = self.weight.grad.as_mut_slice();
+        // Channel-last copies, so the innermost loop runs over contiguous
+        // input channels: the weight and its gradient as [oc][ky][kx][ic],
+        // the input and its gradient as [n][iy][ix][ic].
+        let w_t = swap_inner_axes(self.weight.value.as_slice(), ic_n, kk);
+        let mut dw_t = swap_inner_axes(self.weight.grad.as_slice(), ic_n, kk);
+        let x_t = swap_inner_axes(input.as_slice(), ic_n, h * w);
+        let mut dx_t = vec![0.0; x_t.len()];
         let db = self.bias.grad.as_mut_slice();
 
-        for n in 0..batch {
-            for oc in 0..self.out_channels {
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let g = dy[((n * self.out_channels + oc) * oh + oy) * ow + ox];
+        for ((x_n, dx_n), dy_n) in x_t
+            .chunks_exact(ic_n * h * w)
+            .zip(dx_t.chunks_exact_mut(ic_n * h * w))
+            .zip(grad_output.as_slice().chunks_exact(oc_n * oh * ow))
+        {
+            for (((dy_c, w_oc), dw_oc), db_c) in dy_n
+                .chunks_exact(oh * ow)
+                .zip(w_t.chunks_exact(kk * ic_n))
+                .zip(dw_t.chunks_exact_mut(kk * ic_n))
+                .zip(db.iter_mut())
+            {
+                for (oy, dy_row) in dy_c.chunks_exact(ow).enumerate() {
+                    for (ox, (&g, kx_taps)) in dy_row.iter().zip(&kx_taps).enumerate() {
                         if g == 0.0 {
                             continue;
                         }
-                        db[oc] += g;
-                        for ic in 0..self.in_channels {
-                            for ky in 0..k {
-                                let iy = (oy * s + ky) as isize - p;
-                                if iy < 0 || iy >= h as isize {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = (ox * s + kx) as isize - p;
-                                    if ix < 0 || ix >= w as isize {
-                                        continue;
-                                    }
-                                    let x_idx = ((n * self.in_channels + ic) * h + iy as usize) * w
-                                        + ix as usize;
-                                    let w_idx = ((oc * self.in_channels + ic) * k + ky) * k + kx;
-                                    dw[w_idx] += g * x[x_idx];
-                                    dx[x_idx] += g * wgt[w_idx];
-                                }
-                            }
+                        *db_c += g;
+                        // The valid `kx` taps of one kernel row read
+                        // adjacent columns, so their channel-last input and
+                        // weight entries form one contiguous run.
+                        let run = kx_taps.len() * ic_n;
+                        if run == 0 {
+                            continue;
+                        }
+                        let ix = ox * s + kx_taps.start - p;
+                        for ky in valid_taps(oy, p, s, h, k) {
+                            let pos = ((oy * s + ky - p) * w + ix) * ic_n;
+                            let tap = (ky * k + kx_taps.start) * ic_n;
+                            accumulate(
+                                g,
+                                &mut dw_oc[tap..tap + run],
+                                &x_n[pos..pos + run],
+                                &mut dx_n[pos..pos + run],
+                                &w_oc[tap..tap + run],
+                            );
                         }
                     }
                 }
             }
         }
+        let dw = swap_inner_axes(&dw_t, kk, ic_n);
+        self.weight.grad.as_mut_slice().copy_from_slice(&dw);
+        let dx = swap_inner_axes(&dx_t, h * w, ic_n);
         Ok(Tensor::from_vec(dx, dims)?)
     }
 
@@ -208,6 +296,154 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The plain direct loops: the bitwise reference the reordered forward
+    /// must match.
+    fn reference_forward(conv: &Conv2d, input: &Tensor) -> Vec<f32> {
+        let dims = input.dims();
+        let (batch, h, w) = (dims[0], dims[2], dims[3]);
+        let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding as isize);
+        let x = input.as_slice();
+        let wgt = conv.weight.value.as_slice();
+        let b = conv.bias.value.as_slice();
+        let mut out = vec![0.0; batch * conv.out_channels * oh * ow];
+        for n in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let mut acc = b[oc];
+                        for ic in 0..conv.in_channels {
+                            for ky in 0..k {
+                                let iy = (oy * s + ky) as isize - p;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = (ox * s + kx) as isize - p;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let xv = x[((n * conv.in_channels + ic) * h + iy as usize) * w
+                                        + ix as usize];
+                                    let wv = wgt[((oc * conv.in_channels + ic) * k + ky) * k + kx];
+                                    acc += xv * wv;
+                                }
+                            }
+                        }
+                        out[((n * conv.out_channels + oc) * oh + oy) * ow + ox] = acc;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The plain direct loops: the bitwise reference the channel-last
+    /// backward must match. Accumulates into `dw` / `db` and returns `dx`.
+    fn reference_backward(
+        conv: &Conv2d,
+        input: &Tensor,
+        grad_output: &Tensor,
+        dw: &mut [f32],
+        db: &mut [f32],
+    ) -> Vec<f32> {
+        let dims = input.dims();
+        let (batch, h, w) = (dims[0], dims[2], dims[3]);
+        let (oh, ow) = (grad_output.dims()[2], grad_output.dims()[3]);
+        let (k, s, p) = (conv.kernel, conv.stride, conv.padding as isize);
+        let x = input.as_slice();
+        let dy = grad_output.as_slice();
+        let wgt = conv.weight.value.as_slice();
+        let mut dx = vec![0.0; x.len()];
+        for n in 0..batch {
+            for oc in 0..conv.out_channels {
+                for oy in 0..oh {
+                    for ox in 0..ow {
+                        let g = dy[((n * conv.out_channels + oc) * oh + oy) * ow + ox];
+                        if g == 0.0 {
+                            continue;
+                        }
+                        db[oc] += g;
+                        for ic in 0..conv.in_channels {
+                            for ky in 0..k {
+                                let iy = (oy * s + ky) as isize - p;
+                                if iy < 0 || iy >= h as isize {
+                                    continue;
+                                }
+                                for kx in 0..k {
+                                    let ix = (ox * s + kx) as isize - p;
+                                    if ix < 0 || ix >= w as isize {
+                                        continue;
+                                    }
+                                    let x_idx = ((n * conv.in_channels + ic) * h + iy as usize) * w
+                                        + ix as usize;
+                                    let w_idx = ((oc * conv.in_channels + ic) * k + ky) * k + kx;
+                                    dw[w_idx] += g * x[x_idx];
+                                    dx[x_idx] += g * wgt[w_idx];
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        dx
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn reordered_loops_match_reference_bitwise() {
+        // (in, out, kernel, stride, padding, batch, h, w)
+        let cases = [
+            (2, 3, 3, 1, 1, 2, 5, 7),
+            (3, 4, 3, 2, 1, 2, 7, 6),
+            (2, 3, 3, 1, 0, 1, 6, 5),
+            (3, 2, 3, 2, 0, 3, 9, 8),
+            (4, 5, 1, 1, 0, 2, 4, 6),
+            (3, 2, 1, 2, 1, 2, 5, 3),
+            (2, 2, 5, 3, 2, 2, 11, 9),
+            (3, 2, 3, 1, 1, 2, 1, 2),
+        ];
+        for (i, &(ic, oc, k, s, p, batch, h, w)) in cases.iter().enumerate() {
+            let mut rng = SeededRng::new(100 + i as u64);
+            let mut conv = Conv2d::new(ic, oc, k, s, p, &mut rng).unwrap();
+            conv.bias.value = Tensor::randn(&[oc], 1.0, &mut rng);
+            conv.weight.grad = Tensor::randn(conv.weight.value.dims(), 1.0, &mut rng);
+            conv.bias.grad = Tensor::randn(&[oc], 1.0, &mut rng);
+            let x = Tensor::randn(&[batch, ic, h, w], 1.0, &mut rng);
+            let mut dy = Tensor::randn(
+                &[batch, oc, conv.output_size(h), conv.output_size(w)],
+                1.0,
+                &mut rng,
+            );
+            for g in dy.as_mut_slice().iter_mut().step_by(3) {
+                *g = 0.0;
+            }
+            let mut dw_ref = conv.weight.grad.as_slice().to_vec();
+            let mut db_ref = conv.bias.grad.as_slice().to_vec();
+            let y_ref = reference_forward(&conv, &x);
+            let dx_ref = reference_backward(&conv, &x, &dy, &mut dw_ref, &mut db_ref);
+
+            let y = conv.forward(&x, true).unwrap();
+            let dx = conv.backward(&dy).unwrap();
+            assert_eq!(bits(y.as_slice()), bits(&y_ref), "y, case {i}");
+            assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "dx, case {i}");
+            assert_eq!(
+                bits(conv.weight.grad.as_slice()),
+                bits(&dw_ref),
+                "dw, case {i}"
+            );
+            assert_eq!(
+                bits(conv.bias.grad.as_slice()),
+                bits(&db_ref),
+                "db, case {i}"
+            );
+        }
+    }
 
     #[test]
     fn identity_kernel_preserves_input() {
@@ -249,65 +485,120 @@ mod tests {
     }
 
     #[test]
-    fn gradient_check_small_conv() {
-        let mut rng = SeededRng::new(4);
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
-        let x = Tensor::randn(&[1, 2, 4, 4], 1.0, &mut rng);
-        let y = conv.forward(&x, true).unwrap();
-        let loss_weights = Tensor::randn(y.dims(), 1.0, &mut rng);
-        let dx = conv.backward(&loss_weights).unwrap();
-        let dw_analytic = conv.weight.grad.clone();
+    fn input_smaller_than_kernel_rejected() {
+        let mut rng = SeededRng::new(6);
+        let mut conv = Conv2d::new(1, 1, 3, 1, 0, &mut rng).unwrap();
+        for dims in [[1, 1, 1, 1], [1, 1, 2, 5], [1, 1, 5, 2], [1, 1, 0, 3]] {
+            assert!(matches!(
+                conv.forward(&Tensor::zeros(&dims), true),
+                Err(NnError::BadInput { .. })
+            ));
+        }
+        assert_eq!(
+            conv.forward(&Tensor::zeros(&[1, 1, 3, 4]), true)
+                .unwrap()
+                .dims(),
+            &[1, 1, 1, 2]
+        );
+        // Padding counts towards the extent the kernel covers.
+        let mut padded = Conv2d::new(1, 1, 3, 1, 1, &mut rng).unwrap();
+        let y = padded.forward(&Tensor::zeros(&[1, 1, 1, 1]), true).unwrap();
+        assert_eq!(y.dims(), &[1, 1, 1, 1]);
+        assert!(padded.forward(&Tensor::zeros(&[1, 1, 0, 1]), true).is_err());
+    }
 
-        let eps = 1e-2;
-        // Check a handful of input positions.
-        for idx in [0usize, 7, 20, 31] {
-            let mut xp = x.clone();
-            xp.as_mut_slice()[idx] += eps;
-            let mut xm = x.clone();
-            xm.as_mut_slice()[idx] -= eps;
-            let fp = conv
-                .forward(&xp, true)
-                .unwrap()
-                .mul(&loss_weights)
-                .unwrap()
-                .sum();
-            let fm = conv
-                .forward(&xm, true)
-                .unwrap()
-                .mul(&loss_weights)
-                .unwrap()
-                .sum();
-            let numeric = (fp - fm) / (2.0 * eps);
+    #[test]
+    fn malformed_gradient_rejected_before_any_accumulation() {
+        let mut rng = SeededRng::new(7);
+        let mut conv = Conv2d::new(3, 4, 3, 2, 1, &mut rng).unwrap();
+        let x = Tensor::randn(&[2, 3, 5, 6], 1.0, &mut rng);
+        let y = conv.forward(&x, true).unwrap();
+        assert_eq!(y.dims(), &[2, 4, 3, 3]);
+        for dims in [
+            vec![2, 4],
+            vec![2, 3, 3, 3],
+            vec![1, 4, 3, 3],
+            vec![2, 4, 3, 4],
+            vec![2, 4, 3, 3, 1],
+        ] {
+            let g = Tensor::randn(&dims, 1.0, &mut rng);
             assert!(
-                (dx.as_slice()[idx] - numeric).abs() < 5e-2,
-                "dx[{idx}]: {} vs {numeric}",
-                dx.as_slice()[idx]
+                matches!(conv.backward(&g), Err(NnError::BadInput { .. })),
+                "{dims:?}"
             );
         }
-        // Check a handful of weight positions.
-        for idx in [0usize, 10, 25, 50] {
-            let orig = conv.weight.value.as_slice()[idx];
-            conv.weight.value.as_mut_slice()[idx] = orig + eps;
-            let fp = conv
-                .forward(&x, true)
-                .unwrap()
-                .mul(&loss_weights)
-                .unwrap()
-                .sum();
-            conv.weight.value.as_mut_slice()[idx] = orig - eps;
-            let fm = conv
-                .forward(&x, true)
-                .unwrap()
-                .mul(&loss_weights)
-                .unwrap()
-                .sum();
-            conv.weight.value.as_mut_slice()[idx] = orig;
-            let numeric = (fp - fm) / (2.0 * eps);
-            assert!(
-                (dw_analytic.as_slice()[idx] - numeric).abs() < 5e-2,
-                "dw[{idx}]: {} vs {numeric}",
-                dw_analytic.as_slice()[idx]
-            );
+        assert!(conv.weight.grad.as_slice().iter().all(|&v| v == 0.0));
+        assert!(conv.bias.grad.as_slice().iter().all(|&v| v == 0.0));
+        let dx = conv
+            .backward(&Tensor::randn(y.dims(), 1.0, &mut rng))
+            .unwrap();
+        assert_eq!(dx.dims(), x.dims());
+    }
+
+    /// `sum(conv(x) ⊙ loss_weights)`, whose gradient is `backward(loss_weights)`.
+    fn weighted_output(conv: &mut Conv2d, x: &Tensor, loss_weights: &Tensor) -> f32 {
+        conv.forward(x, true)
+            .unwrap()
+            .mul(loss_weights)
+            .unwrap()
+            .sum()
+    }
+
+    #[test]
+    fn gradient_check_small_conv() {
+        // (in, out, kernel, stride, padding, h, w)
+        let shapes = [
+            (2, 3, 3, 1, 1, 4, 4),
+            (2, 3, 3, 2, 0, 7, 6),
+            (3, 2, 3, 2, 1, 5, 4),
+            (3, 2, 1, 1, 0, 3, 5),
+        ];
+        let eps = 1e-2;
+        for (i, &(ic, oc, k, s, p, h, w)) in shapes.iter().enumerate() {
+            let mut rng = SeededRng::new(4 + i as u64);
+            let mut conv = Conv2d::new(ic, oc, k, s, p, &mut rng).unwrap();
+            conv.bias.value = Tensor::randn(&[oc], 1.0, &mut rng);
+            let x = Tensor::randn(&[1, ic, h, w], 1.0, &mut rng);
+            let y = conv.forward(&x, true).unwrap();
+            let loss_weights = Tensor::randn(y.dims(), 1.0, &mut rng);
+            let dx = conv.backward(&loss_weights).unwrap();
+            let dw = conv.weight.grad.clone();
+            let db = conv.bias.grad.clone();
+            let check = |what: &str, idx: usize, analytic: f32, fp: f32, fm: f32| {
+                let numeric = (fp - fm) / (2.0 * eps);
+                assert!(
+                    (analytic - numeric).abs() < 5e-2,
+                    "shape {i}, {what}[{idx}]: {analytic} vs {numeric}"
+                );
+            };
+
+            for idx in 0..x.len() {
+                let mut xp = x.clone();
+                xp.as_mut_slice()[idx] += eps;
+                let mut xm = x.clone();
+                xm.as_mut_slice()[idx] -= eps;
+                let fp = weighted_output(&mut conv, &xp, &loss_weights);
+                let fm = weighted_output(&mut conv, &xm, &loss_weights);
+                check("dx", idx, dx.as_slice()[idx], fp, fm);
+            }
+            for idx in 0..dw.len() {
+                let orig = conv.weight.value.as_slice()[idx];
+                conv.weight.value.as_mut_slice()[idx] = orig + eps;
+                let fp = weighted_output(&mut conv, &x, &loss_weights);
+                conv.weight.value.as_mut_slice()[idx] = orig - eps;
+                let fm = weighted_output(&mut conv, &x, &loss_weights);
+                conv.weight.value.as_mut_slice()[idx] = orig;
+                check("dw", idx, dw.as_slice()[idx], fp, fm);
+            }
+            for idx in 0..oc {
+                let orig = conv.bias.value.as_slice()[idx];
+                conv.bias.value.as_mut_slice()[idx] = orig + eps;
+                let fp = weighted_output(&mut conv, &x, &loss_weights);
+                conv.bias.value.as_mut_slice()[idx] = orig - eps;
+                let fm = weighted_output(&mut conv, &x, &loss_weights);
+                conv.bias.value.as_mut_slice()[idx] = orig;
+                check("db", idx, db.as_slice()[idx], fp, fm);
+            }
         }
     }
 

@@ -35,8 +35,8 @@ struct Suite {
     methods: &'static [MhflMethod],
 }
 
-/// One representative method per algorithm family first (`tests/arena.rs`
-/// reads those rows), then the remaining width and depth methods.
+/// One representative method per algorithm family first, then the
+/// remaining width and depth methods.
 const UCI_HAR: Suite = Suite {
     task: DataTask::UciHar,
     file: "golden_digests.txt",
