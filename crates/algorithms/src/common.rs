@@ -2,9 +2,9 @@
 
 use std::collections::BTreeMap;
 
-use mhfl_data::Dataset;
-use mhfl_fl::train::evaluate_accuracy;
-use mhfl_fl::{fan_out, AlgorithmState, FederationContext, FlError, FlResult, Parallelism};
+use mhfl_data::{Batch, Dataset};
+use mhfl_fl::train::{evaluate_accuracy, evaluate_models};
+use mhfl_fl::{AlgorithmState, FederationContext, FlError, FlResult, Parallelism};
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
 use mhfl_nn::StateDict;
 use mhfl_tensor::SeededRng;
@@ -55,6 +55,14 @@ pub(crate) fn client_rng(ctx: &FederationContext, round: usize, client: usize) -
         .derive(client as u64)
 }
 
+/// A model a topology family (FedProto, Fed-ET) scores at an evaluation
+/// point: the server side's, or a client's stored local model.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Deployed {
+    Server,
+    Client(usize),
+}
+
 /// The local models a topology family (FedProto, Fed-ET) keeps per client
 /// between rounds, as `(config, state)` snapshots. Only the states are
 /// checkpointed: the configs are recomputed from the context by the
@@ -92,20 +100,34 @@ impl ClientModels {
         self.states.values()
     }
 
+    /// The evaluation key of the model `client` deploys: its stored local
+    /// model, or `None` for a client that never participated (it would
+    /// deploy an untrained model).
+    pub(crate) fn deployed(&self, client: usize) -> Option<Deployed> {
+        self.states
+            .contains_key(&client)
+            .then_some(Deployed::Client(client))
+    }
+
+    /// Rebuilds `client`'s stored local model.
+    pub(crate) fn stored_model(&self, client: usize) -> FlResult<ProxyModel> {
+        let (cfg, state) = self.states.get(&client).ok_or_else(|| {
+            FlError::InvalidConfig(format!("client {client} has no stored model"))
+        })?;
+        Ok(ProxyModel::from_state(*cfg, state)?)
+    }
+
     /// Accuracy of the model `client` deploys: its stored local model, or
-    /// chance for a client that never participated (it would deploy an
-    /// untrained model).
+    /// chance for a client that never participated.
     pub(crate) fn accuracy(
         &self,
         client: usize,
         num_classes: usize,
         data: &Dataset,
     ) -> FlResult<f32> {
-        match self.states.get(&client) {
-            Some((cfg, state)) => {
-                evaluate_accuracy(&mut ProxyModel::from_state(*cfg, state)?, data)
-            }
-            None => Ok(1.0 / num_classes.max(1) as f32),
+        match self.deployed(client) {
+            Some(_) => evaluate_accuracy(&mut self.stored_model(client)?, data),
+            None => Ok(chance(num_classes)),
         }
     }
 
@@ -139,32 +161,45 @@ impl ClientModels {
     }
 }
 
-/// One evaluation point over *distinct* deployments: `global` and every
-/// entry of `deployed` (one per sampled client) name a model by a key; each
-/// distinct key is scored once — the global model first, then first-seen
-/// order, so the first error is the one a serial global-then-clients loop
-/// would hit — fanned out under `parallelism`, and mapped back in sample
-/// order.
-pub(crate) fn evaluate_distinct<K: PartialEq + Sync>(
-    global: K,
-    deployed: impl IntoIterator<Item = K>,
+/// The accuracy of guessing among `num_classes` classes: what a model that
+/// was never trained is scored.
+pub(crate) fn chance(num_classes: usize) -> f32 {
+    1.0 / num_classes.max(1) as f32
+}
+
+/// One evaluation point over distinct models. `models` names the global
+/// model, then the model each sampled client deploys; `None` is a
+/// deployment without a trained model, which answers `chance`. Each
+/// distinct named model is scored once by [`evaluate_models`] — the global
+/// model first, then in first-seen order, so the first error is the one a
+/// serial global-then-clients loop would hit — and the scores are mapped
+/// back in sample order.
+pub(crate) fn evaluate_distinct<K: PartialEq + Sync, M>(
+    models: impl IntoIterator<Item = Option<K>>,
+    chance: f32,
+    data: &Dataset,
     parallelism: Parallelism,
-    score: impl Fn(&K) -> FlResult<f32> + Sync,
+    build: impl Fn(&K) -> FlResult<M> + Sync,
+    score_chunk: impl Fn(&mut M, &Batch) -> FlResult<f32> + Sync,
 ) -> FlResult<(f32, Vec<f32>)> {
-    let mut distinct = vec![global];
-    let mut job_of = Vec::new();
-    for key in deployed {
-        let job = distinct.iter().position(|seen| *seen == key);
-        job_of.push(job.unwrap_or(distinct.len()));
-        if job.is_none() {
-            distinct.push(key);
-        }
-    }
-    let scores = fan_out(distinct.len(), parallelism, |job| score(&distinct[job]))?;
-    Ok((
-        scores[0],
-        job_of.into_iter().map(|job| scores[job]).collect(),
-    ))
+    let mut distinct: Vec<K> = Vec::new();
+    let job_of: Vec<Option<usize>> = models
+        .into_iter()
+        .map(|key| {
+            let key = key?;
+            let job = distinct.iter().position(|seen| *seen == key);
+            Some(job.unwrap_or_else(|| {
+                distinct.push(key);
+                distinct.len() - 1
+            }))
+        })
+        .collect();
+    let scores = evaluate_models(&distinct, data, parallelism, build, score_chunk)?;
+    let mut point = job_of
+        .into_iter()
+        .map(|job| job.map_or(chance, |job| scores[job]));
+    let global = point.next().unwrap_or(chance);
+    Ok((global, point.collect()))
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 //!   classifier into the shallower ones (self-distillation), and the global
 //!   model is evaluated as the ensemble of its classifiers.
 
-use mhfl_data::Dataset;
+use mhfl_data::{Batch, Dataset};
 use mhfl_fl::{FlResult, LocalTrainConfig};
 use mhfl_models::{ProxyConfig, ProxyModel};
 use mhfl_nn::loss::{accuracy, cross_entropy, soft_cross_entropy};
@@ -133,29 +133,16 @@ pub(crate) fn momentum_transfer(
     Ok(())
 }
 
-/// Ensemble accuracy over all classifiers of a DepthFL global model.
-pub(crate) fn evaluate_ensemble(model: &mut ProxyModel, data: &Dataset) -> FlResult<f32> {
-    if data.is_empty() {
-        return Ok(0.0);
+/// One chunk of a DepthFL model's score: the accuracy of the ensemble of
+/// its classifiers (the final head's softmax plus every auxiliary head's),
+/// weighted by the chunk's rows.
+pub(crate) fn ensemble_correct(model: &mut ProxyModel, batch: &Batch) -> FlResult<f32> {
+    let out = model.forward_detailed(&batch.inputs, false)?;
+    let mut probs = out.logits.softmax_rows()?;
+    for aux in &out.aux_logits {
+        probs.axpy(1.0, &aux.softmax_rows()?)?;
     }
-    let chunk = 128usize;
-    let mut weighted = 0.0f32;
-    let mut start = 0usize;
-    while start < data.len() {
-        let end = (start + chunk).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let subset = data.subset(&indices);
-        let batch = subset.as_batch();
-        let out = model.forward_detailed(&batch.inputs, false)?;
-        let mut probs = out.logits.softmax_rows()?;
-        for aux in &out.aux_logits {
-            probs.axpy(1.0, &aux.softmax_rows()?)?;
-        }
-        let acc = accuracy(&probs, &batch.labels)?;
-        weighted += acc * batch.len() as f32;
-        start = end;
-    }
-    Ok(weighted / data.len() as f32)
+    Ok(accuracy(&probs, &batch.labels)? * batch.len() as f32)
 }
 
 #[cfg(test)]

@@ -7,9 +7,11 @@
 //! Clients also distil the server's knowledge back into their local models at
 //! the start of their next participation (the "transfer" direction).
 
+use std::iter::once;
+
 use mhfl_data::Dataset;
 use mhfl_fl::adversary::{clip_tensor, coordinate_median};
-use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
+use mhfl_fl::train::{evaluate_accuracy, local_train_ce, top1_correct};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
     Parallelism, RobustAggregation,
@@ -19,7 +21,7 @@ use mhfl_nn::loss::soft_cross_entropy;
 use mhfl_nn::{Layer, Sgd};
 use mhfl_tensor::Tensor;
 
-use crate::common::{client_rng, evaluate_distinct, ClientModels};
+use crate::common::{chance, client_rng, evaluate_distinct, ClientModels, Deployed};
 
 /// Number of server distillation steps per round.
 const SERVER_DISTILL_STEPS: usize = 5;
@@ -294,14 +296,23 @@ impl FlAlgorithm for FedEt {
         parallelism: Parallelism,
     ) -> FlResult<(f32, Vec<f32>)> {
         self.require_setup()?;
-        // Jobs see `&self`, so the server model is scored on a copy.
+        // Tasks see `&self`, so the server model is scored on copies.
         let server = self.server_model.as_ref().expect("checked");
         let (server_cfg, server_sd) = (*server.config(), server.state_dict());
-        let sampled = clients.iter().copied().map(Some);
-        evaluate_distinct(None, sampled, parallelism, |key| match *key {
-            None => evaluate_accuracy(&mut ProxyModel::from_state(server_cfg, &server_sd)?, data),
-            Some(client) => self.client_models.accuracy(client, self.num_classes, data),
-        })
+        let sampled = clients
+            .iter()
+            .map(|&client| self.client_models.deployed(client));
+        evaluate_distinct(
+            once(Some(Deployed::Server)).chain(sampled),
+            chance(self.num_classes),
+            data,
+            parallelism,
+            |key| match *key {
+                Deployed::Server => Ok(ProxyModel::from_state(server_cfg, &server_sd)?),
+                Deployed::Client(client) => self.client_models.stored_model(client),
+            },
+            top1_correct,
+        )
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -6,18 +6,21 @@
 //! client regularises its local training so that its features stay close to
 //! the global prototype of the sample's class.
 
-use mhfl_data::Dataset;
+use std::iter::once;
+
+use mhfl_data::{Batch, Dataset};
 use mhfl_fl::adversary::{clip_tensor, coordinate_median};
+use mhfl_fl::train::{evaluate_chunks, top1_correct};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
     Parallelism, RobustAggregation,
 };
 use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
-use mhfl_nn::loss::{accuracy, cross_entropy, prototype_loss};
+use mhfl_nn::loss::{correct_count, cross_entropy, prototype_loss};
 use mhfl_nn::{Layer, Sgd};
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::common::{client_rng, evaluate_distinct, ClientModels};
+use crate::common::{chance, client_rng, evaluate_distinct, ClientModels, Deployed};
 
 /// Shared prototype dimensionality. FedProto requires every client topology
 /// to produce embeddings in the same space, so all client proxies are built
@@ -139,20 +142,63 @@ impl FedProto {
     }
 
     /// FedProto keeps no single global model; the platform evaluates the
-    /// ensemble of (up to `ENSEMBLE_SIZE`) trained client models.
-    fn ensemble_accuracy(&self, data: &Dataset) -> FlResult<f32> {
-        self.require_setup()?;
-        if self.client_models.stored().next().is_none() || data.is_empty() {
-            return Ok(1.0 / self.num_classes.max(1) as f32);
+    /// ensemble of (up to `ENSEMBLE_SIZE`) trained client models. Its key is
+    /// `None` when there is nothing to score: no trained client, or no test
+    /// row; the ensemble then answers chance.
+    fn ensemble_key(&self, data: &Dataset) -> Option<Deployed> {
+        let trained = self.client_models.stored().next().is_some();
+        (trained && !data.is_empty()).then_some(Deployed::Server)
+    }
+
+    /// The model behind an evaluation key.
+    fn scored(&self, key: Deployed) -> FlResult<Scored> {
+        match key {
+            Deployed::Server => Ok(Scored::Ensemble {
+                members: self
+                    .client_models
+                    .stored()
+                    .take(ENSEMBLE_SIZE)
+                    .map(|(cfg, state)| ProxyModel::from_state(*cfg, state))
+                    .collect::<Result<_, _>>()?,
+                num_classes: self.num_classes,
+            }),
+            Deployed::Client(client) => Ok(Scored::Local(Box::new(
+                self.client_models.stored_model(client)?,
+            ))),
         }
-        let batch = data.as_batch();
-        let mut probs = Tensor::zeros(&[batch.len(), self.num_classes]);
-        for (cfg, state) in self.client_models.stored().take(ENSEMBLE_SIZE) {
-            let mut model = ProxyModel::from_state(*cfg, state)?;
-            let out = model.forward_detailed(&batch.inputs, false)?;
-            probs.axpy(1.0, &out.logits.softmax_rows()?)?;
+    }
+}
+
+/// What a FedProto evaluation point scores: the ensemble of client models,
+/// or one client's local model.
+enum Scored {
+    Ensemble {
+        members: Vec<ProxyModel>,
+        num_classes: usize,
+    },
+    Local(Box<ProxyModel>),
+}
+
+impl Scored {
+    /// One chunk of the model's score. The ensemble answers each row with
+    /// the argmax of its members' summed softmax, summed in member order,
+    /// and returns its correct rows as an exact integer count; a local model
+    /// returns its top-1 accuracy weighted by the chunk's rows.
+    fn score_chunk(&mut self, batch: &Batch) -> FlResult<f32> {
+        match self {
+            Scored::Ensemble {
+                members,
+                num_classes,
+            } => {
+                let mut probs = Tensor::zeros(&[batch.len(), *num_classes]);
+                for member in members {
+                    let out = member.forward_detailed(&batch.inputs, false)?;
+                    probs.axpy(1.0, &out.logits.softmax_rows()?)?;
+                }
+                Ok(correct_count(&probs, &batch.labels)? as f32)
+            }
+            Scored::Local(model) => top1_correct(model, batch),
         }
-        Ok(accuracy(&probs, &batch.labels)?)
     }
 }
 
@@ -283,7 +329,11 @@ impl FlAlgorithm for FedProto {
     }
 
     fn evaluate_global(&mut self, data: &Dataset) -> FlResult<f32> {
-        self.ensemble_accuracy(data)
+        self.require_setup()?;
+        match self.ensemble_key(data) {
+            Some(key) => evaluate_chunks(&mut self.scored(key)?, data, Scored::score_chunk),
+            None => Ok(chance(self.num_classes)),
+        }
     }
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
@@ -297,11 +347,18 @@ impl FlAlgorithm for FedProto {
         data: &Dataset,
         parallelism: Parallelism,
     ) -> FlResult<(f32, Vec<f32>)> {
-        let sampled = clients.iter().copied().map(Some);
-        evaluate_distinct(None, sampled, parallelism, |key| match *key {
-            None => self.ensemble_accuracy(data),
-            Some(client) => self.client_models.accuracy(client, self.num_classes, data),
-        })
+        self.require_setup()?;
+        let sampled = clients
+            .iter()
+            .map(|&client| self.client_models.deployed(client));
+        evaluate_distinct(
+            once(self.ensemble_key(data)).chain(sampled),
+            chance(self.num_classes),
+            data,
+            parallelism,
+            |&key| self.scored(key),
+            Scored::score_chunk,
+        )
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -9,21 +9,25 @@
 //! per-round client configuration and channel selection, the local trainer
 //! (both in [`FlAlgorithm::client_update`]), the post-aggregation hook
 //! ([`FlAlgorithm::aggregate`]) and the deployed configuration and its score
-//! ([`SubmodelAlgorithm::deployed_config`], [`score`]) — with the
+//! ([`SubmodelAlgorithm::deployed_config`], [`score_chunk`]) — with the
 //! method-specific functions themselves in [`crate::width`], [`crate::depth`]
 //! and [`crate::baseline`].
 
-use mhfl_data::Dataset;
+use std::iter::once;
+
+use mhfl_data::{Batch, Dataset};
 use mhfl_fl::submodel::{PlanCache, ServerAggregator, WidthSelection};
-use mhfl_fl::train::{evaluate_accuracy, local_train_ce};
+use mhfl_fl::train::{evaluate_chunks, local_train_ce, top1_correct};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
     Parallelism, RobustAggregation,
 };
-use mhfl_models::{MhflMethod, ProxyConfig, ProxyModel};
+use mhfl_models::{MhflMethod, ModelFamily, ProxyConfig, ProxyModel};
 use mhfl_nn::{ParamSpec, StateDict};
 
-use crate::common::{client_proxy_config, client_rng, evaluate_distinct, global_proxy_config};
+use crate::common::{
+    chance, client_proxy_config, client_rng, evaluate_distinct, global_proxy_config,
+};
 use crate::{baseline, depth, width};
 
 /// A method that trains sub-models of one global model: Fjord, SHeteroFL,
@@ -94,20 +98,53 @@ impl SubmodelAlgorithm {
         Ok(model)
     }
 
-    /// Scores the nested (prefix-sliced, matching how it would run offline)
-    /// `cfg`-shaped sub-model of the global parameters.
-    fn evaluate_deployment(&self, cfg: ProxyConfig, data: &Dataset) -> FlResult<f32> {
-        let mut model = self.extract(cfg, WidthSelection::Prefix)?;
-        score(self.method, &mut model, data)
+    /// The nested (prefix-sliced, matching how it would run offline)
+    /// `cfg`-shaped sub-model of the global parameters that a client
+    /// deploys.
+    fn deployment(&self, cfg: ProxyConfig) -> FlResult<ProxyModel> {
+        self.extract(cfg, WidthSelection::Prefix)
+    }
+
+    /// An evaluation point's models: the global one, then the one each of
+    /// `clients` deploys, each keyed on the model it realises.
+    fn point_models(&self, global: ProxyConfig, clients: &[usize]) -> Vec<Option<Realised>> {
+        once(global)
+            .chain(
+                clients
+                    .iter()
+                    .map(|&client| self.deployed_config(global, client)),
+            )
+            .map(|cfg| Some(Realised(cfg)))
+            .collect()
     }
 }
 
-/// DepthFL models answer as the ensemble of their classifiers, every other
-/// method's with their one head.
-fn score(method: MhflMethod, model: &mut ProxyModel, data: &Dataset) -> FlResult<f32> {
+/// A deployed configuration, compared by the model it realises. Width and
+/// depth fractions feed nothing but `dim()` and `num_blocks()`, so two
+/// configurations of one shape (DepthFL's 0.25 and 0.5 of a 2-block
+/// stack, say) build the same model and are scored once.
+#[derive(Debug, Clone, Copy)]
+struct Realised(ProxyConfig);
+
+impl Realised {
+    fn shape(&self) -> (ModelFamily, usize, usize, bool) {
+        let cfg = &self.0;
+        (cfg.family, cfg.dim(), cfg.num_blocks(), cfg.with_aux_heads)
+    }
+}
+
+impl PartialEq for Realised {
+    fn eq(&self, other: &Self) -> bool {
+        self.shape() == other.shape()
+    }
+}
+
+/// How a method scores one evaluation chunk: DepthFL models answer as the
+/// ensemble of their classifiers, every other method's with their one head.
+fn score_chunk(method: MhflMethod) -> fn(&mut ProxyModel, &Batch) -> FlResult<f32> {
     match method {
-        MhflMethod::DepthFl => depth::evaluate_ensemble(model, data),
-        _ => evaluate_accuracy(model, data),
+        MhflMethod::DepthFl => depth::ensemble_correct,
+        _ => top1_correct,
     }
 }
 
@@ -213,12 +250,12 @@ impl FlAlgorithm for SubmodelAlgorithm {
         self.require_setup()?;
         let global = self.global.as_mut().expect("checked by require_setup");
         global.load_state_dict(&self.global_sd)?;
-        score(self.method, global, data)
+        evaluate_chunks(global, data, score_chunk(self.method))
     }
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
         let cfg = self.deployed_config(self.require_setup()?, client);
-        self.evaluate_deployment(cfg, data)
+        evaluate_chunks(&mut self.deployment(cfg)?, data, score_chunk(self.method))
     }
 
     fn evaluate_point(
@@ -227,15 +264,18 @@ impl FlAlgorithm for SubmodelAlgorithm {
         data: &Dataset,
         parallelism: Parallelism,
     ) -> FlResult<(f32, Vec<f32>)> {
-        // The full-size deployment *is* the global model, so a sample that
-        // holds one costs no pass of its own.
+        // The full-size deployment *is* the global model, and deployments of
+        // one shape are one model, so each realised model costs one pass.
+        // Every deployment is trained, so none answers chance.
         let global = self.require_setup()?;
-        let deployed = clients
-            .iter()
-            .map(|&client| self.deployed_config(global, client));
-        evaluate_distinct(global, deployed, parallelism, |&cfg| {
-            self.evaluate_deployment(cfg, data)
-        })
+        evaluate_distinct(
+            self.point_models(global, clients),
+            chance(global.num_classes),
+            data,
+            parallelism,
+            |&Realised(cfg)| self.deployment(cfg),
+            score_chunk(self.method),
+        )
     }
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {
@@ -255,5 +295,47 @@ impl FlAlgorithm for SubmodelAlgorithm {
 
     fn set_robust_aggregation(&mut self, robust: RobustAggregation) {
         self.robust = robust;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mhfl_data::{generate_dataset, DataTask};
+    use std::sync::Mutex;
+
+    /// A 2-block stack realises depths 0.25 and 0.5 as one block and 0.75
+    /// and 1.0 as two, so a point over all four `client % 4` residues builds
+    /// and scores two models: the global one, shared with the two 2-block
+    /// deployments, and the 1-block one.
+    #[test]
+    fn a_two_block_depthfl_point_scores_two_models() {
+        let task = DataTask::StackOverflow;
+        let global = ProxyConfig::for_family(
+            ModelFamily::AlbertBase,
+            task.input_kind(),
+            task.num_classes(),
+            0,
+        )
+        .with_aux_heads(true);
+        assert_eq!(global.num_blocks(), 2);
+        let algorithm = SubmodelAlgorithm::new(MhflMethod::DepthFl);
+        let data = generate_dataset(task, 4, 0, None);
+        let built = Mutex::new(Vec::new());
+        let (_, per_client) = evaluate_distinct(
+            algorithm.point_models(global, &[0, 1, 2, 3]),
+            0.0,
+            &data,
+            Parallelism::Sequential,
+            |&Realised(cfg)| {
+                built.lock().unwrap().push(cfg.num_blocks());
+                Ok(ProxyModel::new(cfg)?)
+            },
+            score_chunk(MhflMethod::DepthFl),
+        )
+        .unwrap();
+        assert_eq!(built.into_inner().unwrap(), [2, 1]);
+        assert_eq!(per_client[0].to_bits(), per_client[1].to_bits());
+        assert_eq!(per_client[2].to_bits(), per_client[3].to_bits());
     }
 }

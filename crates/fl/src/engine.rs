@@ -80,9 +80,9 @@ pub trait FlAlgorithm: Send + Sync {
     /// The default calls [`evaluate_global`](Self::evaluate_global), then
     /// [`evaluate_client`](Self::evaluate_client) for each client in turn,
     /// and ignores `parallelism`. Algorithms override it to evaluate every
-    /// *distinct* deployed model once and to fan those evaluations out with
-    /// [`fan_out`](crate::fan_out); an override must return exactly the bits
-    /// the default would.
+    /// distinct realised model once, split across the pool by test-set slice
+    /// with [`evaluate_models`](crate::train::evaluate_models); an override
+    /// must return exactly the bits the default would.
     ///
     /// # Errors
     /// Returns the first error the serial loop would have hit.

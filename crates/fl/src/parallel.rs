@@ -7,7 +7,8 @@
 //! [`std::thread::scope`] worker pool and returns the updates **in selection
 //! order**, so downstream aggregation — where floating-point summation order
 //! matters — is bit-identical to a sequential run. The pool itself is
-//! [`fan_out`], which an evaluation point's per-deployment passes share.
+//! [`fan_out`], which an evaluation point's `(model, test-set slice)` tasks
+//! share ([`evaluate_models`](crate::train::evaluate_models)).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -36,7 +37,7 @@ impl Parallelism {
     }
 
     /// The number of workers to spawn for `jobs` parallel tasks.
-    fn worker_count(&self, jobs: usize) -> usize {
+    pub(crate) fn worker_count(&self, jobs: usize) -> usize {
         match *self {
             Parallelism::Sequential => 1,
             Parallelism::Threads { workers: 0 } => std::thread::available_parallelism()
@@ -117,8 +118,8 @@ pub fn run_clients(
 
 /// Runs `job(0)`, …, `job(jobs - 1)` under `parallelism` and returns their
 /// results **in index order** — the one worker pool behind both the client
-/// phase ([`run_clients`]) and
-/// [`FlAlgorithm::evaluate_point`](crate::FlAlgorithm::evaluate_point).
+/// phase ([`run_clients`]) and evaluation
+/// ([`evaluate_models`](crate::train::evaluate_models)).
 ///
 /// A single worker ([`Parallelism::Sequential`], or one job) runs on the
 /// calling thread. This pool is the only parallelism level of a run: the

@@ -1,12 +1,14 @@
 //! Local training and evaluation helpers shared by all algorithms.
 
-use mhfl_data::Dataset;
+use std::ops::Range;
+
+use mhfl_data::{Batch, Dataset};
 use mhfl_models::ProxyModel;
 use mhfl_nn::loss::{accuracy, cross_entropy};
 use mhfl_nn::{Layer, Sgd};
 use mhfl_tensor::SeededRng;
 
-use crate::{FlResult, LocalTrainConfig};
+use crate::{fan_out, FlResult, LocalTrainConfig, Parallelism};
 
 /// Runs plain cross-entropy SGD on a client's shard for one federated round
 /// (`cfg.local_steps` mini-batches) and returns the mean training loss.
@@ -43,28 +45,108 @@ pub fn local_train_ce(
     Ok(losses.iter().sum::<f32>() / losses.len().max(1) as f32)
 }
 
+/// Rows per evaluation forward pass. Every scorer walks the test set in
+/// chunks of this many rows, and the pool splits it only between chunks.
+const EVAL_CHUNK_ROWS: usize = 128;
+
 /// Evaluates a proxy model's top-1 accuracy on a dataset.
 ///
 /// # Errors
 /// Propagates forward errors from the proxy model.
 pub fn evaluate_accuracy(model: &mut ProxyModel, data: &Dataset) -> FlResult<f32> {
-    if data.is_empty() {
-        return Ok(0.0);
+    evaluate_chunks(model, data, top1_correct)
+}
+
+/// One chunk of [`evaluate_accuracy`]: the model's top-1 accuracy on
+/// `batch`, weighted by the chunk's rows.
+///
+/// # Errors
+/// Propagates forward errors from the proxy model.
+pub fn top1_correct(model: &mut ProxyModel, batch: &Batch) -> FlResult<f32> {
+    let out = model.forward_detailed(&batch.inputs, false)?;
+    Ok(accuracy(&out.logits, &batch.labels)? * batch.len() as f32)
+}
+
+/// Scores one built model on `data` exactly as [`evaluate_models`] scores
+/// each of its keys, on the calling thread.
+///
+/// # Errors
+/// Propagates the first failing chunk's error.
+pub fn evaluate_chunks<M>(
+    model: &mut M,
+    data: &Dataset,
+    score_chunk: impl Fn(&mut M, &Batch) -> FlResult<f32>,
+) -> FlResult<f32> {
+    let terms = chunk_terms(model, data, 0..num_chunks(data), &score_chunk)?;
+    Ok(accuracy_of(terms, data.len()))
+}
+
+/// Scores the model `build` makes of each key on `data`, returning one
+/// accuracy per key in key order.
+///
+/// A model's accuracy is the sum of `score_chunk` over the 128-row chunks
+/// of `data`, added in chunk order from 0.0, divided by the row count; an
+/// empty `data` scores 0.0. `score_chunk`
+/// returns a chunk's correct rows: its accuracy weighted by its rows.
+///
+/// The chunks are split into as many contiguous slices as `parallelism` has
+/// workers (at most one per chunk), and each `(key, slice)` pair is one
+/// [`fan_out`] task that builds its own model. Tasks are ordered key-major,
+/// so the first error is the one a serial loop over the keys would hit.
+/// Under [`Parallelism::Sequential`] each key is one task over every chunk.
+///
+/// # Errors
+/// Returns the error of the lowest failing task.
+pub fn evaluate_models<K, M>(
+    keys: &[K],
+    data: &Dataset,
+    parallelism: Parallelism,
+    build: impl Fn(&K) -> FlResult<M> + Sync,
+    score_chunk: impl Fn(&mut M, &Batch) -> FlResult<f32> + Sync,
+) -> FlResult<Vec<f32>>
+where
+    K: Sync,
+{
+    let chunks = num_chunks(data);
+    let slices = parallelism.worker_count(chunks);
+    let terms = fan_out(keys.len() * slices, parallelism, |task| {
+        let (key, slice) = (task / slices, task % slices);
+        let mut model = build(&keys[key])?;
+        let range = chunks * slice / slices..chunks * (slice + 1) / slices;
+        chunk_terms(&mut model, data, range, &score_chunk)
+    })?;
+    Ok(terms
+        .chunks(slices)
+        .map(|per_slice| accuracy_of(per_slice.iter().flatten().copied(), data.len()))
+        .collect())
+}
+
+fn num_chunks(data: &Dataset) -> usize {
+    data.len().div_ceil(EVAL_CHUNK_ROWS)
+}
+
+/// `score_chunk` of each chunk in `chunks`, in chunk order.
+fn chunk_terms<M>(
+    model: &mut M,
+    data: &Dataset,
+    chunks: Range<usize>,
+    score_chunk: &impl Fn(&mut M, &Batch) -> FlResult<f32>,
+) -> FlResult<Vec<f32>> {
+    chunks
+        .map(|chunk| {
+            let start = chunk * EVAL_CHUNK_ROWS;
+            let indices: Vec<usize> = (start..(start + EVAL_CHUNK_ROWS).min(data.len())).collect();
+            score_chunk(model, &data.subset(&indices).as_batch())
+        })
+        .collect()
+}
+
+/// The chunk terms' sum, in chunk order from 0.0, over the row count.
+fn accuracy_of(terms: impl IntoIterator<Item = f32>, rows: usize) -> f32 {
+    if rows == 0 {
+        return 0.0;
     }
-    let chunk = 128usize;
-    let mut correct_weighted = 0.0f32;
-    let mut start = 0usize;
-    while start < data.len() {
-        let end = (start + chunk).min(data.len());
-        let indices: Vec<usize> = (start..end).collect();
-        let subset = data.subset(&indices);
-        let batch = subset.as_batch();
-        let out = model.forward_detailed(&batch.inputs, false)?;
-        let acc = accuracy(&out.logits, &batch.labels)?;
-        correct_weighted += acc * batch.len() as f32;
-        start = end;
-    }
-    Ok(correct_weighted / data.len() as f32)
+    terms.into_iter().fold(0.0, |sum, term| sum + term) / rows as f32
 }
 
 #[cfg(test)]
@@ -121,6 +203,42 @@ mod tests {
         let tiny = generate_dataset(DataTask::UciHar, 3, 1, None);
         let acc = evaluate_accuracy(&mut model, &tiny).unwrap();
         assert!((0.0..=1.0).contains(&acc));
+    }
+
+    /// Slicing the chunks across workers is unobservable: every key scores
+    /// the bits a single-threaded pass over a pre-built model gives, on an
+    /// empty set, one partial chunk and three chunks with a ragged tail.
+    #[test]
+    fn sliced_scores_equal_the_single_pass_bitwise() {
+        let seeds = [3u64, 4, 5];
+        for rows in [0, 50, 300] {
+            let data = generate_dataset(DataTask::UciHar, rows, 9, None);
+            let expected: Vec<u32> = seeds
+                .iter()
+                .map(|&seed| {
+                    evaluate_accuracy(&mut har_model(seed), &data)
+                        .unwrap()
+                        .to_bits()
+                })
+                .collect();
+            for parallelism in [
+                Parallelism::Sequential,
+                Parallelism::Threads { workers: 2 },
+                Parallelism::Threads { workers: 3 },
+                Parallelism::Threads { workers: 8 },
+            ] {
+                let scores = evaluate_models(
+                    &seeds,
+                    &data,
+                    parallelism,
+                    |&seed| Ok(har_model(seed)),
+                    top1_correct,
+                )
+                .unwrap();
+                let scores: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+                assert_eq!(scores, expected, "{rows} rows under {parallelism:?}");
+            }
+        }
     }
 
     #[test]

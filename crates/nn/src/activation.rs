@@ -35,45 +35,64 @@ impl Layer for Relu {
     fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
 }
 
+/// `sqrt(2 / pi)`, the scale inside GELU's `tanh`.
+const GELU_C: f32 = 0.797_884_6;
+
 /// Gaussian error linear unit (tanh approximation), used by the transformer
 /// and ALBERT proxy models.
 #[derive(Debug, Default)]
 pub struct Gelu {
-    cached_input: Option<Tensor>,
+    /// A training forward's derivative, per element.
+    cached_grad: Option<Tensor>,
 }
 
 impl Gelu {
     /// Creates a new GELU layer.
     pub fn new() -> Self {
-        Gelu { cached_input: None }
+        Gelu { cached_grad: None }
     }
 
-    fn gelu(x: f32) -> f32 {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        0.5 * x * (1.0 + (C * (x + 0.044_715 * x * x * x)).tanh())
+    fn tanh_term(x: f32) -> f32 {
+        (GELU_C * (x + 0.044_715 * x * x * x)).tanh()
     }
 
-    fn gelu_grad(x: f32) -> f32 {
-        const C: f32 = 0.797_884_6;
-        let inner = C * (x + 0.044_715 * x * x * x);
-        let t = inner.tanh();
+    fn gelu(x: f32, t: f32) -> f32 {
+        0.5 * x * (1.0 + t)
+    }
+
+    /// The derivative at `x`, given `t = tanh_term(x)`.
+    fn gelu_grad(x: f32, t: f32) -> f32 {
         let sech2 = 1.0 - t * t;
-        0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
+        0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044_715 * x * x)
     }
 }
 
 impl Layer for Gelu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
-        Ok(input.map(Self::gelu))
+    /// A training forward evaluates each element's `tanh` once, for both the
+    /// output and the derivative it caches for the backward.
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        if !train {
+            self.cached_grad = None;
+            return Ok(input.map(|x| Self::gelu(x, Self::tanh_term(x))));
+        }
+        let (out, grad): (Vec<f32>, Vec<f32>) = input
+            .as_slice()
+            .iter()
+            .map(|&x| {
+                let t = Self::tanh_term(x);
+                (Self::gelu(x, t), Self::gelu_grad(x, t))
+            })
+            .unzip();
+        self.cached_grad = Some(Tensor::from_vec(grad, input.dims())?);
+        Ok(Tensor::from_vec(out, input.dims())?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
+        let grad = self
+            .cached_grad
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Gelu".into()))?;
-        Ok(grad_output.zip_with(input, |g, x| g * Self::gelu_grad(x))?)
+        Ok(grad_output.zip_with(grad, |g, d| g * d)?)
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
@@ -161,6 +180,40 @@ mod tests {
             let numeric = finite_diff(&mut gelu, &x, i);
             assert!((dx.as_slice()[i] - numeric).abs() < 1e-2);
         }
+    }
+
+    /// The backward over the forward's cached derivative is bit-identical to
+    /// the formula that recomputed the `tanh`.
+    #[test]
+    fn gelu_backward_matches_the_recomputing_formula_bitwise() {
+        fn recomputed(x: f32) -> f32 {
+            const C: f32 = 0.797_884_6;
+            let inner = C * (x + 0.044_715 * x * x * x);
+            let t = inner.tanh();
+            let sech2 = 1.0 - t * t;
+            0.5 * (1.0 + t) + 0.5 * x * sech2 * C * (1.0 + 3.0 * 0.044_715 * x * x)
+        }
+        let mut rng = SeededRng::new(5);
+        let mut values = vec![0.0, 1e-30, 0.5, 3.0, 40.0];
+        values.extend(values.clone().iter().map(|v: &f32| -v));
+        values.extend(Tensor::randn(&[64], 2.0, &mut rng).as_slice());
+        let x = Tensor::from_vec(values.clone(), &[values.len()]).unwrap();
+        let g = Tensor::randn(&[values.len()], 1.0, &mut rng);
+        let mut gelu = Gelu::new();
+        let y = gelu.forward(&x, true).unwrap();
+        assert_eq!(y.as_slice(), gelu.forward(&x, false).unwrap().as_slice());
+        gelu.forward(&x, true).unwrap();
+        let dx = gelu.backward(&g).unwrap();
+        for ((&x, &g), &dx) in values.iter().zip(g.as_slice()).zip(dx.as_slice()) {
+            assert_eq!(dx.to_bits(), (g * recomputed(x)).to_bits(), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn gelu_backward_after_an_evaluation_forward_errors() {
+        let mut gelu = Gelu::new();
+        gelu.forward(&Tensor::ones(&[2]), false).unwrap();
+        assert!(gelu.backward(&Tensor::ones(&[2])).is_err());
     }
 
     #[test]

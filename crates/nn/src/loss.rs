@@ -171,6 +171,18 @@ pub fn prototype_loss(
 /// # Errors
 /// Returns an error if `logits` is not `[batch, classes]` or label count differs.
 pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
+    let correct = correct_count(logits, labels)?;
+    if labels.is_empty() {
+        return Ok(0.0);
+    }
+    Ok(correct as f32 / labels.len() as f32)
+}
+
+/// Number of rows whose argmax equals the label.
+///
+/// # Errors
+/// Returns an error if `logits` is not `[batch, classes]` or label count differs.
+pub fn correct_count(logits: &Tensor, labels: &[usize]) -> Result<usize> {
     let (batch, _classes) = check_logits(logits, "accuracy")?;
     if labels.len() != batch {
         return Err(NnError::BadInput {
@@ -180,11 +192,10 @@ pub fn accuracy(logits: &Tensor, labels: &[usize]) -> Result<f32> {
         });
     }
     if batch == 0 {
-        return Ok(0.0);
+        return Ok(0);
     }
     let preds = logits.argmax_rows()?;
-    let correct = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
-    Ok(correct as f32 / batch as f32)
+    Ok(preds.iter().zip(labels).filter(|(p, l)| p == l).count())
 }
 
 #[cfg(test)]

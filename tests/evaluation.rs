@@ -2,11 +2,14 @@
 //!
 //! `Session::evaluate` used to call `evaluate_global` once and
 //! `evaluate_client` once per sampled client, serially. Every family now
-//! overrides `evaluate_point` to score each *distinct* deployed model once —
-//! sharing the global pass with clients that deploy the global model — and to
-//! fan those passes out under the session's `Parallelism`. None of that may
-//! be observable: for every family and every mode the override must return
-//! the bits (`f32::to_bits`) and the errors of the serial loop.
+//! overrides `evaluate_point` to score each distinct *realised* model once —
+//! sharing the global pass with clients that deploy the global model, and
+//! one pass between depth levels that realise the same block count — and to
+//! split each model's pass into test-set slices fanned out under the
+//! session's `Parallelism`. None of that may be observable: for every family
+//! and every mode the override must return the bits (`f32::to_bits`) and the
+//! errors of the serial loop, on one chunk, on several chunks with a ragged
+//! tail, and on federations whose depth levels collapse.
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::{generate_dataset, DataTask, Dataset};
@@ -51,8 +54,12 @@ const SAMPLES: [&[usize]; 6] = [
 ];
 
 fn context(method: MhflMethod) -> FederationContext {
+    context_for(DataTask::UciHar, method)
+}
+
+fn context_for(task: DataTask, method: MhflMethod) -> FederationContext {
     ExperimentSpec::new(
-        DataTask::UciHar,
+        task,
         method,
         ConstraintCase::Computation {
             deadline_secs: 300.0,
@@ -105,25 +112,52 @@ fn bits((global, per_client): &(f32, Vec<f32>)) -> (u32, Vec<u32>) {
     )
 }
 
+/// Every sample of every mode against the serial loop, on `data`.
+fn assert_matches_serial_loop(method: MhflMethod, algorithm: &mut dyn FlAlgorithm, data: &Dataset) {
+    for sample in SAMPLES {
+        let expected = serial_loop(algorithm, sample, data).unwrap();
+        assert_eq!(expected.1.len(), sample.len());
+        for mode in MODES {
+            let point = algorithm.evaluate_point(sample, data, mode).unwrap();
+            assert_eq!(
+                bits(&point),
+                bits(&expected),
+                "{method}, {} rows, sample {sample:?}, {mode:?}: {point:?} vs serial {expected:?}",
+                data.len()
+            );
+        }
+    }
+}
+
 #[test]
 fn evaluate_point_matches_the_serial_loop_bit_for_bit() {
     for method in METHODS {
         let ctx = context(method);
         let mut algorithm = trained(method, &ctx);
-        for sample in SAMPLES {
-            let expected = serial_loop(algorithm.as_mut(), sample, ctx.test_set()).unwrap();
-            assert_eq!(expected.1.len(), sample.len());
-            for mode in MODES {
-                let point = algorithm
-                    .evaluate_point(sample, ctx.test_set(), mode)
-                    .unwrap();
-                assert_eq!(
-                    bits(&point),
-                    bits(&expected),
-                    "{method}, sample {sample:?}, {mode:?}: {point:?} vs serial {expected:?}"
-                );
-            }
-        }
+        assert_matches_serial_loop(method, algorithm.as_mut(), ctx.test_set());
+    }
+}
+
+/// 300 rows are three 128-row chunks, the last one partial: the threaded
+/// modes split them into two and three slices.
+#[test]
+fn sliced_evaluation_with_a_ragged_tail_matches_the_serial_loop() {
+    let data = generate_dataset(DataTask::UciHar, 300, 29, None);
+    for method in METHODS {
+        let ctx = context(method);
+        let mut algorithm = trained(method, &ctx);
+        assert_matches_serial_loop(method, algorithm.as_mut(), &data);
+    }
+}
+
+/// Stack Overflow's ALBERT-base proxy has two blocks, so depth fractions
+/// 0.25 and 0.5 (and 0.75 and 1.0) realise one model each.
+#[test]
+fn collapsed_depth_levels_match_the_serial_loop() {
+    for method in [MhflMethod::DepthFl, MhflMethod::FeDepth] {
+        let ctx = context_for(DataTask::StackOverflow, method);
+        let mut algorithm = trained(method, &ctx);
+        assert_matches_serial_loop(method, algorithm.as_mut(), ctx.test_set());
     }
 }
 
