@@ -113,6 +113,13 @@ pub trait FlAlgorithm: Send + Sync {
     /// must override both this and [`restore`](Self::restore) for
     /// checkpointed runs to resume bit-exactly.
     ///
+    /// Per-client state goes in the
+    /// [`client_state_key`](AlgorithmState::client_state_key) slots, and
+    /// [`client_update`](Self::client_update)`(round, c)` may read only the
+    /// shared slots and `client.c`: a distributed runner ships each worker
+    /// the snapshot [`restricted_to`](AlgorithmState::restricted_to) its
+    /// shard.
+    ///
     /// # Errors
     /// Returns an error if the state cannot be captured.
     fn snapshot(&self) -> FlResult<AlgorithmState> {

@@ -39,6 +39,12 @@ impl AlgorithmState {
     }
 
     /// The conventional slot name for client `id`'s model snapshot.
+    ///
+    /// Every other slot is *shared*: `client_update(round, c)` reads only
+    /// the shared slots and `client.c`, so a snapshot
+    /// [`restricted_to`](AlgorithmState::restricted_to) a set of clients
+    /// restores an instance that computes those clients' updates
+    /// bit-identically.
     pub fn client_state_key(id: usize) -> String {
         format!("client.{id}")
     }
@@ -111,6 +117,26 @@ impl AlgorithmState {
             .partition(|(n, _)| n.starts_with(prefix));
         self.states = rest;
         matching
+    }
+
+    /// A copy holding every shared slot plus the `client.<id>` slots of
+    /// `clients` only, in insertion order: all a replica needs to compute
+    /// those clients' updates.
+    pub fn restricted_to(&self, clients: &[usize]) -> AlgorithmState {
+        fn kept<T: Clone>(slots: &[(String, T)], clients: &[usize]) -> Vec<(String, T)> {
+            slots
+                .iter()
+                .filter(|(name, _)| {
+                    AlgorithmState::parse_client_key(name).is_none_or(|id| clients.contains(&id))
+                })
+                .cloned()
+                .collect()
+        }
+        AlgorithmState {
+            states: kept(&self.states, clients),
+            tensors: kept(&self.tensors, clients),
+            scalars: kept(&self.scalars, clients),
+        }
     }
 
     /// Whether no slot of any kind is populated.
@@ -202,5 +228,33 @@ mod tests {
         assert_eq!(ids, vec![3, 7, 1]);
         assert!(snap.take_state("global").is_ok());
         assert!(AlgorithmState::parse_client_key("server").is_none());
+    }
+
+    #[test]
+    fn restriction_keeps_shared_slots_and_only_the_named_clients() {
+        let mut snap = AlgorithmState::new();
+        snap.insert_state("server", StateDict::new());
+        for id in [3usize, 7, 1] {
+            snap.insert_state(AlgorithmState::client_state_key(id), StateDict::new());
+        }
+        snap.insert_tensor("prototypes", Tensor::zeros(&[2, 2]));
+        snap.insert_scalars(AlgorithmState::client_state_key(7), vec![1.0]);
+
+        let mut restricted = snap.restricted_to(&[1, 7, 9]);
+        let ids: Vec<usize> = restricted
+            .take_states_with_prefix("client.")
+            .iter()
+            .map(|(n, _)| AlgorithmState::parse_client_key(n).unwrap())
+            .collect();
+        assert_eq!(ids, vec![7, 1], "insertion order, absent ids ignored");
+        assert!(restricted.take_state("server").is_ok());
+        assert!(restricted.take_tensor("prototypes").is_ok());
+        assert!(restricted.take_scalars("client.7").is_ok());
+        assert!(restricted.is_empty());
+
+        let mut none = snap.restricted_to(&[]);
+        assert!(none.take_states_with_prefix("client.").is_empty());
+        assert!(none.take_scalars("client.7").is_err());
+        assert!(none.take_state("server").is_ok());
     }
 }

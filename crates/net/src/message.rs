@@ -11,7 +11,7 @@
 //! |------|---------------|---------|
 //! | 0x01 | `Hello`       | protocol `u32`, spec fingerprint `u64`, worker name |
 //! | 0x02 | `AssignShard` | worker index, worker count, client count |
-//! | 0x03 | `Dispatch`    | round, client ids, optional [`AlgorithmState`], [`Parallelism`] |
+//! | 0x03 | `Dispatch`    | round, client ids, [`AlgorithmState`] restricted to those clients (the frame allows none; workers refuse it), [`Parallelism`] |
 //! | 0x04 | `UpdateReady` | round, one [`ClientUpdate`] |
 //! | 0x05 | `Heartbeat`   | sequence number `u64` |
 //! | 0x06 | `Abort`       | human-readable reason |
@@ -70,9 +70,10 @@ pub enum Message {
         round: usize,
         /// The client ids of this worker's shard, in selection order.
         clients: Vec<usize>,
-        /// The algorithm state to restore before computing — sent on the
-        /// first dispatch of each round, omitted on requeue waves within
-        /// the same round (the worker is already synced).
+        /// The algorithm state to restore before computing: the
+        /// round-start snapshot restricted to this shard's clients. Sent on
+        /// every dispatch, requeue waves included; a worker answers a
+        /// dispatch without it with [`Message::Abort`].
         state: Option<AlgorithmState>,
         /// Thread-level parallelism the worker should use locally.
         parallelism: Parallelism,

@@ -6,6 +6,11 @@
 //! client occupies in the scheduler's selection — so aggregation folds
 //! updates in exactly the order the single-process engine would, and the
 //! digest cannot move.
+//!
+//! Every dispatch carries the round-start snapshot
+//! [`restricted_to`](AlgorithmState::restricted_to) its shard: the shared
+//! slots plus the `client.<id>` slots of the shard's clients, which is all
+//! `client_update` may read.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -40,17 +45,9 @@ pub struct WorkerStats {
     pub dead: bool,
 }
 
-struct WorkerHandle {
-    conn: Conn,
-    /// The round whose algorithm state this worker last restored; `None`
-    /// until the first dispatch. Requeue waves within a round skip the
-    /// state payload for synced workers.
-    synced_round: Option<usize>,
-}
-
 /// The accepted worker connections plus their utilisation ledger.
 pub struct WorkerPool {
-    workers: Vec<Option<WorkerHandle>>,
+    workers: Vec<Option<Conn>>,
     stats: Vec<WorkerStats>,
 }
 
@@ -135,10 +132,7 @@ impl WorkerPool {
                     num_clients,
                 },
             )?;
-            workers.push(Some(WorkerHandle {
-                conn,
-                synced_round: None,
-            }));
+            workers.push(Some(conn));
             stats.push(WorkerStats {
                 name: worker_name,
                 ..WorkerStats::default()
@@ -158,8 +152,8 @@ impl WorkerPool {
     }
 
     fn kill(&mut self, index: usize) {
-        if let Some(handle) = self.workers[index].take() {
-            handle.conn.shutdown();
+        if let Some(conn) = self.workers[index].take() {
+            conn.shutdown();
         }
         self.stats[index].dead = true;
     }
@@ -169,8 +163,8 @@ impl Drop for WorkerPool {
     fn drop(&mut self) {
         // Best-effort clean shutdown so workers exit instead of blocking on
         // a read forever.
-        for handle in self.workers.iter_mut().flatten() {
-            let _ = write_message(&mut handle.conn, &Message::Shutdown);
+        for conn in self.workers.iter_mut().flatten() {
+            let _ = write_message(conn, &Message::Shutdown);
         }
     }
 }
@@ -182,8 +176,8 @@ impl Drop for WorkerPool {
 /// their worker died mid-shard) are redistributed across the survivors and
 /// dispatched again — an update is a pure function of
 /// `(state, round, client, ctx)`, so the recomputed bits are identical and
-/// nothing is lost. The algorithm state is snapshotted once per round and
-/// shipped only to workers not yet synced to that round.
+/// nothing is lost. The algorithm state is snapshotted once per round, and
+/// every dispatch, requeues included, ships it restricted to the shard.
 pub struct RemoteRunner {
     pool: WorkerPool,
     published: Arc<Mutex<Vec<WorkerStats>>>,
@@ -212,7 +206,7 @@ impl RemoteRunner {
 
     /// Sends one wave of dispatches and collects their updates into
     /// `slots`. Returns the positions that remain unfilled (their workers
-    /// died). `state` is shipped to workers not yet synced to `round`.
+    /// died). Each worker gets `state` restricted to its shard's clients.
     fn run_wave(
         &mut self,
         round: usize,
@@ -243,22 +237,18 @@ impl RemoteRunner {
             if shard.is_empty() {
                 continue;
             }
-            let handle = self.pool.workers[worker].as_mut().expect("live worker");
+            let conn = self.pool.workers[worker].as_mut().expect("live worker");
+            let shard_clients: Vec<usize> = shard.iter().map(|&p| clients[p]).collect();
             let message = Message::Dispatch {
                 round,
-                clients: shard.iter().map(|&p| clients[p]).collect(),
-                state: (handle.synced_round != Some(round)).then(|| state.clone()),
+                state: Some(state.restricted_to(&shard_clients)),
+                clients: shard_clients,
                 parallelism,
             };
             self.pool.stats[worker].dispatched += shard.len();
-            if write_message(&mut handle.conn, &message).is_err() {
+            if write_message(conn, &message).is_err() {
                 self.pool.kill(worker);
-                continue;
             }
-            self.pool.workers[worker]
-                .as_mut()
-                .expect("live worker")
-                .synced_round = Some(round);
         }
 
         // Collection phase: workers stream updates concurrently; reading
@@ -271,8 +261,8 @@ impl RemoteRunner {
             let started = Instant::now();
             let mut received = 0;
             while received < shard.len() {
-                let handle = self.pool.workers[worker].as_mut().expect("live worker");
-                match read_message(&mut handle.conn) {
+                let conn = self.pool.workers[worker].as_mut().expect("live worker");
+                match read_message(conn) {
                     Ok(Message::Heartbeat { .. }) => {}
                     Ok(Message::UpdateReady {
                         round: update_round,

@@ -2,9 +2,9 @@
 //!
 //! A worker owns a *replica* of the experiment — the same
 //! [`FederationContext`] (rebuilt from the same spec and seed) and a fresh
-//! algorithm instance whose state is overwritten by the server's
-//! round-start snapshot — so its updates are bit-identical to what the
-//! server would compute locally.
+//! algorithm instance whose state is overwritten, on every dispatch, by the
+//! server's round-start snapshot restricted to the dispatched shard — so
+//! its updates are bit-identical to what the server would compute locally.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -56,16 +56,19 @@ pub struct WorkerReport {
 
 /// Serves one server connection until [`Message::Shutdown`] (or the chaos
 /// hook fires): handshake, then a loop of
-/// [`Message::Dispatch`] → restore-state-if-shipped → compute → stream
-/// [`Message::UpdateReady`]s back in shard order. A side thread heartbeats
-/// through the same socket (frames are mutex-serialised so they never
-/// interleave) to keep long local computations from looking like death.
+/// [`Message::Dispatch`] → restore the shipped state → compute → stream
+/// [`Message::UpdateReady`]s back in shard order. A dispatch without state
+/// is refused: the state restored for an earlier shard lacks this shard's
+/// `client.<id>` slots, so computing on it would silently change the bits.
+/// A side thread heartbeats through the same socket (frames are
+/// mutex-serialised so they never interleave) to keep long local
+/// computations from looking like death.
 ///
 /// # Errors
 /// [`NetError::HandshakeMismatch`] if the server rejects the fingerprint,
 /// [`NetError::Io`] on transport failure, [`NetError::Protocol`] on an
-/// out-of-protocol frame or a local algorithm failure (which is reported
-/// to the server as [`Message::Abort`] first).
+/// out-of-protocol frame, a stateless dispatch or a local algorithm failure
+/// (the last two are reported to the server as [`Message::Abort`] first).
 pub fn serve(
     conn: Conn,
     fingerprint: u64,
@@ -147,10 +150,11 @@ fn serve_loop(
                 parallelism,
             } => {
                 report.dispatches += 1;
-                if let Some(state) = state {
-                    if let Err(e) = algorithm.restore(state, ctx) {
-                        return abort(writer, format!("state restore failed: {e}"));
-                    }
+                let Some(state) = state else {
+                    return abort(writer, format!("round {round} dispatch carried no state"));
+                };
+                if let Err(e) = algorithm.restore(state, ctx) {
+                    return abort(writer, format!("state restore failed: {e}"));
                 }
                 let updates = match run_clients(&*algorithm, round, &clients, ctx, parallelism) {
                     Ok(updates) => updates,
@@ -196,4 +200,98 @@ fn abort(writer: &Arc<Mutex<Conn>>, detail: String) -> NetResult<()> {
         },
     );
     Err(NetError::Protocol { detail })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::distributed::run_worker;
+    use crate::transport::{Endpoint, Listener};
+    use mhfl_data::DataTask;
+    use mhfl_device::ConstraintCase;
+    use mhfl_fl::Parallelism;
+    use mhfl_models::MhflMethod;
+    use pracmhbench_core::{ExperimentSpec, RunScale};
+
+    /// The next frame that is not a heartbeat.
+    fn next_frame(conn: &mut Conn) -> Message {
+        loop {
+            match read_message(conn).expect("worker frame") {
+                Message::Heartbeat { .. } => {}
+                other => return other,
+            }
+        }
+    }
+
+    #[test]
+    fn a_dispatch_without_state_is_refused_not_computed_on_stale_state() {
+        let spec = ExperimentSpec::new(DataTask::UciHar, MhflMethod::FedEt, ConstraintCase::Memory)
+            .with_scale(RunScale::Quick)
+            .with_seed(42);
+        let listener = Listener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).unwrap();
+        let endpoint = listener.local_endpoint().unwrap();
+        let worker = std::thread::spawn(move || {
+            let options = WorkerOptions {
+                heartbeat: Duration::from_millis(100),
+                ..WorkerOptions::default()
+            };
+            run_worker(&endpoint, &spec, options)
+        });
+
+        let mut conn = listener.accept().unwrap();
+        assert!(matches!(next_frame(&mut conn), Message::Hello { .. }));
+        write_message(
+            &mut conn,
+            &Message::AssignShard {
+                worker_index: 0,
+                num_workers: 1,
+                num_clients: 0,
+            },
+        )
+        .unwrap();
+        let ctx = spec.build_context().unwrap();
+        let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
+        algorithm.setup(&ctx).unwrap();
+        let state = algorithm.snapshot().unwrap();
+
+        // A stateful dispatch is served...
+        write_message(
+            &mut conn,
+            &Message::Dispatch {
+                round: 1,
+                clients: vec![0],
+                state: Some(state.restricted_to(&[0])),
+                parallelism: Parallelism::Sequential,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            next_frame(&mut conn),
+            Message::UpdateReady { round: 1, .. }
+        ));
+
+        // ...but one that would reuse client 0's restriction for client 1
+        // is answered with an abort.
+        write_message(
+            &mut conn,
+            &Message::Dispatch {
+                round: 1,
+                clients: vec![1],
+                state: None,
+                parallelism: Parallelism::Sequential,
+            },
+        )
+        .unwrap();
+        match next_frame(&mut conn) {
+            Message::Abort { detail } => assert!(detail.contains("no state"), "{detail}"),
+            Message::UpdateReady { update, .. } => {
+                panic!("client {} was computed on stale state", update.client)
+            }
+            other => panic!("expected an abort, got {other:?}"),
+        }
+        match worker.join().expect("worker thread") {
+            Err(NetError::Protocol { detail }) => assert!(detail.contains("no state"), "{detail}"),
+            other => panic!("expected a typed protocol error, got {other:?}"),
+        }
+    }
 }

@@ -15,7 +15,8 @@ use std::time::Duration;
 
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
-use mhfl_fl::{Corruption, Execution, FlError, RobustAggregation};
+use mhfl_fl::wire::encode_client_update;
+use mhfl_fl::{Corruption, EngineConfig, Execution, FlEngine, FlError, RobustAggregation};
 use mhfl_models::MhflMethod;
 use mhfl_net::{
     run_server_with_timeout, run_worker, Endpoint, Listener, ServerOutcome, WorkerOptions,
@@ -68,6 +69,63 @@ fn worker(name: &str) -> WorkerOptions {
         name: name.into(),
         heartbeat: Duration::from_millis(100),
         die_after_updates: None,
+    }
+}
+
+/// The contract `RemoteRunner` relies on when it ships each worker only its
+/// shard's slice of the snapshot: `client_update(round, c)` reads only the
+/// shared slots and `client.c`. Checked for all nine methods on the
+/// heterogeneous golden federation (computation deadline 300 s, seed 17)
+/// of both tasks, three rounds in, for every client selected in round 3.
+#[test]
+fn a_snapshot_restricted_to_one_client_computes_its_update_bit_identically() {
+    for task in [DataTask::UciHar, DataTask::StackOverflow] {
+        for method in MhflMethod::ALL {
+            let spec = ExperimentSpec::new(
+                task,
+                method,
+                ConstraintCase::Computation {
+                    deadline_secs: 300.0,
+                },
+            )
+            .with_scale(RunScale::Quick)
+            .with_seed(17);
+            let ctx = spec.build_context().expect("context");
+            let engine = FlEngine::new(EngineConfig {
+                rounds: 3,
+                sample_ratio: 0.5,
+                eval_every: 3,
+                ..EngineConfig::default()
+            });
+            let mut original = mhfl_algorithms::build_algorithm(method);
+            let report = engine.run(original.as_mut(), &ctx).expect("three rounds");
+            let snapshot = original.snapshot().expect("snapshot");
+            let selected: Vec<usize> = report
+                .records
+                .last()
+                .expect("an evaluation record")
+                .client_stats
+                .iter()
+                .filter(|stat| stat.round == 3)
+                .map(|stat| stat.client)
+                .collect();
+            assert!(
+                !selected.is_empty(),
+                "{task} {method:?}: round 3 selected nobody"
+            );
+            for client in selected {
+                let mut replica = mhfl_algorithms::build_algorithm(method);
+                replica
+                    .restore(snapshot.restricted_to(&[client]), &ctx)
+                    .expect("restore from the restricted snapshot");
+                let expected = original.client_update(4, client, &ctx).expect("original");
+                let got = replica.client_update(4, client, &ctx).expect("replica");
+                assert!(
+                    encode_client_update(&got) == encode_client_update(&expected),
+                    "{task} {method:?}: client {client}'s update moved under restriction"
+                );
+            }
+        }
     }
 }
 
@@ -131,33 +189,41 @@ fn adversarial_knobs_apply_on_the_server_side_of_a_distributed_run() {
 #[test]
 fn killed_worker_mid_round_requeues_to_survivor_and_digest_holds() {
     // 8 clients at 50% sampling → 4 selected per round → shards of 2 per
-    // worker, so dying after 1 update is a genuine mid-shard crash with
-    // work left to requeue.
-    let spec = spec(MhflMethod::SHeteroFl).with_num_clients(8);
-    let reference = spec.run().expect("single-process run").report;
-    let chaos = WorkerOptions {
-        die_after_updates: Some(1),
-        ..worker("doomed")
-    };
-    let outcome = run_distributed(spec, vec![chaos, worker("survivor")])
-        .expect("run must survive one worker death");
-    assert_eq!(
-        outcome.report.digest(),
-        reference.digest(),
-        "requeued-after-death digest diverged from single process"
-    );
-    let dead: Vec<_> = outcome.workers.iter().filter(|w| w.dead).collect();
-    assert_eq!(dead.len(), 1, "exactly one worker should be marked dead");
-    assert_eq!(dead[0].name, "doomed");
-    let survivor = outcome
-        .workers
-        .iter()
-        .find(|w| w.name == "survivor")
-        .expect("survivor stats");
-    assert!(
-        survivor.completed > survivor.dispatched / 2,
-        "survivor should have absorbed requeued work"
-    );
+    // worker, so dying after 5 updates is a genuine mid-shard crash in the
+    // third round, with work left to requeue. By then the requeued client
+    // may own a `client.<id>` slot (FedProto, Fed-ET) that the survivor's
+    // first-wave state did not carry: the requeue wave must ship it.
+    for method in [
+        MhflMethod::SHeteroFl,
+        MhflMethod::FedProto,
+        MhflMethod::FedEt,
+    ] {
+        let spec = spec(method).with_num_clients(8);
+        let reference = spec.run().expect("single-process run").report;
+        let chaos = WorkerOptions {
+            die_after_updates: Some(5),
+            ..worker("doomed")
+        };
+        let outcome = run_distributed(spec, vec![chaos, worker("survivor")])
+            .unwrap_or_else(|e| panic!("{method:?} must survive one worker death: {e}"));
+        assert_eq!(
+            outcome.report.digest(),
+            reference.digest(),
+            "{method:?}: requeued-after-death digest diverged from single process"
+        );
+        let dead: Vec<_> = outcome.workers.iter().filter(|w| w.dead).collect();
+        assert_eq!(dead.len(), 1, "exactly one worker should be marked dead");
+        assert_eq!(dead[0].name, "doomed");
+        let survivor = outcome
+            .workers
+            .iter()
+            .find(|w| w.name == "survivor")
+            .expect("survivor stats");
+        assert!(
+            survivor.completed > survivor.dispatched / 2,
+            "{method:?}: survivor should have absorbed requeued work"
+        );
+    }
 }
 
 #[test]
