@@ -2,6 +2,7 @@
 
 use mhfl_tensor::Tensor;
 
+use crate::layer::check_grad_shape;
 use crate::{Layer, NnError, Param, Result};
 
 /// Rectified linear unit: `y = max(0, x)`.
@@ -28,6 +29,7 @@ impl Layer for Relu {
             .cached_input
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Relu".into()))?;
+        check_grad_shape("Relu", grad_output, input.dims())?;
         Ok(grad_output.zip_with(input, |g, x| if x > 0.0 { g } else { 0.0 })?)
     }
 
@@ -92,6 +94,7 @@ impl Layer for Gelu {
             .cached_grad
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Gelu".into()))?;
+        check_grad_shape("Gelu", grad_output, grad.dims())?;
         Ok(grad_output.zip_with(grad, |g, d| g * d)?)
     }
 
@@ -126,6 +129,7 @@ impl Layer for Tanh {
             .cached_output
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Tanh".into()))?;
+        check_grad_shape("Tanh", grad_output, out.dims())?;
         Ok(grad_output.zip_with(out, |g, y| g * (1.0 - y * y))?)
     }
 

@@ -2,7 +2,7 @@
 
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::layer::join_name;
+use crate::layer::{check_grad_shape, join_name};
 use crate::{AxisRole, Layer, NnError, Param, Result};
 
 /// Scaled dot-product self-attention with learned query/key/value/output
@@ -119,13 +119,7 @@ impl Layer for SelfAttention {
             .ok_or_else(|| NnError::MissingForwardCache("SelfAttention".into()))?;
         let dims = cache.dims.clone();
         let (batch, seq, dim) = (dims[0], dims[1], dims[2]);
-        if grad_output.dims() != dims.as_slice() {
-            return Err(NnError::BadInput {
-                layer: "SelfAttention".into(),
-                expected: format!("gradient of shape {dims:?}"),
-                got: grad_output.dims().to_vec(),
-            });
-        }
+        check_grad_shape("SelfAttention", grad_output, &dims)?;
         let scale = 1.0 / (dim as f32).sqrt();
         let mut dx_parts = Vec::with_capacity(batch);
         for n in 0..batch {

@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::layer::join_name;
+use crate::layer::{check_grad_shape, join_name};
 use crate::{AxisRole, Layer, NnError, Param, Result};
 
 /// A 2-D convolution over `[batch, in_channels, h, w]` feature maps.
@@ -20,6 +20,14 @@ use crate::{AxisRole, Layer, NnError, Param, Result};
 /// `g·x` onto its prior value for ascending `(n, oy, ox)`; a `dx` element
 /// sums `g·w` for ascending `(oc, oy, ox)`. Padding taps are skipped, never
 /// added as zero, and an output gradient of exactly zero contributes nothing.
+///
+/// The forward keeps one output pixel's block of `LANES` output channels in
+/// an accumulator array and adds `x · w[ic, ky, kx, oc..]` to all lanes at
+/// once. Whether a tap lands in the padding depends on the pixel, never on
+/// the channel, so every lane has the same valid taps: the skip needs no
+/// mask. The backward runs its innermost loop over the contiguous input
+/// channels of channel-last copies of the input, the weight and their
+/// gradients.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -94,13 +102,8 @@ impl Conv2d {
     }
 }
 
-/// The outputs `o` in `0..out_len` whose kernel tap at offset `off` lands
-/// inside the input, i.e. `0 <= o·s + off − p < in_len`.
-fn valid_range(off: usize, p: usize, s: usize, in_len: usize, out_len: usize) -> Range<usize> {
-    let hi = (in_len + p).saturating_sub(off).div_ceil(s).min(out_len);
-    let lo = p.saturating_sub(off).div_ceil(s).min(hi);
-    lo..hi
-}
+/// Output channels per accumulator block of the forward.
+const LANES: usize = 16;
 
 /// The kernel offsets whose tap at output `o` lands inside the input, i.e.
 /// `0 <= o·s + off − p < in_len` for `off` in `0..k`.
@@ -156,46 +159,61 @@ impl Layer for Conv2d {
         let (oh, ow) = (self.output_size(h), self.output_size(w));
         let s = self.stride;
         let (ic_n, oc_n) = (self.in_channels, self.out_channels);
+        let taps = ic_n * k * k;
         let x = input.as_slice();
-        let wgt = self.weight.value.as_slice();
-        let b = self.bias.value.as_slice();
-        let rows: Vec<_> = (0..k).map(|ky| valid_range(ky, p, s, h, oh)).collect();
-        let cols: Vec<_> = (0..k).map(|kx| valid_range(kx, p, s, w, ow)).collect();
+        let ky_taps: Vec<_> = (0..oh).map(|oy| valid_taps(oy, p, s, h, k)).collect();
+        let kx_taps: Vec<_> = (0..ow).map(|ox| valid_taps(ox, p, s, w, k)).collect();
+
+        // The weight as [block][ic][ky][kx][lane] and the bias as
+        // [block][lane], where output channel `oc` is lane `oc % LANES` of
+        // block `oc / LANES`. The lanes past the last channel stay zero and
+        // are never stored.
+        let blocks = oc_n.div_ceil(LANES);
+        let mut w_blk = vec![[0.0; LANES]; blocks * taps];
+        let mut b_blk = vec![[0.0; LANES]; blocks];
+        for (oc, (w_oc, &bias)) in self
+            .weight
+            .value
+            .as_slice()
+            .chunks_exact(taps)
+            .zip(self.bias.value.as_slice())
+            .enumerate()
+        {
+            let (block, lane) = (oc / LANES, oc % LANES);
+            b_blk[block][lane] = bias;
+            for (tap, &wv) in w_oc.iter().enumerate() {
+                w_blk[block * taps + tap][lane] = wv;
+            }
+        }
         let mut out = vec![0.0; batch * oc_n * oh * ow];
 
         for (x_n, out_n) in x
             .chunks_exact(ic_n * h * w)
             .zip(out.chunks_exact_mut(oc_n * oh * ow))
         {
-            for ((y, w_oc), &bias) in out_n
-                .chunks_exact_mut(oh * ow)
-                .zip(wgt.chunks_exact(ic_n * k * k))
-                .zip(b)
+            for ((w_b, &b_b), y_b) in w_blk
+                .chunks_exact(taps)
+                .zip(&b_blk)
+                .zip(out_n.chunks_mut(LANES * oh * ow))
             {
-                y.fill(bias);
-                for (x_c, w_c) in x_n.chunks_exact(h * w).zip(w_oc.chunks_exact(k * k)) {
-                    for ky in 0..k {
-                        for kx in 0..k {
-                            let cols = cols[kx].clone();
-                            // An empty range has no first column to offset.
-                            if cols.is_empty() {
-                                continue;
-                            }
-                            let wv = w_c[ky * k + kx];
-                            for oy in rows[ky].clone() {
+                for (oy, ky_taps) in ky_taps.iter().enumerate() {
+                    for (ox, kx_taps) in kx_taps.iter().enumerate() {
+                        // Copied in rather than assigned: the compiler then
+                        // keeps the block in whole vector registers.
+                        let mut acc = [0.0; LANES];
+                        acc.copy_from_slice(&b_b);
+                        for (x_c, w_c) in x_n.chunks_exact(h * w).zip(w_b.chunks_exact(k * k)) {
+                            for ky in ky_taps.clone() {
                                 let x_row = &x_c[(oy * s + ky - p) * w..][..w];
-                                let y_row = &mut y[oy * ow..][cols.clone()];
-                                if s == 1 {
-                                    let x_run = &x_row[cols.start + kx - p..][..cols.len()];
-                                    for (yv, &xv) in y_row.iter_mut().zip(x_run) {
-                                        *yv += xv * wv;
-                                    }
-                                } else {
-                                    for (yv, ox) in y_row.iter_mut().zip(cols.clone()) {
-                                        *yv += x_row[ox * s + kx - p] * wv;
-                                    }
+                                let w_row = &w_c[ky * k..][..k];
+                                for kx in kx_taps.clone() {
+                                    let (xv, wv) = (x_row[ox * s + kx - p], &w_row[kx]);
+                                    acc = std::array::from_fn(|l| acc[l] + xv * wv[l]);
                                 }
                             }
+                        }
+                        for (y_c, &a) in y_b.chunks_exact_mut(oh * ow).zip(&acc) {
+                            y_c[oy * ow + ox] = a;
                         }
                     }
                 }
@@ -214,13 +232,7 @@ impl Layer for Conv2d {
         let (batch, h, w) = (dims[0], dims[2], dims[3]);
         let (oh, ow) = (self.output_size(h), self.output_size(w));
         let (ic_n, oc_n) = (self.in_channels, self.out_channels);
-        if grad_output.dims() != [batch, oc_n, oh, ow] {
-            return Err(NnError::BadInput {
-                layer: "Conv2d".into(),
-                expected: format!("gradient of shape {:?}", [batch, oc_n, oh, ow]),
-                got: grad_output.dims().to_vec(),
-            });
-        }
+        check_grad_shape("Conv2d", grad_output, &[batch, oc_n, oh, ow])?;
         let k = self.kernel;
         let kk = k * k;
         let s = self.stride;
@@ -395,6 +407,42 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Runs `conv` forward and backward on `x` and compares `y`, `dx`, `dw`
+    /// and `db` bit for bit with the reference loops.
+    fn assert_matches_reference(case: usize, conv: &mut Conv2d, x: &Tensor, rng: &mut SeededRng) {
+        let oc = conv.out_channels;
+        conv.weight.grad = Tensor::randn(conv.weight.value.dims(), 1.0, rng);
+        conv.bias.grad = Tensor::randn(&[oc], 1.0, rng);
+        let (batch, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        let mut dy = Tensor::randn(
+            &[batch, oc, conv.output_size(h), conv.output_size(w)],
+            1.0,
+            rng,
+        );
+        for g in dy.as_mut_slice().iter_mut().step_by(3) {
+            *g = 0.0;
+        }
+        let mut dw_ref = conv.weight.grad.as_slice().to_vec();
+        let mut db_ref = conv.bias.grad.as_slice().to_vec();
+        let y_ref = reference_forward(conv, x);
+        let dx_ref = reference_backward(conv, x, &dy, &mut dw_ref, &mut db_ref);
+
+        let y = conv.forward(x, true).unwrap();
+        let dx = conv.backward(&dy).unwrap();
+        assert_eq!(bits(y.as_slice()), bits(&y_ref), "y, case {case}");
+        assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "dx, case {case}");
+        assert_eq!(
+            bits(conv.weight.grad.as_slice()),
+            bits(&dw_ref),
+            "dw, case {case}"
+        );
+        assert_eq!(
+            bits(conv.bias.grad.as_slice()),
+            bits(&db_ref),
+            "db, case {case}"
+        );
+    }
+
     #[test]
     fn reordered_loops_match_reference_bitwise() {
         // (in, out, kernel, stride, padding, batch, h, w)
@@ -407,41 +455,39 @@ mod tests {
             (3, 2, 1, 2, 1, 2, 5, 3),
             (2, 2, 5, 3, 2, 2, 11, 9),
             (3, 2, 3, 1, 1, 2, 1, 2),
+            // Output channels past one accumulator block, with ragged tails.
+            (13, 19, 3, 1, 1, 2, 5, 6),
+            (5, 33, 3, 2, 1, 2, 7, 5),
+            // The benchmark's CIFAR-10 stem and 12-channel layer.
+            (3, 12, 3, 1, 1, 16, 8, 8),
+            (12, 12, 3, 1, 1, 16, 8, 8),
         ];
         for (i, &(ic, oc, k, s, p, batch, h, w)) in cases.iter().enumerate() {
             let mut rng = SeededRng::new(100 + i as u64);
             let mut conv = Conv2d::new(ic, oc, k, s, p, &mut rng).unwrap();
             conv.bias.value = Tensor::randn(&[oc], 1.0, &mut rng);
-            conv.weight.grad = Tensor::randn(conv.weight.value.dims(), 1.0, &mut rng);
-            conv.bias.grad = Tensor::randn(&[oc], 1.0, &mut rng);
             let x = Tensor::randn(&[batch, ic, h, w], 1.0, &mut rng);
-            let mut dy = Tensor::randn(
-                &[batch, oc, conv.output_size(h), conv.output_size(w)],
-                1.0,
-                &mut rng,
-            );
-            for g in dy.as_mut_slice().iter_mut().step_by(3) {
-                *g = 0.0;
-            }
-            let mut dw_ref = conv.weight.grad.as_slice().to_vec();
-            let mut db_ref = conv.bias.grad.as_slice().to_vec();
-            let y_ref = reference_forward(&conv, &x);
-            let dx_ref = reference_backward(&conv, &x, &dy, &mut dw_ref, &mut db_ref);
+            assert_matches_reference(i, &mut conv, &x, &mut rng);
+        }
 
-            let y = conv.forward(&x, true).unwrap();
-            let dx = conv.backward(&dy).unwrap();
-            assert_eq!(bits(y.as_slice()), bits(&y_ref), "y, case {i}");
-            assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "dx, case {i}");
-            assert_eq!(
-                bits(conv.weight.grad.as_slice()),
-                bits(&dw_ref),
-                "dw, case {i}"
-            );
-            assert_eq!(
-                bits(conv.bias.grad.as_slice()),
-                bits(&db_ref),
-                "db, case {i}"
-            );
+        // A 1×1 kernel with padding 1: the outer ring of outputs has no
+        // valid tap, so it must keep the bias `-0.0` bit for bit. A padding
+        // tap added as zero would turn it into `+0.0` (positive weights).
+        let mut rng = SeededRng::new(99);
+        let mut conv = Conv2d::new(2, 3, 1, 1, 1, &mut rng).unwrap();
+        conv.bias.value = Tensor::full(&[3], -0.0);
+        conv.weight.value = conv.weight.value.map(f32::abs);
+        let x = Tensor::randn(&[2, 2, 3, 4], 1.0, &mut rng);
+        assert_matches_reference(cases.len(), &mut conv, &x, &mut rng);
+        let y = conv.forward(&x, true).unwrap();
+        assert_eq!(y.dims(), &[2, 3, 5, 6]);
+        for plane in y.as_slice().chunks_exact(5 * 6) {
+            for (idx, v) in plane.iter().enumerate() {
+                let (oy, ox) = (idx / 6, idx % 6);
+                if oy == 0 || oy == 4 || ox == 0 || ox == 5 {
+                    assert_eq!(v.to_bits(), (-0.0f32).to_bits(), "ring output ({oy}, {ox})");
+                }
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::layer::join_name;
+use crate::layer::{check_grad_shape, join_name};
 use crate::{AxisRole, Layer, NnError, Param, Result};
 
 /// A lookup table mapping token ids to dense vectors.
@@ -90,6 +90,7 @@ impl Layer for Embedding {
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Embedding".into()))?;
         let dims = self.cached_dims.as_ref().expect("cached with ids");
+        check_grad_shape("Embedding", grad_output, &[dims[0], dims[1], self.dim])?;
         let dy = grad_output.as_slice();
         let grad = self.table.grad.as_mut_slice();
         for (pos, &id) in ids.iter().enumerate() {

@@ -13,6 +13,23 @@ pub(crate) fn join_name(prefix: &str, name: &str) -> String {
     }
 }
 
+/// Refuses a gradient whose shape is not the forward's output shape. Every
+/// layer calls it before it touches a parameter gradient.
+pub(crate) fn check_grad_shape(
+    layer: &str,
+    grad_output: &Tensor,
+    expected: &[usize],
+) -> Result<()> {
+    if grad_output.dims() == expected {
+        return Ok(());
+    }
+    Err(NnError::BadInput {
+        layer: layer.into(),
+        expected: format!("gradient of shape {expected:?}"),
+        got: grad_output.dims().to_vec(),
+    })
+}
+
 /// A differentiable module with named parameters.
 ///
 /// Layers cache whatever they need during [`Layer::forward`] so that

@@ -2,7 +2,7 @@
 
 use mhfl_tensor::{SeededRng, Tensor};
 
-use crate::layer::join_name;
+use crate::layer::{check_grad_shape, join_name};
 use crate::{AxisRole, Layer, NnError, Param, Result};
 
 /// A fully-connected (affine) layer: `y = x Wᵀ + b`.
@@ -20,7 +20,8 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    cached_input: Option<Tensor>,
+    /// The forward's input flattened to 2-D, and its output shape.
+    cached: Option<(Tensor, Vec<usize>)>,
 }
 
 impl Linear {
@@ -52,7 +53,7 @@ impl Linear {
             bias,
             in_features,
             out_features,
-            cached_input: None,
+            cached: None,
         }
     }
 
@@ -101,18 +102,20 @@ impl Layer for Linear {
         let out = flat
             .matmul_nt(&self.weight.value)?
             .add_row_broadcast(&self.bias.value)?;
-        self.cached_input = Some(flat);
-        match orig {
-            None => Ok(out),
-            Some(dims) => Ok(out.reshape(&[dims[0], dims[1], self.out_features])?),
-        }
+        let out = match orig {
+            None => out,
+            Some(dims) => out.reshape(&[dims[0], dims[1], self.out_features])?,
+        };
+        self.cached = Some((flat, out.dims().to_vec()));
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
+        let (input, out_dims) = self
+            .cached
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Linear".into()))?;
+        check_grad_shape("Linear", grad_output, out_dims)?;
         let (grad_flat, orig) = self.to_2d(grad_output)?;
         // dW += dYᵀ X, db += colsum(dY), dX = dY W — all without
         // materialising dYᵀ.

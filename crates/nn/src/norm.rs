@@ -11,7 +11,7 @@
 
 use mhfl_tensor::Tensor;
 
-use crate::layer::join_name;
+use crate::layer::{check_grad_shape, join_name};
 use crate::{AxisRole, Layer, NnError, Param, Result};
 
 const EPS: f32 = 1e-5;
@@ -134,6 +134,7 @@ impl Layer for LayerNorm {
             .cache
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("LayerNorm".into()))?;
+        check_grad_shape("LayerNorm", grad_output, dims)?;
         let dy = grad_output.as_slice();
         let g = self.gamma.value.as_slice();
         let f = self.features;
@@ -170,7 +171,9 @@ pub struct ChannelNorm2d {
     gamma: Param,
     beta: Param,
     channels: usize,
-    cache: Option<(GroupStats, Vec<usize>)>,
+    /// The forward's statistics (`None` when it passed a 1×1 map through)
+    /// and its shape.
+    cache: Option<(Option<GroupStats>, Vec<usize>)>,
 }
 
 impl ChannelNorm2d {
@@ -211,7 +214,7 @@ impl Layer for ChannelNorm2d {
         let spatial = dims[2] * dims[3];
         if spatial < 2 {
             // Normalising a single value would zero it out; pass through.
-            self.cache = None;
+            self.cache = Some((None, dims));
             return Ok(input.clone());
         }
         let stats = normalise_groups(input.as_slice(), spatial);
@@ -227,13 +230,18 @@ impl Layer for ChannelNorm2d {
                 g[channel] * xh + b[channel]
             })
             .collect();
-        self.cache = Some((stats, dims.clone()));
+        self.cache = Some((Some(stats), dims.clone()));
         Ok(Tensor::from_vec(data, &dims)?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let Some((stats, dims)) = self.cache.as_ref() else {
-            // forward was a pass-through (1x1 spatial); gradient passes through too.
+        let (stats, dims) = self
+            .cache
+            .as_ref()
+            .ok_or_else(|| NnError::MissingForwardCache("ChannelNorm2d".into()))?;
+        check_grad_shape("ChannelNorm2d", grad_output, dims)?;
+        let Some(stats) = stats else {
+            // The forward passed a 1×1 map through, so the gradient passes too.
             return Ok(grad_output.clone());
         };
         let spatial = dims[2] * dims[3];

@@ -2,6 +2,7 @@
 
 use mhfl_tensor::Tensor;
 
+use crate::layer::check_grad_shape;
 use crate::{Layer, NnError, Param, Result};
 
 /// Global average pooling over the spatial dimensions of a
@@ -48,6 +49,7 @@ impl Layer for GlobalAvgPool2d {
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("GlobalAvgPool2d".into()))?;
         let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        check_grad_shape("GlobalAvgPool2d", grad_output, &[b, c])?;
         let spatial = (h * w) as f32;
         let dy = grad_output.as_slice();
         let mut dx = vec![0.0; b * c * h * w];
@@ -99,6 +101,8 @@ impl Layer for Flatten {
             .cached_dims
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Flatten".into()))?;
+        let rest = dims[1..].iter().product();
+        check_grad_shape("Flatten", grad_output, &[dims[0], rest])?;
         Ok(grad_output.reshape(dims)?)
     }
 
@@ -152,6 +156,7 @@ impl Layer for MeanPool1d {
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("MeanPool1d".into()))?;
         let (b, s, f) = (dims[0], dims[1], dims[2]);
+        check_grad_shape("MeanPool1d", grad_output, &[b, f])?;
         let dy = grad_output.as_slice();
         let mut dx = vec![0.0; b * s * f];
         for n in 0..b {

@@ -1,0 +1,135 @@
+//! A gradient that does not match the forward's output is a typed error in
+//! every layer, refused before any parameter gradient moves.
+
+use mhfl_nn::{
+    ChannelNorm2d, Conv2d, Embedding, Flatten, Gelu, GlobalAvgPool2d, Layer, LayerNorm, Linear,
+    MeanPool1d, NnError, Relu, SelfAttention, Sequential, Tanh,
+};
+use mhfl_tensor::{SeededRng, Tensor};
+
+/// Every layer kind, each with an input of batch 2 its forward accepts.
+fn cases(rng: &mut SeededRng) -> Vec<(&'static str, Box<dyn Layer>, Tensor)> {
+    let mut seq = Sequential::new();
+    seq.push("fc", Linear::new(4, 3, rng));
+    seq.push("act", Relu::new());
+    let ids = Tensor::from_vec(vec![0.0, 3.0, 5.0, 1.0, 2.0, 4.0], &[2, 3]).unwrap();
+    vec![
+        (
+            "Linear",
+            Box::new(Linear::new(4, 3, rng)),
+            Tensor::randn(&[2, 4], 1.0, rng),
+        ),
+        (
+            "Linear (rank 3)",
+            Box::new(Linear::new(4, 3, rng)),
+            Tensor::randn(&[2, 5, 4], 1.0, rng),
+        ),
+        (
+            "Conv2d",
+            Box::new(Conv2d::new(2, 3, 3, 1, 1, rng).unwrap()),
+            Tensor::randn(&[2, 2, 4, 4], 1.0, rng),
+        ),
+        (
+            "LayerNorm",
+            Box::new(LayerNorm::new(4)),
+            Tensor::randn(&[2, 3, 4], 1.0, rng),
+        ),
+        (
+            "ChannelNorm2d",
+            Box::new(ChannelNorm2d::new(2)),
+            Tensor::randn(&[2, 2, 3, 3], 1.0, rng),
+        ),
+        (
+            "ChannelNorm2d (1x1 pass-through)",
+            Box::new(ChannelNorm2d::new(2)),
+            Tensor::randn(&[2, 2, 1, 1], 1.0, rng),
+        ),
+        (
+            "Relu",
+            Box::new(Relu::new()),
+            Tensor::randn(&[2, 3], 1.0, rng),
+        ),
+        (
+            "Gelu",
+            Box::new(Gelu::new()),
+            Tensor::randn(&[2, 3], 1.0, rng),
+        ),
+        (
+            "Tanh",
+            Box::new(Tanh::new()),
+            Tensor::randn(&[2, 3], 1.0, rng),
+        ),
+        (
+            "Embedding",
+            Box::new(Embedding::new(6, 4, rng).unwrap()),
+            ids,
+        ),
+        (
+            "SelfAttention",
+            Box::new(SelfAttention::new(4, rng).unwrap()),
+            Tensor::randn(&[2, 3, 4], 1.0, rng),
+        ),
+        (
+            "GlobalAvgPool2d",
+            Box::new(GlobalAvgPool2d::new()),
+            Tensor::randn(&[2, 3, 2, 2], 1.0, rng),
+        ),
+        (
+            "Flatten",
+            Box::new(Flatten::new()),
+            Tensor::randn(&[2, 3, 4], 1.0, rng),
+        ),
+        (
+            "MeanPool1d",
+            Box::new(MeanPool1d::new()),
+            Tensor::randn(&[2, 3, 4], 1.0, rng),
+        ),
+        (
+            "Sequential",
+            Box::new(seq),
+            Tensor::randn(&[2, 4], 1.0, rng),
+        ),
+    ]
+}
+
+fn grad_bits(layer: &dyn Layer) -> Vec<u32> {
+    let mut bits = Vec::new();
+    layer.visit_params("", &mut |_, p| {
+        bits.extend(p.grad.as_slice().iter().map(|v| v.to_bits()))
+    });
+    bits
+}
+
+#[test]
+fn malformed_gradient_is_bad_input_in_every_layer() {
+    let mut rng = SeededRng::new(0);
+    for (name, mut layer, x) in cases(&mut rng) {
+        let no_forward = layer.backward(&Tensor::zeros(x.dims()));
+        assert!(
+            matches!(no_forward, Err(NnError::MissingForwardCache(_))),
+            "{name}: backward before forward gave {no_forward:?}"
+        );
+
+        // Non-zero parameter gradients, so an accumulation would show.
+        layer.visit_params_mut("", &mut |_, p| {
+            p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng)
+        });
+        let before = grad_bits(layer.as_ref());
+        let y = layer.forward(&x, true).unwrap();
+        for batch in [y.dims()[0] - 1, y.dims()[0] + 1] {
+            let mut dims = y.dims().to_vec();
+            dims[0] = batch;
+            let result = layer.backward(&Tensor::randn(&dims, 1.0, &mut rng));
+            assert!(
+                matches!(result, Err(NnError::BadInput { .. })),
+                "{name}: gradient {dims:?} for output {:?} gave {result:?}",
+                y.dims()
+            );
+            assert_eq!(grad_bits(layer.as_ref()), before, "{name}: {dims:?}");
+        }
+        let dx = layer
+            .backward(&Tensor::randn(y.dims(), 1.0, &mut rng))
+            .unwrap();
+        assert_eq!(dx.dims(), x.dims(), "{name}");
+    }
+}

@@ -7,7 +7,9 @@
 //! `tests/fixtures/golden_digests_stackoverflow.txt` — Stack Overflow under
 //! the same constraint assigns widths and depths from 0.25 to 0.75, so it is
 //! the end-to-end pin of training sub-models narrower and shallower than the
-//! global one.
+//! global one. `tests/fixtures/golden_digests_cifar10.txt` pins one method
+//! per algorithm family on CIFAR-10, synchronous only: it is the end-to-end
+//! pin of `Conv2d`, which neither UCI-HAR nor Stack Overflow runs.
 //!
 //! The digest folds every field of the report bit-exactly, so these tests
 //! prove that performance work on the hot paths (matmul kernels, sub-model
@@ -33,7 +35,17 @@ struct Suite {
     task: DataTask,
     file: &'static str,
     methods: &'static [MhflMethod],
+    executions: &'static [Execution],
 }
+
+/// Synchronous rounds and buffered asynchronous ones (buffer of two).
+const BOTH_EXECUTIONS: &[Execution] = &[
+    Execution::Synchronous,
+    Execution::AsyncBuffered {
+        buffer_size: 2,
+        concurrency: 0,
+    },
+];
 
 /// One representative method per algorithm family first, then the
 /// remaining width and depth methods.
@@ -51,6 +63,7 @@ const UCI_HAR: Suite = Suite {
         MhflMethod::FeDepth,
         MhflMethod::InclusiveFl,
     ],
+    executions: BOTH_EXECUTIONS,
 };
 
 /// Every method that trains a sub-model of one global state dict.
@@ -66,6 +79,20 @@ const STACK_OVERFLOW: Suite = Suite {
         MhflMethod::DepthFl,
         MhflMethod::HomogeneousSmallest,
     ],
+    executions: BOTH_EXECUTIONS,
+};
+
+/// One method per algorithm family on the convolutional proxy.
+const CIFAR10: Suite = Suite {
+    task: DataTask::Cifar10,
+    file: "golden_digests_cifar10.txt",
+    methods: &[
+        MhflMethod::SHeteroFl,
+        MhflMethod::DepthFl,
+        MhflMethod::FedProto,
+        MhflMethod::FedEt,
+    ],
+    executions: &[Execution::Synchronous],
 };
 
 /// Seeds the traces are pinned for.
@@ -129,7 +156,7 @@ fn load_fixtures(file: &str) -> Vec<(String, String, u64, u64)> {
 fn all_cases(suite: &Suite) -> Vec<(MhflMethod, Execution, u64)> {
     let mut cases = Vec::new();
     for &method in suite.methods {
-        for execution in [Execution::Synchronous, Execution::async_buffered(2)] {
+        for &execution in suite.executions {
             for seed in SEEDS {
                 cases.push((method, execution, seed));
             }
@@ -162,7 +189,7 @@ fn check_suite(suite: &Suite) {
     assert_eq!(
         fixtures.len(),
         all_cases(suite).len(),
-        "{}: fixture count must cover every method x two executions x seeds",
+        "{}: fixture count must cover every method x execution x seed",
         suite.file
     );
     let mut mismatches = Vec::new();
@@ -199,6 +226,13 @@ fn golden_digests_match_committed_fixtures() {
 #[test]
 fn stackoverflow_golden_digests_match_committed_fixtures() {
     check_suite(&STACK_OVERFLOW);
+}
+
+/// The convolution pin: every CIFAR-10 client runs `Conv2d` forward and
+/// backward, so a kernel change that moves one ULP fails here.
+#[test]
+fn cifar10_golden_digests_match_committed_fixtures() {
+    check_suite(&CIFAR10);
 }
 
 /// The Stack Overflow fixture exists to pin narrower sub-models, so every
