@@ -16,7 +16,7 @@
 use std::iter::once;
 
 use mhfl_data::{Batch, Dataset};
-use mhfl_fl::submodel::{PlanCache, ServerAggregator, WidthSelection};
+use mhfl_fl::submodel::{ExtractionPlan, ServerAggregator, WidthSelection};
 use mhfl_fl::train::{evaluate_chunks, local_train_ce, top1_correct};
 use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
@@ -38,8 +38,6 @@ pub(crate) struct SubmodelAlgorithm {
     global: Option<ProxyModel>,
     global_sd: StateDict,
     global_specs: Vec<ParamSpec>,
-    /// Gather/scatter plans reused across rounds (see [`PlanCache`]).
-    plans: PlanCache,
     robust: RobustAggregation,
 }
 
@@ -59,7 +57,6 @@ impl SubmodelAlgorithm {
             global: None,
             global_sd: StateDict::new(),
             global_specs: Vec::new(),
-            plans: PlanCache::new(),
             robust: RobustAggregation::None,
         }
     }
@@ -87,13 +84,12 @@ impl SubmodelAlgorithm {
 
     /// Builds the `cfg`-shaped sub-model of the global parameters. Zero-init
     /// skips the Box-Muller draws the extracted parameters would overwrite
-    /// anyway; the cached plan turns extraction into one gather pass per
+    /// anyway; the plan turns extraction into one gather pass per
     /// parameter.
     fn extract(&self, cfg: ProxyConfig, selection: WidthSelection) -> FlResult<ProxyModel> {
         let mut model = ProxyModel::zeroed(cfg)?;
         let plan =
-            self.plans
-                .for_client_specs(&self.global_specs, &model.param_specs(), selection)?;
+            ExtractionPlan::for_client_specs(&self.global_specs, &model.param_specs(), selection)?;
         model.load_state_dict(&plan.extract(&self.global_sd)?)?;
         Ok(model)
     }
@@ -232,9 +228,7 @@ impl FlAlgorithm for SubmodelAlgorithm {
                 )));
             };
             deepest_covered = deepest_covered.max(num_blocks.saturating_sub(1));
-            let plan = self
-                .plans
-                .for_state(&self.global_specs, state, *selection)?;
+            let plan = ExtractionPlan::for_state(&self.global_specs, state, *selection)?;
             aggregator.add_update_with_plan(state, &plan, update.weight())?;
         }
         let mut merged = aggregator.finalize(&self.global_sd)?;
@@ -280,8 +274,8 @@ impl FlAlgorithm for SubmodelAlgorithm {
 
     fn snapshot(&self) -> FlResult<AlgorithmState> {
         self.require_setup()?;
-        // The global state dict is the only mutable state: the model shell,
-        // parameter specs and plan cache are all rebuilt from the context.
+        // The global state dict is the only mutable state: the model shell
+        // and parameter specs are rebuilt from the context.
         let mut state = AlgorithmState::new();
         state.insert_state("global", self.global_sd.clone());
         Ok(state)
@@ -289,7 +283,14 @@ impl FlAlgorithm for SubmodelAlgorithm {
 
     fn restore(&mut self, mut state: AlgorithmState, ctx: &FederationContext) -> FlResult<()> {
         self.setup(ctx)?;
-        self.global_sd = state.take_state("global")?;
+        let global_sd = state.take_state("global")?;
+        // Loading checks every parameter's name and shape, so a state dict
+        // of another model is refused here, not at the first extraction.
+        self.global
+            .as_mut()
+            .expect("set by setup")
+            .load_state_dict(&global_sd)?;
+        self.global_sd = global_sd;
         Ok(())
     }
 
@@ -301,7 +302,10 @@ impl FlAlgorithm for SubmodelAlgorithm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::tests::test_context;
     use mhfl_data::{generate_dataset, DataTask};
+    use mhfl_device::ConstraintCase;
+    use mhfl_tensor::Tensor;
     use std::sync::Mutex;
 
     /// A 2-block stack realises depths 0.25 and 0.5 as one block and 0.75
@@ -337,5 +341,26 @@ mod tests {
         assert_eq!(built.into_inner().unwrap(), [2, 1]);
         assert_eq!(per_client[0].to_bits(), per_client[1].to_bits());
         assert_eq!(per_client[2].to_bits(), per_client[3].to_bits());
+    }
+
+    /// A restored global state dict of the wrong shape is refused as a
+    /// typed error instead of panicking in the first extraction that
+    /// slices it.
+    #[test]
+    fn restore_refuses_a_global_state_of_the_wrong_shape() {
+        let method = MhflMethod::SHeteroFl;
+        let ctx = test_context(DataTask::UciHar, method, ConstraintCase::Memory, 4, 11);
+        let mut algorithm = SubmodelAlgorithm::new(method);
+        algorithm.setup(&ctx).unwrap();
+        let snapshot = algorithm.snapshot().unwrap();
+        let mut global = snapshot.clone().take_state("global").unwrap();
+        for (_, t) in global.iter_mut() {
+            *t = Tensor::zeros(&[1]);
+        }
+        let mut wrong = AlgorithmState::new();
+        wrong.insert_state("global", global);
+        assert!(algorithm.restore(wrong, &ctx).is_err());
+        algorithm.restore(snapshot, &ctx).unwrap();
+        algorithm.evaluate_client(0, ctx.test_set()).unwrap();
     }
 }

@@ -4,7 +4,8 @@
 //! constants are the standard FNV-1a parameters, so digests are stable
 //! across platforms and runs. Shared by the canonical
 //! [`MetricsReport::digest`](crate::MetricsReport::digest) and the
-//! [`PlanCache`](crate::submodel::PlanCache) key so the two cannot drift.
+//! frame and checkpoint checksum [`wire::fnv64`](crate::wire::fnv64) so
+//! the two cannot drift.
 
 pub(crate) struct Fnv1a(u64);
 

@@ -10,9 +10,10 @@
 //! Algorithms fill it in [`FlAlgorithm::snapshot`](crate::FlAlgorithm) and
 //! consume it in [`FlAlgorithm::restore`](crate::FlAlgorithm). Anything an
 //! algorithm can recompute deterministically from the
-//! [`FederationContext`](crate::FederationContext) — plan caches, proxy
-//! configurations, derived RNG streams — should *not* be stored: restore
-//! rebuilds it, which keeps checkpoints small and forward-compatible.
+//! [`FederationContext`](crate::FederationContext) — model shells,
+//! parameter specs, proxy configurations, derived RNG streams — should
+//! *not* be stored: restore rebuilds it, which keeps checkpoints small and
+//! forward-compatible.
 
 use mhfl_nn::StateDict;
 use mhfl_tensor::Tensor;

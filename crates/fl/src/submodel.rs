@@ -1,31 +1,28 @@
 //! Width/depth sub-model extraction and overlap-aware aggregation.
 //!
 //! These are the two primitives every partial-aggregation MHFL algorithm is
-//! built from:
+//! built from, and both replay one [`ExtractionPlan`]:
 //!
-//! * [`extract_submodel`] slices a client-sized state dict out of the global
-//!   model, choosing channel indices per width-scalable axis according to a
-//!   [`WidthSelection`] (contiguous prefix for HeteroFL/Fjord, a rolling
-//!   window for FedRolex). Depth-heterogeneous clients simply request fewer
-//!   parameter names — the same code path handles them.
+//! * [`ExtractionPlan::extract`] slices a client-sized state dict out of the
+//!   global model, choosing channel indices per width-scalable axis
+//!   according to a [`WidthSelection`] (contiguous prefix for
+//!   HeteroFL/Fjord, a rolling window for FedRolex). Depth-heterogeneous
+//!   clients simply request fewer parameter names — the same code path
+//!   handles them.
 //! * [`ServerAggregator`] accumulates client updates back into the global
 //!   coordinate space and averages every global entry by how many clients
 //!   actually covered it, keeping the previous global value for uncovered
 //!   entries (HeteroFL-style partial averaging).
 //!
-//! Both primitives run fastest through an [`ExtractionPlan`]: the
-//! per-parameter, per-axis gather offsets for one `(client shape set,
-//! selection)` pair are computed **once** and then replayed every round as
-//! a single-pass multi-axis gather (extraction) or scatter-add
-//! (aggregation), instead of clone-then-gather-per-axis and per-element
-//! coordinate decoding. Plans are cached across rounds by a [`PlanCache`]
-//! owned by each algorithm. The planned paths are bit-for-bit identical to
-//! the retained sequential reference implementations
-//! ([`extract_submodel`], [`ServerAggregator::add_update`]) — the golden
-//! trace harness and the property suite pin this.
+//! A plan holds the per-parameter, per-axis gather offsets of one `(client
+//! shape set, selection)` pair, so extraction is a single-pass multi-axis
+//! gather and aggregation a single-pass scatter-add. Building one takes
+//! microseconds, so callers build it where they use it and keep none. The
+//! in-crate tests pin both passes bit-for-bit against sequential reference
+//! implementations (per-axis `gather_axis`, per-element coordinate
+//! decoding) that exist only under `cfg(test)`.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::BTreeMap;
 
 use mhfl_nn::{AxisRole, ParamSpec, StateDict};
 use mhfl_tensor::Tensor;
@@ -98,46 +95,6 @@ pub fn axis_indices(
         .collect()
 }
 
-/// Extracts the client-sized sub-model from the global state dict.
-///
-/// `client_specs` lists the parameters (names, shapes, roles) of the client's
-/// model; every one of them must exist in `global_specs`/`global` with a
-/// compatible shape.
-///
-/// # Errors
-/// Returns an error if a client parameter is missing from the global model or
-/// the shapes cannot be mapped.
-pub fn extract_submodel(
-    global: &StateDict,
-    global_specs: &[ParamSpec],
-    client_specs: &[ParamSpec],
-    selection: WidthSelection,
-) -> FlResult<StateDict> {
-    let spec_index: BTreeMap<&str, &ParamSpec> =
-        global_specs.iter().map(|s| (s.name.as_str(), s)).collect();
-    let mut out = StateDict::new();
-    for spec in client_specs {
-        let global_spec = spec_index
-            .get(spec.name.as_str())
-            .ok_or_else(|| FlError::InvalidConfig(format!("global model lacks {}", spec.name)))?;
-        let tensor = global.require(&spec.name)?;
-        let indices = axis_indices(
-            &global_spec.shape,
-            &spec.shape,
-            &global_spec.roles,
-            selection,
-        )?;
-        let mut sliced = tensor.clone();
-        for (axis, idx) in indices.iter().enumerate() {
-            if idx.len() != sliced.dims()[axis] || idx.iter().enumerate().any(|(i, &v)| i != v) {
-                sliced = sliced.gather_axis(axis, idx)?;
-            }
-        }
-        out.insert(spec.name.clone(), sliced);
-    }
-    Ok(out)
-}
-
 /// One parameter's precomputed gather recipe inside an [`ExtractionPlan`].
 #[derive(Debug)]
 struct PlanEntry {
@@ -145,7 +102,8 @@ struct PlanEntry {
     name: String,
     /// Client-side tensor shape.
     client_dims: Vec<usize>,
-    /// Global-side tensor shape (for allocating scatter targets).
+    /// Global-side tensor shape, which the global tensor and the scatter
+    /// targets must have.
     global_dims: Vec<usize>,
     /// `axis_offsets[a][i]` is the flat-offset contribution of client
     /// coordinate `i` on axis `a`: `global_index(a, i) × global_stride(a)`.
@@ -241,8 +199,7 @@ impl PlanEntry {
 ///
 /// Building a plan costs one [`axis_indices`] evaluation per parameter;
 /// replaying it performs extraction as a single-pass multi-axis gather and
-/// aggregation as a single-pass scatter-add. Plans are immutable and
-/// shareable across threads ([`PlanCache`] hands them out as [`Arc`]s).
+/// aggregation as a single-pass scatter-add.
 #[derive(Debug)]
 pub struct ExtractionPlan {
     entries: Vec<PlanEntry>,
@@ -258,12 +215,12 @@ impl ExtractionPlan {
     /// Client names missing from `global_specs` are recorded as skipped:
     /// [`ExtractionPlan::extract`] refuses to run with skipped entries
     /// (the global model cannot produce them) while the scatter-add path
-    /// ignores them, mirroring [`ServerAggregator::add_update`].
+    /// ignores them (client-only parameters such as personalised heads).
     ///
     /// # Errors
     /// Returns [`FlError::InvalidConfig`] when a shape cannot be mapped
     /// (rank mismatch or a shrunken `Fixed` axis).
-    pub fn build<'a>(
+    fn build<'a>(
         global_specs: &[ParamSpec],
         client_shapes: impl IntoIterator<Item = (&'a str, &'a [usize])>,
         selection: WidthSelection,
@@ -311,7 +268,8 @@ impl ExtractionPlan {
     /// extraction direction).
     ///
     /// # Errors
-    /// Propagates [`ExtractionPlan::build`] failures.
+    /// Returns [`FlError::InvalidConfig`] when a shape cannot be mapped
+    /// (rank mismatch or a shrunken `Fixed` axis).
     pub fn for_client_specs(
         global_specs: &[ParamSpec],
         client_specs: &[ParamSpec],
@@ -329,7 +287,8 @@ impl ExtractionPlan {
     /// Plan for an uploaded client state dict (the aggregation direction).
     ///
     /// # Errors
-    /// Propagates [`ExtractionPlan::build`] failures.
+    /// Returns [`FlError::InvalidConfig`] when a shape cannot be mapped
+    /// (rank mismatch or a shrunken `Fixed` axis).
     pub fn for_state(
         global_specs: &[ParamSpec],
         state: &StateDict,
@@ -342,23 +301,13 @@ impl ExtractionPlan {
         )
     }
 
-    /// Number of parameters the plan maps.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the plan maps no parameters.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Extracts the client-sized sub-model from the global state dict in a
-    /// single gather pass per parameter. Identical output to
-    /// [`extract_submodel`] with the plan's selection.
+    /// single gather pass per parameter.
     ///
     /// # Errors
     /// Returns an error if the plan recorded parameters the global model
-    /// lacks, or a tensor is missing from `global`.
+    /// lacks, or a tensor of `global` is missing or not the shape the plan
+    /// was built for.
     pub fn extract(&self, global: &StateDict) -> FlResult<StateDict> {
         if let Some(missing) = self.skipped.first() {
             return Err(FlError::InvalidConfig(format!(
@@ -367,242 +316,10 @@ impl ExtractionPlan {
         }
         let mut out = StateDict::new();
         for entry in &self.entries {
-            let tensor = global.require(&entry.name)?;
+            let tensor = require_shaped(global, &entry.name, &entry.global_dims)?;
             out.insert(entry.name.clone(), entry.gather(tensor)?);
         }
         Ok(out)
-    }
-}
-
-/// A per-algorithm cache of [`ExtractionPlan`]s, keyed by the client's
-/// `(name, shape)` set and the [`WidthSelection`].
-///
-/// The engine runs one algorithm instance for the whole experiment, so a
-/// cache owned by the algorithm persists plans across rounds: nested-prefix
-/// recipes (HeteroFL/Fjord, depth prefixes, the homogeneous baseline) hit
-/// the cache every round after the first, and FedRolex's rolling window
-/// costs one rebuild per `(shape set, shift)`. Interior mutability keeps
-/// lookups available from the `&self` client phase across threads.
-///
-/// At capacity the cache evicts **one cold entry** by the second-chance
-/// (clock) policy: every hit marks its slot referenced, and the clock hand
-/// sweeps the insertion ring clearing referenced marks until it finds an
-/// unmarked victim. Hot per-family plans (re-requested every round) survive
-/// FedRolex streaming hundreds of one-shot rolling keys through the cache —
-/// the failure mode of the previous wipe-everything-at-cap policy.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    plans: Mutex<PlanMap>,
-}
-
-/// The guarded state of a [`PlanCache`]: the slots plus the clock-eviction
-/// bookkeeping. `ring` holds every cached key in insertion order and
-/// `hand` is the clock position, so eviction is deterministic given the
-/// request sequence (iterating a bare `HashMap` for a victim would not be).
-#[derive(Debug, Default)]
-struct PlanMap {
-    slots: HashMap<u64, CachedPlan>,
-    ring: Vec<u64>,
-    hand: usize,
-}
-
-impl PlanMap {
-    /// Inserts a new slot, evicting one cold entry first when at capacity.
-    fn insert(&mut self, key: u64, slot: CachedPlan) {
-        if self.slots.len() >= PLAN_CACHE_CAP && !self.ring.is_empty() {
-            // Second chance: clear referenced marks under the hand until an
-            // unreferenced victim appears (at most two sweeps), then reuse
-            // its ring position for the new key.
-            loop {
-                let candidate = self.ring[self.hand];
-                let entry = self.slots.get_mut(&candidate).expect("ring tracks slots");
-                if entry.referenced {
-                    entry.referenced = false;
-                    self.hand = (self.hand + 1) % self.ring.len();
-                } else {
-                    self.slots.remove(&candidate);
-                    self.ring[self.hand] = key;
-                    self.hand = (self.hand + 1) % self.ring.len();
-                    break;
-                }
-            }
-        } else {
-            self.ring.push(key);
-        }
-        self.slots.insert(key, slot);
-    }
-}
-
-/// One cache slot: the plan plus the exact request it was built for, so a
-/// hit is verified structurally instead of trusted to the 64-bit hash.
-#[derive(Debug)]
-struct CachedPlan {
-    selection: WidthSelection,
-    /// Canonically ordered client `(name, shape)` pairs.
-    shapes: Vec<(String, Vec<usize>)>,
-    plan: Arc<ExtractionPlan>,
-    /// Set on every hit, cleared when the clock hand sweeps past; an entry
-    /// survives one full sweep after its last hit.
-    referenced: bool,
-}
-
-impl CachedPlan {
-    /// Whether this slot was built for exactly the given request (the
-    /// global side is covered by the key fingerprint: one cache serves one
-    /// algorithm, whose global specs never change).
-    fn matches(&self, shapes: &[(&str, &[usize])], selection: WidthSelection) -> bool {
-        self.selection == selection
-            && self.shapes.len() == shapes.len()
-            && self
-                .shapes
-                .iter()
-                .zip(shapes.iter())
-                .all(|((name, dims), (req_name, req_dims))| {
-                    name == req_name && dims.as_slice() == *req_dims
-                })
-    }
-}
-
-/// Plans are tiny (per-axis offset tables), but FedRolex mints a new shift
-/// every round; cap the cache so a 1000-round run cannot grow unboundedly.
-const PLAN_CACHE_CAP: usize = 128;
-
-impl PlanCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        PlanCache::default()
-    }
-
-    /// FNV-1a fingerprint of the global specs, the client `(name, shape)`
-    /// set and the selection. The global side is part of the key because
-    /// the plan's offsets and strides are computed from it: the same client
-    /// shapes against a different global model must not share a slot.
-    fn key<'a>(
-        global_specs: &[ParamSpec],
-        client_shapes: impl Iterator<Item = (&'a str, &'a [usize])>,
-        selection: WidthSelection,
-    ) -> u64 {
-        let mut h = crate::fnv::Fnv1a::new();
-        match selection {
-            WidthSelection::Prefix => h.write(&[0u8]),
-            WidthSelection::Rolling { shift } => {
-                h.write(&[1u8]);
-                h.write_u64(shift as u64);
-            }
-        }
-        for spec in global_specs {
-            h.write(spec.name.as_bytes());
-            h.write(&[0xFE]);
-            h.write_u64(spec.shape.len() as u64);
-            for &d in &spec.shape {
-                h.write_u64(d as u64);
-            }
-        }
-        for (name, dims) in client_shapes {
-            h.write(name.as_bytes());
-            h.write(&[0xFF]);
-            h.write_u64(dims.len() as u64);
-            for &d in dims {
-                h.write_u64(d as u64);
-            }
-        }
-        h.finish()
-    }
-
-    fn get_or_build<'a>(
-        &self,
-        global_specs: &[ParamSpec],
-        shapes: &mut Vec<(&'a str, &'a [usize])>,
-        selection: WidthSelection,
-    ) -> FlResult<Arc<ExtractionPlan>> {
-        // Canonical name order: spec-keyed (model visit order) and
-        // state-keyed (BTreeMap order) lookups of the same shape set must
-        // share one cache slot. Per-parameter gathers are independent, so
-        // plan entry order never affects results.
-        shapes.sort_unstable_by_key(|(name, _)| *name);
-        let key = Self::key(global_specs, shapes.iter().copied(), selection);
-        let mut collision = false;
-        if let Some(slot) = self
-            .plans
-            .lock()
-            .expect("plan cache lock")
-            .slots
-            .get_mut(&key)
-        {
-            if slot.matches(shapes, selection) {
-                slot.referenced = true;
-                return Ok(Arc::clone(&slot.plan));
-            }
-            // A 64-bit fingerprint collision between two distinct requests
-            // (astronomically unlikely, but the repo's contract is
-            // exactness, not probability): serve a fresh uncached build
-            // and leave the slot's first occupant in place.
-            collision = true;
-        }
-        let plan = Arc::new(ExtractionPlan::build(
-            global_specs,
-            shapes.iter().copied(),
-            selection,
-        )?);
-        if !collision {
-            self.plans.lock().expect("plan cache lock").insert(
-                key,
-                CachedPlan {
-                    selection,
-                    shapes: shapes
-                        .iter()
-                        .map(|(name, dims)| (name.to_string(), dims.to_vec()))
-                        .collect(),
-                    plan: Arc::clone(&plan),
-                    referenced: false,
-                },
-            );
-        }
-        Ok(plan)
-    }
-
-    /// The cached (or freshly built) plan for a client model's specs.
-    ///
-    /// # Errors
-    /// Propagates plan-construction failures.
-    pub fn for_client_specs(
-        &self,
-        global_specs: &[ParamSpec],
-        client_specs: &[ParamSpec],
-        selection: WidthSelection,
-    ) -> FlResult<Arc<ExtractionPlan>> {
-        let mut shapes: Vec<(&str, &[usize])> = client_specs
-            .iter()
-            .map(|s| (s.name.as_str(), s.shape.as_slice()))
-            .collect();
-        self.get_or_build(global_specs, &mut shapes, selection)
-    }
-
-    /// The cached (or freshly built) plan for an uploaded state dict.
-    ///
-    /// # Errors
-    /// Propagates plan-construction failures.
-    pub fn for_state(
-        &self,
-        global_specs: &[ParamSpec],
-        state: &StateDict,
-        selection: WidthSelection,
-    ) -> FlResult<Arc<ExtractionPlan>> {
-        let mut shapes: Vec<(&str, &[usize])> = state
-            .iter()
-            .map(|(name, t)| (name.as_str(), t.dims()))
-            .collect();
-        self.get_or_build(global_specs, &mut shapes, selection)
-    }
-
-    /// Number of cached plans (for tests and telemetry).
-    pub fn len(&self) -> usize {
-        self.plans.lock().expect("plan cache lock").slots.len()
-    }
-
-    /// `true` when no plan has been cached yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -669,61 +386,9 @@ impl ServerAggregator {
     }
 
     /// Adds one client's updated sub-model, weighted by `weight`
-    /// (typically the client's sample count or 1.0).
-    ///
-    /// # Errors
-    /// Returns an error if a client tensor cannot be mapped onto the global
-    /// coordinate space.
-    pub fn add_update(
-        &mut self,
-        client_update: &StateDict,
-        selection: WidthSelection,
-        weight: f32,
-    ) -> FlResult<()> {
-        if let RobustAggregation::NormClip { max_norm } = self.robust {
-            if let Some(clipped) = Self::clipped(client_update, max_norm) {
-                return self.add_update_plain(&clipped, selection, weight);
-            }
-        }
-        self.add_update_plain(client_update, selection, weight)
-    }
-
-    fn add_update_plain(
-        &mut self,
-        client_update: &StateDict,
-        selection: WidthSelection,
-        weight: f32,
-    ) -> FlResult<()> {
-        scatter_mapped(
-            &self.global_specs,
-            &mut self.sums,
-            &mut self.counts,
-            client_update,
-            selection,
-            weight,
-        )?;
-        if matches!(self.robust, RobustAggregation::CoordinateMedian) {
-            let mut sums = Self::zeroed_maps(&self.global_specs);
-            let mut counts = Self::zeroed_maps(&self.global_specs);
-            scatter_mapped(
-                &self.global_specs,
-                &mut sums,
-                &mut counts,
-                client_update,
-                selection,
-                1.0,
-            )?;
-            self.per_update.push((sums, counts));
-        }
-        Ok(())
-    }
-
-    /// Adds one client's updated sub-model through a precomputed
-    /// [`ExtractionPlan`] (the same plan that extracted the sub-model),
-    /// replacing per-element coordinate decoding with a single scatter-add
-    /// pass per parameter. Bit-identical to
-    /// [`add_update`](ServerAggregator::add_update) with the plan's
-    /// selection: client elements are visited in the same row-major order.
+    /// (typically the client's sample count or 1.0), through the
+    /// [`ExtractionPlan`] of its shapes and selection: one scatter-add pass
+    /// per parameter.
     ///
     /// # Errors
     /// Returns an error if a tensor's shape disagrees with the plan.
@@ -733,55 +398,36 @@ impl ServerAggregator {
         plan: &ExtractionPlan,
         weight: f32,
     ) -> FlResult<()> {
-        if let RobustAggregation::NormClip { max_norm } = self.robust {
-            if let Some(clipped) = Self::clipped(client_update, max_norm) {
-                return self.add_update_with_plan_plain(&clipped, plan, weight);
-            }
-        }
-        self.add_update_with_plan_plain(client_update, plan, weight)
-    }
-
-    fn add_update_with_plan_plain(
-        &mut self,
-        client_update: &StateDict,
-        plan: &ExtractionPlan,
-        weight: f32,
-    ) -> FlResult<()> {
-        scatter_plan(
-            &mut self.sums,
-            &mut self.counts,
-            client_update,
-            plan,
-            weight,
-        )?;
+        let clipped = match self.robust {
+            RobustAggregation::NormClip { max_norm } => Self::clipped(client_update, max_norm),
+            _ => None,
+        };
+        let update = clipped.as_ref().unwrap_or(client_update);
+        scatter_plan(&mut self.sums, &mut self.counts, update, plan, weight)?;
         if matches!(self.robust, RobustAggregation::CoordinateMedian) {
             let mut sums = Self::zeroed_maps(&self.global_specs);
             let mut counts = Self::zeroed_maps(&self.global_specs);
-            scatter_plan(&mut sums, &mut counts, client_update, plan, 1.0)?;
+            scatter_plan(&mut sums, &mut counts, update, plan, 1.0)?;
             self.per_update.push((sums, counts));
         }
         Ok(())
-    }
-
-    /// Number of parameters that received at least one contribution.
-    pub fn covered_params(&self) -> usize {
-        self.counts
-            .values()
-            .filter(|c| c.as_slice().iter().any(|&v| v > 0.0))
-            .count()
     }
 
     /// Produces the new global state dict: covered entries become the
     /// weighted average (or, under
     /// [`RobustAggregation::CoordinateMedian`], the per-coordinate median)
     /// of contributions, uncovered entries keep the previous global value.
+    ///
+    /// # Errors
+    /// Returns an error if a tensor of `previous_global` is missing or not
+    /// the shape of its parameter spec.
     pub fn finalize(&self, previous_global: &StateDict) -> FlResult<StateDict> {
         if matches!(self.robust, RobustAggregation::CoordinateMedian) {
             return self.finalize_median(previous_global);
         }
         let mut out = StateDict::new();
         for spec in &self.global_specs {
-            let prev = previous_global.require(&spec.name)?;
+            let prev = require_shaped(previous_global, &spec.name, &spec.shape)?;
             let sums = &self.sums[&spec.name];
             let counts = &self.counts[&spec.name];
             let data = prev
@@ -804,7 +450,7 @@ impl ServerAggregator {
         let mut out = StateDict::new();
         let mut scratch = Vec::with_capacity(self.per_update.len());
         for spec in &self.global_specs {
-            let prev = previous_global.require(&spec.name)?;
+            let prev = require_shaped(previous_global, &spec.name, &spec.shape)?;
             let counts = &self.counts[&spec.name];
             let views: Vec<(&[f32], &[f32])> = self
                 .per_update
@@ -837,40 +483,10 @@ impl ServerAggregator {
     }
 }
 
-/// Adds one state dict into `(sums, counts)` via per-element coordinate
-/// decoding — the reference scatter path of
-/// [`ServerAggregator::add_update`], parameterised over the target maps so
-/// the coordinate-median mode can scatter per-client copies through the
-/// identical arithmetic.
-fn scatter_mapped(
-    global_specs: &[ParamSpec],
-    all_sums: &mut BTreeMap<String, Tensor>,
-    all_counts: &mut BTreeMap<String, Tensor>,
-    client_update: &StateDict,
-    selection: WidthSelection,
-    weight: f32,
-) -> FlResult<()> {
-    let spec_index: BTreeMap<&str, &ParamSpec> =
-        global_specs.iter().map(|s| (s.name.as_str(), s)).collect();
-    for (name, client_tensor) in client_update.iter() {
-        let Some(spec) = spec_index.get(name.as_str()) else {
-            // Parameters the global model does not track (e.g. client-only
-            // personalisation heads) are simply skipped.
-            continue;
-        };
-        let indices = axis_indices(&spec.shape, client_tensor.dims(), &spec.roles, selection)?;
-        let sums = all_sums.get_mut(name).expect("initialised with all specs");
-        let counts = all_counts
-            .get_mut(name)
-            .expect("initialised with all specs");
-        accumulate_mapped(sums, counts, client_tensor, &indices, weight)?;
-    }
-    Ok(())
-}
-
 /// The plan-driven scatter of
 /// [`ServerAggregator::add_update_with_plan`], parameterised over the
-/// target maps (see [`scatter_mapped`]).
+/// target maps so the coordinate-median mode can scatter per-client copies
+/// through the identical arithmetic.
 fn scatter_plan(
     all_sums: &mut BTreeMap<String, Tensor>,
     all_counts: &mut BTreeMap<String, Tensor>,
@@ -917,55 +533,23 @@ fn scatter_plan(
     Ok(())
 }
 
-/// Adds `weight * client` into `sums` (and `weight` into `counts`) at the
-/// global positions described by the per-axis index lists.
-fn accumulate_mapped(
-    sums: &mut Tensor,
-    counts: &mut Tensor,
-    client: &Tensor,
-    indices: &[Vec<usize>],
-    weight: f32,
-) -> FlResult<()> {
-    let client_dims = client.dims().to_vec();
-    let global_dims = sums.dims().to_vec();
-    let global_strides = {
-        let mut s = vec![1usize; global_dims.len()];
-        for i in (0..global_dims.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * global_dims[i + 1];
-        }
-        s
-    };
-    let total: usize = client_dims.iter().product();
-    let mut coord = vec![0usize; client_dims.len()];
-    let client_data = client.as_slice();
-    let sums_data = sums.as_mut_slice();
-    let counts_data = counts.as_mut_slice();
-    for (flat, &value) in client_data.iter().enumerate().take(total) {
-        // Decode the client coordinate.
-        let mut rem = flat;
-        for (axis, &dim) in client_dims.iter().enumerate().rev() {
-            coord[axis] = rem % dim;
-            rem /= dim;
-        }
-        // Map to the global flat offset.
-        let mut offset = 0usize;
-        for (axis, &c) in coord.iter().enumerate() {
-            let mapped = *indices
-                .get(axis)
-                .and_then(|idx| idx.get(c))
-                .ok_or_else(|| FlError::InvalidConfig("index mapping out of range".into()))?;
-            offset += mapped * global_strides[axis];
-        }
-        sums_data[offset] += weight * value;
-        counts_data[offset] += weight;
+/// `state`'s tensor `name`, refused unless it has the shape `dims`.
+fn require_shaped<'a>(state: &'a StateDict, name: &str, dims: &[usize]) -> FlResult<&'a Tensor> {
+    let tensor = state.require(name)?;
+    if tensor.dims() != dims {
+        return Err(FlError::InvalidConfig(format!(
+            "{name}: global shape {:?} does not match the model's {dims:?}",
+            tensor.dims()
+        )));
     }
-    Ok(())
+    Ok(tensor)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mhfl_models::{InputKind, ModelFamily, ProxyConfig, ProxyModel};
+    use mhfl_tensor::SeededRng;
 
     fn cifar_cfg() -> ProxyConfig {
         ProxyConfig::for_family(
@@ -978,6 +562,164 @@ mod tests {
             10,
             0,
         )
+    }
+
+    /// The reference extraction the plan must reproduce: clone each global
+    /// tensor, then one `gather_axis` per narrowed axis.
+    fn extract_submodel(
+        global: &StateDict,
+        global_specs: &[ParamSpec],
+        client_specs: &[ParamSpec],
+        selection: WidthSelection,
+    ) -> FlResult<StateDict> {
+        let spec_index: BTreeMap<&str, &ParamSpec> =
+            global_specs.iter().map(|s| (s.name.as_str(), s)).collect();
+        let mut out = StateDict::new();
+        for spec in client_specs {
+            let global_spec = spec_index.get(spec.name.as_str()).ok_or_else(|| {
+                FlError::InvalidConfig(format!("global model lacks {}", spec.name))
+            })?;
+            let indices = axis_indices(
+                &global_spec.shape,
+                &spec.shape,
+                &global_spec.roles,
+                selection,
+            )?;
+            let mut sliced = global.require(&spec.name)?.clone();
+            for (axis, idx) in indices.iter().enumerate() {
+                if idx.len() != sliced.dims()[axis] || idx.iter().enumerate().any(|(i, &v)| i != v)
+                {
+                    sliced = sliced.gather_axis(axis, idx)?;
+                }
+            }
+            out.insert(spec.name.clone(), sliced);
+        }
+        Ok(out)
+    }
+
+    impl ServerAggregator {
+        /// The reference scatter the plan must reproduce: every client
+        /// element's global position is decoded from its coordinate.
+        /// Parameters the global model does not track are skipped.
+        fn add_update(
+            &mut self,
+            client_update: &StateDict,
+            selection: WidthSelection,
+            weight: f32,
+        ) -> FlResult<()> {
+            for (name, client) in client_update.iter() {
+                let Some(spec) = self.global_specs.iter().find(|s| &s.name == name) else {
+                    continue;
+                };
+                let indices = axis_indices(&spec.shape, client.dims(), &spec.roles, selection)?;
+                let sums = self.sums.get_mut(name).expect("initialised with all specs");
+                let counts = self
+                    .counts
+                    .get_mut(name)
+                    .expect("initialised with all specs");
+                accumulate_mapped(sums, counts, client, &indices, weight)?;
+            }
+            Ok(())
+        }
+
+        /// Number of parameters that received at least one contribution.
+        fn covered_params(&self) -> usize {
+            self.counts
+                .values()
+                .filter(|c| c.as_slice().iter().any(|&v| v > 0.0))
+                .count()
+        }
+    }
+
+    /// Adds `weight * client` into `sums` (and `weight` into `counts`) at
+    /// the global positions described by the per-axis index lists.
+    fn accumulate_mapped(
+        sums: &mut Tensor,
+        counts: &mut Tensor,
+        client: &Tensor,
+        indices: &[Vec<usize>],
+        weight: f32,
+    ) -> FlResult<()> {
+        let client_dims = client.dims().to_vec();
+        let global_dims = sums.dims().to_vec();
+        let mut global_strides = vec![1usize; global_dims.len()];
+        for i in (0..global_dims.len().saturating_sub(1)).rev() {
+            global_strides[i] = global_strides[i + 1] * global_dims[i + 1];
+        }
+        let mut coord = vec![0usize; client_dims.len()];
+        let sums_data = sums.as_mut_slice();
+        let counts_data = counts.as_mut_slice();
+        for (flat, &value) in client.as_slice().iter().enumerate() {
+            // Decode the client coordinate.
+            let mut rem = flat;
+            for (axis, &dim) in client_dims.iter().enumerate().rev() {
+                coord[axis] = rem % dim;
+                rem /= dim;
+            }
+            // Map to the global flat offset.
+            let mut offset = 0usize;
+            for (axis, &c) in coord.iter().enumerate() {
+                let mapped = *indices
+                    .get(axis)
+                    .and_then(|idx| idx.get(c))
+                    .ok_or_else(|| FlError::InvalidConfig("index mapping out of range".into()))?;
+                offset += mapped * global_strides[axis];
+            }
+            sums_data[offset] += weight * value;
+            counts_data[offset] += weight;
+        }
+        Ok(())
+    }
+
+    /// The production extraction: a fresh plan, replayed once.
+    fn extract(
+        global: &ProxyModel,
+        client_specs: &[ParamSpec],
+        selection: WidthSelection,
+    ) -> StateDict {
+        ExtractionPlan::for_client_specs(&global.param_specs(), client_specs, selection)
+            .unwrap()
+            .extract(&global.state_dict())
+            .unwrap()
+    }
+
+    /// The production aggregation: a fresh plan for the update's shapes.
+    fn add(agg: &mut ServerAggregator, update: &StateDict, selection: WidthSelection, weight: f32) {
+        let plan = ExtractionPlan::for_state(&agg.global_specs, update, selection).unwrap();
+        agg.add_update_with_plan(update, &plan, weight).unwrap();
+    }
+
+    /// Every tensor's name, shape and `f32` bit patterns.
+    fn bits(state: &StateDict) -> Vec<(&String, &[usize], Vec<u32>)> {
+        state
+            .iter()
+            .map(|(name, t)| {
+                (
+                    name,
+                    t.dims(),
+                    t.as_slice().iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// Seeded random cases: a ResNet34 features proxy of a random seed, a
+    /// client width fraction in `0.2..1.0`, a rolling shift in `0..40` and
+    /// an aggregation weight in `0.5..4.0`.
+    fn random_cases() -> Vec<(ProxyConfig, f64, usize, f32)> {
+        let mut rng = SeededRng::new(17);
+        (0..16)
+            .map(|_| {
+                let cfg = ProxyConfig::for_family(
+                    ModelFamily::ResNet34,
+                    InputKind::Features { dim: 8 },
+                    5,
+                    rng.index(200) as u64,
+                );
+                let width = f64::from(rng.uniform(0.2, 1.0));
+                (cfg, width, rng.index(40), rng.uniform(0.5, 4.0))
+            })
+            .collect()
     }
 
     #[test]
@@ -1011,13 +753,7 @@ mod tests {
     fn extract_submodel_loads_into_smaller_proxy() {
         let global = ProxyModel::new(cifar_cfg()).unwrap();
         let mut client = ProxyModel::new(cifar_cfg().with_width(0.5)).unwrap();
-        let sub = extract_submodel(
-            &global.state_dict(),
-            &global.param_specs(),
-            &client.param_specs(),
-            WidthSelection::Prefix,
-        )
-        .unwrap();
+        let sub = extract(&global, &client.param_specs(), WidthSelection::Prefix);
         client.load_state_dict(&sub).unwrap();
         // The client's head weight equals the first columns of the global head.
         let g_head = global.state_dict().get("head.weight").unwrap().clone();
@@ -1037,20 +773,8 @@ mod tests {
         let client_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
             .unwrap()
             .param_specs();
-        let prefix = extract_submodel(
-            &global.state_dict(),
-            &global.param_specs(),
-            &client_specs,
-            WidthSelection::Prefix,
-        )
-        .unwrap();
-        let rolled = extract_submodel(
-            &global.state_dict(),
-            &global.param_specs(),
-            &client_specs,
-            WidthSelection::Rolling { shift: 3 },
-        )
-        .unwrap();
+        let prefix = extract(&global, &client_specs, WidthSelection::Prefix);
+        let rolled = extract(&global, &client_specs, WidthSelection::Rolling { shift: 3 });
         assert!(prefix.l2_distance_sq(&rolled) > 0.0);
     }
 
@@ -1058,13 +782,7 @@ mod tests {
     fn depth_submodel_is_name_subset() {
         let global = ProxyModel::new(cifar_cfg()).unwrap();
         let shallow = ProxyModel::new(cifar_cfg().with_depth(0.5)).unwrap();
-        let sub = extract_submodel(
-            &global.state_dict(),
-            &global.param_specs(),
-            &shallow.param_specs(),
-            WidthSelection::Prefix,
-        )
-        .unwrap();
+        let sub = extract(&global, &shallow.param_specs(), WidthSelection::Prefix);
         assert!(sub.len() < global.state_dict().len());
         assert_eq!(sub.len(), shallow.param_specs().len());
     }
@@ -1085,8 +803,8 @@ mod tests {
         for (_, t) in u2.iter_mut() {
             *t = Tensor::full(t.dims(), 3.0);
         }
-        agg.add_update(&u1, WidthSelection::Prefix, 1.0).unwrap();
-        agg.add_update(&u2, WidthSelection::Prefix, 1.0).unwrap();
+        add(&mut agg, &u1, WidthSelection::Prefix, 1.0);
+        add(&mut agg, &u2, WidthSelection::Prefix, 1.0);
         let merged = agg.finalize(&global_sd).unwrap();
         for (_, t) in merged.iter() {
             for &v in t.as_slice() {
@@ -1099,20 +817,17 @@ mod tests {
     #[test]
     fn uncovered_entries_keep_previous_values() {
         let global = ProxyModel::new(cifar_cfg()).unwrap();
-        let specs = global.param_specs();
         let global_sd = global.state_dict();
         let half_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
             .unwrap()
             .param_specs();
 
-        let mut half_update =
-            extract_submodel(&global_sd, &specs, &half_specs, WidthSelection::Prefix).unwrap();
+        let mut half_update = extract(&global, &half_specs, WidthSelection::Prefix);
         for (_, t) in half_update.iter_mut() {
             *t = Tensor::full(t.dims(), 5.0);
         }
-        let mut agg = ServerAggregator::new(specs);
-        agg.add_update(&half_update, WidthSelection::Prefix, 1.0)
-            .unwrap();
+        let mut agg = ServerAggregator::new(global.param_specs());
+        add(&mut agg, &half_update, WidthSelection::Prefix, 1.0);
         let merged = agg.finalize(&global_sd).unwrap();
 
         // Covered prefix entries become 5.0; the uncovered tail keeps old values.
@@ -1128,26 +843,26 @@ mod tests {
 
     #[test]
     fn planned_extraction_matches_reference_bitwise() {
-        let global = ProxyModel::new(cifar_cfg()).unwrap();
-        let global_sd = global.state_dict();
-        let specs = global.param_specs();
-        for width in [0.25, 0.5, 1.0] {
-            let client_specs = ProxyModel::new(cifar_cfg().with_width(width))
+        let fixed = [0.25, 0.5, 1.0].map(|width| (cifar_cfg(), width, 3, 0.0));
+        for (cfg, width, shift, _) in fixed.into_iter().chain(random_cases()) {
+            let global = ProxyModel::new(cfg).unwrap();
+            let global_sd = global.state_dict();
+            let specs = global.param_specs();
+            let client_specs = ProxyModel::new(cfg.with_width(width))
                 .unwrap()
                 .param_specs();
             for selection in [
                 WidthSelection::Prefix,
-                WidthSelection::Rolling { shift: 3 },
+                WidthSelection::Rolling { shift },
                 WidthSelection::Rolling { shift: 11 },
             ] {
                 let reference =
                     extract_submodel(&global_sd, &specs, &client_specs, selection).unwrap();
-                let plan =
-                    ExtractionPlan::for_client_specs(&specs, &client_specs, selection).unwrap();
-                let planned = plan.extract(&global_sd).unwrap();
+                let planned = extract(&global, &client_specs, selection);
                 assert_eq!(
-                    reference, planned,
-                    "planned extraction diverged (width {width}, {selection:?})"
+                    bits(&reference),
+                    bits(&planned),
+                    "planned extraction diverged ({cfg:?}, width {width}, {selection:?})"
                 );
             }
         }
@@ -1155,31 +870,32 @@ mod tests {
 
     #[test]
     fn planned_aggregation_matches_reference_bitwise() {
-        let global = ProxyModel::new(cifar_cfg()).unwrap();
-        let global_sd = global.state_dict();
-        let specs = global.param_specs();
-        let half_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
-            .unwrap()
-            .param_specs();
-        for selection in [WidthSelection::Prefix, WidthSelection::Rolling { shift: 5 }] {
-            let update = extract_submodel(&global_sd, &specs, &half_specs, selection).unwrap();
-            let mut reference = ServerAggregator::new(specs.clone());
-            reference.add_update(&update, selection, 2.5).unwrap();
-            reference
-                .add_update(&global_sd, WidthSelection::Prefix, 1.5)
-                .unwrap();
-            let mut planned = ServerAggregator::new(specs.clone());
-            let plan = ExtractionPlan::for_state(&specs, &update, selection).unwrap();
-            planned.add_update_with_plan(&update, &plan, 2.5).unwrap();
-            let full_plan =
-                ExtractionPlan::for_state(&specs, &global_sd, WidthSelection::Prefix).unwrap();
-            planned
-                .add_update_with_plan(&global_sd, &full_plan, 1.5)
-                .unwrap();
-            let ref_final = reference.finalize(&global_sd).unwrap();
-            let plan_final = planned.finalize(&global_sd).unwrap();
-            assert_eq!(ref_final, plan_final, "planned aggregation diverged");
-            assert_eq!(reference.covered_params(), planned.covered_params());
+        let fixed = (cifar_cfg(), 0.5, 5, 2.5);
+        for (cfg, width, shift, weight) in std::iter::once(fixed).chain(random_cases()) {
+            let global = ProxyModel::new(cfg).unwrap();
+            let global_sd = global.state_dict();
+            let specs = global.param_specs();
+            let client_specs = ProxyModel::new(cfg.with_width(width))
+                .unwrap()
+                .param_specs();
+            for selection in [WidthSelection::Prefix, WidthSelection::Rolling { shift }] {
+                let update =
+                    extract_submodel(&global_sd, &specs, &client_specs, selection).unwrap();
+                let mut reference = ServerAggregator::new(specs.clone());
+                reference.add_update(&update, selection, weight).unwrap();
+                reference
+                    .add_update(&global_sd, WidthSelection::Prefix, 1.5)
+                    .unwrap();
+                let mut planned = ServerAggregator::new(specs.clone());
+                add(&mut planned, &update, selection, weight);
+                add(&mut planned, &global_sd, WidthSelection::Prefix, 1.5);
+                assert_eq!(
+                    bits(&reference.finalize(&global_sd).unwrap()),
+                    bits(&planned.finalize(&global_sd).unwrap()),
+                    "planned aggregation diverged ({cfg:?}, width {width}, {selection:?})"
+                );
+                assert_eq!(reference.covered_params(), planned.covered_params());
+            }
         }
     }
 
@@ -1190,7 +906,7 @@ mod tests {
         let mut state = StateDict::new();
         state.insert("not.a.param", Tensor::zeros(&[2]));
         let plan = ExtractionPlan::for_state(&specs, &state, WidthSelection::Prefix).unwrap();
-        assert!(plan.is_empty());
+        assert!(plan.entries.is_empty());
         assert!(plan.extract(&global.state_dict()).is_err());
         // Scatter-add simply contributes nothing, like the reference path.
         let mut agg = ServerAggregator::new(specs);
@@ -1199,184 +915,28 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_reuses_and_distinguishes_selections() {
+    fn extract_and_finalize_refuse_wrong_shaped_globals() {
         let global = ProxyModel::new(cifar_cfg()).unwrap();
         let specs = global.param_specs();
-        let client_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
+        let half_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
             .unwrap()
             .param_specs();
-        let cache = PlanCache::new();
-        let a = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Prefix)
-            .unwrap();
-        let b = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Prefix)
-            .unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "identical requests must share a plan");
-        assert_eq!(cache.len(), 1);
-        let c = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 1 })
-            .unwrap();
-        assert!(!Arc::ptr_eq(&a, &c), "selections must not collide");
-        assert_eq!(cache.len(), 2);
-        // The state-keyed lookup with the same shapes shares the cache slot.
-        let sub = a.extract(&global.state_dict()).unwrap();
-        let d = cache
-            .for_state(&specs, &sub, WidthSelection::Prefix)
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&a, &d),
-            "spec- and state-keyed plans must share"
-        );
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn plan_cache_distinguishes_global_models_with_identical_client_shapes() {
-        // A quarter-width client is extractable from both the full-width and
-        // the half-width global; the two plans have identical client shapes
-        // but different global strides, so they must not share a cache slot.
-        let full = ProxyModel::new(cifar_cfg()).unwrap();
-        let half = ProxyModel::new(cifar_cfg().with_width(0.5)).unwrap();
-        let quarter_specs = ProxyModel::new(cifar_cfg().with_width(0.25))
-            .unwrap()
-            .param_specs();
-        let cache = PlanCache::new();
-        let from_full = cache
-            .for_client_specs(&full.param_specs(), &quarter_specs, WidthSelection::Prefix)
-            .unwrap();
-        let from_half = cache
-            .for_client_specs(&half.param_specs(), &quarter_specs, WidthSelection::Prefix)
-            .unwrap();
-        assert!(
-            !Arc::ptr_eq(&from_full, &from_half),
-            "plans for different global models must not collide"
-        );
-        assert_eq!(cache.len(), 2);
-        // And each plan extracts correctly from its own global.
-        let ref_full = extract_submodel(
-            &full.state_dict(),
-            &full.param_specs(),
-            &quarter_specs,
-            WidthSelection::Prefix,
-        )
-        .unwrap();
-        assert_eq!(from_full.extract(&full.state_dict()).unwrap(), ref_full);
-        let ref_half = extract_submodel(
-            &half.state_dict(),
-            &half.param_specs(),
-            &quarter_specs,
-            WidthSelection::Prefix,
-        )
-        .unwrap();
-        assert_eq!(from_half.extract(&half.state_dict()).unwrap(), ref_half);
-    }
-
-    #[test]
-    fn plan_cache_eviction_holds_the_cap_and_rebuilds_transparently() {
-        // FedRolex mints a fresh rolling shift every round, so a long run
-        // streams distinct keys through the cache; the cap must hold and an
-        // evicted plan must come back bit-identical when re-requested.
-        let global = ProxyModel::new(cifar_cfg()).unwrap();
-        let specs = global.param_specs();
-        let client_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
-            .unwrap()
-            .param_specs();
-        let cache = PlanCache::new();
-        let reference = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 0 })
-            .unwrap();
-        let reference_sub = reference.extract(&global.state_dict()).unwrap();
-
-        // Stream well past the cap. The policy is second-chance: an insert
-        // at the cap evicts exactly one cold entry, so the cache fills to
-        // PLAN_CACHE_CAP and then holds there forever.
-        let rounds = 3 * PLAN_CACHE_CAP + 7;
-        for shift in 0..rounds {
-            cache
-                .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift })
-                .unwrap();
-            assert_eq!(
-                cache.len(),
-                (shift + 1).min(PLAN_CACHE_CAP),
-                "second-chance occupancy must be deterministic (shift {shift})"
-            );
-        }
-
-        // shift 0 was touched once early and never again, so three full
-        // laps of the clock hand have evicted it: re-requesting it must
-        // transparently rebuild a distinct Arc with identical behaviour.
-        let len_before = cache.len();
-        let rebuilt = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 0 })
-            .unwrap();
-        assert!(
-            !Arc::ptr_eq(&reference, &rebuilt),
-            "shift 0 should have been evicted and rebuilt, not retained"
-        );
-        assert_eq!(
-            cache.len(),
-            len_before,
-            "an at-cap insert evicts one entry, so occupancy stays put"
-        );
-        assert_eq!(
-            rebuilt.extract(&global.state_dict()).unwrap(),
-            reference_sub,
-            "a rebuilt plan must extract the exact same sub-model"
-        );
-        // And the rebuilt slot serves hits again.
-        let hit = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 0 })
-            .unwrap();
-        assert!(Arc::ptr_eq(&rebuilt, &hit));
-    }
-
-    #[test]
-    fn plan_cache_keeps_a_hot_key_across_eviction_cycles() {
-        // The production access pattern is one hot plan (the dominant client
-        // shape) amid a stream of one-shot rolling shifts. Second-chance
-        // eviction must keep the hot plan cached: each re-request marks its
-        // slot referenced, so the clock hand spares it and evicts a cold
-        // one-shot entry instead.
-        let global = ProxyModel::new(cifar_cfg()).unwrap();
-        let specs = global.param_specs();
-        let client_specs = ProxyModel::new(cifar_cfg().with_width(0.5))
-            .unwrap()
-            .param_specs();
-        let cache = PlanCache::new();
-        let hot = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 0 })
-            .unwrap();
-
-        // Three full eviction laps of cold keys, re-touching the hot key
-        // often enough (well under once per lap) to keep it referenced.
-        let rounds = 3 * PLAN_CACHE_CAP;
-        for round in 0..rounds {
-            cache
-                .for_client_specs(
-                    &specs,
-                    &client_specs,
-                    WidthSelection::Rolling { shift: round + 1 },
-                )
-                .unwrap();
-            if round % (PLAN_CACHE_CAP / 4) == 0 {
-                let again = cache
-                    .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 0 })
-                    .unwrap();
+        let plan =
+            ExtractionPlan::for_client_specs(&specs, &half_specs, WidthSelection::Prefix).unwrap();
+        let bias_len = global.state_dict().get("head.bias").unwrap().len();
+        // Too short would index out of bounds; too long would be truncated.
+        for len in [1, bias_len + 1] {
+            let mut wrong = global.state_dict();
+            wrong.insert("head.bias", Tensor::zeros(&[len]));
+            assert!(plan.extract(&wrong).is_err(), "extract took length {len}");
+            for robust in [RobustAggregation::None, RobustAggregation::CoordinateMedian] {
+                let agg = ServerAggregator::new(specs.clone()).with_robust(robust);
                 assert!(
-                    Arc::ptr_eq(&hot, &again),
-                    "hot plan evicted at round {round} despite steady re-use"
+                    agg.finalize(&wrong).is_err(),
+                    "{robust:?} took length {len}"
                 );
             }
-            assert!(cache.len() <= PLAN_CACHE_CAP);
         }
-        let survivor = cache
-            .for_client_specs(&specs, &client_specs, WidthSelection::Rolling { shift: 0 })
-            .unwrap();
-        assert!(
-            Arc::ptr_eq(&hot, &survivor),
-            "the hot plan must survive full eviction cycles"
-        );
     }
 
     #[test]
@@ -1393,8 +953,8 @@ mod tests {
             *t = Tensor::full(t.dims(), 4.0);
         }
         let mut agg = ServerAggregator::new(specs);
-        agg.add_update(&u1, WidthSelection::Prefix, 3.0).unwrap();
-        agg.add_update(&u2, WidthSelection::Prefix, 1.0).unwrap();
+        add(&mut agg, &u1, WidthSelection::Prefix, 3.0);
+        add(&mut agg, &u2, WidthSelection::Prefix, 1.0);
         let merged = agg.finalize(&global_sd).unwrap();
         // Weighted mean = (3*0 + 1*4) / 4 = 1.0
         assert!((merged.get("head.bias").unwrap().as_slice()[0] - 1.0).abs() < 1e-6);

@@ -2,8 +2,8 @@
 //!
 //! The three kernels here ([`matmul`], [`matmul_nt`], [`matmul_tn`]) are the
 //! hot path of every proxy-model forward/backward step. They are written
-//! under one hard constraint: **bitwise identity** with the retained naive
-//! reference kernel ([`Tensor::matmul_naive`](crate::Tensor::matmul_naive)).
+//! under one hard constraint: **bitwise identity** with a naive `ikj`
+//! reference loop, which the crate's tests compare them against.
 //! For every output element the partial products are accumulated in strictly
 //! ascending `k` order with plain `f32` multiply-then-add (no FMA, no
 //! multiple accumulators per element), so blocking and panel packing change

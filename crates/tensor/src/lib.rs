@@ -16,8 +16,8 @@
 //! support, but the matmul path is performance-engineered: [`kernels`]
 //! provides blocked/tiled kernels with L1-sized packed panels and
 //! transpose-aware `A·Bᵀ`/`Aᵀ·B` variants — all bitwise identical to
-//! the retained naive reference kernel ([`Tensor::matmul_naive`]), so
-//! reproducibility survives every optimisation.
+//! a naive `ikj` reference loop that the crate's tests compare them
+//! against, so reproducibility survives every optimisation.
 //!
 //! ```
 //! use mhfl_tensor::Tensor;

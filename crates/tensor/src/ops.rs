@@ -149,7 +149,8 @@ impl Tensor {
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
     /// Runs the blocked kernel of [`crate::kernels`]; bitwise identical to
-    /// [`Tensor::matmul_naive`] for finite inputs.
+    /// a plain `ikj` loop (the reference its tests compare against) for
+    /// finite inputs.
     ///
     /// # Errors
     /// Returns an error if either operand is not rank-2 or the inner
@@ -165,43 +166,6 @@ impl Tensor {
         }
         let mut out = vec![0.0; m * n];
         crate::kernels::matmul(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_vec(out, &[m, n])
-    }
-
-    /// The retained naive reference kernel: `ikj` loop order, one pass, no
-    /// blocking, no threading. Kept (and property-tested) as the ground
-    /// truth the blocked [`Tensor::matmul`] and the transpose-aware
-    /// variants must agree with bit-for-bit.
-    ///
-    /// # Errors
-    /// Returns an error if either operand is not rank-2 or the inner
-    /// dimensions disagree.
-    pub fn matmul_naive(&self, rhs: &Tensor) -> Result<Tensor> {
-        let [m, k, k2, n] = self.matmul_dims(rhs, "matmul")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: rhs.dims().to_vec(),
-                op: "matmul",
-            });
-        }
-        let a = self.as_slice();
-        let b = rhs.as_slice();
-        let mut out = vec![0.0; m * n];
-        // ikj loop order keeps the inner loop contiguous over both `b` and `out`.
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = a[i * k + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = &b[kk * n..(kk + 1) * n];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += aik * bv;
-                }
-            }
-        }
         Tensor::from_vec(out, &[m, n])
     }
 
@@ -461,6 +425,40 @@ impl Tensor {
 mod tests {
     use super::*;
 
+    impl Tensor {
+        /// The naive reference kernel: `ikj` loop order, one pass, no
+        /// blocking. The ground truth the blocked [`Tensor::matmul`] and the
+        /// transpose-aware variants must agree with bit-for-bit.
+        fn matmul_naive(&self, rhs: &Tensor) -> Result<Tensor> {
+            let [m, k, k2, n] = self.matmul_dims(rhs, "matmul")?;
+            if k != k2 {
+                return Err(TensorError::ShapeMismatch {
+                    left: self.dims().to_vec(),
+                    right: rhs.dims().to_vec(),
+                    op: "matmul",
+                });
+            }
+            let a = self.as_slice();
+            let b = rhs.as_slice();
+            let mut out = vec![0.0; m * n];
+            // ikj loop order keeps the inner loop contiguous over both `b` and `out`.
+            for i in 0..m {
+                for kk in 0..k {
+                    let aik = a[i * k + kk];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let brow = &b[kk * n..(kk + 1) * n];
+                    let orow = &mut out[i * n..(i + 1) * n];
+                    for (o, &bv) in orow.iter_mut().zip(brow) {
+                        *o += aik * bv;
+                    }
+                }
+            }
+            Tensor::from_vec(out, &[m, n])
+        }
+    }
+
     fn t2(data: &[f32], r: usize, c: usize) -> Tensor {
         Tensor::from_vec(data.to_vec(), &[r, c]).unwrap()
     }
@@ -513,39 +511,47 @@ mod tests {
     #[test]
     fn blocked_and_transpose_aware_kernels_match_naive_bitwise() {
         let mut rng = crate::SeededRng::new(7);
-        for &(m, k, n) in &[
+        let fixed = [
             (1usize, 1usize, 1usize),
             (2, 3, 2),
             (5, 7, 9),
             (1, 16, 130), // wide output: exercises the packed-panel path
             (3, 0, 4),    // k = 0: all-zero output
             (17, 70, 33), // non-multiple-of-tile dims
-        ] {
+        ];
+        // Seeded random shapes: m in 1..40, k in 0..80, n in 1..160.
+        let random: Vec<_> = (0..48)
+            .map(|_| (1 + rng.index(39), rng.index(80), 1 + rng.index(159)))
+            .collect();
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (m, k, n) in fixed.into_iter().chain(random) {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
             let naive = a.matmul_naive(&b).unwrap();
             let blocked = a.matmul(&b).unwrap();
+            assert_eq!(naive.dims(), blocked.dims());
             assert_eq!(
-                naive
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                blocked
-                    .as_slice()
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
+                bits(&naive),
+                bits(&blocked),
                 "blocked matmul diverged at {m}x{k}x{n}"
             );
+            // A·Bᵀ and Aᵀ·B without the transpose == naive with it.
             let bt = Tensor::randn(&[n, k], 1.0, &mut rng);
             let nt = a.matmul_nt(&bt).unwrap();
             let nt_ref = a.matmul_naive(&bt.transpose().unwrap()).unwrap();
-            assert_eq!(nt, nt_ref, "matmul_nt diverged at {m}x{k}x{n}");
+            assert_eq!(
+                bits(&nt),
+                bits(&nt_ref),
+                "matmul_nt diverged at {m}x{k}x{n}"
+            );
             let at = Tensor::randn(&[k, m], 1.0, &mut rng);
             let tn = at.matmul_tn(&b).unwrap();
             let tn_ref = at.transpose().unwrap().matmul_naive(&b).unwrap();
-            assert_eq!(tn, tn_ref, "matmul_tn diverged at {m}x{k}x{n}");
+            assert_eq!(
+                bits(&tn),
+                bits(&tn_ref),
+                "matmul_tn diverged at {m}x{k}x{n}"
+            );
         }
     }
 

@@ -2,9 +2,9 @@
 
 use mhfl_data::DataTask;
 use mhfl_device::{ConstraintCase, CostModel, DeviceCapability, ModelPool};
-use mhfl_fl::submodel::{axis_indices, extract_submodel, ServerAggregator, WidthSelection};
+use mhfl_fl::submodel::{axis_indices, ExtractionPlan, ServerAggregator, WidthSelection};
 use mhfl_models::{InputKind, MhflMethod, ModelFamily, ModelSpec, ProxyConfig, ProxyModel};
-use mhfl_nn::AxisRole;
+use mhfl_nn::{AxisRole, ParamSpec, StateDict};
 use mhfl_tensor::{SeededRng, Tensor};
 use pracmhbench_core::{ExperimentSpec, Parallelism, RunScale};
 use proptest::prelude::*;
@@ -50,9 +50,10 @@ proptest! {
         let global_sd = global.state_dict();
         let specs = global.param_specs();
         let client_specs = ProxyModel::new(cfg.with_width(width)).unwrap().param_specs();
-        let sub = extract_submodel(&global_sd, &specs, &client_specs, WidthSelection::Prefix).unwrap();
+        let plan = ExtractionPlan::for_client_specs(&specs, &client_specs, WidthSelection::Prefix).unwrap();
+        let sub = plan.extract(&global_sd).unwrap();
         let mut agg = ServerAggregator::new(specs);
-        agg.add_update(&sub, WidthSelection::Prefix, 1.0).unwrap();
+        agg.add_update_with_plan(&sub, &plan, 1.0).unwrap();
         let merged = agg.finalize(&global_sd).unwrap();
         // Aggregating the extracted (unchanged) sub-model must reproduce the
         // original global values everywhere.
@@ -131,13 +132,34 @@ proptest! {
     }
 }
 
+/// The naive reference product: `ikj` loop order, one pass, no blocking.
+fn matmul_naive(a: &Tensor, b: &Tensor) -> Tensor {
+    let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
+    assert_eq!(k, b.dims()[0], "inner dimensions disagree");
+    let (a, b) = (a.as_slice(), b.as_slice());
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for kk in 0..k {
+            let aik = a[i * k + kk];
+            if aik == 0.0 {
+                continue;
+            }
+            let brow = &b[kk * n..(kk + 1) * n];
+            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(brow) {
+                *o += aik * bv;
+            }
+        }
+    }
+    Tensor::from_vec(out, &[m, n]).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The blocked matmul and both transpose-aware variants agree **bitwise**
-    /// with the retained naive reference kernel across randomised shapes,
-    /// including degenerate (`k = 0`, single-row/column) and
-    /// non-multiple-of-tile dimensions.
+    /// with a naive `ikj` reference across randomised shapes, including
+    /// degenerate (`k = 0`, single-row/column) and non-multiple-of-tile
+    /// dimensions.
     #[test]
     fn blocked_kernels_agree_bitwise_with_naive(
         m in 1usize..40,
@@ -150,7 +172,7 @@ proptest! {
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-        let naive = a.matmul_naive(&b).unwrap();
+        let naive = matmul_naive(&a, &b);
         let blocked = a.matmul(&b).unwrap();
         prop_assert_eq!(naive.dims(), blocked.dims());
         prop_assert_eq!(bits(&naive), bits(&blocked), "blocked kernel diverged at {}x{}x{}", m, k, n);
@@ -158,13 +180,13 @@ proptest! {
         // A·Bᵀ without the transpose == naive with the materialised transpose.
         let bt = Tensor::randn(&[n, k], 1.0, &mut rng);
         let nt = a.matmul_nt(&bt).unwrap();
-        let nt_ref = a.matmul_naive(&bt.transpose().unwrap()).unwrap();
+        let nt_ref = matmul_naive(&a, &bt.transpose().unwrap());
         prop_assert_eq!(bits(&nt), bits(&nt_ref), "matmul_nt diverged at {}x{}x{}", m, k, n);
 
         // Aᵀ·B without the transpose == naive with the materialised transpose.
         let at = Tensor::randn(&[k, m], 1.0, &mut rng);
         let tn = at.matmul_tn(&b).unwrap();
-        let tn_ref = at.transpose().unwrap().matmul_naive(&b).unwrap();
+        let tn_ref = matmul_naive(&at.transpose().unwrap(), &b);
         prop_assert_eq!(bits(&tn), bits(&tn_ref), "matmul_tn diverged at {}x{}x{}", m, k, n);
     }
 
@@ -184,14 +206,97 @@ proptest! {
     }
 }
 
+/// The sequential reference extraction: clone each global tensor, then one
+/// `gather_axis` per axis the client narrows.
+fn sequential_extract(
+    global: &StateDict,
+    specs: &[ParamSpec],
+    client_specs: &[ParamSpec],
+    selection: WidthSelection,
+) -> StateDict {
+    let mut out = StateDict::new();
+    for client in client_specs {
+        let spec = specs.iter().find(|s| s.name == client.name).unwrap();
+        let indices = axis_indices(&spec.shape, &client.shape, &spec.roles, selection).unwrap();
+        let mut sliced = global.require(&client.name).unwrap().clone();
+        for (axis, idx) in indices.iter().enumerate() {
+            if idx.len() != sliced.dims()[axis] {
+                sliced = sliced.gather_axis(axis, idx).unwrap();
+            }
+        }
+        out.insert(client.name.clone(), sliced);
+    }
+    out
+}
+
+/// The sequential reference aggregation of one weighted update: every
+/// client element's global position is decoded from its coordinate, and a
+/// covered entry becomes `Σ w·x / Σ w` while an uncovered one keeps `global`.
+fn sequential_aggregate(
+    global: &StateDict,
+    specs: &[ParamSpec],
+    update: &StateDict,
+    selection: WidthSelection,
+    weight: f32,
+) -> StateDict {
+    let mut out = StateDict::new();
+    for spec in specs {
+        let prev = global.require(&spec.name).unwrap();
+        let mut sums = vec![0.0f32; prev.len()];
+        let mut counts = vec![0.0f32; prev.len()];
+        if let Some(client) = update.get(&spec.name) {
+            let indices = axis_indices(&spec.shape, client.dims(), &spec.roles, selection).unwrap();
+            let mut strides = vec![1usize; spec.shape.len()];
+            for i in (0..spec.shape.len().saturating_sub(1)).rev() {
+                strides[i] = strides[i + 1] * spec.shape[i + 1];
+            }
+            for (flat, &value) in client.as_slice().iter().enumerate() {
+                let mut rem = flat;
+                let mut offset = 0;
+                for (axis, &dim) in client.dims().iter().enumerate().rev() {
+                    offset += indices[axis][rem % dim] * strides[axis];
+                    rem /= dim;
+                }
+                sums[offset] += weight * value;
+                counts[offset] += weight;
+            }
+        }
+        let data = prev
+            .as_slice()
+            .iter()
+            .zip(sums.iter().zip(&counts))
+            .map(|(&p, (&s, &c))| if c > 0.0 { s / c } else { p })
+            .collect();
+        out.insert(
+            spec.name.clone(),
+            Tensor::from_vec(data, &spec.shape).unwrap(),
+        );
+    }
+    out
+}
+
+/// Every tensor's name, shape and `f32` bit patterns.
+fn state_bits(state: &StateDict) -> Vec<(String, Vec<usize>, Vec<u32>)> {
+    state
+        .iter()
+        .map(|(name, t)| {
+            (
+                name.clone(),
+                t.dims().to_vec(),
+                t.as_slice().iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The single-pass multi-axis gather of an [`ExtractionPlan`] agrees
-    /// element-for-element with the sequential per-axis `gather_axis`
-    /// reference ([`extract_submodel`]), for every width fraction and both
-    /// selection families; and the planned scatter-add aggregation matches
-    /// the reference coordinate-decoding path bitwise.
+    /// bitwise with a sequential per-axis `gather_axis` reference, for every
+    /// width fraction and both selection families; and the planned
+    /// scatter-add aggregation matches a coordinate-decoding reference
+    /// bitwise.
     #[test]
     fn planned_gather_and_scatter_match_sequential_reference(
         width in 0.2f64..1.0,
@@ -199,8 +304,6 @@ proptest! {
         seed in 0u64..200,
         weight in 0.5f32..4.0,
     ) {
-        use mhfl_fl::submodel::ExtractionPlan;
-
         let cfg = ProxyConfig::for_family(
             ModelFamily::ResNet34,
             InputKind::Features { dim: 8 },
@@ -213,18 +316,16 @@ proptest! {
         let client_specs = ProxyModel::new(cfg.with_width(width)).unwrap().param_specs();
 
         for selection in [WidthSelection::Prefix, WidthSelection::Rolling { shift }] {
-            let reference = extract_submodel(&global_sd, &specs, &client_specs, selection).unwrap();
+            let reference = sequential_extract(&global_sd, &specs, &client_specs, selection);
             let plan = ExtractionPlan::for_client_specs(&specs, &client_specs, selection).unwrap();
             let planned = plan.extract(&global_sd).unwrap();
-            prop_assert_eq!(&reference, &planned, "gather diverged under {:?}", selection);
+            prop_assert_eq!(state_bits(&reference), state_bits(&planned), "gather diverged under {:?}", selection);
 
-            let mut ref_agg = ServerAggregator::new(specs.clone());
-            ref_agg.add_update(&reference, selection, weight).unwrap();
+            let ref_merged = sequential_aggregate(&global_sd, &specs, &reference, selection, weight);
             let mut plan_agg = ServerAggregator::new(specs.clone());
             plan_agg.add_update_with_plan(&planned, &plan, weight).unwrap();
-            let ref_merged = ref_agg.finalize(&global_sd).unwrap();
             let plan_merged = plan_agg.finalize(&global_sd).unwrap();
-            prop_assert_eq!(&ref_merged, &plan_merged, "scatter-add diverged under {:?}", selection);
+            prop_assert_eq!(state_bits(&ref_merged), state_bits(&plan_merged), "scatter-add diverged under {:?}", selection);
         }
     }
 }
