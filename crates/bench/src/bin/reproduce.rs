@@ -108,9 +108,7 @@ impl Repro {
             return Ok(spec.run()?);
         };
         std::fs::create_dir_all(dir)?;
-        let report = run_resumable(spec, &checkpoint_path(dir, spec), *every, None)?
-            .report
-            .ok_or("a run without a round budget always finishes")?;
+        let report = run_resumable(spec, &checkpoint_path(dir, spec), *every)?;
         Ok(spec.outcome(report))
     }
 }
@@ -150,11 +148,21 @@ fn main() -> Outcome {
         Flag::Count("--checkpoint-every"),
     ];
     let args = Args::from_env(&usage, &flags, &names);
-    if args.has("--all") != args.words().is_empty() {
-        eprintln!("error: name the entries to run, or pass --all\nusage: {usage}");
+    let every = args.count("--checkpoint-every");
+    let misuse = if args.has("--all") != args.words().is_empty() {
+        Some("name the entries to run, or pass --all")
+    } else if every.is_some() && args.value("--checkpoint-dir").is_none() {
+        Some("--checkpoint-every needs --checkpoint-dir")
+    } else if every == Some(0) {
+        Some("--checkpoint-every must be at least 1")
+    } else {
+        None
+    };
+    if let Some(error) = misuse {
+        eprintln!("error: {error}\nusage: {usage}");
         std::process::exit(2);
     }
-    let every = args.count("--checkpoint-every").unwrap_or(4);
+    let every = every.unwrap_or(4);
     for (name, entry) in selected(args.has("--all"), args.words()) {
         eprintln!("reproduce: {name}");
         entry(&Repro {

@@ -6,18 +6,26 @@ use std::process::Command;
 #[test]
 fn misuse_exits_with_code_2_and_a_usage_line() {
     let reproduce = env!("CARGO_BIN_EXE_reproduce");
-    let paper_scale = env!("CARGO_BIN_EXE_paper_scale");
     let population_scale = env!("CARGO_BIN_EXE_population_scale");
-    let cases: [(&str, &[&str]); 11] = [
+    let cases: [(&str, &[&str]); 10] = [
         (reproduce, &["fig4", "--qiuck"]),
         (reproduce, &["fig10", "--quick"]),
         (reproduce, &["fig4", "--quick", "--paper"]),
         (reproduce, &["--all", "--quick", "--checkpoint-dir"]),
         (reproduce, &["--quick"]),
         (reproduce, &["--all", "fig4", "--quick"]),
-        (paper_scale, &["--quick", "--paper"]),
-        (paper_scale, &["--quick"]),
-        (paper_scale, &["--quick", "--checkpoint-every", "often"]),
+        (reproduce, &["fig4", "--quick", "--checkpoint-every", "5"]),
+        (
+            reproduce,
+            &[
+                "fig4",
+                "--quick",
+                "--checkpoint-every",
+                "0",
+                "--checkpoint-dir",
+                "d",
+            ],
+        ),
         (population_scale, &["--quick", "--rss-ceiling", "600"]),
         (population_scale, &["--quick", "--clients"]),
     ];

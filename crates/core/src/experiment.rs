@@ -371,8 +371,10 @@ impl ExperimentSpec {
     /// continues bit-exactly.
     ///
     /// # Errors
-    /// The knob errors of [`open`](ExperimentSpec::open), then those of
-    /// [`FlEngine::restore_from`].
+    /// The knob errors of [`open`](ExperimentSpec::open);
+    /// [`FlError::Persist`] if the file is missing or fails any integrity
+    /// check; [`FlError::InvalidConfig`] if it was taken under a different
+    /// engine configuration, then the errors of [`Session::restore`].
     pub fn resume_from<'a>(
         &self,
         algorithm: &'a mut dyn FlAlgorithm,
@@ -392,7 +394,15 @@ impl ExperimentSpec {
         algorithm.set_robust_aggregation(self.robust);
         let engine = self.engine();
         let mut session = match checkpoint {
-            Some(path) => engine.restore_from(algorithm, ctx, path)?,
+            Some(path) => {
+                let checkpoint = mhfl_fl::persist::read_checkpoint(path)?;
+                if checkpoint.config() != engine.config() {
+                    return Err(FlError::InvalidConfig(
+                        "checkpoint was taken under a different engine configuration".into(),
+                    ));
+                }
+                Session::restore(algorithm, ctx, &checkpoint)?
+            }
             None => engine.session(algorithm, ctx)?,
         };
         session.set_corruption(self.corruption);

@@ -5,8 +5,8 @@ use mhfl_tensor::SeededRng;
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    AlgorithmState, Checkpoint, ClientUpdate, FederationContext, FlResult, MetricsReport,
-    Parallelism, Schedule, Session, Staleness,
+    AlgorithmState, ClientUpdate, FederationContext, FlResult, MetricsReport, Parallelism,
+    Schedule, Session, Staleness,
 };
 
 /// A federated learning algorithm as seen by the engine, split into an
@@ -102,8 +102,9 @@ pub trait FlAlgorithm: Send + Sync {
     }
 
     /// Captures the algorithm's full mutable state for a run
-    /// [`Checkpoint`]. Everything [`aggregate`](Self::aggregate) has ever
-    /// written must be representable in the returned [`AlgorithmState`];
+    /// [`Checkpoint`](crate::Checkpoint). Everything
+    /// [`aggregate`](Self::aggregate) has ever written must be
+    /// representable in the returned [`AlgorithmState`];
     /// state that is a pure function of the [`FederationContext`] (plan
     /// caches, configurations, derived streams) should be left out and
     /// rebuilt by [`restore`](Self::restore).
@@ -298,48 +299,6 @@ impl FlEngine {
         ctx: &'a FederationContext,
     ) -> FlResult<Session<'a>> {
         Session::new(*self, algorithm, ctx)
-    }
-
-    /// Resumes a run from a [`Checkpoint`] taken by
-    /// [`Session::checkpoint`]. Equivalent to [`Session::restore`]; the
-    /// checkpoint's own engine configuration is used (this engine's must
-    /// match).
-    ///
-    /// # Errors
-    /// Returns [`FlError`](crate::FlError) on a configuration, algorithm or
-    /// context mismatch.
-    pub fn restore<'a>(
-        &self,
-        algorithm: &'a mut dyn FlAlgorithm,
-        ctx: &'a FederationContext,
-        checkpoint: &Checkpoint,
-    ) -> FlResult<Session<'a>> {
-        if *checkpoint.config() != self.config {
-            return Err(crate::FlError::InvalidConfig(
-                "checkpoint was taken under a different engine configuration".into(),
-            ));
-        }
-        Session::restore(algorithm, ctx, checkpoint)
-    }
-
-    /// Resumes a run from a durable checkpoint file written by
-    /// [`Session::save`] (or a [`CheckpointObserver`](crate::CheckpointObserver)),
-    /// validating the file's engine configuration against this engine —
-    /// the disk-backed counterpart of [`restore`](FlEngine::restore).
-    ///
-    /// # Errors
-    /// Returns [`FlError::Persist`](crate::FlError) if the file is missing
-    /// or fails any integrity check, and
-    /// [`FlError::InvalidConfig`](crate::FlError) on a configuration,
-    /// algorithm or context mismatch.
-    pub fn restore_from<'a>(
-        &self,
-        algorithm: &'a mut dyn FlAlgorithm,
-        ctx: &'a FederationContext,
-        path: impl AsRef<std::path::Path>,
-    ) -> FlResult<Session<'a>> {
-        let checkpoint = crate::persist::read_checkpoint(path)?;
-        self.restore(algorithm, ctx, &checkpoint)
     }
 
     /// Runs the full experiment to completion, returning the metric report.

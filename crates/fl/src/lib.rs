@@ -38,8 +38,10 @@
 //!   checksummed network frames for [`ClientUpdate`]s, spoken by both the
 //!   checkpoint file format and the `mhfl-net` server/worker protocol,
 //! * [`persist`] — the durable on-disk checkpoint codec
-//!   ([`Session::save`] / [`Session::restore_from`], versioned + checksummed,
-//!   no external serde) and the auto-saving [`CheckpointObserver`],
+//!   ([`Session::save`] / [`persist::read_checkpoint`] + [`Session::restore`],
+//!   versioned + checksummed, no external serde) and the auto-saving
+//!   [`CheckpointObserver`]; `pracmhbench_core::ExperimentSpec::resume_from`
+//!   is the one call that resumes a spec's run from a file,
 //! * [`submodel`] — width/depth sub-model extraction and overlap-aware
 //!   aggregation over [`mhfl_nn::StateDict`]s,
 //! * [`train`] — plain local SGD training and evaluation of a proxy model,

@@ -58,9 +58,11 @@
 //!
 //! # Entry points
 //!
-//! * [`Session::save`](crate::Session::save) /
-//!   [`Session::restore_from`](crate::Session::restore_from) — one-call
-//!   save/load on a live session;
+//! * [`Session::save`](crate::Session::save) — one-call save of a live
+//!   session; [`Session::restore`](crate::Session::restore) rebuilds one
+//!   from a decoded [`Checkpoint`], and `pracmhbench_core`'s
+//!   `ExperimentSpec::resume_from` is the one call that resumes a spec's
+//!   run from a file (read, engine-configuration check, restore, knobs);
 //! * [`write_checkpoint`] / [`read_checkpoint`] — file I/O with
 //!   atomic tmp-file-then-rename writes;
 //! * [`encode_checkpoint`] / [`decode_checkpoint`] — the raw byte codec;

@@ -750,8 +750,10 @@ impl<'a> Session<'a> {
     /// Saves a durable checkpoint of the current state to `path`:
     /// [`checkpoint`](Session::checkpoint) encoded with the versioned,
     /// checksummed [`persist`](crate::persist) codec and written atomically
-    /// (tmp file, then rename). A session restored from the file with
-    /// [`restore_from`](Session::restore_from) continues bit-exactly.
+    /// (tmp file, then rename). A session restored from the file —
+    /// [`read_checkpoint`](crate::persist::read_checkpoint) then
+    /// [`restore`](Session::restore), as `ExperimentSpec::resume_from` does —
+    /// continues bit-exactly.
     ///
     /// # Errors
     /// Propagates [`FlAlgorithm::snapshot`] failures and persist-layer I/O
@@ -760,26 +762,6 @@ impl<'a> Session<'a> {
         let checkpoint = self.checkpoint()?;
         crate::persist::write_checkpoint(path, &checkpoint)?;
         Ok(())
-    }
-
-    /// Rebuilds a live session from a checkpoint file written by
-    /// [`save`](Session::save) (or a [`CheckpointObserver`](crate::CheckpointObserver)).
-    /// The same contract as [`restore`](Session::restore): `algorithm` must
-    /// be a fresh instance of the checkpointed method and `ctx` the same
-    /// federation the checkpoint was taken from.
-    ///
-    /// # Errors
-    /// Returns [`FlError::Persist`](crate::FlError) if the file is missing
-    /// or fails any integrity check (magic, version, checksums, config
-    /// fingerprint), and [`FlError::InvalidConfig`](crate::FlError) on an
-    /// algorithm or context mismatch.
-    pub fn restore_from(
-        algorithm: &'a mut dyn FlAlgorithm,
-        ctx: &'a FederationContext,
-        path: impl AsRef<std::path::Path>,
-    ) -> FlResult<Self> {
-        let checkpoint = crate::persist::read_checkpoint(path)?;
-        Session::restore(algorithm, ctx, &checkpoint)
     }
 
     /// Notifies observers and queues the event for the caller.

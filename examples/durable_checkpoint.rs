@@ -1,11 +1,13 @@
 //! Durable checkpoint scenario: save a run to disk mid-flight, kill the
 //! process, and resume from the file in a fresh process — bit-exactly.
 //!
-//! Where `checkpoint_resume.rs` proves the *in-memory* round trip, this
-//! example proves the *on-disk* one: the checkpoint crosses a process
-//! boundary through the versioned, checksummed `mhfl_fl::persist` format
-//! (written atomically via tmp-file-then-rename), and the resumed run's
-//! `MetricsReport::digest()` still equals the uninterrupted run's.
+//! The checkpoint crosses a process boundary through the versioned,
+//! checksummed `mhfl_fl::persist` format (written atomically via
+//! tmp-file-then-rename) and is resumed with `ExperimentSpec::resume_from`,
+//! the path `reproduce --checkpoint-dir` takes; the resumed run's
+//! `MetricsReport::digest()` still equals the uninterrupted run's. (The
+//! in-memory round trip of every algorithm family is pinned by
+//! `tests/session.rs`.)
 //!
 //! Three modes:
 //!
@@ -24,7 +26,7 @@ use mhfl_algorithms::build_algorithm;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_models::MhflMethod;
-use pracmhbench_core::{Execution, ExperimentSpec, RunScale, Session};
+use pracmhbench_core::{Execution, ExperimentSpec, RunScale};
 
 fn spec(execution: Execution) -> ExperimentSpec {
     ExperimentSpec::new(
@@ -62,7 +64,7 @@ fn resume(path: &str, execution: Execution) -> Result<(), Box<dyn std::error::Er
     let spec = spec(execution);
     let ctx = spec.build_context()?;
     let mut algorithm = build_algorithm(spec.method);
-    let session = Session::restore_from(algorithm.as_mut(), &ctx, path)?;
+    let session = spec.resume_from(algorithm.as_mut(), &ctx, path)?;
     println!(
         "restored {} from {path} at round {}",
         spec.method,

@@ -10,7 +10,7 @@
 //! Durable serialisation in this workspace does not go through serde at
 //! all: run checkpoints use the self-contained, versioned, checksummed
 //! binary codec in `mhfl_fl::persist` (`Session::save` /
-//! `Session::restore_from`), which works offline and is covered by the
+//! `ExperimentSpec::resume_from`), which works offline and is covered by the
 //! `tests/persist.rs` round-trip and corruption suites.
 
 /// Stand-in for `serde::Serialize`.
@@ -25,7 +25,7 @@ pub trait Serialize {
     fn serialize<S>(&self, _serializer: S) -> Result<(), String> {
         unimplemented!(
             "offline serde shim: no wire format is implemented. For durable run \
-             checkpoints use mhfl_fl::persist (Session::save / Session::restore_from); \
+             checkpoints use mhfl_fl::persist (Session::save / ExperimentSpec::resume_from); \
              for real serde support swap the crates.io dependencies back in as \
              described in shims/README.md"
         )
@@ -43,7 +43,7 @@ pub trait Deserialize<'de>: Sized {
     fn deserialize<D>(_deserializer: D) -> Result<Self, String> {
         unimplemented!(
             "offline serde shim: no wire format is implemented. For durable run \
-             checkpoints use mhfl_fl::persist (read_checkpoint / Session::restore_from); \
+             checkpoints use mhfl_fl::persist (read_checkpoint / Session::restore); \
              for real serde support swap the crates.io dependencies back in as \
              described in shims/README.md"
         )

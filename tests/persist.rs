@@ -83,7 +83,8 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 }
 
 /// Full disk round trip: session → save(path) → fresh algorithm →
-/// restore_from(path) → drain; returns (uninterrupted, resumed) digests.
+/// `spec.resume_from(path)` → drain; returns (uninterrupted, resumed)
+/// digests.
 fn disk_roundtrip_digests(spec: &ExperimentSpec, cut: usize, tag: &str) -> (u64, u64) {
     let uninterrupted = spec.run().unwrap().report.digest();
 
@@ -100,7 +101,7 @@ fn disk_roundtrip_digests(spec: &ExperimentSpec, cut: usize, tag: &str) -> (u64,
         // Session and algorithm drop here: the "kill".
     }
     let mut resumed_alg = build_algorithm(spec.method);
-    let resumed = Session::restore_from(resumed_alg.as_mut(), &ctx, &path).unwrap();
+    let resumed = spec.resume_from(resumed_alg.as_mut(), &ctx, &path).unwrap();
     let report = resumed.drain().unwrap();
     std::fs::remove_file(&path).ok();
     (uninterrupted, report.digest())
@@ -347,12 +348,13 @@ fn restore_from_missing_file_is_a_typed_io_error() {
     let spec = spec(MhflMethod::SHeteroFl, Execution::Synchronous, 3);
     let ctx = spec.build_context().unwrap();
     let mut algorithm = build_algorithm(spec.method);
-    let err = Session::restore_from(
-        algorithm.as_mut(),
-        &ctx,
-        temp_path("definitely_missing").join("nope.ckpt"),
-    )
-    .unwrap_err();
+    let err = spec
+        .resume_from(
+            algorithm.as_mut(),
+            &ctx,
+            temp_path("definitely_missing").join("nope.ckpt"),
+        )
+        .unwrap_err();
     assert!(
         matches!(err, mhfl_fl::FlError::Persist(PersistError::Io { .. })),
         "got {err:?}"

@@ -326,6 +326,9 @@ fn restore_rejects_mismatched_algorithm_and_context() {
     let mut session = spec.engine().session(algorithm.as_mut(), &ctx).unwrap();
     session.next_event().unwrap();
     let checkpoint = session.checkpoint().unwrap();
+    let path =
+        std::env::temp_dir().join(format!("mhfl_session_mismatch_{}.ckpt", std::process::id()));
+    session.save(&path).unwrap();
     drop(session);
 
     // Wrong algorithm.
@@ -337,18 +340,16 @@ fn restore_rejects_mismatched_algorithm_and_context() {
     let mut same = build_algorithm(MhflMethod::SHeteroFl);
     assert!(Session::restore(same.as_mut(), &small_ctx, &checkpoint).is_err());
 
-    // Engine-level restore validates the configuration too.
+    // Resuming a spec validates the file's engine configuration too.
     let mut ok = build_algorithm(MhflMethod::SHeteroFl);
-    let other_engine = spec.with_execution(Execution::async_buffered(3)).engine();
-    assert!(other_engine
-        .restore(ok.as_mut(), &ctx, &checkpoint)
+    assert!(spec
+        .with_execution(Execution::async_buffered(3))
+        .resume_from(ok.as_mut(), &ctx, &path)
         .is_err());
     // ... and accepts the matching one.
-    let resumed = spec
-        .engine()
-        .restore(ok.as_mut(), &ctx, &checkpoint)
-        .unwrap();
+    let resumed = spec.resume_from(ok.as_mut(), &ctx, &path).unwrap();
     assert!(resumed.drain().is_ok());
+    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
