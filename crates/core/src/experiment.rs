@@ -96,10 +96,6 @@ pub struct ExperimentSpec {
     pub target_accuracy: f32,
     /// Experiment seed.
     pub seed: u64,
-    /// Thread-level execution mode of the per-round client phase. Does not
-    /// affect results: threaded and sequential runs produce identical
-    /// reports.
-    pub parallelism: Parallelism,
     /// Round-advancement mode: classic synchronous rounds or FedBuff-style
     /// asynchronous buffered aggregation on an event-driven clock.
     pub execution: Execution,
@@ -134,7 +130,6 @@ impl ExperimentSpec {
             num_clients: None,
             target_accuracy: 0.5,
             seed: 42,
-            parallelism: Parallelism::Sequential,
             execution: Execution::Synchronous,
             max_staleness: None,
             corruption: Corruption::None,
@@ -171,12 +166,6 @@ impl ExperimentSpec {
     /// Sets the time-to-accuracy target.
     pub fn with_target_accuracy(mut self, target: f32) -> Self {
         self.target_accuracy = target;
-        self
-    }
-
-    /// Sets the client-phase execution mode (sequential or thread pool).
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -300,7 +289,10 @@ impl ExperimentSpec {
         })
     }
 
-    /// The engine configuration this spec runs under. To drive the
+    /// The engine configuration this spec runs under. Its client phase is
+    /// [`Parallelism::Sequential`]: a thread count is how a run executes,
+    /// not what it is, so it is set on the opened session with
+    /// [`Session::set_parallelism`] and changes no result. To drive the
     /// experiment through the streaming session API instead of the blocking
     /// [`run`](ExperimentSpec::run), open the session with
     /// [`open`](ExperimentSpec::open), which also applies the spec's
@@ -319,6 +311,7 @@ impl ExperimentSpec {
     /// let ctx = spec.build_context()?;
     /// let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
     /// let mut session = spec.open(algorithm.as_mut(), &ctx)?;
+    /// session.set_parallelism(mhfl_fl::Parallelism::threads());
     /// while let Some(_event) = session.next_event()? {
     ///     // observe, checkpoint, stop early ...
     /// }
@@ -332,7 +325,7 @@ impl ExperimentSpec {
             eval_every: (rounds / 4).max(1),
             stability_clients: 8,
             schedule: Schedule::Uniform,
-            parallelism: self.parallelism,
+            parallelism: Parallelism::Sequential,
             execution: self.execution,
             staleness: Staleness::Sqrt,
             max_staleness: self.max_staleness,
@@ -368,7 +361,8 @@ impl ExperimentSpec {
     /// engine configuration against this spec's) and re-applies the three
     /// adversarial knobs, which the checkpoint does not carry — they are
     /// pure in `(seed, round, dispatch sequence)`, so the resumed run
-    /// continues bit-exactly.
+    /// continues bit-exactly. The checkpoint records no thread count, so a
+    /// run saved under one resumes under any other.
     ///
     /// # Errors
     /// The knob errors of [`open`](ExperimentSpec::open);

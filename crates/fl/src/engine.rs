@@ -204,7 +204,10 @@ pub struct EngineConfig {
     /// Client-selection policy (a custom one is installed with
     /// [`Session::set_scheduler`](crate::Session::set_scheduler)).
     pub schedule: Schedule,
-    /// Thread-level execution mode of the client phase.
+    /// Thread-level execution mode of the client phase: the initial value
+    /// of [`Session::set_parallelism`](crate::Session::set_parallelism). It
+    /// changes no result and is never part of a checkpoint, which records
+    /// [`Parallelism::Sequential`] here.
     pub parallelism: Parallelism,
     /// Round-advancement mode: synchronous rounds or asynchronous buffered
     /// aggregation.

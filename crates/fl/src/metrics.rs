@@ -116,14 +116,6 @@ impl MetricsReport {
         self.records.last().map_or(0.0, |r| r.global_accuracy)
     }
 
-    /// Best global accuracy seen at any evaluation point.
-    pub fn best_accuracy(&self) -> f32 {
-        self.records
-            .iter()
-            .map(|r| r.global_accuracy)
-            .fold(0.0, f32::max)
-    }
-
     /// Metric (ii): time-to-accuracy — the simulated wall-clock time at which
     /// the global model first reached `target` accuracy, or `None` if it
     /// never did.
@@ -375,10 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn final_and_best_accuracy() {
+    fn final_accuracy_curve_and_total_time() {
         let r = report();
         assert_eq!(r.final_accuracy(), 0.45);
-        assert_eq!(r.best_accuracy(), 0.5);
         assert_eq!(r.total_sim_time_secs(), 30.0);
         assert_eq!(r.accuracy_curve().len(), 3);
     }

@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::adversary::Corruption;
 use crate::observer::Observer;
-use crate::parallel::{ClientRunner, InProcessRunner};
+use crate::parallel::{ClientRunner, InProcessRunner, Parallelism};
 use crate::schedule::CandidatePool;
 use crate::store::ClientSet;
 use crate::{
@@ -316,7 +316,9 @@ impl DriveMode {
 /// The engine configuration rides along, so restoring needs only the
 /// algorithm (any fresh instance of the same method) and the
 /// [`FederationContext`] — both of which are reconstructable from an
-/// [`ExperimentSpec`]-style description. Schedulers are rebuilt from the
+/// [`ExperimentSpec`]-style description. Its `parallelism` is always
+/// [`Parallelism::Sequential`]: the thread count is the session's, not the
+/// run's (see [`Session::set_parallelism`]). Schedulers are rebuilt from the
 /// configuration; custom stateful [`ClientScheduler`] implementations are
 /// not captured.
 ///
@@ -368,11 +370,6 @@ impl Checkpoint {
     /// Simulated time at capture.
     pub fn sim_time_secs(&self) -> f64 {
         self.sim_time
-    }
-
-    /// Number of client updates in flight at capture.
-    pub fn in_flight_updates(&self) -> usize {
-        self.arrivals.len()
     }
 
     /// Encodes this checkpoint into the durable on-disk byte format (see
@@ -530,6 +527,18 @@ impl<'a> Session<'a> {
         self.scheduler = scheduler;
     }
 
+    /// Sets how many threads run the client phase (default: the engine
+    /// configuration's [`parallelism`](EngineConfig::parallelism)). Like a
+    /// custom runner, it changes where updates are computed, never what
+    /// they are, so it is not part of a checkpoint: set it again after a
+    /// restore, under any thread count.
+    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
+        self.engine = FlEngine::new(EngineConfig {
+            parallelism,
+            ..*self.engine.config()
+        });
+    }
+
     /// Sets the byzantine-corruption policy applied to arriving updates
     /// (default: [`Corruption::None`], observably inert). Corruption happens
     /// at the arrival boundary — after staleness accounting decides the
@@ -647,7 +656,10 @@ impl<'a> Session<'a> {
         let mut arrivals: Vec<Arrival> = self.arrivals.iter().cloned().collect();
         arrivals.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.seq.cmp(&b.seq)));
         Ok(Checkpoint {
-            config: *self.engine.config(),
+            config: EngineConfig {
+                parallelism: Parallelism::Sequential,
+                ..*self.engine.config()
+            },
             algorithm_name: self.algorithm.name(),
             algorithm: self.algorithm.snapshot()?,
             rng: self.rng.snapshot(),

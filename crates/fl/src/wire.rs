@@ -59,9 +59,6 @@ pub const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 /// Frame kind of a standalone [`ClientUpdate`] (see [`encode_client_update`]).
 pub const CLIENT_UPDATE_FRAME: u8 = 0x10;
 
-/// Frame kind of a standalone [`ClientPayload`] (see [`encode_client_payload`]).
-pub const CLIENT_PAYLOAD_FRAME: u8 = 0x11;
-
 /// Errors produced while encoding or decoding wire-format bytes — checkpoint
 /// files and network frames alike. Every corruption mode maps to a distinct
 /// variant; decoding never panics and never returns a silently-wrong value.
@@ -968,32 +965,6 @@ pub fn decode_client_update(bytes: &[u8]) -> PersistResult<ClientUpdate> {
     Ok(update)
 }
 
-/// Encodes a standalone [`ClientPayload`] as one self-describing frame.
-pub fn encode_client_payload(payload: &ClientPayload) -> Vec<u8> {
-    let mut e = Encoder::new();
-    put_payload(&mut e, payload);
-    encode_frame(CLIENT_PAYLOAD_FRAME, &e.into_bytes())
-}
-
-/// Decodes a standalone [`ClientPayload`] frame written by
-/// [`encode_client_payload`].
-///
-/// # Errors
-/// The same typed spectrum as [`decode_client_update`]; never panics.
-pub fn decode_client_payload(bytes: &[u8]) -> PersistResult<ClientPayload> {
-    let (kind, payload) = decode_frame(bytes)?;
-    if kind != CLIENT_PAYLOAD_FRAME {
-        return Err(PersistError::Malformed {
-            section: "frame",
-            detail: format!("expected a client-payload frame, found kind {kind:#04x}"),
-        });
-    }
-    let mut d = Decoder::new(payload, "payload");
-    let value = take_payload(&mut d)?;
-    d.finish()?;
-    Ok(value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1113,16 +1084,6 @@ mod tests {
         );
         // Encoding is canonical, so the round trip reproduces the bytes.
         assert_eq!(encode_client_update(&back), bytes);
-
-        // A payload frame is not an update frame.
-        let bytes = encode_client_payload(&ClientPayload::Empty);
-        assert!(matches!(
-            decode_client_update(&bytes),
-            Err(PersistError::Malformed {
-                section: "frame",
-                ..
-            })
-        ));
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Rebuilds the federation context from the same spec flags the server was
 //! launched with (the handshake fingerprint rejects any mismatch), then
-//! computes whatever client shards the server dispatches until shutdown.
+//! computes whatever client shards the server dispatches until shutdown, on
+//! the thread count each dispatch carries (the server's `--parallelism`).
 //!
 //! ```bash
 //! mhfl-worker --connect tcp:127.0.0.1:4400 \
@@ -20,7 +21,7 @@ use mhfl_net::{run_worker, Endpoint, WorkerOptions};
 
 const USAGE: &str = "mhfl-worker --connect <endpoint> [--name <name>] [--heartbeat-ms <ms>] \
     [--die-after <n>] [--task <task>] [--method <method>] [--constraint <case>] \
-    [--scale <scale>] [--seed <n>] [--execution <mode>] [--parallelism <mode>]";
+    [--scale <scale>] [--seed <n>] [--execution <mode>]";
 
 fn main() {
     let own = [

@@ -9,7 +9,9 @@
 //! Both sides of a distributed run must be launched with the *same*
 //! experiment spec — the worker rebuilds the federation context from the
 //! [`SPEC_FLAGS`] that [`parse_spec`] reads — and any residual mismatch is
-//! caught by the [`spec_fingerprint`] handshake.
+//! caught by the [`spec_fingerprint`] handshake. The thread count is not
+//! part of the spec: `mhfl-server` reads its own `--parallelism` with
+//! [`parse_parallelism`] and ships it to the workers in every dispatch.
 
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
@@ -129,7 +131,6 @@ pub const SPEC_FLAGS: &[Flag] = &[
     Flag::Value("--scale"),
     Flag::Value("--seed"),
     Flag::Value("--execution"),
-    Flag::Value("--parallelism"),
 ];
 
 fn normalise(name: &str) -> String {
@@ -222,7 +223,17 @@ fn parse_execution(value: &str) -> NetResult<Execution> {
     Err(bad("--execution", value, "sync | async:<buffer>"))
 }
 
-fn parse_parallelism(value: &str) -> NetResult<Parallelism> {
+/// Reads `--parallelism seq | threads:<n>`, the thread count of a run's
+/// client phase; absent, [`Parallelism::Sequential`]. It is a flag of the
+/// binary that runs the session, not a [`SPEC_FLAGS`] one: it changes no
+/// result, so it is not part of the spec.
+///
+/// # Errors
+/// Returns [`NetError::Protocol`] on an unrecognised value.
+pub fn parse_parallelism(args: &Args) -> NetResult<Parallelism> {
+    let Some(value) = args.value("--parallelism") else {
+        return Ok(Parallelism::Sequential);
+    };
     if normalise(value) == "seq" {
         return Ok(Parallelism::Sequential);
     }
@@ -237,7 +248,7 @@ fn parse_parallelism(value: &str) -> NetResult<Parallelism> {
 
 /// Builds an [`ExperimentSpec`] from the [`SPEC_FLAGS`]. Every flag is
 /// optional; the defaults give the quick smoke spec (UCI-HAR / SHeteroFL /
-/// memory / seed 42 / synchronous / sequential).
+/// memory / seed 42 / synchronous).
 ///
 /// # Errors
 /// Returns [`NetError::Protocol`] on an unrecognised value.
@@ -267,9 +278,6 @@ pub fn parse_spec(args: &Args) -> NetResult<ExperimentSpec> {
     }
     if let Some(v) = args.value("--execution") {
         spec = spec.with_execution(parse_execution(v)?);
-    }
-    if let Some(v) = args.value("--parallelism") {
-        spec = spec.with_parallelism(parse_parallelism(v)?);
     }
     Ok(spec)
 }
@@ -370,8 +378,7 @@ mod tests {
             let expected = ExperimentSpec::new(DataTask::Cifar10, MhflMethod::FedProto, constraint)
                 .with_scale(RunScale::Quick)
                 .with_seed(7)
-                .with_execution(Execution::async_buffered(2))
-                .with_parallelism(Parallelism::Threads { workers: 3 });
+                .with_execution(Execution::async_buffered(2));
             let parsed = spec(&[
                 "--task",
                 "Cifar10",
@@ -385,8 +392,6 @@ mod tests {
                 "7",
                 "--execution",
                 "async:2:0",
-                "--parallelism",
-                "threads:3",
             ])
             .expect("spec flags parse");
             assert_eq!(parsed, expected);
@@ -431,5 +436,37 @@ mod tests {
             spec(&["--task", "mnist"]),
             Err(NetError::Protocol { .. })
         ));
+    }
+
+    #[test]
+    fn parallelism_is_read_beside_the_spec_not_into_it() {
+        let flags = [SPEC_FLAGS, &[Flag::Value("--parallelism")]].concat();
+        let args = |extra: &[&str]| {
+            let argv = ["--seed", "7"].iter().chain(extra).map(|a| a.to_string());
+            Args::parse(&flags, &[], argv).unwrap()
+        };
+        let threaded = args(&["--parallelism", "threads:3"]);
+        assert_eq!(
+            parse_parallelism(&threaded).unwrap(),
+            Parallelism::Threads { workers: 3 }
+        );
+        assert_eq!(
+            parse_parallelism(&args(&[])).unwrap(),
+            Parallelism::Sequential
+        );
+        assert_eq!(
+            parse_parallelism(&args(&["--parallelism", "seq"])).unwrap(),
+            Parallelism::Sequential
+        );
+        assert!(matches!(
+            parse_parallelism(&args(&["--parallelism", "threads"])),
+            Err(NetError::Protocol { .. })
+        ));
+        let sequential = parse_spec(&args(&[])).unwrap();
+        assert_eq!(parse_spec(&threaded).unwrap(), sequential);
+        assert_eq!(
+            spec_fingerprint(&parse_spec(&threaded).unwrap()),
+            spec_fingerprint(&sequential)
+        );
     }
 }

@@ -3,7 +3,7 @@
 
 use std::time::{Duration, Instant};
 
-use mhfl_fl::{FlResult, MetricsReport};
+use mhfl_fl::{FlResult, MetricsReport, Parallelism};
 use pracmhbench_core::ExperimentSpec;
 
 use crate::cli::spec_fingerprint;
@@ -29,7 +29,9 @@ pub struct ServerOutcome {
 /// Runs the full experiment as the server: accept `num_workers` workers
 /// from `listener`, drive the deterministic [`Session`](mhfl_fl::Session)
 /// round loop with a [`RemoteRunner`], and return the report plus the
-/// utilisation ledger.
+/// utilisation ledger. `parallelism` is the thread count each worker runs
+/// its shard on; it is carried in every dispatch, so the workers need not
+/// be told, and it changes no result.
 ///
 /// # Errors
 /// Handshake, transport and requeue-exhaustion failures surface as
@@ -39,8 +41,15 @@ pub fn run_server(
     listener: &Listener,
     num_workers: usize,
     spec: &ExperimentSpec,
+    parallelism: Parallelism,
 ) -> FlResult<ServerOutcome> {
-    run_server_with_timeout(listener, num_workers, spec, DEFAULT_READ_TIMEOUT)
+    run_server_with_timeout(
+        listener,
+        num_workers,
+        spec,
+        parallelism,
+        DEFAULT_READ_TIMEOUT,
+    )
 }
 
 /// [`run_server`] with an explicit missed-heartbeat window.
@@ -51,6 +60,7 @@ pub fn run_server_with_timeout(
     listener: &Listener,
     num_workers: usize,
     spec: &ExperimentSpec,
+    parallelism: Parallelism,
     read_timeout: Duration,
 ) -> FlResult<ServerOutcome> {
     let ctx = spec.build_context()?;
@@ -66,6 +76,7 @@ pub fn run_server_with_timeout(
 
     let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
     let mut session = spec.open(algorithm.as_mut(), &ctx)?;
+    session.set_parallelism(parallelism);
     let runner = RemoteRunner::new(pool);
     let stats = runner.stats_handle();
     session.set_client_runner(Box::new(runner));

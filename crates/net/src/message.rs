@@ -11,7 +11,7 @@
 //! |------|---------------|---------|
 //! | 0x01 | `Hello`       | protocol `u32`, spec fingerprint `u64`, worker name |
 //! | 0x02 | `AssignShard` | worker index, worker count, client count |
-//! | 0x03 | `Dispatch`    | round, client ids, [`AlgorithmState`] restricted to those clients (the frame allows none; workers refuse it), [`Parallelism`] |
+//! | 0x03 | `Dispatch`    | round, client ids, [`AlgorithmState`] restricted to those clients (the frame allows none; workers refuse it), the server's thread count ([`Parallelism`]) |
 //! | 0x04 | `UpdateReady` | round, one [`ClientUpdate`] |
 //! | 0x05 | `Heartbeat`   | sequence number `u64` |
 //! | 0x06 | `Abort`       | human-readable reason |
@@ -75,7 +75,8 @@ pub enum Message {
         /// every dispatch, requeue waves included; a worker answers a
         /// dispatch without it with [`Message::Abort`].
         state: Option<AlgorithmState>,
-        /// Thread-level parallelism the worker should use locally.
+        /// The server's thread count: the worker runs its shard on it, so
+        /// a worker is never told one of its own.
         parallelism: Parallelism,
     },
     /// Worker → server: one computed update, streamed in shard order.

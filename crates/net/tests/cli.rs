@@ -10,13 +10,15 @@ fn net_binaries_refuse_misuse_with_code_2() {
     let worker = env!("CARGO_BIN_EXE_mhfl-worker");
     // An empty endpoint keeps every case from binding or connecting, so a
     // binary that ignored the misuse would fail on the endpoint instead.
-    let cases: [(&str, &[&str]); 6] = [
+    let cases: [(&str, &[&str]); 7] = [
         (server, &["--listen", "tcp:", "--wokers", "4"]),
         (server, &["--listen", "tcp:", "--sed", "7"]),
         (server, &["--workers", "two"]),
         (worker, &["--connect", "tcp:", "--sed", "7"]),
         (worker, &["--connect", "tcp:", "--die-after", "soon"]),
         (worker, &["--connect"]),
+        // The thread count is the server's flag; each dispatch carries it.
+        (worker, &["--connect", "tcp:", "--parallelism", "threads:2"]),
     ];
     for (bin, args) in cases {
         let out = Command::new(bin)

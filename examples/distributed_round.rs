@@ -30,7 +30,7 @@ use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_models::MhflMethod;
 use mhfl_net::{run_server, run_worker, Endpoint, Listener, WorkerOptions};
-use pracmhbench_core::{ExperimentSpec, RunScale};
+use pracmhbench_core::{ExperimentSpec, Parallelism, RunScale};
 
 fn spec() -> ExperimentSpec {
     // 8 clients at the quick scale's 50% sampling → 4 selected per round,
@@ -105,7 +105,7 @@ fn run(chaos: bool) -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    let outcome = run_server(&listener, children.len(), &spec)?;
+    let outcome = run_server(&listener, children.len(), &spec, Parallelism::Sequential)?;
     for child in &mut children {
         let status = child.wait()?;
         assert!(status.success(), "worker process exited with {status}");

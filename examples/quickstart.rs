@@ -4,6 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use mhfl_algorithms::build_algorithm;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_models::MhflMethod;
@@ -11,8 +12,7 @@ use pracmhbench_core::{ExperimentSpec, Parallelism, RunScale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Evaluate SHeteroFL on a synthetic UCI-HAR task under a computation
-    // deadline, at quick scale so it finishes in seconds. Client training
-    // runs on a thread pool; results are identical to a sequential run.
+    // deadline, at quick scale so it finishes in seconds.
     let spec = ExperimentSpec::new(
         DataTask::UciHar,
         MhflMethod::SHeteroFl,
@@ -21,14 +21,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         },
     )
     .with_scale(RunScale::Quick)
-    .with_parallelism(Parallelism::threads())
     .with_seed(7);
 
     println!("task        : {}", spec.task);
     println!("method      : {}", spec.method);
     println!("constraint  : {}", spec.constraint.label());
 
-    let outcome = spec.run()?;
+    // `spec.run()` trains the clients one after another. Here client
+    // training runs on a thread pool instead: the thread count belongs to
+    // the session, not the spec, and the results are identical.
+    let ctx = spec.build_context()?;
+    let mut algorithm = build_algorithm(spec.method);
+    let mut session = spec.open(algorithm.as_mut(), &ctx)?;
+    session.set_parallelism(Parallelism::threads());
+    let outcome = spec.outcome(session.drain()?);
     println!();
     println!(
         "global accuracy     : {:.3}",

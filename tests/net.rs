@@ -16,7 +16,9 @@ use std::time::Duration;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
 use mhfl_fl::wire::encode_client_update;
-use mhfl_fl::{Corruption, EngineConfig, Execution, FlEngine, FlError, RobustAggregation};
+use mhfl_fl::{
+    Corruption, EngineConfig, Execution, FlEngine, FlError, Parallelism, RobustAggregation,
+};
 use mhfl_models::MhflMethod;
 use mhfl_net::{
     run_server_with_timeout, run_worker, Endpoint, Listener, ServerOutcome, WorkerOptions,
@@ -55,7 +57,13 @@ fn run_distributed(
     let count = handles.len();
     // A short heartbeat window keeps the worker-death tests fast without
     // risking flakes: live workers heartbeat every 100 ms.
-    let outcome = run_server_with_timeout(&listener, count, &spec, Duration::from_secs(5));
+    let outcome = run_server_with_timeout(
+        &listener,
+        count,
+        &spec,
+        Parallelism::Sequential,
+        Duration::from_secs(5),
+    );
     for handle in handles {
         // Worker-side errors are part of what individual tests assert via
         // the server outcome; a panicked worker thread is always a bug.
@@ -148,6 +156,39 @@ fn two_workers_match_single_process_digest_for_every_family() {
         );
         assert!(completed > 0);
     }
+}
+
+/// The thread count is the server's alone: each dispatch carries it, so a
+/// server under `Threads { workers: 2 }` and workers built from the same
+/// spec pass the handshake and reproduce the single-process digest.
+#[test]
+fn a_threaded_server_and_workers_of_the_same_spec_match_single_process() {
+    let spec = spec(MhflMethod::FedEt);
+    let reference = spec.run().expect("single-process run").report.digest();
+    let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+    let endpoint = listener.local_endpoint().unwrap();
+    let handles: Vec<_> = ["alpha", "beta"]
+        .into_iter()
+        .map(|name| {
+            let endpoint = endpoint.clone();
+            std::thread::spawn(move || run_worker(&endpoint, &spec, worker(name)))
+        })
+        .collect();
+    let outcome = run_server_with_timeout(
+        &listener,
+        2,
+        &spec,
+        Parallelism::Threads { workers: 2 },
+        Duration::from_secs(5),
+    )
+    .expect("a threaded server accepts workers of the same spec");
+    for handle in handles {
+        handle
+            .join()
+            .expect("worker thread must not panic")
+            .expect("worker serves the run to its end");
+    }
+    assert_eq!(outcome.report.digest(), reference);
 }
 
 #[test]
@@ -256,7 +297,13 @@ fn mismatched_specs_are_rejected_at_handshake() {
         let worker_spec = spec(MhflMethod::SHeteroFl).with_seed(43);
         run_worker(&endpoint, &worker_spec, worker("drifted"))
     });
-    let outcome = run_server_with_timeout(&listener, 1, &server_spec, Duration::from_secs(5));
+    let outcome = run_server_with_timeout(
+        &listener,
+        1,
+        &server_spec,
+        Parallelism::Sequential,
+        Duration::from_secs(5),
+    );
     match outcome {
         Err(FlError::Remote(msg)) => assert!(
             msg.contains("fingerprint"),

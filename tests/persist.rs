@@ -7,7 +7,8 @@
 //! 1. **Round trip** — for every algorithm family in both execution modes,
 //!    a run checkpointed at an (arbitrary) event boundary, encoded, written
 //!    to disk, read back, decoded and resumed produces a final
-//!    `MetricsReport::digest()` bit-identical to the uninterrupted run.
+//!    `MetricsReport::digest()` bit-identical to the uninterrupted run,
+//!    whatever thread count either half ran under.
 //! 2. **Corruption safety** — truncations, flipped bytes in any section,
 //!    wrong magic, future format versions and mismatched configuration
 //!    fingerprints all return *typed* `PersistError`s: decoding never
@@ -23,12 +24,18 @@
 //!    PERSIST_BLESS=1 cargo test --test persist -- --test-threads=1
 //!    ```
 
+use std::sync::Mutex;
+
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
+use mhfl_fl::{
+    ClientRunner, ClientUpdate, FederationContext, FlAlgorithm, FlResult, InProcessRunner,
+};
 use mhfl_models::MhflMethod;
 use pracmhbench_core::{
-    Checkpoint, Execution, ExperimentSpec, MetricsReport, PersistError, RunScale, Session,
+    Checkpoint, Execution, ExperimentSpec, MetricsReport, Parallelism, PersistError, RunScale,
+    Session,
 };
 use proptest::prelude::*;
 
@@ -341,6 +348,72 @@ fn trailing_garbage_is_rejected() {
         Checkpoint::from_bytes(&bytes),
         Err(PersistError::TrailingData { bytes: 4 })
     ));
+}
+
+/// Runs every client phase in process and records the thread count it was
+/// handed.
+struct RecordingRunner<'a>(&'a Mutex<Vec<Parallelism>>);
+
+impl ClientRunner for RecordingRunner<'_> {
+    fn run_clients(
+        &mut self,
+        algorithm: &dyn FlAlgorithm,
+        round: usize,
+        clients: &[usize],
+        ctx: &FederationContext,
+        parallelism: Parallelism,
+    ) -> FlResult<Vec<ClientUpdate>> {
+        self.0.lock().unwrap().push(parallelism);
+        InProcessRunner.run_clients(algorithm, round, clients, ctx, parallelism)
+    }
+}
+
+/// A thread count is how a run executes, not what it is: a checkpoint saved
+/// under `Threads { workers: 2 }` resumes under `Sequential` through
+/// `spec.resume_from`, and the reverse, and both reach the straight-run
+/// digest. Each half runs under the thread count its session was given.
+#[test]
+fn a_checkpoint_resumes_under_any_thread_count() {
+    let spec = ExperimentSpec::new(
+        DataTask::UciHar,
+        MhflMethod::SHeteroFl,
+        ConstraintCase::Memory,
+    )
+    .with_scale(RunScale::Quick)
+    .with_seed(17);
+    let straight = spec.run().unwrap().report.digest();
+    let ctx = spec.build_context().unwrap();
+    let threads = Parallelism::Threads { workers: 2 };
+    for (tag, saved, resumed) in [
+        ("threads_to_seq", threads, Parallelism::Sequential),
+        ("seq_to_threads", Parallelism::Sequential, threads),
+    ] {
+        let path = temp_path(tag);
+        let seen = Mutex::new(Vec::new());
+        {
+            let mut algorithm = build_algorithm(spec.method);
+            let mut session = spec.open(algorithm.as_mut(), &ctx).unwrap();
+            session.set_parallelism(saved);
+            session.set_client_runner(Box::new(RecordingRunner(&seen)));
+            while session.completed_rounds() < 2 {
+                session.next_event().unwrap();
+            }
+            session.save(&path).unwrap();
+        }
+        let checkpoint = mhfl_fl::persist::read_checkpoint(&path).unwrap();
+        assert_eq!(checkpoint.config().parallelism, Parallelism::Sequential);
+        let before = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(!before.is_empty() && before.iter().all(|&p| p == saved));
+
+        let mut algorithm = build_algorithm(spec.method);
+        let mut session = spec.resume_from(algorithm.as_mut(), &ctx, &path).unwrap();
+        session.set_parallelism(resumed);
+        session.set_client_runner(Box::new(RecordingRunner(&seen)));
+        assert_eq!(session.drain().unwrap().digest(), straight, "{tag}");
+        let after = seen.into_inner().unwrap();
+        assert!(!after.is_empty() && after.iter().all(|&p| p == resumed));
+        std::fs::remove_file(&path).ok();
+    }
 }
 
 #[test]

@@ -126,7 +126,11 @@ proptest! {
         .with_scale(RunScale::Quick)
         .with_seed(seed);
         let sequential = spec.run().unwrap();
-        let threaded = spec.with_parallelism(Parallelism::Threads { workers: 4 }).run().unwrap();
+        let ctx = spec.build_context().unwrap();
+        let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
+        let mut session = spec.open(algorithm.as_mut(), &ctx).unwrap();
+        session.set_parallelism(Parallelism::Threads { workers: 4 });
+        let threaded = spec.outcome(session.drain().unwrap());
         prop_assert_eq!(&sequential.report, &threaded.report);
         prop_assert_eq!(sequential.summary, threaded.summary);
     }

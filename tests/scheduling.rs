@@ -4,15 +4,26 @@
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::DataTask;
 use mhfl_device::ConstraintCase;
-use mhfl_fl::{ClientScheduler, Schedule};
+use mhfl_fl::{ClientScheduler, FlResult, Schedule};
 use mhfl_models::MhflMethod;
 use mhfl_tensor::SeededRng;
-use pracmhbench_core::{ExperimentSpec, MetricsReport, Parallelism, RunScale, TraceReplay};
+use pracmhbench_core::{
+    ExperimentOutcome, ExperimentSpec, MetricsReport, Parallelism, RunScale, TraceReplay,
+};
 
 fn quick(method: MhflMethod) -> ExperimentSpec {
     ExperimentSpec::new(DataTask::UciHar, method, ConstraintCase::Memory)
         .with_scale(RunScale::Quick)
         .with_seed(11)
+}
+
+/// Runs `spec` with its client phase on a pool of `workers` threads.
+fn run_threaded(spec: &ExperimentSpec, workers: usize) -> FlResult<ExperimentOutcome> {
+    let ctx = spec.build_context()?;
+    let mut algorithm = build_algorithm(spec.method);
+    let mut session = spec.open(algorithm.as_mut(), &ctx)?;
+    session.set_parallelism(Parallelism::Threads { workers });
+    Ok(spec.outcome(session.drain()?))
 }
 
 /// Runs `spec` with `trace` replayed as its scheduler.
@@ -36,10 +47,7 @@ fn threaded_runs_match_sequential_for_every_payload_family() {
         MhflMethod::FedEt,
     ] {
         let sequential = quick(method).run().unwrap();
-        let threaded = quick(method)
-            .with_parallelism(Parallelism::Threads { workers: 4 })
-            .run()
-            .unwrap();
+        let threaded = run_threaded(&quick(method), 4).unwrap();
         assert_eq!(
             sequential.report, threaded.report,
             "{method} report diverged across execution modes"
@@ -104,8 +112,7 @@ fn new_policies_handle_per_round_beyond_population() {
 #[test]
 fn schedules_flow_through_comparison_runs() {
     let outcomes = quick(MhflMethod::SHeteroFl)
-        .with_parallelism(Parallelism::Threads { workers: 3 })
-        .run_comparison(&[MhflMethod::SHeteroFl], ExperimentSpec::run)
+        .run_comparison(&[MhflMethod::SHeteroFl], |spec| run_threaded(spec, 3))
         .unwrap();
     assert_eq!(outcomes.len(), 2);
     assert!(outcomes[0].summary.effectiveness.is_some());

@@ -88,12 +88,12 @@ proptest! {
     /// sequentially or on a thread pool.
     #[test]
     fn sync_telemetry_identical_threads_vs_sequential(seed in 0u64..1000) {
-        let sequential = quick(seed).run().unwrap();
-        let threaded = quick(seed)
-            .with_parallelism(Parallelism::Threads { workers: 4 })
-            .run()
-            .unwrap();
-        assert_eq!(sequential.report, threaded.report);
+        let spec = quick(seed);
+        let ctx = spec.build_context().unwrap();
+        let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
+        let mut session = spec.open(algorithm.as_mut(), &ctx).unwrap();
+        session.set_parallelism(Parallelism::Threads { workers: 4 });
+        assert_eq!(spec.run().unwrap().report, session.drain().unwrap());
     }
 
     /// Asynchronous telemetry satisfies the same structural invariants.

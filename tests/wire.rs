@@ -1,6 +1,6 @@
-//! Integration tests of the standalone wire frames
-//! (`mhfl_fl::wire::{encode,decode}_client_{update,payload}`): round trips
-//! for every payload family, and the same corruption battery the checkpoint
+//! Integration tests of the standalone wire frame
+//! (`mhfl_fl::wire::{encode,decode}_client_update`): round trips for every
+//! payload family, and the same corruption battery the checkpoint
 //! format gets in `tests/persist.rs` — truncations, flipped bits, foreign
 //! magic, future versions and trailing garbage all return *typed*
 //! `PersistError`s, never a panic and never a silently different update.
@@ -12,8 +12,8 @@
 
 use mhfl_fl::submodel::WidthSelection;
 use mhfl_fl::wire::{
-    decode_client_payload, decode_client_update, encode_client_payload, encode_client_update,
-    CLIENT_PAYLOAD_FRAME, CLIENT_UPDATE_FRAME, FRAME_HEADER_LEN, WIRE_MAGIC,
+    decode_client_update, encode_client_update, encode_frame, CLIENT_UPDATE_FRAME,
+    FRAME_HEADER_LEN, FRAME_TRAILER_LEN, WIRE_MAGIC,
 };
 use mhfl_fl::{ClientPayload, ClientUpdate, PersistError};
 use mhfl_nn::StateDict;
@@ -99,11 +99,6 @@ fn assert_update_round_trips(update: &ClientUpdate) {
 fn every_payload_family_round_trips() {
     for update in &sample_updates() {
         assert_update_round_trips(update);
-        let payload_bytes = encode_client_payload(&update.payload);
-        let decoded = decode_client_payload(&payload_bytes).expect("valid payload frame");
-        assert_eq!(decoded.kind(), update.payload.kind());
-        assert_eq!(decoded.payload_bytes(), update.payload.payload_bytes());
-        assert_eq!(encode_client_payload(&decoded), payload_bytes);
     }
 }
 
@@ -150,26 +145,21 @@ fn future_wire_versions_are_rejected_not_misparsed() {
 
 #[test]
 fn wrong_frame_kind_is_a_typed_error() {
-    // A payload frame fed to the update decoder (and vice versa) is a
-    // *well-formed* frame of the wrong kind — it must be named as such, not
-    // misparsed into garbage fields.
-    let payload_frame = encode_client_payload(&ClientPayload::Empty);
-    match decode_client_update(&payload_frame) {
+    // An update's own payload in a *well-formed* frame of another kind must
+    // be named as the wrong kind, not misparsed into an update.
+    let update_frame = sample_frame();
+    let payload = &update_frame[FRAME_HEADER_LEN..update_frame.len() - FRAME_TRAILER_LEN];
+    let wrong_kind = encode_frame(CLIENT_UPDATE_FRAME + 1, payload);
+    match decode_client_update(&wrong_kind) {
         Err(PersistError::Malformed { detail, .. }) => {
             assert!(detail.contains("client-update"), "got: {detail}");
         }
         other => panic!("expected Malformed, got {other:?}"),
     }
-    let update_frame = sample_frame();
-    assert!(matches!(
-        decode_client_payload(&update_frame),
-        Err(PersistError::Malformed { .. })
-    ));
-    // An unknown kind byte is rejected by both decoders.
+    // An unknown kind byte written over a valid frame is rejected too.
     let mut alien = sample_frame();
     alien[WIRE_MAGIC.len() + 4] = 0x7F;
     assert!(decode_client_update(&alien).is_err());
-    assert!(decode_client_payload(&alien).is_err());
 }
 
 #[test]
@@ -199,13 +189,6 @@ fn trailing_garbage_is_rejected() {
         decode_client_update(&bytes),
         Err(PersistError::TrailingData { bytes: 4 })
     ));
-}
-
-#[test]
-fn sanity_frame_kind_bytes_are_distinct() {
-    // The standalone frame kinds must never collide with each other (the
-    // wrong-kind test above depends on it).
-    assert_ne!(CLIENT_UPDATE_FRAME, CLIENT_PAYLOAD_FRAME);
 }
 
 proptest! {
