@@ -205,13 +205,24 @@ pub(crate) fn evaluate_distinct<K: PartialEq + Sync, M>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use mhfl_data::{DataTask, ShardPlan};
-    use mhfl_device::{ConstraintCase, CostModel, ModelPool};
-    use mhfl_fl::LocalTrainConfig;
+    use mhfl_device::{ClientAssignment, ConstraintCase, CostModel, ModelPool};
+    use mhfl_fl::{ClientSource, LocalTrainConfig};
     use mhfl_models::ModelFamily;
 
-    /// A resident federation of `method` clients under `case`, assigned from
-    /// the ResNet pool: twenty samples and four local steps per client,
+    /// Assignments built up front, as a source.
+    pub(crate) struct Assignments(pub(crate) Vec<ClientAssignment>);
+
+    impl ClientSource for Assignments {
+        fn assignment(&self, client: usize) -> ClientAssignment {
+            self.0[client]
+        }
+    }
+
+    /// A federation of `method` clients under `case`, assigned from the
+    /// ResNet pool: twenty samples and four local steps per client,
     /// everything seeded by `seed`.
     pub(crate) fn test_context(
         task: DataTask,
@@ -232,12 +243,16 @@ pub(crate) mod tests {
                 case.assign_client(&pool, method, &device, &CostModel::default(), client)
             })
             .collect();
-        let plan = ShardPlan::new(task, num_clients, 20, None, seed);
         let train = LocalTrainConfig {
             local_steps: 4,
             ..LocalTrainConfig::default()
         };
-        FederationContext::new(plan.materialise(), assignments, train, seed).unwrap()
+        FederationContext::new(
+            ShardPlan::new(task, num_clients, 20, None, seed),
+            Arc::new(Assignments(assignments)),
+            train,
+            seed,
+        )
     }
 
     const COMP_400: ConstraintCase = ConstraintCase::Computation {

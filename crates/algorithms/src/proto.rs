@@ -387,7 +387,9 @@ impl FlAlgorithm for FedProto {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::tests::test_context;
+    use std::sync::Arc;
+
+    use crate::common::tests::{test_context, Assignments};
     use mhfl_data::{DataTask, ShardPlan};
     use mhfl_device::ConstraintCase;
     use mhfl_fl::{EngineConfig, FlEngine};
@@ -439,12 +441,11 @@ mod tests {
             };
         }
         let ctx = FederationContext::new(
-            ShardPlan::new(DataTask::UciHar, base.num_clients(), 20, None, 4).materialise(),
-            assignments,
+            ShardPlan::new(DataTask::UciHar, base.num_clients(), 20, None, 4),
+            Arc::new(Assignments(assignments)),
             *base.train_config(),
             base.seed(),
-        )
-        .unwrap();
+        );
         let mut alg = FedProto::new();
         alg.setup(&ctx).unwrap();
         let updates: Vec<_> = [0, 1, 2, 3]

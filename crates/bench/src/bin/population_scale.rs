@@ -1,8 +1,8 @@
 //! `population_scale` — million-client federations stay O(active clients).
 //!
-//! The lazy-materialisation path ([`ExperimentSpec::build_lazy_context`])
-//! derives every client's device profile and data shard on demand from
-//! `(seed, client_id)`, so a federation's resident footprint is bounded by
+//! A federation context ([`ExperimentSpec::build_context`]) stores nothing
+//! per client: it derives every client's device profile and data shard on
+//! demand from `(seed, client_id)`, so its resident footprint is bounded by
 //! the clients *in flight*, never by the population. This binary checks the
 //! three claims that matter at scale and prints what it measured (the
 //! guarded footprint number is mhbench's `har_async_lazy_1m.peak_rss_mb`):
@@ -18,9 +18,9 @@
 //! * **RSS is bounded** — `/proc/self/status` VmRSS is sampled before the
 //!   context is built, after setup, and at every round boundary. With
 //!   `--rss-ceiling-mb <n>` the binary *fails* if the peak exceeds the
-//!   ceiling — the CI assertion that the population never gets
-//!   materialised. (Eagerly materialising the 100 000-client smoke
-//!   population alone would need several gigabytes.)
+//!   ceiling — the CI assertion that nothing per client is kept. (Holding
+//!   every shard of the 100 000-client smoke population would alone need
+//!   several gigabytes.)
 //!
 //! Usage:
 //!
@@ -77,15 +77,13 @@ fn spec_at(population: usize) -> ExperimentSpec {
 }
 
 /// Steady-state cost of one scheduler draw over the free set of a
-/// `population`-client lazy federation, in nanoseconds per pick.
+/// `population`-client federation, in nanoseconds per pick.
 ///
 /// The free list is built once outside the timed region (the session keeps
 /// it implicitly); each timed iteration is exactly what the async driver
 /// does per freed slot: one `pick_next` over the candidates.
 fn time_pick_next(population: usize) -> f64 {
-    let ctx = spec_at(population)
-        .build_lazy_context()
-        .expect("lazy context builds");
+    let ctx = spec_at(population).build_context().expect("context builds");
     let scheduler = Schedule::Uniform.build();
     let free: Vec<usize> = (0..population).collect();
     let pool = Candidates(&free);
@@ -109,12 +107,12 @@ struct RunResult {
     rss_peak_mb: Option<f64>,
 }
 
-/// One asynchronous buffered run over a lazy `population`-client context,
+/// One asynchronous buffered run over a `population`-client context,
 /// timing each aggregation round and sampling RSS at every boundary.
 fn run_population(population: usize) -> RunResult {
     let spec = spec_at(population);
     let t = Instant::now();
-    let ctx: FederationContext = spec.build_lazy_context().expect("lazy context builds");
+    let ctx: FederationContext = spec.build_context().expect("context builds");
     let mut algorithm = build_algorithm(spec.method);
     let mut session = spec.open(algorithm.as_mut(), &ctx).expect("session opens");
     let setup_secs = t.elapsed().as_secs_f64();
@@ -230,8 +228,8 @@ fn main() {
             .expect("--rss-ceiling-mb requires /proc/self/status (Linux)");
         assert!(
             peak <= ceiling as f64,
-            "peak RSS {peak:.1} MB exceeded the {ceiling} MB ceiling: the lazy \
-             population is being materialised somewhere"
+            "peak RSS {peak:.1} MB exceeded the {ceiling} MB ceiling: per-client \
+             state is being kept somewhere"
         );
         eprintln!("population_scale: peak RSS {peak:.1} MB within the {ceiling} MB ceiling");
     }

@@ -1,11 +1,10 @@
 //! Experiment specification and the evaluation track.
 
-use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
 
 use mhfl_algorithms::build_algorithm;
-use mhfl_data::{DataTask, Dataset, Drift, Partition, ShardPlan};
+use mhfl_data::{DataTask, Drift, Partition, ShardPlan};
 use mhfl_device::{ClientAssignment, ConstraintCase, CostModel, ModelPool};
 use mhfl_fl::{
     ClientSource, Corruption, EngineConfig, Execution, FederationContext, FlAlgorithm, FlEngine,
@@ -208,74 +207,31 @@ impl ExperimentSpec {
         self
     }
 
-    /// Builds the federation context this spec describes, with every
-    /// client's data shard and device assignment materialised up front and
-    /// lent without a copy.
-    ///
-    /// The clients are the ones [`build_lazy_context`] derives on each touch:
-    /// the assignments are those of the same [`LazyClientSource`], collected
-    /// client by client, and [`ShardPlan::materialise`] holds exactly the
-    /// shards [`ShardPlan::client_shard`] derives. So the two constructors
-    /// give the same clients and the same run digests; they differ only in
-    /// memory, O(population) here against O(active clients).
-    ///
-    /// [`build_lazy_context`]: ExperimentSpec::build_lazy_context
-    ///
-    /// # Errors
-    /// [`FlError::InvalidConfig`] if the spec describes an empty federation.
-    pub fn build_context(&self) -> FlResult<FederationContext> {
-        let source = self.client_source()?;
-        let assignments = (0..source.plan.num_clients())
-            .map(|client| source.assignment(client))
-            .collect();
-        let data = source.plan.materialise();
-        let ctx =
-            FederationContext::new(data, assignments, LocalTrainConfig::default(), self.seed)?;
-        Ok(ctx.with_drift(self.drift))
-    }
-
-    /// Builds the federation context of
-    /// [`build_context`](ExperimentSpec::build_context) with nothing
-    /// materialised up front: a [`LazyClientSource`] derives each client's
+    /// Builds the federation context this spec describes. Nothing
+    /// per-client is built up front: the context derives each client's
     /// device assignment and data shard on demand from `(seed, client_id)`,
-    /// so the resident footprint is O(active clients) regardless of the
-    /// population — the construction behind the million-client runs of the
-    /// `population_scale` benchmark. Everything is deterministic in
+    /// so its resident footprint is O(active clients) at any population,
+    /// from the six clients of a Quick run to the million of the
+    /// `population_scale` bin. Everything is deterministic in
     /// `(seed, client_id)` and independent of access order.
     ///
     /// # Errors
     /// [`FlError::InvalidConfig`] if the spec describes an empty federation.
-    pub fn build_lazy_context(&self) -> FlResult<FederationContext> {
-        let source = self.client_source()?;
-        let plan = source.plan;
-        Ok(FederationContext::lazy(
-            self.task,
-            plan.num_clients(),
-            plan.test(),
-            plan.public(),
-            Arc::new(source),
-            LocalTrainConfig::default(),
-            self.seed,
-        )?
-        .with_drift(self.drift))
-    }
-
-    /// The per-client derivation both context constructors build on.
-    fn client_source(&self) -> FlResult<LazyClientSource> {
+    pub fn build_context(&self) -> FlResult<FederationContext> {
         let (default_clients, samples_per_client, _rounds, _ratio) =
             self.scale.parameters(self.task);
         let num_clients = self.num_clients.unwrap_or(default_clients);
         if num_clients == 0 {
             return Err(FlError::InvalidConfig("federation has no clients".into()));
         }
-        Ok(LazyClientSource {
-            plan: ShardPlan::new(
-                self.task,
-                num_clients,
-                samples_per_client,
-                self.partition,
-                self.seed,
-            ),
+        let plan = ShardPlan::new(
+            self.task,
+            num_clients,
+            samples_per_client,
+            self.partition,
+            self.seed,
+        );
+        let source = SpecAssignments {
             case: self.constraint,
             method: self.method,
             pool: ModelPool::build(
@@ -286,7 +242,24 @@ impl ExperimentSpec {
             ),
             cost_model: CostModel::default(),
             seed: self.seed,
-        })
+        };
+        let ctx = FederationContext::new(
+            plan,
+            Arc::new(source),
+            LocalTrainConfig::default(),
+            self.seed,
+        );
+        Ok(ctx.with_drift(self.drift))
+    }
+
+    /// [`build_context`](ExperimentSpec::build_context) under its old name,
+    /// kept only because the `mhbench` benchmark package still calls it. It
+    /// goes once that package calls `build_context`.
+    ///
+    /// # Errors
+    /// Those of [`build_context`](ExperimentSpec::build_context).
+    pub fn build_lazy_context(&self) -> FlResult<FederationContext> {
+        self.build_context()
     }
 
     /// The engine configuration this spec runs under. Its client phase is
@@ -334,8 +307,7 @@ impl ExperimentSpec {
 
     /// Opens a fresh [`Session`] for this spec: `algorithm` (built for
     /// [`method`](ExperimentSpec::method)) over `ctx` (built by
-    /// [`build_context`](ExperimentSpec::build_context) or
-    /// [`build_lazy_context`](ExperimentSpec::build_lazy_context)), under
+    /// [`build_context`](ExperimentSpec::build_context)), under
     /// [`engine`](ExperimentSpec::engine), with the spec's
     /// [`robust`](ExperimentSpec::robust),
     /// [`corruption`](ExperimentSpec::corruption) and
@@ -492,14 +464,12 @@ impl ExperimentSpec {
     }
 }
 
-/// The production deriving [`ClientSource`]: derives a client's device
-/// assignment and data shard on each touch, entirely from
-/// `(seed, client_id)`. Holds only O(1) state (a [`ShardPlan`] recipe, the
-/// model pool, the constraint case), so cloning a derived context or sharing
-/// it across threads stays cheap at any population size.
+/// The assignments of a spec's federation: each client's device is derived
+/// from `(seed, client_id)` and assigned its pool entry under the spec's
+/// constraint case, on each call. Holds only O(1) state, so cloning a
+/// context or sharing it across threads stays cheap at any population.
 #[derive(Debug)]
-pub struct LazyClientSource {
-    plan: ShardPlan,
+struct SpecAssignments {
     case: ConstraintCase,
     method: MhflMethod,
     pool: ModelPool,
@@ -507,15 +477,11 @@ pub struct LazyClientSource {
     seed: u64,
 }
 
-impl ClientSource for LazyClientSource {
+impl ClientSource for SpecAssignments {
     fn assignment(&self, client: usize) -> ClientAssignment {
         let device = self.case.derive_device(self.seed, client);
         self.case
             .assign_client(&self.pool, self.method, &device, &self.cost_model, client)
-    }
-
-    fn client_shard(&self, client: usize) -> Cow<'_, Dataset> {
-        Cow::Owned(self.plan.client_shard(client))
     }
 }
 
@@ -640,7 +606,6 @@ mod tests {
             .with_num_clients(0);
         let invalid = |r: FlResult<_>| matches!(r, Err(FlError::InvalidConfig(_)));
         assert!(invalid(spec.build_context().map(drop)));
-        assert!(invalid(spec.build_lazy_context().map(drop)));
         assert!(invalid(spec.run().map(drop)));
     }
 
@@ -656,7 +621,7 @@ mod tests {
         .with_scale(RunScale::Quick)
         .with_num_clients(1_000_000)
         .with_seed(9);
-        let ctx = spec.build_lazy_context().unwrap();
+        let ctx = spec.build_context().unwrap();
         assert_eq!(ctx.num_clients(), 1_000_000);
         // A far-out client is derivable without touching the rest, and the
         // derivation is a pure function of (seed, client).

@@ -28,9 +28,7 @@ mod experiment;
 mod platform;
 mod report;
 
-pub use experiment::{
-    ExperimentOutcome, ExperimentSpec, LazyClientSource, MetricSummary, RunScale,
-};
+pub use experiment::{ExperimentOutcome, ExperimentSpec, MetricSummary, RunScale};
 pub use mhfl_data::Drift;
 pub use mhfl_fl::{
     AlgorithmState, Checkpoint, CheckpointObserver, ClientRoundStat, Corruption, CsvTelemetry,

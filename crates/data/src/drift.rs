@@ -4,8 +4,8 @@
 //! (seasonality, fashion). [`Drift`] describes a deterministic schedule of
 //! such shifts over training rounds, and [`apply_drift`] materialises the
 //! round-`r` view of a shard as a pure function of `(shard, drift, round)`
-//! — no hidden state, so resident and derived client storage, checkpoint
-//! restores and distributed runners all see the same drifted data.
+//! — no hidden state, so every derivation of a shard, checkpoint restores
+//! and distributed runners all see the same drifted data.
 //!
 //! The test set is never drifted: the benchmark measures how well training
 //! under drift tracks the *reference* task.

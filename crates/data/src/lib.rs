@@ -23,7 +23,6 @@
 
 mod dataset;
 mod drift;
-mod federated;
 mod lazy;
 mod partition;
 mod synth;
@@ -31,7 +30,6 @@ mod task;
 
 pub use dataset::{Batch, Dataset};
 pub use drift::{apply_drift, Drift};
-pub use federated::FederatedDataset;
 pub use lazy::ShardPlan;
 pub use partition::Partition;
 pub use synth::{generate_dataset, generate_dataset_with_seeds};

@@ -29,25 +29,53 @@ pub enum Partition {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::{DataTask, ShardPlan};
+    use crate::{DataTask, Dataset, ShardPlan};
 
-    fn label_skew(task: DataTask, clients: usize, partition: Partition, seed: u64) -> f64 {
-        ShardPlan::new(task, clients, 60, Some(partition), seed)
-            .materialise()
-            .label_skew()
+    /// The mean total-variation distance between each shard's label
+    /// distribution and the pooled one: 0 for identical marginals, larger
+    /// the more skewed the partition.
+    pub(crate) fn label_skew(shards: &[Dataset]) -> f64 {
+        let mut pooled = vec![0usize; shards[0].num_classes()];
+        for shard in shards {
+            for (class, count) in shard.class_histogram().into_iter().enumerate() {
+                pooled[class] += count;
+            }
+        }
+        let total = pooled.iter().sum::<usize>() as f64;
+        let nonempty: Vec<&Dataset> = shards.iter().filter(|s| !s.is_empty()).collect();
+        let sum_tv: f64 = nonempty
+            .iter()
+            .map(|shard| {
+                let len = shard.len() as f64;
+                shard
+                    .class_histogram()
+                    .iter()
+                    .zip(&pooled)
+                    .map(|(&h, &g)| (h as f64 / len - g as f64 / total).abs())
+                    .sum::<f64>()
+                    / 2.0
+            })
+            .sum();
+        sum_tv / nonempty.len().max(1) as f64
+    }
+
+    fn skew(task: DataTask, clients: usize, partition: Partition, seed: u64) -> f64 {
+        let plan = ShardPlan::new(task, clients, 60, Some(partition), seed);
+        let shards: Vec<Dataset> = (0..clients).map(|c| plan.client_shard(c)).collect();
+        label_skew(&shards)
     }
 
     #[test]
     fn dirichlet_small_alpha_is_more_skewed() {
-        let skew_small = label_skew(
+        let skew_small = skew(
             DataTask::Cifar10,
             10,
             Partition::Dirichlet { alpha: 0.5 },
             2,
         );
-        let skew_large = label_skew(
+        let skew_large = skew(
             DataTask::Cifar10,
             10,
             Partition::Dirichlet { alpha: 5.0 },
@@ -64,7 +92,7 @@ mod tests {
         let by_user = Partition::ByUser {
             dominant_classes: 2,
         };
-        let skew = label_skew(DataTask::Cifar10, 20, by_user, 3);
+        let skew = skew(DataTask::Cifar10, 20, by_user, 3);
         assert!(
             skew > 0.3,
             "natural partition should be clearly non-IID, got {skew}"

@@ -16,6 +16,11 @@ use crate::error::{NetError, NetResult};
 use crate::message::{read_message, write_message, Message, PROTOCOL_VERSION};
 use crate::transport::Conn;
 
+/// How many heartbeat intervals a worker waits for the reply to its
+/// `Hello`: 30 s at the default 500 ms heartbeat, the server's
+/// [`DEFAULT_READ_TIMEOUT`](crate::DEFAULT_READ_TIMEOUT).
+const HANDSHAKE_DEADLINE_BEATS: u32 = 60;
+
 /// Tunables for [`serve`].
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
@@ -23,7 +28,7 @@ pub struct WorkerOptions {
     /// ledger.
     pub name: String,
     /// Heartbeat interval; the server's read timeout should be a multiple
-    /// of this.
+    /// of this, and the worker waits 60 of them for the handshake reply.
     pub heartbeat: Duration,
     /// Chaos hook: drop the connection (simulating a crash) after sending
     /// this many updates in total — exercised by the kill-mid-round smoke.
@@ -65,10 +70,11 @@ pub struct WorkerReport {
 /// computations from looking like death.
 ///
 /// # Errors
-/// [`NetError::HandshakeMismatch`] if the server rejects the fingerprint,
-/// [`NetError::Io`] on transport failure, [`NetError::Protocol`] on an
-/// out-of-protocol frame, a stateless dispatch or a local algorithm failure
-/// (the last two are reported to the server as [`Message::Abort`] first).
+/// [`NetError::Io`] on transport failure or when the server does not answer
+/// the handshake within 60 heartbeat intervals, [`NetError::Protocol`] when
+/// the server rejects the handshake, on an out-of-protocol frame, a
+/// stateless dispatch or a local algorithm failure (the last two are
+/// reported to the server as [`Message::Abort`] first).
 pub fn serve(
     conn: Conn,
     fingerprint: u64,
@@ -88,6 +94,9 @@ pub fn serve(
         },
     )?;
     let mut report = WorkerReport::default();
+    // A server that never answers must not hang the worker: one that has
+    // already returned can leave it queued in its listener's backlog.
+    reader.set_read_timeout(Some(options.heartbeat * HANDSHAKE_DEADLINE_BEATS))?;
     match read_message(&mut reader)? {
         Message::AssignShard { worker_index, .. } => report.worker_index = worker_index,
         Message::Abort { detail } => {
@@ -101,6 +110,7 @@ pub fn serve(
             })
         }
     }
+    reader.set_read_timeout(None)?;
 
     // Liveness side-channel: heartbeat frames share the write half through
     // the mutex, so they are serialised against update frames.

@@ -21,7 +21,8 @@ use mhfl_fl::{
 };
 use mhfl_models::MhflMethod;
 use mhfl_net::{
-    run_server_with_timeout, run_worker, Endpoint, Listener, ServerOutcome, WorkerOptions,
+    run_server_with_timeout, run_worker, serve, Conn, Endpoint, Listener, NetError, ServerOutcome,
+    WorkerOptions,
 };
 use pracmhbench_core::{ExperimentSpec, RunScale};
 
@@ -314,5 +315,35 @@ fn mismatched_specs_are_rejected_at_handshake() {
     assert!(
         handle.join().expect("worker thread").is_err(),
         "the drifted worker must also see the rejection"
+    );
+}
+
+/// A server that accepts and never answers — one that has already returned
+/// with this worker still queued in its listener's backlog — costs the
+/// worker one handshake deadline (60 heartbeats), not a hang.
+#[test]
+fn a_silent_server_fails_the_handshake_within_its_deadline() {
+    let listener = Listener::bind(&Endpoint::parse("tcp:127.0.0.1:0").unwrap()).unwrap();
+    let endpoint = listener.local_endpoint().unwrap();
+    let (done, outcome) = std::sync::mpsc::channel();
+    let worker_thread = std::thread::spawn(move || {
+        let spec = spec(MhflMethod::SHeteroFl);
+        let ctx = spec.build_context().expect("context");
+        let mut algorithm = mhfl_algorithms::build_algorithm(spec.method);
+        let conn = Conn::connect_within(&endpoint, Duration::from_secs(5)).expect("connect");
+        let options = WorkerOptions {
+            heartbeat: Duration::from_millis(20),
+            ..worker("unanswered")
+        };
+        let _ = done.send(serve(conn, 0, algorithm.as_mut(), &ctx, options));
+    });
+    let _silent = listener.accept().expect("accept");
+    let outcome = outcome
+        .recv_timeout(Duration::from_secs(5))
+        .expect("the worker is still waiting for a server that never answers");
+    worker_thread.join().expect("worker thread must not panic");
+    assert!(
+        matches!(outcome, Err(NetError::Io { .. })),
+        "expected a handshake timeout, got {outcome:?}"
     );
 }
