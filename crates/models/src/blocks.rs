@@ -47,8 +47,6 @@ pub enum ProxyBlock {
         norm: ChannelNorm2d,
         /// Activation.
         act: Relu,
-        /// Cached input for the residual connection.
-        cached_input: Option<Tensor>,
     },
     /// Dense residual block over `[batch, dim]` vectors.
     Dense {
@@ -58,8 +56,6 @@ pub enum ProxyBlock {
         norm: LayerNorm,
         /// Activation.
         act: Relu,
-        /// Cached input for the residual connection.
-        cached_input: Option<Tensor>,
     },
     /// Transformer encoder block over `[batch, seq, dim]` sequences.
     Attention {
@@ -75,10 +71,6 @@ pub enum ProxyBlock {
         fc2: Linear,
         /// Post-FFN normalisation.
         norm2: LayerNorm,
-        /// Cached input of the attention residual branch.
-        cached_attn_input: Option<Tensor>,
-        /// Cached input of the FFN residual branch.
-        cached_ffn_input: Option<Tensor>,
     },
 }
 
@@ -110,13 +102,11 @@ impl ProxyBlock {
                 conv: Conv2d::new(dim, dim, 3, 1, 1, rng)?,
                 norm: ChannelNorm2d::new(dim),
                 act: Relu::new(),
-                cached_input: None,
             },
             BlockKind::Dense => ProxyBlock::Dense {
                 fc: Linear::new(dim, dim, rng),
                 norm: LayerNorm::new(dim),
                 act: Relu::new(),
-                cached_input: None,
             },
             BlockKind::Attention => ProxyBlock::Attention {
                 attn: SelfAttention::new(dim, rng)?,
@@ -125,8 +115,6 @@ impl ProxyBlock {
                 act: Gelu::new(),
                 fc2: Linear::new(dim * 2, dim, rng),
                 norm2: LayerNorm::new(dim),
-                cached_attn_input: None,
-                cached_ffn_input: None,
             },
         })
     }
@@ -144,25 +132,13 @@ impl ProxyBlock {
 impl Layer for ProxyBlock {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         match self {
-            ProxyBlock::Conv {
-                conv,
-                norm,
-                act,
-                cached_input,
-            } => {
-                *cached_input = Some(input.clone());
+            ProxyBlock::Conv { conv, norm, act } => {
                 let y = conv.forward(input, train)?;
                 let y = norm.forward(&y, train)?;
                 let y = act.forward(&y, train)?;
                 Ok(y.add(input)?)
             }
-            ProxyBlock::Dense {
-                fc,
-                norm,
-                act,
-                cached_input,
-            } => {
-                *cached_input = Some(input.clone());
+            ProxyBlock::Dense { fc, norm, act } => {
                 let y = fc.forward(input, train)?;
                 let y = norm.forward(&y, train)?;
                 let y = act.forward(&y, train)?;
@@ -175,14 +151,10 @@ impl Layer for ProxyBlock {
                 act,
                 fc2,
                 norm2,
-                cached_attn_input,
-                cached_ffn_input,
             } => {
-                *cached_attn_input = Some(input.clone());
                 let a = attn.forward(input, train)?;
                 let a = norm1.forward(&a, train)?;
                 let h = a.add(input)?;
-                *cached_ffn_input = Some(h.clone());
                 let y = fc1.forward(&h, train)?;
                 let y = act.forward(&y, train)?;
                 let y = fc2.forward(&y, train)?;
@@ -194,15 +166,9 @@ impl Layer for ProxyBlock {
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
         match self {
-            ProxyBlock::Conv {
-                conv,
-                norm,
-                act,
-                cached_input,
-            } => {
-                cached_input
-                    .as_ref()
-                    .ok_or_else(|| NnError::MissingForwardCache("ConvBlock".into()))?;
+            // Each inner layer refuses a backward before its forward, so the
+            // blocks keep no cache of their own.
+            ProxyBlock::Conv { conv, norm, act } => {
                 let g = act.backward(grad_output)?;
                 let g = norm.backward(&g)?;
                 let mut g = conv.backward(&g)?;
@@ -210,15 +176,7 @@ impl Layer for ProxyBlock {
                 g.axpy(1.0, grad_output)?;
                 Ok(g)
             }
-            ProxyBlock::Dense {
-                fc,
-                norm,
-                act,
-                cached_input,
-            } => {
-                cached_input
-                    .as_ref()
-                    .ok_or_else(|| NnError::MissingForwardCache("DenseBlock".into()))?;
+            ProxyBlock::Dense { fc, norm, act } => {
                 let g = act.backward(grad_output)?;
                 let g = norm.backward(&g)?;
                 let mut g = fc.backward(&g)?;
@@ -232,12 +190,7 @@ impl Layer for ProxyBlock {
                 act,
                 fc2,
                 norm2,
-                cached_ffn_input,
-                ..
             } => {
-                cached_ffn_input
-                    .as_ref()
-                    .ok_or_else(|| NnError::MissingForwardCache("AttentionBlock".into()))?;
                 // FFN branch.
                 let g = norm2.backward(grad_output)?;
                 let g = fc2.backward(&g)?;
@@ -372,6 +325,23 @@ mod tests {
         let y = block.forward(&x, true).unwrap();
         assert_eq!(y.dims(), x.dims());
         grad_check(&mut block, &x, &[0, 5, 11], 0.15);
+    }
+
+    #[test]
+    fn backward_before_forward_is_missing_cache() {
+        let mut rng = SeededRng::new(5);
+        for (kind, dims) in [
+            (BlockKind::Conv, &[1, 4, 3, 3][..]),
+            (BlockKind::Dense, &[2, 4]),
+            (BlockKind::Attention, &[1, 3, 4]),
+        ] {
+            let mut block = ProxyBlock::new(kind, 4, &mut rng).unwrap();
+            let result = block.backward(&Tensor::ones(dims));
+            assert!(
+                matches!(result, Err(NnError::MissingForwardCache(_))),
+                "{kind:?}: {result:?}"
+            );
+        }
     }
 
     #[test]

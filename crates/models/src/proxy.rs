@@ -211,17 +211,20 @@ impl Stem {
         }
     }
 
-    fn backward(&mut self, g: &Tensor) -> Result<Tensor> {
+    /// Accumulates the stem's parameter gradients. Nothing reads the
+    /// gradient with respect to the raw input, so the convolution does not
+    /// build it.
+    fn backward(&mut self, g: &Tensor) -> Result<()> {
         match self {
             Stem::Image { conv, norm, act } => {
                 let g = act.backward(g)?;
                 let g = norm.backward(&g)?;
-                conv.backward(&g)
+                conv.backward_params(&g)
             }
-            Stem::Tokens { embedding } => embedding.backward(g),
+            Stem::Tokens { embedding } => embedding.backward(g).map(drop),
             Stem::Features { fc, act } => {
                 let g = act.backward(g)?;
-                fc.backward(&g)
+                fc.backward(&g).map(drop)
             }
         }
     }
@@ -480,8 +483,7 @@ impl ProxyModel {
             }
             g = self.blocks[i].backward(&g)?;
         }
-        self.stem.backward(&g)?;
-        Ok(())
+        self.stem.backward(&g)
     }
 }
 

@@ -25,9 +25,17 @@ use crate::{AxisRole, Layer, NnError, Param, Result};
 /// an accumulator array and adds `x · w[ic, ky, kx, oc..]` to all lanes at
 /// once. Whether a tap lands in the padding depends on the pixel, never on
 /// the channel, so every lane has the same valid taps: the skip needs no
-/// mask. The backward runs its innermost loop over the contiguous input
-/// channels of channel-last copies of the input, the weight and their
-/// gradients.
+/// mask. Interior pixels whose `kx` taps are all valid go two at a time,
+/// with one accumulator block each, so the adds of two independent chains
+/// overlap; edge pixels go one at a time.
+///
+/// The backward runs its innermost loop over the contiguous input channels
+/// of channel-last copies of the input, the weight and their gradients.
+/// [`Conv2d::backward_params`], for a caller that discards `dx`, mirrors the
+/// forward instead: for each `[block][tap]` it keeps `LANES` output
+/// channels' `dw` in registers over ascending `(n, oy, ox)`. Its zero skip
+/// is a per-lane select, `if g != 0 { acc + g·x } else { acc }`, because the
+/// lanes' zeros differ and adding `+0.0` flips a `-0.0` accumulator.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -100,6 +108,102 @@ impl Conv2d {
     pub fn output_size(&self, input: usize) -> usize {
         (input + 2 * self.padding).saturating_sub(self.kernel) / self.stride + 1
     }
+
+    /// Accumulates the weight and bias gradients of the last forward, as
+    /// [`Layer::backward`] does bit for bit, without building the input
+    /// gradient: for a layer whose caller discards it, such as a stem.
+    ///
+    /// # Errors
+    /// [`NnError::MissingForwardCache`] before any forward, and
+    /// [`NnError::BadInput`] for a gradient not shaped like the forward's
+    /// output; neither moves a gradient.
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or_else(|| NnError::MissingForwardCache("Conv2d".into()))?;
+        let dims = input.dims();
+        let (batch, h, w) = (dims[0], dims[2], dims[3]);
+        let (oh, ow) = (self.output_size(h), self.output_size(w));
+        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
+        check_grad_shape("Conv2d", grad_output, &[batch, oc_n, oh, ow])?;
+        let (k, s, p) = (self.kernel, self.stride, self.padding);
+        let taps = ic_n * k * k;
+        let x = input.as_slice();
+
+        // The output gradient as [n][block][oy][ox][lane], laid out like the
+        // forward's accumulator blocks; the lanes past the last channel stay
+        // zero and are never stored.
+        let (blocks, plane) = (oc_n.div_ceil(LANES), oh * ow);
+        let mut g_blk = vec![[0.0; LANES]; batch * blocks * plane];
+        for (g_n, dy_n) in g_blk
+            .chunks_exact_mut(blocks * plane)
+            .zip(grad_output.as_slice().chunks_exact(oc_n * plane))
+        {
+            for (oc, dy_c) in dy_n.chunks_exact(plane).enumerate() {
+                let (block, lane) = (oc / LANES, oc % LANES);
+                for (g, &dy) in g_n[block * plane..][..plane].iter_mut().zip(dy_c) {
+                    g[lane] = dy;
+                }
+            }
+        }
+        // The output rows and columns at which each kernel offset is valid.
+        let oy_valid: Vec<_> = (0..k).map(|ky| valid_outputs(ky, p, s, h, oh)).collect();
+        let ox_valid: Vec<_> = (0..k).map(|kx| valid_outputs(kx, p, s, w, ow)).collect();
+
+        let dw = self.weight.grad.as_mut_slice();
+        let db = self.bias.grad.as_mut_slice();
+        for block in 0..blocks {
+            let lanes = LANES.min(oc_n - block * LANES);
+            let (oc0, oc_end) = (block * LANES, block * LANES + lanes);
+            let g_n = |n: usize| &g_blk[(n * blocks + block) * plane..][..plane];
+            let mut acc = [0.0; LANES];
+            acc[..lanes].copy_from_slice(&db[oc0..oc_end]);
+            for n in 0..batch {
+                for g in g_n(n) {
+                    acc = std::array::from_fn(|l| if g[l] != 0.0 { acc[l] + g[l] } else { acc[l] });
+                }
+            }
+            db[oc0..oc_end].copy_from_slice(&acc[..lanes]);
+            for tap in 0..taps {
+                let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
+                let mut acc = [0.0; LANES];
+                for (a, dw_oc) in acc
+                    .iter_mut()
+                    .zip(dw[oc0 * taps..oc_end * taps].chunks_exact(taps))
+                {
+                    *a = dw_oc[tap];
+                }
+                for n in 0..batch {
+                    let x_c = &x[(n * ic_n + ic) * h * w..][..h * w];
+                    let g_n = g_n(n);
+                    for oy in oy_valid[ky].clone() {
+                        let x_row = &x_c[(oy * s + ky - p) * w..][..w];
+                        let g_row = &g_n[oy * ow..][..ow];
+                        for ox in ox_valid[kx].clone() {
+                            let (xv, g) = (x_row[ox * s + kx - p], &g_row[ox]);
+                            // A select, not a branch: the lanes skip their
+                            // zero gradients independently.
+                            acc = std::array::from_fn(|l| {
+                                if g[l] != 0.0 {
+                                    acc[l] + g[l] * xv
+                                } else {
+                                    acc[l]
+                                }
+                            });
+                        }
+                    }
+                }
+                for (&a, dw_oc) in acc
+                    .iter()
+                    .zip(dw[oc0 * taps..oc_end * taps].chunks_exact_mut(taps))
+                {
+                    dw_oc[tap] = a;
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Output channels per accumulator block of the forward.
@@ -113,11 +217,27 @@ fn valid_taps(o: usize, p: usize, s: usize, in_len: usize, k: usize) -> Range<us
     lo..hi
 }
 
+/// The outputs `o` at which kernel offset `off` lands inside the input,
+/// i.e. `0 <= o·s + off − p < in_len`, among `out_len` outputs.
+fn valid_outputs(off: usize, p: usize, s: usize, in_len: usize, out_len: usize) -> Range<usize> {
+    let hi = (in_len + p).saturating_sub(off).div_ceil(s).min(out_len);
+    let lo = p.saturating_sub(off).div_ceil(s).min(hi);
+    lo..hi
+}
+
 /// `dw += g·x` and `dx += g·w`, element by element over equal-length runs.
 fn accumulate(g: f32, dw: &mut [f32], x: &[f32], dx: &mut [f32], w: &[f32]) {
     for (((dw, &x), dx), &w) in dw.iter_mut().zip(x).zip(dx.iter_mut()).zip(w) {
         *dw += g * x;
         *dx += g * w;
+    }
+}
+
+/// Stores one output pixel's block of channels: lane `l` goes to the
+/// `pixel`-th entry of the `l`-th `plane`-long channel plane of `y_b`.
+fn store_pixel(y_b: &mut [f32], plane: usize, pixel: usize, acc: &[f32]) {
+    for (y_c, &a) in y_b.chunks_exact_mut(plane).zip(acc) {
+        y_c[pixel] = a;
     }
 }
 
@@ -197,24 +317,52 @@ impl Layer for Conv2d {
                 .zip(out_n.chunks_mut(LANES * oh * ow))
             {
                 for (oy, ky_taps) in ky_taps.iter().enumerate() {
-                    for (ox, kx_taps) in kx_taps.iter().enumerate() {
+                    let mut ox = 0;
+                    while ox < ow {
+                        let pair =
+                            ox + 1 < ow && kx_taps[ox].len() == k && kx_taps[ox + 1].len() == k;
                         // Copied in rather than assigned: the compiler then
                         // keeps the block in whole vector registers.
                         let mut acc = [0.0; LANES];
                         acc.copy_from_slice(&b_b);
-                        for (x_c, w_c) in x_n.chunks_exact(h * w).zip(w_b.chunks_exact(k * k)) {
-                            for ky in ky_taps.clone() {
-                                let x_row = &x_c[(oy * s + ky - p) * w..][..w];
-                                let w_row = &w_c[ky * k..][..k];
-                                for kx in kx_taps.clone() {
-                                    let (xv, wv) = (x_row[ox * s + kx - p], &w_row[kx]);
-                                    acc = std::array::from_fn(|l| acc[l] + xv * wv[l]);
+                        if pair {
+                            // Two pixels whose `kx` taps are all valid, one
+                            // block each in one array: two independent
+                            // chains per pass.
+                            let mut acc2 = [0.0; 2 * LANES];
+                            acc2[..LANES].copy_from_slice(&b_b);
+                            acc2[LANES..].copy_from_slice(&b_b);
+                            for (x_c, w_c) in x_n.chunks_exact(h * w).zip(w_b.chunks_exact(k * k)) {
+                                for ky in ky_taps.clone() {
+                                    let x_row = &x_c[(oy * s + ky - p) * w..][..w];
+                                    let x0 = &x_row[ox * s - p..][..k];
+                                    let x1 = &x_row[(ox + 1) * s - p..][..k];
+                                    for ((wv, &x0), &x1) in
+                                        w_c[ky * k..][..k].iter().zip(x0).zip(x1)
+                                    {
+                                        acc2 = std::array::from_fn(|i| {
+                                            let xv = if i < LANES { x0 } else { x1 };
+                                            acc2[i] + xv * wv[i % LANES]
+                                        });
+                                    }
+                                }
+                            }
+                            acc.copy_from_slice(&acc2[..LANES]);
+                            store_pixel(y_b, oh * ow, oy * ow + ox + 1, &acc2[LANES..]);
+                        } else {
+                            for (x_c, w_c) in x_n.chunks_exact(h * w).zip(w_b.chunks_exact(k * k)) {
+                                for ky in ky_taps.clone() {
+                                    let x_row = &x_c[(oy * s + ky - p) * w..][..w];
+                                    let w_row = &w_c[ky * k..][..k];
+                                    for kx in kx_taps[ox].clone() {
+                                        let (xv, wv) = (x_row[ox * s + kx - p], &w_row[kx]);
+                                        acc = std::array::from_fn(|l| acc[l] + xv * wv[l]);
+                                    }
                                 }
                             }
                         }
-                        for (y_c, &a) in y_b.chunks_exact_mut(oh * ow).zip(&acc) {
-                            y_c[oy * ow + ox] = a;
-                        }
+                        store_pixel(y_b, oh * ow, oy * ow + ox, &acc);
+                        ox += 1 + usize::from(pair);
                     }
                 }
             }
@@ -407,21 +555,40 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs `conv` forward and backward on `x` and compares `y`, `dx`, `dw`
-    /// and `db` bit for bit with the reference loops.
+    /// Runs `conv` forward and backward on `x`, and a twin of it forward and
+    /// `backward_params`, and compares `y`, `dx`, `dw` and `db` bit for bit
+    /// with the reference loops.
     fn assert_matches_reference(case: usize, conv: &mut Conv2d, x: &Tensor, rng: &mut SeededRng) {
         let oc = conv.out_channels;
+        let taps = conv.in_channels * conv.kernel * conv.kernel;
         conv.weight.grad = Tensor::randn(conv.weight.value.dims(), 1.0, rng);
         conv.bias.grad = Tensor::randn(&[oc], 1.0, rng);
         let (batch, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
-        let mut dy = Tensor::randn(
-            &[batch, oc, conv.output_size(h), conv.output_size(w)],
-            1.0,
-            rng,
-        );
-        for g in dy.as_mut_slice().iter_mut().step_by(3) {
-            *g = 0.0;
+        let (oh, ow) = (conv.output_size(h), conv.output_size(w));
+        let mut dy = Tensor::randn(&[batch, oc, oh, ow], 1.0, rng);
+        for (i, g) in dy.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *g = 0.0;
+            } else if i % 5 == 1 {
+                *g = -0.0;
+            }
         }
+        // The last output channel gets only zero gradients, so its `-0.0`
+        // priors must keep their sign: adding a `+0.0` product would flip it.
+        for dy_n in dy.as_mut_slice().chunks_exact_mut(oc * oh * ow) {
+            for (i, g) in dy_n[(oc - 1) * oh * ow..].iter_mut().enumerate() {
+                *g = if i % 2 == 0 { -0.0 } else { 0.0 };
+            }
+        }
+        conv.weight.grad.as_mut_slice()[(oc - 1) * taps..].fill(-0.0);
+        conv.bias.grad.as_mut_slice()[oc - 1] = -0.0;
+        let mut twin = Conv2d {
+            weight: conv.weight.clone(),
+            bias: conv.bias.clone(),
+            cached_input: None,
+            ..*conv
+        };
+
         let mut dw_ref = conv.weight.grad.as_slice().to_vec();
         let mut db_ref = conv.bias.grad.as_slice().to_vec();
         let y_ref = reference_forward(conv, x);
@@ -429,18 +596,22 @@ mod tests {
 
         let y = conv.forward(x, true).unwrap();
         let dx = conv.backward(&dy).unwrap();
+        twin.forward(x, true).unwrap();
+        twin.backward_params(&dy).unwrap();
         assert_eq!(bits(y.as_slice()), bits(&y_ref), "y, case {case}");
         assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "dx, case {case}");
-        assert_eq!(
-            bits(conv.weight.grad.as_slice()),
-            bits(&dw_ref),
-            "dw, case {case}"
-        );
-        assert_eq!(
-            bits(conv.bias.grad.as_slice()),
-            bits(&db_ref),
-            "db, case {case}"
-        );
+        for (conv, path) in [(&*conv, "backward"), (&twin, "backward_params")] {
+            assert_eq!(
+                bits(conv.weight.grad.as_slice()),
+                bits(&dw_ref),
+                "dw, case {case}, {path}"
+            );
+            assert_eq!(
+                bits(conv.bias.grad.as_slice()),
+                bits(&db_ref),
+                "db, case {case}, {path}"
+            );
+        }
     }
 
     #[test]

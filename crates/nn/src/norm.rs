@@ -8,6 +8,14 @@
 //!   the dense, transformer and ALBERT proxy blocks;
 //! * [`ChannelNorm2d`] — instance normalisation over the spatial extent of
 //!   each channel, used by the convolutional (ResNet/MobileNet-like) proxies.
+//!
+//! Both walk whole groups (one row, or one `(n, c)` map) rather than
+//! indexing each element's group and channel. Every serial sum keeps the
+//! plain loop's order, which the tests keep as the bitwise reference: a
+//! group's mean, variance and backward sums add its elements in ascending
+//! order from `-0.0`, as `Iterator::sum::<f32>` does, and a γ/β gradient
+//! adds onto its prior value in ascending element order. `CHAINS` (8) such
+//! sums run side by side, so their adds overlap.
 
 use mhfl_tensor::Tensor;
 
@@ -15,6 +23,42 @@ use crate::layer::{check_grad_shape, join_name};
 use crate::{AxisRole, Layer, NnError, Param, Result};
 
 const EPS: f32 = 1e-5;
+
+/// Serial sums that run side by side, so that their adds overlap instead of
+/// each waiting on the last.
+const CHAINS: usize = 8;
+
+/// Adds `term(a[j], b[j])` onto `acc[c]` for every chain `c`, one term at a
+/// time, over the `len`-long groups `c, c + acc.len(), c + 2·acc.len(), …`
+/// of `a` and `b` in that order, each in ascending `j`. `CHAINS` chains run
+/// side by side, and each keeps exactly the order of its own serial loop.
+fn add_chains(acc: &mut [f32], len: usize, a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) {
+    let chains = acc.len();
+    let stride = chains * len;
+    for (block, acc) in acc.chunks_mut(CHAINS).enumerate() {
+        // The lanes past the last chain repeat it and are never stored.
+        let chain: [usize; CHAINS] = std::array::from_fn(|l| (block * CHAINS + l).min(chains - 1));
+        let mut sums: [f32; CHAINS] = std::array::from_fn(|l| acc[l.min(acc.len() - 1)]);
+        for (a, b) in a.chunks_exact(stride).zip(b.chunks_exact(stride)) {
+            let rows: [(&[f32], &[f32]); CHAINS] = std::array::from_fn(|l| {
+                let lo = chain[l] * len;
+                (&a[lo..lo + len], &b[lo..lo + len])
+            });
+            for j in 0..len {
+                sums = std::array::from_fn(|l| sums[l] + term(rows[l].0[j], rows[l].1[j]));
+            }
+        }
+        acc.copy_from_slice(&sums[..acc.len()]);
+    }
+}
+
+/// `term(a[j], b[j])` summed over each `len`-long group of `a` and `b` in
+/// ascending `j`, from `-0.0` as `Iterator::sum::<f32>` starts.
+fn group_sums(len: usize, a: &[f32], b: &[f32], term: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+    let mut sums = vec![-0.0; a.len() / len];
+    add_chains(&mut sums, len, a, b, term);
+    sums
+}
 
 /// Normalises groups of contiguous values and applies a per-position affine
 /// transform. Shared implementation detail of both normalisation layers.
@@ -27,19 +71,30 @@ struct GroupStats {
     group_size: usize,
 }
 
+/// Each group's mean and variance are serial sums over its ascending
+/// elements (run [`CHAINS`] groups side by side), divided by the group size;
+/// then `xhat = (x - mean) * istd` with `istd = 1 / sqrt(var + EPS)`.
 fn normalise_groups(data: &[f32], group_size: usize) -> GroupStats {
-    let groups = data.len() / group_size;
-    let mut xhat = vec![0.0; data.len()];
-    let mut inv_std = vec![0.0; groups];
-    for g in 0..groups {
-        let slice = &data[g * group_size..(g + 1) * group_size];
-        let mean: f32 = slice.iter().sum::<f32>() / group_size as f32;
-        let var: f32 =
-            slice.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / group_size as f32;
-        let istd = 1.0 / (var + EPS).sqrt();
-        inv_std[g] = istd;
-        for (i, &x) in slice.iter().enumerate() {
-            xhat[g * group_size + i] = (x - mean) * istd;
+    let n = group_size as f32;
+    let sums = group_sums(group_size, data, data, |x, _| x);
+    // `x - mean`, squared for the variance and then scaled in place.
+    let mut xhat = data.to_vec();
+    for (xh, &sum) in xhat.chunks_exact_mut(group_size).zip(&sums) {
+        let mean = sum / n;
+        for x in xh {
+            *x -= mean;
+        }
+    }
+    let inv_std: Vec<f32> = group_sums(group_size, &xhat, &xhat, |d, _| d * d)
+        .into_iter()
+        .map(|sum| {
+            let var = sum / n;
+            1.0 / (var + EPS).sqrt()
+        })
+        .collect();
+    for (xh, &istd) in xhat.chunks_exact_mut(group_size).zip(&inv_std) {
+        for x in xh {
+            *x *= istd;
         }
     }
     GroupStats {
@@ -51,20 +106,25 @@ fn normalise_groups(data: &[f32], group_size: usize) -> GroupStats {
 
 /// Backward pass through group normalisation given upstream gradient w.r.t.
 /// the *normalised* values (`d_xhat`). Returns gradient w.r.t. the raw input.
+///
+/// Per group, `s1 = Σ dyh` and `s2 = Σ dyh·xhat` are serial sums over
+/// ascending elements (run [`CHAINS`] groups side by side), and
+/// `dx = istd / n * (n * dyh - s1 - xhat * s2)`.
 fn normalise_groups_backward(stats: &GroupStats, d_xhat: &[f32]) -> Vec<f32> {
-    let n = stats.group_size as f32;
-    let groups = d_xhat.len() / stats.group_size;
+    let len = stats.group_size;
+    let n = len as f32;
+    let sum_dyh = group_sums(len, d_xhat, d_xhat, |dyh, _| dyh);
+    let sum_dyh_xhat = group_sums(len, d_xhat, &stats.xhat, |dyh, xhat| dyh * xhat);
     let mut dx = vec![0.0; d_xhat.len()];
-    for g in 0..groups {
-        let lo = g * stats.group_size;
-        let hi = lo + stats.group_size;
-        let xhat = &stats.xhat[lo..hi];
-        let dyh = &d_xhat[lo..hi];
-        let sum_dyh: f32 = dyh.iter().sum();
-        let sum_dyh_xhat: f32 = dyh.iter().zip(xhat).map(|(a, b)| a * b).sum();
-        let istd = stats.inv_std[g];
-        for i in 0..stats.group_size {
-            dx[lo + i] = istd / n * (n * dyh[i] - sum_dyh - xhat[i] * sum_dyh_xhat);
+    for ((((dx, dyh), xhat), &istd), (&s1, &s2)) in dx
+        .chunks_exact_mut(len)
+        .zip(d_xhat.chunks_exact(len))
+        .zip(stats.xhat.chunks_exact(len))
+        .zip(&stats.inv_std)
+        .zip(sum_dyh.iter().zip(&sum_dyh_xhat))
+    {
+        for ((dx, &dyh), &xhat) in dx.iter_mut().zip(dyh).zip(xhat) {
+            *dx = istd / n * (n * dyh - s1 - xhat * s2);
         }
     }
     dx
@@ -119,12 +179,15 @@ impl Layer for LayerNorm {
         let stats = normalise_groups(input.as_slice(), self.features);
         let g = self.gamma.value.as_slice();
         let b = self.beta.value.as_slice();
-        let data = stats
-            .xhat
-            .iter()
-            .enumerate()
-            .map(|(i, &xh)| g[i % self.features] * xh + b[i % self.features])
-            .collect();
+        let mut data = vec![0.0; stats.xhat.len()];
+        for (y, xh) in data
+            .chunks_exact_mut(self.features)
+            .zip(stats.xhat.chunks_exact(self.features))
+        {
+            for (((y, &xh), &g), &b) in y.iter_mut().zip(xh).zip(g).zip(b) {
+                *y = g * xh + b;
+            }
+        }
         self.cache = Some((stats, dims.clone()));
         Ok(Tensor::from_vec(data, &dims)?)
     }
@@ -138,17 +201,28 @@ impl Layer for LayerNorm {
         let dy = grad_output.as_slice();
         let g = self.gamma.value.as_slice();
         let f = self.features;
-        // Accumulate parameter gradients.
-        for (i, &dyi) in dy.iter().enumerate() {
-            let c = i % f;
-            self.gamma.grad.as_mut_slice()[c] += dyi * stats.xhat[i];
-            self.beta.grad.as_mut_slice()[c] += dyi;
+        // Row by row, so each feature's γ/β gradient still accumulates in
+        // ascending element order.
+        let gamma_grad = self.gamma.grad.as_mut_slice();
+        let beta_grad = self.beta.grad.as_mut_slice();
+        let mut d_xhat = vec![0.0; dy.len()];
+        for ((dy, xhat), d_xhat) in dy
+            .chunks_exact(f)
+            .zip(stats.xhat.chunks_exact(f))
+            .zip(d_xhat.chunks_exact_mut(f))
+        {
+            for ((((&dyi, &xh), dg), db), (d_xh, &g)) in dy
+                .iter()
+                .zip(xhat)
+                .zip(gamma_grad.iter_mut())
+                .zip(beta_grad.iter_mut())
+                .zip(d_xhat.iter_mut().zip(g))
+            {
+                *dg += dyi * xh;
+                *db += dyi;
+                *d_xh = dyi * g;
+            }
         }
-        let d_xhat: Vec<f32> = dy
-            .iter()
-            .enumerate()
-            .map(|(i, &dyi)| dyi * g[i % f])
-            .collect();
         let dx = normalise_groups_backward(stats, &d_xhat);
         Ok(Tensor::from_vec(dx, dims)?)
     }
@@ -220,16 +294,17 @@ impl Layer for ChannelNorm2d {
         let stats = normalise_groups(input.as_slice(), spatial);
         let g = self.gamma.value.as_slice();
         let b = self.beta.value.as_slice();
-        let c = self.channels;
-        let data = stats
-            .xhat
-            .iter()
-            .enumerate()
-            .map(|(i, &xh)| {
-                let channel = (i / spatial) % c;
-                g[channel] * xh + b[channel]
-            })
-            .collect();
+        let mut data = vec![0.0; stats.xhat.len()];
+        // One `(n, c)` map per group, so the channels cycle.
+        for ((y, xh), (&g, &b)) in data
+            .chunks_exact_mut(spatial)
+            .zip(stats.xhat.chunks_exact(spatial))
+            .zip(g.iter().zip(b).cycle())
+        {
+            for (y, &xh) in y.iter_mut().zip(xh) {
+                *y = g * xh + b;
+            }
+        }
         self.cache = Some((Some(stats), dims.clone()));
         Ok(Tensor::from_vec(data, &dims)?)
     }
@@ -245,19 +320,28 @@ impl Layer for ChannelNorm2d {
             return Ok(grad_output.clone());
         };
         let spatial = dims[2] * dims[3];
-        let c = self.channels;
         let dy = grad_output.as_slice();
         let g = self.gamma.value.as_slice();
-        for (i, &dyi) in dy.iter().enumerate() {
-            let channel = (i / spatial) % c;
-            self.gamma.grad.as_mut_slice()[channel] += dyi * stats.xhat[i];
-            self.beta.grad.as_mut_slice()[channel] += dyi;
+        // Each channel's γ/β gradient is one chain over its maps in batch
+        // order, each map in ascending element order.
+        add_chains(
+            self.gamma.grad.as_mut_slice(),
+            spatial,
+            dy,
+            &stats.xhat,
+            |dy, xh| dy * xh,
+        );
+        add_chains(self.beta.grad.as_mut_slice(), spatial, dy, dy, |dy, _| dy);
+        let mut d_xhat = vec![0.0; dy.len()];
+        for ((d_xhat, dy), &g) in d_xhat
+            .chunks_exact_mut(spatial)
+            .zip(dy.chunks_exact(spatial))
+            .zip(g.iter().cycle())
+        {
+            for (d_xh, &dyi) in d_xhat.iter_mut().zip(dy) {
+                *d_xh = dyi * g;
+            }
         }
-        let d_xhat: Vec<f32> = dy
-            .iter()
-            .enumerate()
-            .map(|(i, &dyi)| dyi * g[(i / spatial) % c])
-            .collect();
         let dx = normalise_groups_backward(stats, &d_xhat);
         Ok(Tensor::from_vec(dx, dims)?)
     }
@@ -369,6 +453,180 @@ mod tests {
         assert_eq!(y.as_slice(), x.as_slice());
         let dx = cn.backward(&Tensor::ones(&[1, 3, 1, 1])).unwrap();
         assert_eq!(dx.as_slice(), &[1.0, 1.0, 1.0]);
+    }
+
+    /// The plain per-element loops: the bitwise reference of the grouped
+    /// ones. `channel(i)` is element `i`'s γ/β index. Returns `y`, and
+    /// `backward` accumulates into `dg` / `db` and returns `dx`.
+    struct Reference {
+        xhat: Vec<f32>,
+        inv_std: Vec<f32>,
+        group_size: usize,
+    }
+
+    impl Reference {
+        fn forward(
+            data: &[f32],
+            group_size: usize,
+            gamma: &[f32],
+            beta: &[f32],
+            channel: impl Fn(usize) -> usize,
+        ) -> (Self, Vec<f32>) {
+            let groups = data.len() / group_size;
+            let mut xhat = vec![0.0; data.len()];
+            let mut inv_std = vec![0.0; groups];
+            for g in 0..groups {
+                let slice = &data[g * group_size..(g + 1) * group_size];
+                let mean: f32 = slice.iter().sum::<f32>() / group_size as f32;
+                let var: f32 =
+                    slice.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / group_size as f32;
+                let istd = 1.0 / (var + EPS).sqrt();
+                inv_std[g] = istd;
+                for (i, &x) in slice.iter().enumerate() {
+                    xhat[g * group_size + i] = (x - mean) * istd;
+                }
+            }
+            let y = xhat
+                .iter()
+                .enumerate()
+                .map(|(i, &xh)| gamma[channel(i)] * xh + beta[channel(i)])
+                .collect();
+            let reference = Reference {
+                xhat,
+                inv_std,
+                group_size,
+            };
+            (reference, y)
+        }
+
+        fn backward(
+            &self,
+            dy: &[f32],
+            gamma: &[f32],
+            dg: &mut [f32],
+            db: &mut [f32],
+            channel: impl Fn(usize) -> usize,
+        ) -> Vec<f32> {
+            for (i, &dyi) in dy.iter().enumerate() {
+                dg[channel(i)] += dyi * self.xhat[i];
+                db[channel(i)] += dyi;
+            }
+            let d_xhat: Vec<f32> = dy
+                .iter()
+                .enumerate()
+                .map(|(i, &dyi)| dyi * gamma[channel(i)])
+                .collect();
+            let n = self.group_size as f32;
+            let mut dx = vec![0.0; d_xhat.len()];
+            for g in 0..d_xhat.len() / self.group_size {
+                let lo = g * self.group_size;
+                let hi = lo + self.group_size;
+                let xhat = &self.xhat[lo..hi];
+                let dyh = &d_xhat[lo..hi];
+                let sum_dyh: f32 = dyh.iter().sum();
+                let sum_dyh_xhat: f32 = dyh.iter().zip(xhat).map(|(a, b)| a * b).sum();
+                let istd = self.inv_std[g];
+                for i in 0..self.group_size {
+                    dx[lo + i] = istd / n * (n * dyh[i] - sum_dyh - xhat[i] * sum_dyh_xhat);
+                }
+            }
+            dx
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A seeded tensor whose every fifth entry is `-0.0` and every seventh
+    /// `+0.0`; with `specials`, group 0 is all `-0.0` and group 1 constant.
+    fn awkward(dims: &[usize], group_size: usize, specials: bool, rng: &mut SeededRng) -> Tensor {
+        let mut t = Tensor::randn(dims, 1.0, rng);
+        let v = t.as_mut_slice();
+        for (i, x) in v.iter_mut().enumerate() {
+            if i % 5 == 0 {
+                *x = -0.0;
+            } else if i % 7 == 0 {
+                *x = 0.0;
+            }
+        }
+        if specials {
+            v[..group_size].fill(-0.0);
+            v[group_size..2 * group_size].fill(1.5);
+        }
+        t
+    }
+
+    /// Runs `layer` forward and backward and compares `y`, `dx` and the γ/β
+    /// gradients, accumulated onto non-zero priors, bit for bit with
+    /// [`Reference`].
+    fn assert_norm_matches_reference(
+        name: &str,
+        layer: &mut dyn Layer,
+        dims: &[usize],
+        group_size: usize,
+        channel: impl Fn(usize) -> usize + Copy,
+    ) {
+        let mut rng = SeededRng::new(dims.iter().product::<usize>() as u64);
+        let mut gamma = Vec::new();
+        let mut beta = Vec::new();
+        layer.visit_params_mut("", &mut |name, p| {
+            p.value = Tensor::randn(p.value.dims(), 1.0, &mut rng);
+            p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng);
+            if name == "beta" {
+                // `γ·xhat + (-0.0)` keeps the sign of a zero `xhat`, so
+                // the all-`-0.0` group shows where its mean's sum started.
+                p.value.as_mut_slice()[0] = -0.0;
+            }
+            let values = (p.value.as_slice().to_vec(), p.grad.as_slice().to_vec());
+            if name == "gamma" {
+                gamma.push(values);
+            } else {
+                beta.push(values);
+            }
+        });
+        let ((gamma, mut dg), (beta, mut db)) = (gamma.remove(0), beta.remove(0));
+        let x = awkward(dims, group_size, true, &mut rng);
+        let dy = awkward(dims, group_size, false, &mut rng);
+
+        let (reference, y_ref) =
+            Reference::forward(x.as_slice(), group_size, &gamma, &beta, channel);
+        let dx_ref = reference.backward(dy.as_slice(), &gamma, &mut dg, &mut db, channel);
+        let y = layer.forward(&x, true).unwrap();
+        let dx = layer.backward(&dy).unwrap();
+        assert_eq!(bits(y.as_slice()), bits(&y_ref), "{name} {dims:?}: y");
+        assert_eq!(bits(dx.as_slice()), bits(&dx_ref), "{name} {dims:?}: dx");
+        layer.visit_params("", &mut |param, p| {
+            let want = if param == "gamma" { &dg } else { &db };
+            assert_eq!(
+                bits(p.grad.as_slice()),
+                bits(want),
+                "{name} {dims:?}: {param}"
+            );
+        });
+    }
+
+    #[test]
+    fn grouped_loops_match_reference_bitwise() {
+        // Group counts below, at, past and far past one block of chains,
+        // most not a multiple of it.
+        for dims in [
+            [1, 2, 3, 3],
+            [2, 3, 4, 5],
+            [2, 4, 2, 2],
+            [3, 5, 2, 3],
+            [16, 12, 8, 8],
+        ] {
+            let (c, spatial) = (dims[1], dims[2] * dims[3]);
+            let mut cn = ChannelNorm2d::new(c);
+            let channel = move |i: usize| (i / spatial) % c;
+            assert_norm_matches_reference("ChannelNorm2d", &mut cn, &dims, spatial, channel);
+        }
+        for dims in [&[2, 7][..], &[5, 3], &[20, 16], &[3, 4, 6], &[2, 9, 16]] {
+            let f = *dims.last().unwrap();
+            let mut ln = LayerNorm::new(f);
+            assert_norm_matches_reference("LayerNorm", &mut ln, dims, f, move |i| i % f);
+        }
     }
 
     #[test]

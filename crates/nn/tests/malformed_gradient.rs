@@ -133,3 +133,35 @@ fn malformed_gradient_is_bad_input_in_every_layer() {
         assert_eq!(dx.dims(), x.dims(), "{name}");
     }
 }
+
+#[test]
+fn malformed_gradient_is_bad_input_in_conv2d_params_only_backward() {
+    let mut rng = SeededRng::new(1);
+    let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
+    let x = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
+    let no_forward = conv.backward_params(&Tensor::zeros(&[2, 3, 4, 4]));
+    assert!(
+        matches!(no_forward, Err(NnError::MissingForwardCache(_))),
+        "backward_params before forward gave {no_forward:?}"
+    );
+
+    conv.visit_params_mut("", &mut |_, p| {
+        p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng)
+    });
+    let before = grad_bits(&conv);
+    let y = conv.forward(&x, true).unwrap();
+    for batch in [y.dims()[0] - 1, y.dims()[0] + 1] {
+        let mut dims = y.dims().to_vec();
+        dims[0] = batch;
+        let result = conv.backward_params(&Tensor::randn(&dims, 1.0, &mut rng));
+        assert!(
+            matches!(result, Err(NnError::BadInput { .. })),
+            "gradient {dims:?} for output {:?} gave {result:?}",
+            y.dims()
+        );
+        assert_eq!(grad_bits(&conv), before, "{dims:?}");
+    }
+    conv.backward_params(&Tensor::randn(y.dims(), 1.0, &mut rng))
+        .unwrap();
+    assert_ne!(grad_bits(&conv), before);
+}
