@@ -31,11 +31,8 @@ use crate::{AxisRole, Layer, NnError, Param, Result};
 ///
 /// The backward runs its innermost loop over the contiguous input channels
 /// of channel-last copies of the input, the weight and their gradients.
-/// [`Conv2d::backward_params`], for a caller that discards `dx`, mirrors the
-/// forward instead: for each `[block][tap]` it keeps `LANES` output
-/// channels' `dw` in registers over ascending `(n, oy, ox)`. Its zero skip
-/// is a per-lane select, `if g != 0 { acc + g·x } else { acc }`, because the
-/// lanes' zeros differ and adding `+0.0` flips a `-0.0` accumulator.
+/// [`Conv2d::backward_params`], for a caller that discards `dx`, runs the
+/// same loop without its `dx` half.
 #[derive(Debug)]
 pub struct Conv2d {
     weight: Param,
@@ -118,6 +115,17 @@ impl Conv2d {
     /// [`NnError::BadInput`] for a gradient not shaped like the forward's
     /// output; neither moves a gradient.
     pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.backward_fused(grad_output, None).map(drop)
+    }
+
+    /// The backward of the last forward: accumulates `dw` and `db` and, when
+    /// `dx` is given, stores the input gradient in it. Returns the input's
+    /// dims.
+    fn backward_fused(
+        &mut self,
+        grad_output: &Tensor,
+        dx: Option<&mut Vec<f32>>,
+    ) -> Result<Vec<usize>> {
         let input = self
             .cached_input
             .as_ref()
@@ -127,82 +135,78 @@ impl Conv2d {
         let (oh, ow) = (self.output_size(h), self.output_size(w));
         let (ic_n, oc_n) = (self.in_channels, self.out_channels);
         check_grad_shape("Conv2d", grad_output, &[batch, oc_n, oh, ow])?;
-        let (k, s, p) = (self.kernel, self.stride, self.padding);
-        let taps = ic_n * k * k;
-        let x = input.as_slice();
+        let k = self.kernel;
+        let kk = k * k;
+        let s = self.stride;
+        let p = self.padding;
+        let kx_taps: Vec<_> = (0..ow).map(|ox| valid_taps(ox, p, s, w, k)).collect();
 
-        // The output gradient as [n][block][oy][ox][lane], laid out like the
-        // forward's accumulator blocks; the lanes past the last channel stay
-        // zero and are never stored.
-        let (blocks, plane) = (oc_n.div_ceil(LANES), oh * ow);
-        let mut g_blk = vec![[0.0; LANES]; batch * blocks * plane];
-        for (g_n, dy_n) in g_blk
-            .chunks_exact_mut(blocks * plane)
-            .zip(grad_output.as_slice().chunks_exact(oc_n * plane))
-        {
-            for (oc, dy_c) in dy_n.chunks_exact(plane).enumerate() {
-                let (block, lane) = (oc / LANES, oc % LANES);
-                for (g, &dy) in g_n[block * plane..][..plane].iter_mut().zip(dy_c) {
-                    g[lane] = dy;
-                }
-            }
-        }
-        // The output rows and columns at which each kernel offset is valid.
-        let oy_valid: Vec<_> = (0..k).map(|ky| valid_outputs(ky, p, s, h, oh)).collect();
-        let ox_valid: Vec<_> = (0..k).map(|kx| valid_outputs(kx, p, s, w, ow)).collect();
-
-        let dw = self.weight.grad.as_mut_slice();
+        // Channel-last copies, so the innermost loop runs over contiguous
+        // input channels: the weight and its gradient as [oc][ky][kx][ic],
+        // the input and its gradient as [n][iy][ix][ic].
+        let w_t = swap_inner_axes(self.weight.value.as_slice(), ic_n, kk);
+        let mut dw_t = swap_inner_axes(self.weight.grad.as_slice(), ic_n, kk);
+        let x_t = swap_inner_axes(input.as_slice(), ic_n, h * w);
+        let mut dx_t = dx.is_some().then(|| vec![0.0; x_t.len()]);
         let db = self.bias.grad.as_mut_slice();
-        for block in 0..blocks {
-            let lanes = LANES.min(oc_n - block * LANES);
-            let (oc0, oc_end) = (block * LANES, block * LANES + lanes);
-            let g_n = |n: usize| &g_blk[(n * blocks + block) * plane..][..plane];
-            let mut acc = [0.0; LANES];
-            acc[..lanes].copy_from_slice(&db[oc0..oc_end]);
-            for n in 0..batch {
-                for g in g_n(n) {
-                    acc = std::array::from_fn(|l| if g[l] != 0.0 { acc[l] + g[l] } else { acc[l] });
-                }
-            }
-            db[oc0..oc_end].copy_from_slice(&acc[..lanes]);
-            for tap in 0..taps {
-                let (ic, ky, kx) = (tap / (k * k), tap / k % k, tap % k);
-                let mut acc = [0.0; LANES];
-                for (a, dw_oc) in acc
-                    .iter_mut()
-                    .zip(dw[oc0 * taps..oc_end * taps].chunks_exact(taps))
-                {
-                    *a = dw_oc[tap];
-                }
-                for n in 0..batch {
-                    let x_c = &x[(n * ic_n + ic) * h * w..][..h * w];
-                    let g_n = g_n(n);
-                    for oy in oy_valid[ky].clone() {
-                        let x_row = &x_c[(oy * s + ky - p) * w..][..w];
-                        let g_row = &g_n[oy * ow..][..ow];
-                        for ox in ox_valid[kx].clone() {
-                            let (xv, g) = (x_row[ox * s + kx - p], &g_row[ox]);
-                            // A select, not a branch: the lanes skip their
-                            // zero gradients independently.
-                            acc = std::array::from_fn(|l| {
-                                if g[l] != 0.0 {
-                                    acc[l] + g[l] * xv
-                                } else {
-                                    acc[l]
+
+        for (n, (x_n, dy_n)) in x_t
+            .chunks_exact(ic_n * h * w)
+            .zip(grad_output.as_slice().chunks_exact(oc_n * oh * ow))
+            .enumerate()
+        {
+            let mut dx_n = dx_t
+                .as_mut()
+                .map(|dx_t| &mut dx_t[n * x_n.len()..][..x_n.len()]);
+            for (((dy_c, w_oc), dw_oc), db_c) in dy_n
+                .chunks_exact(oh * ow)
+                .zip(w_t.chunks_exact(kk * ic_n))
+                .zip(dw_t.chunks_exact_mut(kk * ic_n))
+                .zip(db.iter_mut())
+            {
+                for (oy, dy_row) in dy_c.chunks_exact(ow).enumerate() {
+                    for (ox, (&g, kx_taps)) in dy_row.iter().zip(&kx_taps).enumerate() {
+                        if g == 0.0 {
+                            continue;
+                        }
+                        *db_c += g;
+                        // The valid `kx` taps of one kernel row read
+                        // adjacent columns, so their channel-last input and
+                        // weight entries form one contiguous run.
+                        let run = kx_taps.len() * ic_n;
+                        if run == 0 {
+                            continue;
+                        }
+                        let ix = ox * s + kx_taps.start - p;
+                        for ky in valid_taps(oy, p, s, h, k) {
+                            let pos = ((oy * s + ky - p) * w + ix) * ic_n;
+                            let tap = (ky * k + kx_taps.start) * ic_n;
+                            let (dw, x) = (&mut dw_oc[tap..tap + run], &x_n[pos..pos + run]);
+                            match dx_n.as_deref_mut() {
+                                Some(dx_n) => accumulate(
+                                    g,
+                                    dw,
+                                    x,
+                                    &mut dx_n[pos..pos + run],
+                                    &w_oc[tap..tap + run],
+                                ),
+                                None => {
+                                    for (dw, &x) in dw.iter_mut().zip(x) {
+                                        *dw += g * x;
+                                    }
                                 }
-                            });
+                            }
                         }
                     }
                 }
-                for (&a, dw_oc) in acc
-                    .iter()
-                    .zip(dw[oc0 * taps..oc_end * taps].chunks_exact_mut(taps))
-                {
-                    dw_oc[tap] = a;
-                }
             }
         }
-        Ok(())
+        let dw = swap_inner_axes(&dw_t, kk, ic_n);
+        self.weight.grad.as_mut_slice().copy_from_slice(&dw);
+        if let (Some(dx), Some(dx_t)) = (dx, dx_t) {
+            *dx = swap_inner_axes(&dx_t, h * w, ic_n);
+        }
+        Ok(dims.to_vec())
     }
 }
 
@@ -214,14 +218,6 @@ const LANES: usize = 16;
 fn valid_taps(o: usize, p: usize, s: usize, in_len: usize, k: usize) -> Range<usize> {
     let hi = (in_len + p).saturating_sub(o * s).min(k);
     let lo = p.saturating_sub(o * s).min(hi);
-    lo..hi
-}
-
-/// The outputs `o` at which kernel offset `off` lands inside the input,
-/// i.e. `0 <= o·s + off − p < in_len`, among `out_len` outputs.
-fn valid_outputs(off: usize, p: usize, s: usize, in_len: usize, out_len: usize) -> Range<usize> {
-    let hi = (in_len + p).saturating_sub(off).div_ceil(s).min(out_len);
-    let lo = p.saturating_sub(off).div_ceil(s).min(hi);
     lo..hi
 }
 
@@ -372,74 +368,9 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache("Conv2d".into()))?;
-        let dims = input.dims();
-        let (batch, h, w) = (dims[0], dims[2], dims[3]);
-        let (oh, ow) = (self.output_size(h), self.output_size(w));
-        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
-        check_grad_shape("Conv2d", grad_output, &[batch, oc_n, oh, ow])?;
-        let k = self.kernel;
-        let kk = k * k;
-        let s = self.stride;
-        let p = self.padding;
-        let kx_taps: Vec<_> = (0..ow).map(|ox| valid_taps(ox, p, s, w, k)).collect();
-
-        // Channel-last copies, so the innermost loop runs over contiguous
-        // input channels: the weight and its gradient as [oc][ky][kx][ic],
-        // the input and its gradient as [n][iy][ix][ic].
-        let w_t = swap_inner_axes(self.weight.value.as_slice(), ic_n, kk);
-        let mut dw_t = swap_inner_axes(self.weight.grad.as_slice(), ic_n, kk);
-        let x_t = swap_inner_axes(input.as_slice(), ic_n, h * w);
-        let mut dx_t = vec![0.0; x_t.len()];
-        let db = self.bias.grad.as_mut_slice();
-
-        for ((x_n, dx_n), dy_n) in x_t
-            .chunks_exact(ic_n * h * w)
-            .zip(dx_t.chunks_exact_mut(ic_n * h * w))
-            .zip(grad_output.as_slice().chunks_exact(oc_n * oh * ow))
-        {
-            for (((dy_c, w_oc), dw_oc), db_c) in dy_n
-                .chunks_exact(oh * ow)
-                .zip(w_t.chunks_exact(kk * ic_n))
-                .zip(dw_t.chunks_exact_mut(kk * ic_n))
-                .zip(db.iter_mut())
-            {
-                for (oy, dy_row) in dy_c.chunks_exact(ow).enumerate() {
-                    for (ox, (&g, kx_taps)) in dy_row.iter().zip(&kx_taps).enumerate() {
-                        if g == 0.0 {
-                            continue;
-                        }
-                        *db_c += g;
-                        // The valid `kx` taps of one kernel row read
-                        // adjacent columns, so their channel-last input and
-                        // weight entries form one contiguous run.
-                        let run = kx_taps.len() * ic_n;
-                        if run == 0 {
-                            continue;
-                        }
-                        let ix = ox * s + kx_taps.start - p;
-                        for ky in valid_taps(oy, p, s, h, k) {
-                            let pos = ((oy * s + ky - p) * w + ix) * ic_n;
-                            let tap = (ky * k + kx_taps.start) * ic_n;
-                            accumulate(
-                                g,
-                                &mut dw_oc[tap..tap + run],
-                                &x_n[pos..pos + run],
-                                &mut dx_n[pos..pos + run],
-                                &w_oc[tap..tap + run],
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        let dw = swap_inner_axes(&dw_t, kk, ic_n);
-        self.weight.grad.as_mut_slice().copy_from_slice(&dw);
-        let dx = swap_inner_axes(&dx_t, h * w, ic_n);
-        Ok(Tensor::from_vec(dx, dims)?)
+        let mut dx = Vec::new();
+        let dims = self.backward_fused(grad_output, Some(&mut dx))?;
+        Ok(Tensor::from_vec(dx, &dims)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {
@@ -573,15 +504,19 @@ mod tests {
                 *g = -0.0;
             }
         }
-        // The last output channel gets only zero gradients, so its `-0.0`
-        // priors must keep their sign: adding a `+0.0` product would flip it.
-        for dy_n in dy.as_mut_slice().chunks_exact_mut(oc * oh * ow) {
-            for (i, g) in dy_n[(oc - 1) * oh * ow..].iter_mut().enumerate() {
-                *g = if i % 2 == 0 { -0.0 } else { 0.0 };
+        // With three or more output channels, the last one gets only zero
+        // gradients, so its `-0.0` priors must keep their sign: adding a
+        // `+0.0` product would flip it. Every `dx` still sums at least two
+        // channels with non-zero gradients.
+        if oc >= 3 {
+            for dy_n in dy.as_mut_slice().chunks_exact_mut(oc * oh * ow) {
+                for (i, g) in dy_n[(oc - 1) * oh * ow..].iter_mut().enumerate() {
+                    *g = if i % 2 == 0 { -0.0 } else { 0.0 };
+                }
             }
+            conv.weight.grad.as_mut_slice()[(oc - 1) * taps..].fill(-0.0);
+            conv.bias.grad.as_mut_slice()[oc - 1] = -0.0;
         }
-        conv.weight.grad.as_mut_slice()[(oc - 1) * taps..].fill(-0.0);
-        conv.bias.grad.as_mut_slice()[oc - 1] = -0.0;
         let mut twin = Conv2d {
             weight: conv.weight.clone(),
             bias: conv.bias.clone(),
