@@ -212,8 +212,8 @@ impl Stem {
     }
 
     /// Accumulates the stem's parameter gradients. Nothing reads the
-    /// gradient with respect to the raw input, so the convolution does not
-    /// build it.
+    /// gradient with respect to the raw input, so the convolution and the
+    /// linear layer do not build it.
     fn backward(&mut self, g: &Tensor) -> Result<()> {
         match self {
             Stem::Image { conv, norm, act } => {
@@ -224,7 +224,7 @@ impl Stem {
             Stem::Tokens { embedding } => embedding.backward(g).map(drop),
             Stem::Features { fc, act } => {
                 let g = act.backward(g)?;
-                fc.backward(&g).map(drop)
+                fc.backward_params(&g)
             }
         }
     }
@@ -429,6 +429,8 @@ impl ProxyModel {
     }
 
     /// Full forward pass returning features, final logits and aux logits.
+    /// An evaluation pass (`train == false`) returns a training pass's
+    /// outputs bit for bit and keeps nothing for a backward.
     ///
     /// # Errors
     /// Returns an error if the input shape does not match the configuration.
@@ -458,8 +460,9 @@ impl ProxyModel {
     /// gradients on each auxiliary classifier's logits (self-distillation).
     ///
     /// # Errors
-    /// Returns an error if called before [`ProxyModel::forward_detailed`] or
-    /// with inconsistent gradient shapes.
+    /// Returns an error if called without a training
+    /// [`ProxyModel::forward_detailed`] before it, or with inconsistent
+    /// gradient shapes.
     pub fn backward_detailed(
         &mut self,
         grad_logits: &Tensor,
@@ -588,6 +591,63 @@ mod tests {
             .forward_detailed(&Tensor::zeros(&[4, 12]), false)
             .unwrap();
         assert_eq!(out.logits.dims(), &[4, 5]);
+    }
+
+    /// An evaluation forward returns the training forward's outputs bit for
+    /// bit, in every modality and with auxiliary heads, and leaves no state a
+    /// backward could run on.
+    #[test]
+    fn evaluation_forward_matches_training_and_keeps_no_backward_state() {
+        let mut rng = SeededRng::new(8);
+        let ids = Tensor::from_vec((0..18).map(|i| (i * 7 % 50) as f32).collect(), &[3, 6]);
+        let cases = [
+            (
+                cifar_config(ModelFamily::ResNet50).with_aux_heads(true),
+                Tensor::randn(&[2, 3, 8, 8], 1.0, &mut rng),
+            ),
+            (
+                ProxyConfig::for_family(
+                    ModelFamily::CustomTransformer,
+                    InputKind::Tokens {
+                        vocab: 50,
+                        seq_len: 6,
+                    },
+                    4,
+                    1,
+                )
+                .with_aux_heads(true),
+                ids.unwrap(),
+            ),
+            (
+                ProxyConfig::for_family(ModelFamily::HarCnn, InputKind::Features { dim: 12 }, 5, 2),
+                Tensor::randn(&[4, 12], 1.0, &mut rng),
+            ),
+        ];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (case, (config, x)) in cases.into_iter().enumerate() {
+            let mut model = ProxyModel::new(config).unwrap();
+            let trained = model.forward_detailed(&x, true).unwrap();
+            let evaluated = model.forward_detailed(&x, false).unwrap();
+            assert_eq!(
+                bits(&evaluated.logits),
+                bits(&trained.logits),
+                "case {case}"
+            );
+            assert_eq!(
+                bits(&evaluated.features),
+                bits(&trained.features),
+                "case {case}"
+            );
+            assert_eq!(evaluated.aux_logits.len(), trained.aux_logits.len());
+            for (e, t) in evaluated.aux_logits.iter().zip(&trained.aux_logits) {
+                assert_eq!(bits(e), bits(t), "case {case}");
+            }
+            let after = model.backward_detailed(&Tensor::ones(trained.logits.dims()), None, &[]);
+            assert!(
+                matches!(after, Err(NnError::MissingForwardCache(_))),
+                "case {case}: backward after an evaluation forward gave {after:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::{Layer, NnError, Param, Result};
 /// Rectified linear unit: `y = max(0, x)`.
 #[derive(Debug, Default)]
 pub struct Relu {
+    /// A training forward's input.
     cached_input: Option<Tensor>,
 }
 
@@ -19,8 +20,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        self.cached_input = train.then(|| input.clone());
         Ok(input.map(|x| x.max(0.0)))
     }
 
@@ -105,6 +106,7 @@ impl Layer for Gelu {
 /// Hyperbolic tangent activation, used by the HAR CNN proxy.
 #[derive(Debug, Default)]
 pub struct Tanh {
+    /// A training forward's output.
     cached_output: Option<Tensor>,
 }
 
@@ -118,9 +120,9 @@ impl Tanh {
 }
 
 impl Layer for Tanh {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let out = input.map(f32::tanh);
-        self.cached_output = Some(out.clone());
+        self.cached_output = train.then(|| out.clone());
         Ok(out)
     }
 

@@ -21,16 +21,16 @@ pub struct SelfAttention {
     cache: Option<AttentionCache>,
 }
 
+/// A training forward's activations, each `[batch, seq, ·]`.
 #[derive(Debug)]
 struct AttentionCache {
-    /// Per-batch-item tensors, each `[seq, dim]` / `[seq, seq]`.
-    x: Vec<Tensor>,
-    q: Vec<Tensor>,
-    k: Vec<Tensor>,
-    v: Vec<Tensor>,
-    attn: Vec<Tensor>,
-    ctx: Vec<Tensor>,
-    dims: Vec<usize>,
+    x: Tensor,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    /// Softmax weights, `[batch, seq, seq]`.
+    attn: Tensor,
+    ctx: Tensor,
 }
 
 impl SelfAttention {
@@ -62,14 +62,27 @@ impl SelfAttention {
     pub fn dim(&self) -> usize {
         self.dim
     }
+}
 
-    fn project(x: &Tensor, w: &Tensor) -> Result<Tensor> {
-        Ok(x.matmul_nt(w)?)
+/// Adds each item of a `[batch, ·, ·]` stack of per-sample weight gradients
+/// onto `grad`, in sample order, as one `axpy` per sample would.
+fn add_per_sample(grad: &mut Tensor, per_sample: &Tensor) {
+    let grad = grad.as_mut_slice();
+    for item in per_sample.as_slice().chunks_exact(grad.len()) {
+        for (g, &p) in grad.iter_mut().zip(item) {
+            *g += p;
+        }
     }
 }
 
+/// The whole batch goes through each step at once. The projections are one
+/// `[batch·seq, dim]` product each, whose rows are the per-sample products'
+/// rows; scores and context are per-sample products stacked into one
+/// buffer; softmax and its backward go row by row; and every weight
+/// gradient adds its per-sample products in sample order. So every element
+/// sees the addends, in the order, of a loop over the samples.
 impl Layer for SelfAttention {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         if input.rank() != 3 || input.dims()[2] != self.dim {
             return Err(NnError::BadInput {
                 layer: "SelfAttention".into(),
@@ -77,97 +90,84 @@ impl Layer for SelfAttention {
                 got: input.dims().to_vec(),
             });
         }
-        let dims = input.dims().to_vec();
-        let (batch, seq, dim) = (dims[0], dims[1], dims[2]);
+        let (batch, seq, dim) = (input.dims()[0], input.dims()[1], self.dim);
+        let (flat, stacked) = ([batch * seq, dim], [batch, seq, dim]);
         let scale = 1.0 / (dim as f32).sqrt();
-        let mut cache = AttentionCache {
-            x: Vec::with_capacity(batch),
-            q: Vec::with_capacity(batch),
-            k: Vec::with_capacity(batch),
-            v: Vec::with_capacity(batch),
-            attn: Vec::with_capacity(batch),
-            ctx: Vec::with_capacity(batch),
-            dims: dims.clone(),
+        let x = input.reshape(&flat)?;
+        let project =
+            |w: &Param| -> Result<Tensor> { Ok(x.matmul_nt(&w.value)?.into_shape(&stacked)?) };
+        let (q, k, v) = (project(&self.wq)?, project(&self.wk)?, project(&self.wv)?);
+        let mut scores = q.matmul_nt_batched(&k)?;
+        scores.scale_inplace(scale);
+        let attn = scores
+            .into_shape(&[batch * seq, seq])?
+            .softmax_rows()?
+            .into_shape(&[batch, seq, seq])?;
+        let ctx = attn.matmul_batched(&v)?.into_shape(&flat)?;
+        let out = ctx.matmul_nt(&self.wo.value)?.into_shape(&stacked)?;
+        self.cache = if train {
+            Some(AttentionCache {
+                x: x.into_shape(&stacked)?,
+                q,
+                k,
+                v,
+                attn,
+                ctx: ctx.into_shape(&stacked)?,
+            })
+        } else {
+            None
         };
-        let mut outputs = Vec::with_capacity(batch);
-        for n in 0..batch {
-            let x = input.index_axis0(n)?; // [seq, dim]
-            let q = Self::project(&x, &self.wq.value)?;
-            let k = Self::project(&x, &self.wk.value)?;
-            let v = Self::project(&x, &self.wv.value)?;
-            let scores = q.matmul_nt(&k)?.scale(scale);
-            let attn = scores.softmax_rows()?;
-            let ctx = attn.matmul(&v)?;
-            let out = Self::project(&ctx, &self.wo.value)?;
-            cache.x.push(x);
-            cache.q.push(q);
-            cache.k.push(k);
-            cache.v.push(v);
-            cache.attn.push(attn);
-            cache.ctx.push(ctx);
-            outputs.push(out);
-        }
-        self.cache = Some(cache);
-        let stacked = Tensor::stack(&outputs)?;
-        Ok(stacked.reshape(&[batch, seq, dim])?)
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let cache = self
+        let c = self
             .cache
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("SelfAttention".into()))?;
-        let dims = cache.dims.clone();
-        let (batch, seq, dim) = (dims[0], dims[1], dims[2]);
-        check_grad_shape("SelfAttention", grad_output, &dims)?;
+        let stacked = c.x.dims().to_vec();
+        let (batch, seq, dim) = (stacked[0], stacked[1], stacked[2]);
+        let flat = [batch * seq, dim];
+        check_grad_shape("SelfAttention", grad_output, &stacked)?;
         let scale = 1.0 / (dim as f32).sqrt();
-        let mut dx_parts = Vec::with_capacity(batch);
-        for n in 0..batch {
-            let dy = grad_output.index_axis0(n)?; // [seq, dim]
-            let x = &cache.x[n];
-            let q = &cache.q[n];
-            let k = &cache.k[n];
-            let v = &cache.v[n];
-            let attn = &cache.attn[n];
-            let ctx = &cache.ctx[n];
 
-            // out = ctx Woᵀ  ⇒  dctx = dy Wo, dWo += dyᵀ ctx
-            self.wo.grad.axpy(1.0, &dy.matmul_tn(ctx)?)?;
-            let dctx = dy.matmul(&self.wo.value)?;
+        // out = ctx Woᵀ  ⇒  dctx = dy Wo, dWo += dyᵀ ctx
+        add_per_sample(&mut self.wo.grad, &grad_output.matmul_tn_batched(&c.ctx)?);
+        let dctx = grad_output
+            .reshape(&flat)?
+            .matmul(&self.wo.value)?
+            .into_shape(&stacked)?;
 
-            // ctx = attn V  ⇒  dattn = dctx Vᵀ, dV = attnᵀ dctx
-            let dattn = dctx.matmul_nt(v)?;
-            let dv = attn.matmul_tn(&dctx)?;
+        // ctx = attn V  ⇒  dattn = dctx Vᵀ, dV = attnᵀ dctx
+        let dattn = dctx.matmul_nt_batched(&c.v)?;
+        let dv = c.attn.matmul_tn_batched(&dctx)?;
 
-            // softmax backward (row-wise): ds = attn ⊙ (dattn - rowsum(dattn ⊙ attn))
-            let prod = dattn.mul(attn)?;
-            let row_sums = prod.row_sums()?; // [seq]
-            let mut ds = Tensor::zeros(&[seq, seq]);
-            for r in 0..seq {
-                for c in 0..seq {
-                    let a = attn.at(&[r, c])?;
-                    let da = dattn.at(&[r, c])?;
-                    ds.set(&[r, c], a * (da - row_sums.as_slice()[r]))?;
-                }
+        // softmax backward (row-wise): ds = attn ⊙ (dattn - rowsum(dattn ⊙ attn))
+        let mut ds = dattn;
+        for (ds, attn) in ds
+            .as_mut_slice()
+            .chunks_exact_mut(seq.max(1))
+            .zip(c.attn.as_slice().chunks_exact(seq.max(1)))
+        {
+            let row_sum: f32 = ds.iter().zip(attn).map(|(&da, &a)| da * a).sum();
+            for (ds, &a) in ds.iter_mut().zip(attn) {
+                *ds = a * (*ds - row_sum) * scale;
             }
-            let ds = ds.scale(scale);
-
-            // scores = Q Kᵀ ⇒ dQ = ds K, dK = dsᵀ Q
-            let dq = ds.matmul(k)?;
-            let dk = ds.matmul_tn(q)?;
-
-            // projections: P = X Wᵀ ⇒ dW += dPᵀ X, dX += dP W
-            self.wq.grad.axpy(1.0, &dq.matmul_tn(x)?)?;
-            self.wk.grad.axpy(1.0, &dk.matmul_tn(x)?)?;
-            self.wv.grad.axpy(1.0, &dv.matmul_tn(x)?)?;
-
-            let mut dx = dq.matmul(&self.wq.value)?;
-            dx.axpy(1.0, &dk.matmul(&self.wk.value)?)?;
-            dx.axpy(1.0, &dv.matmul(&self.wv.value)?)?;
-            dx_parts.push(dx);
         }
-        let stacked = Tensor::stack(&dx_parts)?;
-        Ok(stacked.reshape(&[batch, seq, dim])?)
+
+        // scores = Q Kᵀ ⇒ dQ = ds K, dK = dsᵀ Q
+        let dq = ds.matmul_batched(&c.k)?;
+        let dk = ds.matmul_tn_batched(&c.q)?;
+
+        // projections: P = X Wᵀ ⇒ dW += dPᵀ X, dX += dP W
+        add_per_sample(&mut self.wq.grad, &dq.matmul_tn_batched(&c.x)?);
+        add_per_sample(&mut self.wk.grad, &dk.matmul_tn_batched(&c.x)?);
+        add_per_sample(&mut self.wv.grad, &dv.matmul_tn_batched(&c.x)?);
+
+        let mut dx = dq.into_shape(&flat)?.matmul(&self.wq.value)?;
+        dx.axpy(1.0, &dk.into_shape(&flat)?.matmul(&self.wk.value)?)?;
+        dx.axpy(1.0, &dv.into_shape(&flat)?.matmul(&self.wv.value)?)?;
+        Ok(dx.into_shape(&stacked)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {
@@ -188,6 +188,111 @@ impl Layer for SelfAttention {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-sample loops the whole-batch layer replaced: the bitwise
+    /// reference it must match. Runs `attn`'s weights forward on `input`
+    /// and backward on `dy`, adds the weight gradients onto `grads`
+    /// (`wq, wk, wv, wo`) and returns `(y, dx)`.
+    fn reference(
+        attn: &SelfAttention,
+        input: &Tensor,
+        dy: &Tensor,
+        grads: &mut [Tensor; 4],
+    ) -> (Tensor, Tensor) {
+        let dims = input.dims().to_vec();
+        let (batch, seq, dim) = (dims[0], dims[1], dims[2]);
+        let scale = 1.0 / (dim as f32).sqrt();
+        let [wq, wk, wv, wo] = [&attn.wq, &attn.wk, &attn.wv, &attn.wo].map(|p| &p.value);
+        let (mut ys, mut dxs) = (Vec::new(), Vec::new());
+        for n in 0..batch {
+            let x = input.index_axis0(n).unwrap();
+            let q = x.matmul_nt(wq).unwrap();
+            let k = x.matmul_nt(wk).unwrap();
+            let v = x.matmul_nt(wv).unwrap();
+            let attn = q
+                .matmul_nt(&k)
+                .unwrap()
+                .scale(scale)
+                .softmax_rows()
+                .unwrap();
+            let ctx = attn.matmul(&v).unwrap();
+            ys.push(ctx.matmul_nt(wo).unwrap());
+
+            let dy = dy.index_axis0(n).unwrap();
+            grads[3].axpy(1.0, &dy.matmul_tn(&ctx).unwrap()).unwrap();
+            let dctx = dy.matmul(wo).unwrap();
+            let dattn = dctx.matmul_nt(&v).unwrap();
+            let dv = attn.matmul_tn(&dctx).unwrap();
+            let row_sums = dattn.mul(&attn).unwrap().row_sums().unwrap();
+            let mut ds = Tensor::zeros(&[seq, seq]);
+            for r in 0..seq {
+                for c in 0..seq {
+                    let (a, da) = (attn.at(&[r, c]).unwrap(), dattn.at(&[r, c]).unwrap());
+                    ds.set(&[r, c], a * (da - row_sums.as_slice()[r])).unwrap();
+                }
+            }
+            let ds = ds.scale(scale);
+            let dq = ds.matmul(&k).unwrap();
+            let dk = ds.matmul_tn(&q).unwrap();
+            grads[0].axpy(1.0, &dq.matmul_tn(&x).unwrap()).unwrap();
+            grads[1].axpy(1.0, &dk.matmul_tn(&x).unwrap()).unwrap();
+            grads[2].axpy(1.0, &dv.matmul_tn(&x).unwrap()).unwrap();
+            let mut dx = dq.matmul(wq).unwrap();
+            dx.axpy(1.0, &dk.matmul(wk).unwrap()).unwrap();
+            dx.axpy(1.0, &dv.matmul(wv).unwrap()).unwrap();
+            dxs.push(dx);
+        }
+        let stack = |parts: &[Tensor]| Tensor::stack(parts).unwrap().into_shape(&dims).unwrap();
+        (stack(&ys), stack(&dxs))
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn grads(attn: &SelfAttention) -> [Tensor; 4] {
+        [&attn.wq, &attn.wk, &attn.wv, &attn.wo].map(|p| p.grad.clone())
+    }
+
+    #[test]
+    fn whole_batch_matches_the_per_sample_reference_bitwise() {
+        // (batch, seq, dim); the last is the Stack Overflow proxy's block.
+        for (case, &(batch, seq, dim)) in [(1, 1, 1), (2, 3, 4), (3, 5, 7), (4, 12, 16)]
+            .iter()
+            .enumerate()
+        {
+            let mut rng = SeededRng::new(40 + case as u64);
+            let mut attn = SelfAttention::new(dim, &mut rng).unwrap();
+            attn.visit_params_mut("", &mut |_, p| {
+                p.grad = Tensor::randn(p.value.dims(), 1.0, &mut rng);
+            });
+            let mut x = Tensor::randn(&[batch, seq, dim], 1.0, &mut rng);
+            x.as_mut_slice()
+                .iter_mut()
+                .step_by(5)
+                .for_each(|v| *v = 0.0);
+            let mut dy = Tensor::randn(&[batch, seq, dim], 1.0, &mut rng);
+            dy.as_mut_slice()
+                .iter_mut()
+                .step_by(3)
+                .for_each(|v| *v = -0.0);
+
+            let mut grads_ref = grads(&attn);
+            let (y_ref, dx_ref) = reference(&attn, &x, &dy, &mut grads_ref);
+            let y_eval = attn.forward(&x, false).unwrap();
+            let y = attn.forward(&x, true).unwrap();
+            let dx = attn.backward(&dy).unwrap();
+            assert_eq!(bits(&y_eval), bits(&y_ref), "eval y, case {case}");
+            assert_eq!(bits(&y), bits(&y_ref), "train y, case {case}");
+            assert_eq!(bits(&dx), bits(&dx_ref), "dx, case {case}");
+            for (name, (g, g_ref)) in ["wq", "wk", "wv", "wo"]
+                .iter()
+                .zip(grads(&attn).iter().zip(&grads_ref))
+            {
+                assert_eq!(bits(g), bits(g_ref), "d{name}, case {case}");
+            }
+        }
+    }
 
     #[test]
     fn forward_shape_and_validation() {

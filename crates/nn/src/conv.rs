@@ -42,6 +42,7 @@ pub struct Conv2d {
     kernel: usize,
     stride: usize,
     padding: usize,
+    /// A training forward's input.
     cached_input: Option<Tensor>,
 }
 
@@ -251,7 +252,7 @@ fn swap_inner_axes(src: &[f32], a: usize, b: usize) -> Vec<f32> {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let dims = input.dims();
         let k = self.kernel;
         let p = self.padding;
@@ -363,7 +364,7 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.cached_input = Some(input.clone());
+        self.cached_input = train.then(|| input.clone());
         Ok(Tensor::from_vec(out, &[batch, oc_n, oh, ow])?)
     }
 

@@ -58,7 +58,7 @@ impl Embedding {
 }
 
 impl Layer for Embedding {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         if input.rank() != 2 {
             return Err(NnError::BadInput {
                 layer: "Embedding".into(),
@@ -79,8 +79,8 @@ impl Layer for Embedding {
             out[pos * self.dim..(pos + 1) * self.dim]
                 .copy_from_slice(&table[id * self.dim..(id + 1) * self.dim]);
         }
-        self.cached_ids = Some(ids);
-        self.cached_dims = Some(dims);
+        self.cached_ids = train.then_some(ids);
+        self.cached_dims = train.then_some(dims);
         Ok(Tensor::from_vec(out, &[b, s, self.dim])?)
     }
 

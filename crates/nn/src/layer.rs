@@ -37,10 +37,10 @@ pub(crate) fn check_grad_shape(
 /// gradients without a global autograd tape. This is sufficient (and much
 /// simpler) for the feed-forward proxy models used in the benchmark.
 pub trait Layer {
-    /// Runs the layer on `input`, caching activations for the backward pass.
-    ///
-    /// `train` distinguishes training from evaluation behaviour (normalisation
-    /// layers and dropout-like layers may differ).
+    /// Runs the layer on `input`. A training forward (`train == true`)
+    /// caches what the backward pass needs; an evaluation forward returns
+    /// the same output bit for bit and caches nothing, so a
+    /// [`Layer::backward`] after it is [`NnError::MissingForwardCache`].
     ///
     /// # Errors
     /// Returns an error when the input shape is incompatible with the layer.
@@ -50,8 +50,8 @@ pub trait Layer {
     /// and returning the gradient with respect to the layer input.
     ///
     /// # Errors
-    /// Returns an error if called before [`Layer::forward`] or on a gradient
-    /// of unexpected shape.
+    /// Returns an error if called without a training [`Layer::forward`]
+    /// before it, or on a gradient of unexpected shape.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor>;
 
     /// Visits every parameter with its fully-qualified name.

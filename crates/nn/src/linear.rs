@@ -1,5 +1,7 @@
 //! Fully-connected layer.
 
+use std::borrow::Cow;
+
 use mhfl_tensor::{SeededRng, Tensor};
 
 use crate::layer::{check_grad_shape, join_name};
@@ -20,7 +22,7 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    /// The forward's input flattened to 2-D, and its output shape.
+    /// A training forward's input flattened to 2-D, and its output shape.
     cached: Option<(Tensor, Vec<usize>)>,
 }
 
@@ -67,28 +69,51 @@ impl Linear {
         self.out_features
     }
 
-    /// Flattens a possibly 3-D `[batch, seq, features]` input into 2-D,
-    /// remembering how to restore the gradient shape.
-    fn to_2d(&self, input: &Tensor) -> Result<(Tensor, Option<Vec<usize>>)> {
-        match input.rank() {
-            2 => Ok((input.clone(), None)),
-            3 => {
-                let dims = input.dims().to_vec();
-                let flat = input.reshape(&[dims[0] * dims[1], dims[2]])?;
-                Ok((flat, Some(dims)))
-            }
+    /// Accumulates the weight and bias gradients of the last training
+    /// forward, as [`Layer::backward`] does bit for bit, without building the
+    /// input gradient: for a layer whose caller discards it, such as a stem.
+    ///
+    /// # Errors
+    /// [`NnError::MissingForwardCache`] without a training forward, and
+    /// [`NnError::BadInput`] for a gradient not shaped like the forward's
+    /// output; neither moves a gradient.
+    pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
+        self.accumulate_grads(grad_output).map(drop)
+    }
+
+    /// Views a rank-2 `[batch, features]` input as it is and flattens a
+    /// rank-3 `[batch, seq, features]` one into `[batch·seq, features]`.
+    fn to_2d(input: &Tensor) -> Result<Cow<'_, Tensor>> {
+        let dims = input.dims();
+        match dims.len() {
+            2 => Ok(Cow::Borrowed(input)),
+            3 => Ok(Cow::Owned(input.reshape(&[dims[0] * dims[1], dims[2]])?)),
             _ => Err(NnError::BadInput {
                 layer: "Linear".into(),
                 expected: "rank-2 [batch, features] or rank-3 [batch, seq, features] input".into(),
-                got: input.dims().to_vec(),
+                got: dims.to_vec(),
             }),
         }
+    }
+
+    /// The backward's parameter half: `dW += dYᵀ X` and `db += colsum(dY)`,
+    /// without materialising `dYᵀ`. Returns `dY` flattened to 2-D.
+    fn accumulate_grads<'g>(&mut self, grad_output: &'g Tensor) -> Result<Cow<'g, Tensor>> {
+        let (input, out_dims) = self
+            .cached
+            .as_ref()
+            .ok_or_else(|| NnError::MissingForwardCache("Linear".into()))?;
+        check_grad_shape("Linear", grad_output, out_dims)?;
+        let grad = Self::to_2d(grad_output)?;
+        self.weight.grad.axpy(1.0, &grad.matmul_tn(input)?)?;
+        self.bias.grad.axpy(1.0, &grad.col_sums()?)?;
+        Ok(grad)
     }
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let (flat, orig) = self.to_2d(input)?;
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        let flat = Self::to_2d(input)?;
         if flat.dims()[1] != self.in_features {
             return Err(NnError::BadInput {
                 layer: "Linear".into(),
@@ -97,37 +122,25 @@ impl Layer for Linear {
             });
         }
         // y = x Wᵀ via the transpose-aware kernel: no explicit Wᵀ is ever
-        // materialised, and the flattened input moves into the cache instead
-        // of being cloned.
+        // materialised.
+        let dims = [&input.dims()[..input.rank() - 1], &[self.out_features]].concat();
         let out = flat
             .matmul_nt(&self.weight.value)?
-            .add_row_broadcast(&self.bias.value)?;
-        let out = match orig {
-            None => out,
-            Some(dims) => out.reshape(&[dims[0], dims[1], self.out_features])?,
-        };
-        self.cached = Some((flat, out.dims().to_vec()));
+            .add_row_broadcast(&self.bias.value)?
+            .into_shape(&dims)?;
+        self.cached = train.then(|| (flat.into_owned(), dims));
         Ok(out)
     }
 
+    /// `dX = dY W` after [`Linear::backward_params`]' accumulation.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let (input, out_dims) = self
-            .cached
-            .as_ref()
-            .ok_or_else(|| NnError::MissingForwardCache("Linear".into()))?;
-        check_grad_shape("Linear", grad_output, out_dims)?;
-        let (grad_flat, orig) = self.to_2d(grad_output)?;
-        // dW += dYᵀ X, db += colsum(dY), dX = dY W — all without
-        // materialising dYᵀ.
-        let dw = grad_flat.matmul_tn(input)?;
-        self.weight.grad.axpy(1.0, &dw)?;
-        let db = grad_flat.col_sums()?;
-        self.bias.grad.axpy(1.0, &db)?;
-        let dx = grad_flat.matmul(&self.weight.value)?;
-        match orig {
-            None => Ok(dx),
-            Some(dims) => Ok(dx.reshape(&[dims[0], dims[1], self.in_features])?),
-        }
+        let grad = self.accumulate_grads(grad_output)?;
+        let dims = [
+            &grad_output.dims()[..grad_output.rank() - 1],
+            &[self.in_features],
+        ]
+        .concat();
+        Ok(grad.matmul(&self.weight.value)?.into_shape(&dims)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {
@@ -193,6 +206,41 @@ mod tests {
             (analytic_dw - numeric).abs() < 1e-2,
             "{analytic_dw} vs {numeric}"
         );
+    }
+
+    /// `backward_params` accumulates what `backward` does, bit for bit, onto
+    /// non-zero prior gradients.
+    #[test]
+    fn params_only_backward_matches_backward_bitwise() {
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut rng = SeededRng::new(6);
+        for dims in [&[5, 7][..], &[3, 4, 7]] {
+            let mut lin = Linear::new(7, 17, &mut rng);
+            lin.bias.value = Tensor::randn(&[17], 1.0, &mut rng);
+            lin.weight.grad = Tensor::randn(&[17, 7], 1.0, &mut rng);
+            lin.bias.grad = Tensor::randn(&[17], 1.0, &mut rng);
+            let mut twin = Linear {
+                weight: lin.weight.clone(),
+                bias: lin.bias.clone(),
+                cached: None,
+                ..lin
+            };
+            let x = Tensor::randn(dims, 1.0, &mut rng);
+            let mut dy_dims = dims.to_vec();
+            dy_dims[dims.len() - 1] = 17;
+            let mut dy = Tensor::randn(&dy_dims, 1.0, &mut rng);
+            dy.as_mut_slice()
+                .iter_mut()
+                .step_by(4)
+                .for_each(|g| *g = 0.0);
+            lin.forward(&x, true).unwrap();
+            let dx = lin.backward(&dy).unwrap();
+            assert_eq!(dx.dims(), dims);
+            twin.forward(&x, true).unwrap();
+            twin.backward_params(&dy).unwrap();
+            assert_eq!(bits(&twin.weight.grad), bits(&lin.weight.grad), "{dims:?}");
+            assert_eq!(bits(&twin.bias.grad), bits(&lin.bias.grad), "{dims:?}");
+        }
     }
 
     #[test]

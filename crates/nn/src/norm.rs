@@ -137,6 +137,7 @@ pub struct LayerNorm {
     gamma: Param,
     beta: Param,
     features: usize,
+    /// A training forward's statistics and shape.
     cache: Option<(GroupStats, Vec<usize>)>,
 }
 
@@ -166,7 +167,7 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let dims = input.dims().to_vec();
         let last = *dims.last().unwrap_or(&0);
         if !(input.rank() == 2 || input.rank() == 3) || last != self.features {
@@ -188,8 +189,9 @@ impl Layer for LayerNorm {
                 *y = g * xh + b;
             }
         }
-        self.cache = Some((stats, dims.clone()));
-        Ok(Tensor::from_vec(data, &dims)?)
+        let out = Tensor::from_vec(data, &dims)?;
+        self.cache = train.then_some((stats, dims));
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -245,8 +247,8 @@ pub struct ChannelNorm2d {
     gamma: Param,
     beta: Param,
     channels: usize,
-    /// The forward's statistics (`None` when it passed a 1×1 map through)
-    /// and its shape.
+    /// A training forward's statistics (`None` when it passed a 1×1 map
+    /// through) and its shape.
     cache: Option<(Option<GroupStats>, Vec<usize>)>,
 }
 
@@ -276,7 +278,7 @@ impl ChannelNorm2d {
 }
 
 impl Layer for ChannelNorm2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let dims = input.dims().to_vec();
         if input.rank() != 4 || dims[1] != self.channels {
             return Err(NnError::BadInput {
@@ -288,7 +290,7 @@ impl Layer for ChannelNorm2d {
         let spatial = dims[2] * dims[3];
         if spatial < 2 {
             // Normalising a single value would zero it out; pass through.
-            self.cache = Some((None, dims));
+            self.cache = train.then_some((None, dims));
             return Ok(input.clone());
         }
         let stats = normalise_groups(input.as_slice(), spatial);
@@ -305,8 +307,9 @@ impl Layer for ChannelNorm2d {
                 *y = g * xh + b;
             }
         }
-        self.cache = Some((Some(stats), dims.clone()));
-        Ok(Tensor::from_vec(data, &dims)?)
+        let out = Tensor::from_vec(data, &dims)?;
+        self.cache = train.then_some((Some(stats), dims));
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {

@@ -20,7 +20,7 @@ impl GlobalAvgPool2d {
 }
 
 impl Layer for GlobalAvgPool2d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         if input.rank() != 4 {
             return Err(NnError::BadInput {
                 layer: "GlobalAvgPool2d".into(),
@@ -39,7 +39,7 @@ impl Layer for GlobalAvgPool2d {
                 out[n * c + ch] = x[start..start + h * w].iter().sum::<f32>() / spatial;
             }
         }
-        self.cached_dims = Some(dims);
+        self.cached_dims = train.then_some(dims);
         Ok(Tensor::from_vec(out, &[b, c])?)
     }
 
@@ -81,7 +81,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         if input.rank() < 2 {
             return Err(NnError::BadInput {
                 layer: "Flatten".into(),
@@ -92,7 +92,7 @@ impl Layer for Flatten {
         let dims = input.dims().to_vec();
         let batch = dims[0];
         let rest: usize = dims[1..].iter().product();
-        self.cached_dims = Some(dims);
+        self.cached_dims = train.then_some(dims);
         Ok(input.reshape(&[batch, rest])?)
     }
 
@@ -126,7 +126,7 @@ impl MeanPool1d {
 }
 
 impl Layer for MeanPool1d {
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         if input.rank() != 3 {
             return Err(NnError::BadInput {
                 layer: "MeanPool1d".into(),
@@ -146,7 +146,7 @@ impl Layer for MeanPool1d {
             }
         }
         out.iter_mut().for_each(|v| *v /= s as f32);
-        self.cached_dims = Some(dims);
+        self.cached_dims = train.then_some(dims);
         Ok(Tensor::from_vec(out, &[b, f])?)
     }
 

@@ -1,5 +1,6 @@
-//! A gradient that does not match the forward's output is a typed error in
-//! every layer, refused before any parameter gradient moves.
+//! Every layer's backward state: a gradient that does not match the
+//! forward's output is a typed error, refused before any parameter gradient
+//! moves, and an evaluation forward keeps nothing a backward could use.
 
 use mhfl_nn::{
     ChannelNorm2d, Conv2d, Embedding, Flatten, Gelu, GlobalAvgPool2d, Layer, LayerNorm, Linear,
@@ -134,34 +135,84 @@ fn malformed_gradient_is_bad_input_in_every_layer() {
     }
 }
 
-#[test]
-fn malformed_gradient_is_bad_input_in_conv2d_params_only_backward() {
-    let mut rng = SeededRng::new(1);
-    let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
-    let x = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
-    let no_forward = conv.backward_params(&Tensor::zeros(&[2, 3, 4, 4]));
+/// Runs a params-only backward (`Conv2d::backward_params`,
+/// `Linear::backward_params`) through the same refusals as
+/// [`malformed_gradient_is_bad_input_in_every_layer`]'s backward, and checks
+/// that an evaluation forward leaves it nothing to run on.
+fn assert_params_only_backward_refuses<L: Layer>(
+    layer: &mut L,
+    x: &Tensor,
+    backward_params: impl Fn(&mut L, &Tensor) -> Result<(), NnError>,
+    rng: &mut SeededRng,
+) {
+    // The cache is looked for before the gradient's shape is checked.
+    let no_forward = backward_params(layer, &Tensor::zeros(x.dims()));
     assert!(
         matches!(no_forward, Err(NnError::MissingForwardCache(_))),
         "backward_params before forward gave {no_forward:?}"
     );
+    let y = layer.forward(x, true).unwrap();
+    layer.forward(x, false).unwrap();
+    let after_eval = backward_params(layer, &Tensor::zeros(y.dims()));
+    assert!(
+        matches!(after_eval, Err(NnError::MissingForwardCache(_))),
+        "backward_params after an evaluation forward gave {after_eval:?}"
+    );
 
-    conv.visit_params_mut("", &mut |_, p| {
-        p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng)
+    layer.visit_params_mut("", &mut |_, p| {
+        p.grad = Tensor::randn(p.grad.dims(), 1.0, rng)
     });
-    let before = grad_bits(&conv);
-    let y = conv.forward(&x, true).unwrap();
+    let before = grad_bits(layer);
+    let y = layer.forward(x, true).unwrap();
     for batch in [y.dims()[0] - 1, y.dims()[0] + 1] {
         let mut dims = y.dims().to_vec();
         dims[0] = batch;
-        let result = conv.backward_params(&Tensor::randn(&dims, 1.0, &mut rng));
+        let result = backward_params(layer, &Tensor::randn(&dims, 1.0, rng));
         assert!(
             matches!(result, Err(NnError::BadInput { .. })),
             "gradient {dims:?} for output {:?} gave {result:?}",
             y.dims()
         );
-        assert_eq!(grad_bits(&conv), before, "{dims:?}");
+        assert_eq!(grad_bits(layer), before, "{dims:?}");
     }
-    conv.backward_params(&Tensor::randn(y.dims(), 1.0, &mut rng))
-        .unwrap();
-    assert_ne!(grad_bits(&conv), before);
+    backward_params(layer, &Tensor::randn(y.dims(), 1.0, rng)).unwrap();
+    assert_ne!(grad_bits(layer), before);
+}
+
+#[test]
+fn malformed_gradient_is_bad_input_in_conv2d_params_only_backward() {
+    let mut rng = SeededRng::new(1);
+    let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng).unwrap();
+    let x = Tensor::randn(&[2, 2, 4, 4], 1.0, &mut rng);
+    assert_params_only_backward_refuses(&mut conv, &x, Conv2d::backward_params, &mut rng);
+}
+
+#[test]
+fn malformed_gradient_is_bad_input_in_linear_params_only_backward() {
+    let mut rng = SeededRng::new(3);
+    for dims in [&[2, 4][..], &[2, 5, 4]] {
+        let mut linear = Linear::new(4, 3, &mut rng);
+        let x = Tensor::randn(dims, 1.0, &mut rng);
+        assert_params_only_backward_refuses(&mut linear, &x, Linear::backward_params, &mut rng);
+    }
+}
+
+/// An evaluation forward returns the training forward's output bit for bit
+/// and drops what the training forward kept, so a backward after it is
+/// refused instead of running on stale activations.
+#[test]
+fn evaluation_forward_keeps_no_backward_state_in_every_layer() {
+    let mut rng = SeededRng::new(2);
+    let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (name, mut layer, x) in cases(&mut rng) {
+        let trained = layer.forward(&x, true).unwrap();
+        let evaluated = layer.forward(&x, false).unwrap();
+        assert_eq!(evaluated.dims(), trained.dims(), "{name}");
+        assert_eq!(bits(&evaluated), bits(&trained), "{name}");
+        let after = layer.backward(&Tensor::ones(trained.dims()));
+        assert!(
+            matches!(after, Err(NnError::MissingForwardCache(_))),
+            "{name}: backward after an evaluation forward gave {after:?}"
+        );
+    }
 }

@@ -6,7 +6,8 @@
 //!
 //! * an n-dimensional `f32` [`Tensor`] with row-major storage,
 //! * elementwise arithmetic with simple broadcasting,
-//! * 2-D matrix multiplication and transposition,
+//! * 2-D matrix multiplication (also over a batch of matrices) and
+//!   transposition,
 //! * reductions, softmax, argmax,
 //! * axis slicing and index-based gathering (used by width/depth sub-model
 //!   extraction),
@@ -14,7 +15,7 @@
 //!
 //! The library intentionally avoids `unsafe`, SIMD intrinsics and GPU
 //! support, but the matmul path is performance-engineered: [`kernels`]
-//! provides blocked/tiled kernels with L1-sized packed panels and
+//! provides one register-tiled kernel behind `A·B` and the
 //! transpose-aware `A·Bᵀ`/`Aᵀ·B` variants — all bitwise identical to
 //! a naive `ikj` reference loop that the crate's tests compare them
 //! against, so reproducibility survives every optimisation.

@@ -1,6 +1,41 @@
 //! Arithmetic, linear algebra and reduction operations on [`Tensor`].
 
-use crate::{Result, Tensor, TensorError};
+use crate::{kernels, Result, Tensor, TensorError};
+
+/// The three matrix products, by the operand each reads transposed.
+#[derive(Debug, Clone, Copy)]
+enum Product {
+    /// `A·B`.
+    Plain,
+    /// `A·Bᵀ`.
+    Nt,
+    /// `Aᵀ·B`.
+    Tn,
+}
+
+/// A kernel of [`crate::kernels`]: `(a, b, m, k, n, out)`.
+type Kernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+
+impl Product {
+    /// `[m, k, n]` of the `[m, k] × [k, n]` product of the matrices shaped
+    /// `a` and `b`, if their contraction extents agree.
+    fn extents(self, a: &[usize], b: &[usize]) -> Option<[usize; 3]> {
+        let [m, k, k2, n] = match self {
+            Product::Plain => [a[0], a[1], b[0], b[1]],
+            Product::Nt => [a[0], a[1], b[1], b[0]],
+            Product::Tn => [a[1], a[0], b[0], b[1]],
+        };
+        (k == k2).then_some([m, k, n])
+    }
+
+    fn kernel(self) -> Kernel {
+        match self {
+            Product::Plain => kernels::matmul,
+            Product::Nt => kernels::matmul_nt,
+            Product::Tn => kernels::matmul_tn,
+        }
+    }
+}
 
 impl Tensor {
     /// Applies a function to every element, returning a new tensor.
@@ -94,11 +129,11 @@ impl Tensor {
     }
 
     /// Adds `bias` (a rank-1 tensor of length equal to the trailing
-    /// dimension) to every row of a rank-2 tensor.
+    /// dimension) to every row of a rank-2 tensor, in place of its elements.
     ///
     /// # Errors
     /// Returns an error for rank/shape mismatches.
-    pub fn add_row_broadcast(&self, bias: &Tensor) -> Result<Tensor> {
+    pub fn add_row_broadcast(mut self, bias: &Tensor) -> Result<Tensor> {
         if self.rank() != 2 || bias.rank() != 1 {
             return Err(TensorError::ShapeMismatch {
                 left: self.dims().to_vec(),
@@ -114,59 +149,75 @@ impl Tensor {
                 op: "add_row_broadcast",
             });
         }
-        let mut out = self.clone();
         let b = bias.as_slice();
         for r in 0..rows {
-            let row = &mut out.as_mut_slice()[r * cols..(r + 1) * cols];
+            let row = &mut self.as_mut_slice()[r * cols..(r + 1) * cols];
             for (value, add) in row.iter_mut().zip(b) {
                 *value += add;
             }
         }
-        Ok(out)
+        Ok(self)
     }
 
-    /// Validates a rank-2 × rank-2 product and returns `(m, inner_a,
-    /// inner_b, n)` where `inner_a`/`inner_b` are the contraction extents
-    /// the caller must match up.
-    fn matmul_dims(&self, rhs: &Tensor, op: &'static str) -> Result<[usize; 4]> {
-        if self.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.rank(),
-                op,
-            });
+    /// Runs `product` on two rank-`rank` operands: on the two matrices when
+    /// `rank` is 2, and on each pair of matching items of two `[batch, ..]`
+    /// stacks of matrices when it is 3.
+    fn product(
+        &self,
+        rhs: &Tensor,
+        product: Product,
+        rank: usize,
+        op: &'static str,
+    ) -> Result<Tensor> {
+        for operand in [self, rhs] {
+            if operand.rank() != rank {
+                return Err(TensorError::RankMismatch {
+                    expected: rank,
+                    actual: operand.rank(),
+                    op,
+                });
+            }
         }
-        if rhs.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: rhs.rank(),
-                op,
-            });
+        let mismatch = || TensorError::ShapeMismatch {
+            left: self.dims().to_vec(),
+            right: rhs.dims().to_vec(),
+            op,
+        };
+        let (batch, a) = self.dims().split_at(rank - 2);
+        let (batch_b, b) = rhs.dims().split_at(rank - 2);
+        if batch != batch_b {
+            return Err(mismatch());
         }
-        Ok([self.dims()[0], self.dims()[1], rhs.dims()[0], rhs.dims()[1]])
+        let [m, k, n] = product.extents(a, b).ok_or_else(mismatch)?;
+        let items: usize = batch.iter().product();
+        let kernel = product.kernel();
+        let mut out = vec![0.0; items * m * n];
+        for t in 0..items {
+            kernel(
+                &self.as_slice()[t * m * k..(t + 1) * m * k],
+                &rhs.as_slice()[t * k * n..(t + 1) * k * n],
+                m,
+                k,
+                n,
+                &mut out[t * m * n..(t + 1) * m * n],
+            );
+        }
+        let mut dims = batch.to_vec();
+        dims.extend([m, n]);
+        Tensor::from_vec(out, &dims)
     }
 
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
     ///
-    /// Runs the blocked kernel of [`crate::kernels`]; bitwise identical to
-    /// a plain `ikj` loop (the reference its tests compare against) for
-    /// finite inputs.
+    /// Runs the register-tiled kernel of [`crate::kernels`]; bitwise
+    /// identical to a plain `ikj` loop (the reference its tests compare
+    /// against) for finite inputs.
     ///
     /// # Errors
     /// Returns an error if either operand is not rank-2 or the inner
     /// dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        let [m, k, k2, n] = self.matmul_dims(rhs, "matmul")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: rhs.dims().to_vec(),
-                op: "matmul",
-            });
-        }
-        let mut out = vec![0.0; m * n];
-        crate::kernels::matmul(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_vec(out, &[m, n])
+        self.product(rhs, Product::Plain, 2, "matmul")
     }
 
     /// Transpose-aware product `self × rhsᵀ`: `[m, k] x [n, k] -> [m, n]`,
@@ -178,17 +229,7 @@ impl Tensor {
     /// Returns an error if either operand is not rank-2 or the trailing
     /// dimensions disagree.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
-        let [m, k, n, k2] = self.matmul_dims(rhs, "matmul_nt")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: rhs.dims().to_vec(),
-                op: "matmul_nt",
-            });
-        }
-        let mut out = vec![0.0; m * n];
-        crate::kernels::matmul_nt(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_vec(out, &[m, n])
+        self.product(rhs, Product::Nt, 2, "matmul_nt")
     }
 
     /// Transpose-aware product `selfᵀ × rhs`: `[k, m] x [k, n] -> [m, n]`,
@@ -200,17 +241,38 @@ impl Tensor {
     /// Returns an error if either operand is not rank-2 or the leading
     /// dimensions disagree.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor> {
-        let [k, m, k2, n] = self.matmul_dims(rhs, "matmul_tn")?;
-        if k != k2 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: rhs.dims().to_vec(),
-                op: "matmul_tn",
-            });
-        }
-        let mut out = vec![0.0; m * n];
-        crate::kernels::matmul_tn(self.as_slice(), rhs.as_slice(), m, k, n, &mut out);
-        Tensor::from_vec(out, &[m, n])
+        self.product(rhs, Product::Tn, 2, "matmul_tn")
+    }
+
+    /// [`Tensor::matmul`] of each item of two rank-3 stacks:
+    /// `[batch, m, k] x [batch, k, n] -> [batch, m, n]`, item `t` of the
+    /// result bitwise equal to `self[t].matmul(&rhs[t])`.
+    ///
+    /// # Errors
+    /// Returns an error if either operand is not rank-3, the batch sizes
+    /// differ or the inner dimensions disagree.
+    pub fn matmul_batched(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.product(rhs, Product::Plain, 3, "matmul_batched")
+    }
+
+    /// [`Tensor::matmul_nt`] of each item of two rank-3 stacks:
+    /// `[batch, m, k] x [batch, n, k] -> [batch, m, n]`.
+    ///
+    /// # Errors
+    /// Returns an error if either operand is not rank-3, the batch sizes
+    /// differ or the trailing dimensions disagree.
+    pub fn matmul_nt_batched(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.product(rhs, Product::Nt, 3, "matmul_nt_batched")
+    }
+
+    /// [`Tensor::matmul_tn`] of each item of two rank-3 stacks:
+    /// `[batch, k, m] x [batch, k, n] -> [batch, m, n]`.
+    ///
+    /// # Errors
+    /// Returns an error if either operand is not rank-3, the batch sizes
+    /// differ or the middle dimensions disagree.
+    pub fn matmul_tn_batched(&self, rhs: &Tensor) -> Result<Tensor> {
+        self.product(rhs, Product::Tn, 3, "matmul_tn_batched")
     }
 
     /// Transpose of a rank-2 tensor.
@@ -427,17 +489,18 @@ mod tests {
 
     impl Tensor {
         /// The naive reference kernel: `ikj` loop order, one pass, no
-        /// blocking. The ground truth the blocked [`Tensor::matmul`] and the
+        /// tiling. The ground truth the tiled [`Tensor::matmul`] and the
         /// transpose-aware variants must agree with bit-for-bit.
         fn matmul_naive(&self, rhs: &Tensor) -> Result<Tensor> {
-            let [m, k, k2, n] = self.matmul_dims(rhs, "matmul")?;
-            if k != k2 {
+            let (a, b) = (self.dims(), rhs.dims());
+            if a.len() != 2 || b.len() != 2 || a[1] != b[0] {
                 return Err(TensorError::ShapeMismatch {
                     left: self.dims().to_vec(),
                     right: rhs.dims().to_vec(),
                     op: "matmul",
                 });
             }
+            let [m, k, n] = [a[0], a[1], b[1]];
             let a = self.as_slice();
             let b = rhs.as_slice();
             let mut out = vec![0.0; m * n];
@@ -508,35 +571,60 @@ mod tests {
         assert!(v.matmul(&a).is_err());
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `randn` with every third entry `+0.0` and every fifth `-0.0`, so the
+    /// kernels' skip of a zero left-hand entry is taken and a zero
+    /// right-hand entry adds a signed zero.
+    fn with_zeros(dims: &[usize], rng: &mut crate::SeededRng) -> Tensor {
+        let mut t = Tensor::randn(dims, 1.0, rng);
+        for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+            if i % 3 == 0 {
+                *v = 0.0;
+            } else if i % 5 == 0 {
+                *v = -0.0;
+            }
+        }
+        t
+    }
+
     #[test]
     fn blocked_and_transpose_aware_kernels_match_naive_bitwise() {
         let mut rng = crate::SeededRng::new(7);
-        let fixed = [
+        let mut fixed = vec![
             (1usize, 1usize, 1usize),
             (2, 3, 2),
             (5, 7, 9),
-            (1, 16, 130), // wide output: exercises the packed-panel path
+            (1, 16, 130),
             (3, 0, 4),    // k = 0: all-zero output
-            (17, 70, 33), // non-multiple-of-tile dims
+            (17, 70, 33), // odd m, ragged column tail
+            (9, 80, 150), // k > 64, n > 128
         ];
+        // Odd and even m around the two-row tile, n around the 16-wide one.
+        for m in [1, 2, 3, 7] {
+            for n in [15, 16, 17, 31, 33] {
+                fixed.push((m, 5, n));
+            }
+        }
         // Seeded random shapes: m in 1..40, k in 0..80, n in 1..160.
         let random: Vec<_> = (0..48)
             .map(|_| (1 + rng.index(39), rng.index(80), 1 + rng.index(159)))
             .collect();
-        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for (m, k, n) in fixed.into_iter().chain(random) {
-            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
-            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+            let a = with_zeros(&[m, k], &mut rng);
+            let b = with_zeros(&[k, n], &mut rng);
             let naive = a.matmul_naive(&b).unwrap();
-            let blocked = a.matmul(&b).unwrap();
-            assert_eq!(naive.dims(), blocked.dims());
+            let tiled = a.matmul(&b).unwrap();
+            assert_eq!(naive.dims(), tiled.dims());
             assert_eq!(
                 bits(&naive),
-                bits(&blocked),
-                "blocked matmul diverged at {m}x{k}x{n}"
+                bits(&tiled),
+                "tiled matmul diverged at {m}x{k}x{n}"
             );
             // A·Bᵀ and Aᵀ·B without the transpose == naive with it.
-            let bt = Tensor::randn(&[n, k], 1.0, &mut rng);
+            let bt = with_zeros(&[n, k], &mut rng);
             let nt = a.matmul_nt(&bt).unwrap();
             let nt_ref = a.matmul_naive(&bt.transpose().unwrap()).unwrap();
             assert_eq!(
@@ -544,7 +632,7 @@ mod tests {
                 bits(&nt_ref),
                 "matmul_nt diverged at {m}x{k}x{n}"
             );
-            let at = Tensor::randn(&[k, m], 1.0, &mut rng);
+            let at = with_zeros(&[k, m], &mut rng);
             let tn = at.matmul_tn(&b).unwrap();
             let tn_ref = at.transpose().unwrap().matmul_naive(&b).unwrap();
             assert_eq!(
@@ -553,6 +641,52 @@ mod tests {
                 "matmul_tn diverged at {m}x{k}x{n}"
             );
         }
+    }
+
+    #[test]
+    fn batched_products_match_each_item_bitwise() {
+        let mut rng = crate::SeededRng::new(11);
+        for (batch, m, k, n) in [(1, 1, 1, 1), (3, 12, 16, 12), (2, 5, 0, 3), (4, 7, 9, 17)] {
+            let a = with_zeros(&[batch, m, k], &mut rng);
+            let b = with_zeros(&[batch, k, n], &mut rng);
+            let bt = with_zeros(&[batch, n, k], &mut rng);
+            let at = with_zeros(&[batch, k, m], &mut rng);
+            let products = [
+                (a.matmul_batched(&b).unwrap(), "matmul"),
+                (a.matmul_nt_batched(&bt).unwrap(), "matmul_nt"),
+                (at.matmul_tn_batched(&b).unwrap(), "matmul_tn"),
+            ];
+            for t in 0..batch {
+                let (a, b) = (a.index_axis0(t).unwrap(), b.index_axis0(t).unwrap());
+                let (at, bt) = (at.index_axis0(t).unwrap(), bt.index_axis0(t).unwrap());
+                let items = [a.matmul(&b), a.matmul_nt(&bt), at.matmul_tn(&b)];
+                for ((batched, name), item) in products.iter().zip(items) {
+                    assert_eq!(batched.dims(), &[batch, m, n]);
+                    assert_eq!(
+                        bits(&batched.index_axis0(t).unwrap()),
+                        bits(&item.unwrap()),
+                        "{name} item {t} of {batch}x{m}x{k}x{n}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_shape_errors() {
+        let a = Tensor::zeros(&[2, 3, 4]);
+        assert!(a.matmul_batched(&Tensor::zeros(&[3, 4, 5])).is_err()); // batch
+        assert!(a.matmul_batched(&Tensor::zeros(&[2, 3, 5])).is_err()); // inner
+        assert!(a.matmul_batched(&Tensor::zeros(&[4, 5])).is_err()); // rank
+        assert!(a.matmul_nt_batched(&Tensor::zeros(&[2, 5, 3])).is_err());
+        assert!(a.matmul_tn_batched(&Tensor::zeros(&[2, 4, 5])).is_err());
+        assert!(Tensor::zeros(&[3, 4]).matmul_batched(&a).is_err());
+        assert_eq!(
+            a.matmul_nt_batched(&Tensor::zeros(&[2, 5, 4]))
+                .unwrap()
+                .dims(),
+            &[2, 3, 5]
+        );
     }
 
     #[test]

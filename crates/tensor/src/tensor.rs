@@ -148,6 +148,14 @@ impl Tensor {
     /// # Errors
     /// Returns [`TensorError::ReshapeMismatch`] if the element counts differ.
     pub fn reshape(&self, dims: &[usize]) -> Result<Tensor> {
+        self.clone().into_shape(dims)
+    }
+
+    /// [`Tensor::reshape`] that moves the elements instead of copying them.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ReshapeMismatch`] if the element counts differ.
+    pub fn into_shape(self, dims: &[usize]) -> Result<Tensor> {
         let target = Shape::new(dims);
         if target.len() != self.len() {
             return Err(TensorError::ReshapeMismatch {
@@ -157,7 +165,7 @@ impl Tensor {
         }
         Ok(Tensor {
             shape: target,
-            data: self.data.clone(),
+            data: self.data,
         })
     }
 
