@@ -169,37 +169,49 @@ pub(crate) fn chance(num_classes: usize) -> f32 {
 
 /// One evaluation point over distinct models. `models` names the global
 /// model, then the model each sampled client deploys; `None` is a
-/// deployment without a trained model, which answers `chance`. Each
-/// distinct named model is scored once by [`evaluate_models`] — the global
-/// model first, then in first-seen order, so the first error is the one a
-/// serial global-then-clients loop would hit — and the scores are mapped
-/// back in sample order.
+/// deployment without a trained model, which answers `chance`. `source`
+/// names the model a deployment's score is read off: the deployment itself,
+/// or a deeper model whose forward gives it too. [`evaluate_models`] builds
+/// each distinct source once and reads each distinct deployment once —
+/// sources in first-seen order, the global model's first, so the first
+/// error is the one a serial global-then-clients loop would hit — and the
+/// scores are mapped back in sample order.
 pub(crate) fn evaluate_distinct<K: PartialEq + Sync, M>(
     models: impl IntoIterator<Item = Option<K>>,
     chance: f32,
     data: &Dataset,
     parallelism: Parallelism,
+    source: impl Fn(&K) -> K,
     build: impl Fn(&K) -> FlResult<M> + Sync,
-    score_chunk: impl Fn(&mut M, &Batch) -> FlResult<f32> + Sync,
+    score_chunk: impl Fn(&mut M, &[K], &Batch) -> FlResult<Vec<f32>> + Sync,
 ) -> FlResult<(f32, Vec<f32>)> {
-    let mut distinct: Vec<K> = Vec::new();
-    let job_of: Vec<Option<usize>> = models
+    let (mut sources, mut reads): (Vec<K>, Vec<Vec<K>>) = (Vec::new(), Vec::new());
+    let read_at: Vec<Option<(usize, usize)>> = models
         .into_iter()
         .map(|key| {
             let key = key?;
-            let job = distinct.iter().position(|seen| *seen == key);
-            Some(job.unwrap_or_else(|| {
-                distinct.push(key);
-                distinct.len() - 1
-            }))
+            let model = position_or_push(&mut sources, source(&key));
+            if model == reads.len() {
+                reads.push(Vec::new());
+            }
+            Some((model, position_or_push(&mut reads[model], key)))
         })
         .collect();
-    let scores = evaluate_models(&distinct, data, parallelism, build, score_chunk)?;
-    let mut point = job_of
+    let models: Vec<(K, Vec<K>)> = sources.into_iter().zip(reads).collect();
+    let scores = evaluate_models(&models, data, parallelism, build, score_chunk)?;
+    let mut point = read_at
         .into_iter()
-        .map(|job| job.map_or(chance, |job| scores[job]));
+        .map(|at| at.map_or(chance, |(model, key)| scores[model][key]));
     let global = point.next().unwrap_or(chance);
     Ok((global, point.collect()))
+}
+
+/// The index of `item` in `seen`, appended first if it is new.
+fn position_or_push<T: PartialEq>(seen: &mut Vec<T>, item: T) -> usize {
+    seen.iter().position(|s| *s == item).unwrap_or_else(|| {
+        seen.push(item);
+        seen.len() - 1
+    })
 }
 
 #[cfg(test)]

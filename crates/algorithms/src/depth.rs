@@ -16,10 +16,15 @@
 //!   all the classifiers they own jointly and distill the deepest available
 //!   classifier into the shallower ones (self-distillation), and the global
 //!   model is evaluated as the ensemble of its classifiers.
+//!
+//! Every deployment of the three is a block prefix of the global model, so
+//! an evaluation point reads every distinct depth off one forward of the
+//! global model per test chunk ([`mhfl_models::ProxyModel::forward_depths`]),
+//! bit for bit what each extracted prefix model would score on its own.
 
 use mhfl_data::{Batch, Dataset};
 use mhfl_fl::{FlResult, LocalTrainConfig};
-use mhfl_models::{ProxyConfig, ProxyModel};
+use mhfl_models::{ForwardOutput, ProxyConfig, ProxyModel};
 use mhfl_nn::loss::{accuracy, cross_entropy, soft_cross_entropy};
 use mhfl_nn::{Layer, Sgd, StateDict};
 use mhfl_tensor::{SeededRng, Tensor};
@@ -134,10 +139,9 @@ pub(crate) fn momentum_transfer(
 }
 
 /// One chunk of a DepthFL model's score: the accuracy of the ensemble of
-/// its classifiers (the final head's softmax plus every auxiliary head's),
-/// weighted by the chunk's rows.
-pub(crate) fn ensemble_correct(model: &mut ProxyModel, batch: &Batch) -> FlResult<f32> {
-    let out = model.forward_detailed(&batch.inputs, false)?;
+/// its classifiers (the final head's softmax plus every auxiliary head's)
+/// in `out`, a forward of `batch`, weighted by the chunk's rows.
+pub(crate) fn ensemble_correct(out: &ForwardOutput, batch: &Batch) -> FlResult<f32> {
     let mut probs = out.logits.softmax_rows()?;
     for aux in &out.aux_logits {
         probs.axpy(1.0, &aux.softmax_rows()?)?;

@@ -307,11 +307,15 @@ impl FlAlgorithm for FedEt {
             chance(self.num_classes),
             data,
             parallelism,
+            |&key| key,
             |key| match *key {
                 Deployed::Server => Ok(ProxyModel::from_state(server_cfg, &server_sd)?),
                 Deployed::Client(client) => self.client_models.stored_model(client),
             },
-            top1_correct,
+            |model, _, batch| {
+                let out = model.forward_detailed(&batch.inputs, false)?;
+                Ok(vec![top1_correct(&out, batch)?])
+            },
         )
     }
 

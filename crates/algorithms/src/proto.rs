@@ -197,7 +197,9 @@ impl Scored {
                 }
                 Ok(correct_count(&probs, &batch.labels)? as f32)
             }
-            Scored::Local(model) => top1_correct(model, batch),
+            Scored::Local(model) => {
+                top1_correct(&model.forward_detailed(&batch.inputs, false)?, batch)
+            }
         }
     }
 }
@@ -356,8 +358,9 @@ impl FlAlgorithm for FedProto {
             chance(self.num_classes),
             data,
             parallelism,
+            |&key| key,
             |&key| self.scored(key),
-            Scored::score_chunk,
+            |scored, _, batch| Ok(vec![scored.score_chunk(batch)?]),
         )
     }
 

@@ -9,7 +9,7 @@
 //! per-round client configuration and channel selection, the local trainer
 //! (both in [`FlAlgorithm::client_update`]), the post-aggregation hook
 //! ([`FlAlgorithm::aggregate`]) and the deployed configuration and its score
-//! ([`SubmodelAlgorithm::deployed_config`], [`score_chunk`]) — with the
+//! ([`SubmodelAlgorithm::deployed_config`], [`score_output`]) — with the
 //! method-specific functions themselves in [`crate::width`], [`crate::depth`]
 //! and [`crate::baseline`].
 
@@ -22,7 +22,9 @@ use mhfl_fl::{
     AlgorithmState, ClientPayload, ClientUpdate, FederationContext, FlAlgorithm, FlError, FlResult,
     Parallelism, RobustAggregation,
 };
-use mhfl_models::{MhflMethod, ModelFamily, ProxyConfig, ProxyModel};
+use mhfl_models::{
+    ForwardOutput, HeterogeneityLevel, MhflMethod, ModelFamily, ProxyConfig, ProxyModel,
+};
 use mhfl_nn::{ParamSpec, StateDict};
 
 use crate::common::{
@@ -101,6 +103,17 @@ impl SubmodelAlgorithm {
         self.extract(cfg, WidthSelection::Prefix)
     }
 
+    /// The model a deployment's score is read off at an evaluation point.
+    /// A depth-family deployment is a block prefix of the global model, so
+    /// the global model's [`ProxyModel::forward_depths`] gives it; any other
+    /// deployment is read off itself.
+    fn source(&self, global: ProxyConfig, deployed: &Realised) -> Realised {
+        match self.method.level() {
+            HeterogeneityLevel::Depth => Realised(global),
+            _ => *deployed,
+        }
+    }
+
     /// An evaluation point's models: the global one, then the one each of
     /// `clients` deploys, each keyed on the model it realises.
     fn point_models(&self, global: ProxyConfig, clients: &[usize]) -> Vec<Option<Realised>> {
@@ -135,13 +148,41 @@ impl PartialEq for Realised {
     }
 }
 
-/// How a method scores one evaluation chunk: DepthFL models answer as the
-/// ensemble of their classifiers, every other method's with their one head.
-fn score_chunk(method: MhflMethod) -> fn(&mut ProxyModel, &Batch) -> FlResult<f32> {
+/// How a method scores one evaluation chunk's forward: DepthFL models
+/// answer as the ensemble of their classifiers, every other method's with
+/// their one head.
+fn score_output(method: MhflMethod) -> fn(&ForwardOutput, &Batch) -> FlResult<f32> {
     match method {
         MhflMethod::DepthFl => depth::ensemble_correct,
         _ => top1_correct,
     }
+}
+
+/// One deployment's score on `data`, on the calling thread: the serial
+/// reference of [`score_deployments`].
+fn evaluate_deployment(
+    method: MhflMethod,
+    model: &mut ProxyModel,
+    data: &Dataset,
+) -> FlResult<f32> {
+    let score = score_output(method);
+    evaluate_chunks(model, data, |model, batch| {
+        score(&model.forward_detailed(&batch.inputs, false)?, batch)
+    })
+}
+
+/// One chunk's term of each deployment in `deployed`, read off one forward
+/// of `model` at each deployment's block count.
+fn score_deployments(
+    method: MhflMethod,
+    model: &mut ProxyModel,
+    deployed: &[Realised],
+    batch: &Batch,
+) -> FlResult<Vec<f32>> {
+    let depths: Vec<usize> = deployed.iter().map(|r| r.0.num_blocks()).collect();
+    let score = score_output(method);
+    let outputs = model.forward_depths(&batch.inputs, &depths)?;
+    outputs.iter().map(|out| score(out, batch)).collect()
 }
 
 impl FlAlgorithm for SubmodelAlgorithm {
@@ -244,12 +285,12 @@ impl FlAlgorithm for SubmodelAlgorithm {
         self.require_setup()?;
         let global = self.global.as_mut().expect("checked by require_setup");
         global.load_state_dict(&self.global_sd)?;
-        evaluate_chunks(global, data, score_chunk(self.method))
+        evaluate_deployment(self.method, global, data)
     }
 
     fn evaluate_client(&mut self, client: usize, data: &Dataset) -> FlResult<f32> {
         let cfg = self.deployed_config(self.require_setup()?, client);
-        evaluate_chunks(&mut self.deployment(cfg)?, data, score_chunk(self.method))
+        evaluate_deployment(self.method, &mut self.deployment(cfg)?, data)
     }
 
     fn evaluate_point(
@@ -258,17 +299,19 @@ impl FlAlgorithm for SubmodelAlgorithm {
         data: &Dataset,
         parallelism: Parallelism,
     ) -> FlResult<(f32, Vec<f32>)> {
-        // The full-size deployment *is* the global model, and deployments of
-        // one shape are one model, so each realised model costs one pass.
-        // Every deployment is trained, so none answers chance.
+        // The full-size deployment *is* the global model, deployments of one
+        // shape are one model, and a depth-family point reads every block
+        // prefix off the global model's forward, so each source model costs
+        // one pass. Every deployment is trained, so none answers chance.
         let global = self.require_setup()?;
         evaluate_distinct(
             self.point_models(global, clients),
             chance(global.num_classes),
             data,
             parallelism,
+            |deployed| self.source(global, deployed),
             |&Realised(cfg)| self.deployment(cfg),
-            score_chunk(self.method),
+            |model, deployed, batch| score_deployments(self.method, model, deployed, batch),
         )
     }
 
@@ -309,9 +352,9 @@ mod tests {
     use std::sync::Mutex;
 
     /// A 2-block stack realises depths 0.25 and 0.5 as one block and 0.75
-    /// and 1.0 as two, so a point over all four `client % 4` residues builds
-    /// and scores two models: the global one, shared with the two 2-block
-    /// deployments, and the 1-block one.
+    /// and 1.0 as two, so a point over all four `client % 4` residues scores
+    /// two models: the global one, shared with the two 2-block deployments,
+    /// and the 1-block one. Both are read off one build of the global model.
     #[test]
     fn a_two_block_depthfl_point_scores_two_models() {
         let task = DataTask::StackOverflow;
@@ -326,19 +369,27 @@ mod tests {
         let algorithm = SubmodelAlgorithm::new(MhflMethod::DepthFl);
         let data = generate_dataset(task, 4, 0, None);
         let built = Mutex::new(Vec::new());
+        let read = Mutex::new(Vec::new());
         let (_, per_client) = evaluate_distinct(
             algorithm.point_models(global, &[0, 1, 2, 3]),
             0.0,
             &data,
             Parallelism::Sequential,
+            |deployed| algorithm.source(global, deployed),
             |&Realised(cfg)| {
                 built.lock().unwrap().push(cfg.num_blocks());
                 Ok(ProxyModel::new(cfg)?)
             },
-            score_chunk(MhflMethod::DepthFl),
+            |model, deployed, batch| {
+                read.lock()
+                    .unwrap()
+                    .extend(deployed.iter().map(|r| r.0.num_blocks()));
+                score_deployments(MhflMethod::DepthFl, model, deployed, batch)
+            },
         )
         .unwrap();
-        assert_eq!(built.into_inner().unwrap(), [2, 1]);
+        assert_eq!(built.into_inner().unwrap(), [2]);
+        assert_eq!(read.into_inner().unwrap(), [2, 1]);
         assert_eq!(per_client[0].to_bits(), per_client[1].to_bits());
         assert_eq!(per_client[2].to_bits(), per_client[3].to_bits());
     }

@@ -59,12 +59,14 @@ pub struct PoolEntry {
 /// whole ResNet family).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct ModelPool {
+    /// Every entry, one contiguous run per method in first-listed order,
+    /// each run largest (by parameters) first.
     entries: Vec<PoolEntry>,
 }
 
 impl ModelPool {
     /// Builds the pool for one base family (and its topology group) across a
-    /// set of methods.
+    /// set of methods. A method listed twice is pooled once.
     pub fn build(
         base_family: ModelFamily,
         topology_group: &[ModelFamily],
@@ -73,6 +75,10 @@ impl ModelPool {
     ) -> Self {
         let mut entries = Vec::new();
         for &method in methods {
+            if entries.iter().any(|e: &PoolEntry| e.method == method) {
+                continue;
+            }
+            let run = entries.len();
             match method.level() {
                 HeterogeneityLevel::Width => {
                     for &w in &STANDARD_FRACTIONS {
@@ -117,11 +123,14 @@ impl ModelPool {
                     }
                 }
             }
+            // Stable, so entries of equal size keep their build order.
+            entries[run..].sort_by_key(|e| std::cmp::Reverse(e.stats.params));
         }
         ModelPool { entries }
     }
 
-    /// All entries.
+    /// All entries: each method's, largest (by parameters) first, in the
+    /// order the methods were listed.
     pub fn entries(&self) -> &[PoolEntry] {
         &self.entries
     }
@@ -137,10 +146,11 @@ impl ModelPool {
     }
 
     /// Entries belonging to one method, largest (by parameters) first.
-    pub fn entries_for_method(&self, method: MhflMethod) -> Vec<&PoolEntry> {
-        let mut v: Vec<&PoolEntry> = self.entries.iter().filter(|e| e.method == method).collect();
-        v.sort_by_key(|e| std::cmp::Reverse(e.stats.params));
-        v
+    pub fn entries_for_method(&self, method: MhflMethod) -> &[PoolEntry] {
+        let start = self.entries.iter().position(|e| e.method == method);
+        let run = &self.entries[start.unwrap_or(self.entries.len())..];
+        let len = run.iter().take_while(|e| e.method == method).count();
+        &run[..len]
     }
 
     /// The largest entry of a method satisfying `feasible`, falling back to
@@ -152,15 +162,11 @@ impl ModelPool {
         mut feasible: impl FnMut(&PoolEntry) -> bool,
     ) -> Option<PoolEntry> {
         let candidates = self.entries_for_method(method);
-        if candidates.is_empty() {
-            return None;
-        }
-        for entry in &candidates {
-            if feasible(entry) {
-                return Some(**entry);
-            }
-        }
-        candidates.last().map(|e| **e)
+        candidates
+            .iter()
+            .find(|entry| feasible(entry))
+            .or(candidates.last())
+            .copied()
     }
 }
 

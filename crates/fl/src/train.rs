@@ -3,7 +3,7 @@
 use std::ops::Range;
 
 use mhfl_data::{Batch, Dataset};
-use mhfl_models::ProxyModel;
+use mhfl_models::{ForwardOutput, ProxyModel};
 use mhfl_nn::loss::{accuracy, cross_entropy};
 use mhfl_nn::{Layer, Sgd};
 use mhfl_tensor::SeededRng;
@@ -54,16 +54,17 @@ const EVAL_CHUNK_ROWS: usize = 128;
 /// # Errors
 /// Propagates forward errors from the proxy model.
 pub fn evaluate_accuracy(model: &mut ProxyModel, data: &Dataset) -> FlResult<f32> {
-    evaluate_chunks(model, data, top1_correct)
+    evaluate_chunks(model, data, |model, batch| {
+        top1_correct(&model.forward_detailed(&batch.inputs, false)?, batch)
+    })
 }
 
-/// One chunk of [`evaluate_accuracy`]: the model's top-1 accuracy on
-/// `batch`, weighted by the chunk's rows.
+/// One chunk's term of [`evaluate_accuracy`]: the top-1 accuracy of `out`,
+/// a forward of `batch`, weighted by the chunk's rows.
 ///
 /// # Errors
-/// Propagates forward errors from the proxy model.
-pub fn top1_correct(model: &mut ProxyModel, batch: &Batch) -> FlResult<f32> {
-    let out = model.forward_detailed(&batch.inputs, false)?;
+/// Returns an error if the logits and the labels disagree in rows.
+pub fn top1_correct(out: &ForwardOutput, batch: &Batch) -> FlResult<f32> {
     Ok(accuracy(&out.logits, &batch.labels)? * batch.len() as f32)
 }
 
@@ -81,43 +82,57 @@ pub fn evaluate_chunks<M>(
     Ok(accuracy_of(terms, data.len()))
 }
 
-/// Scores the model `build` makes of each key on `data`, returning one
-/// accuracy per key in key order.
+/// Scores keys read off built models on `data`. Each entry of `models`
+/// pairs the key `build` makes a model of with the keys read off that
+/// model; the result holds one accuracy per read key, in `models` order.
 ///
-/// A model's accuracy is the sum of `score_chunk` over the 128-row chunks
-/// of `data`, added in chunk order from 0.0, divided by the row count; an
-/// empty `data` scores 0.0. `score_chunk`
-/// returns a chunk's correct rows: its accuracy weighted by its rows.
+/// `score_chunk` gets a model, its read keys and a chunk, and returns one
+/// term per key: the key's correct rows, its accuracy weighted by the
+/// chunk's rows. A key's accuracy is the sum of its terms over the 128-row
+/// chunks of `data`, added in chunk order from 0.0, divided by the row
+/// count; an empty `data` scores 0.0.
 ///
 /// The chunks are split into as many contiguous slices as `parallelism` has
-/// workers (at most one per chunk), and each `(key, slice)` pair is one
-/// [`fan_out`] task that builds its own model. Tasks are ordered key-major,
-/// so the first error is the one a serial loop over the keys would hit.
-/// Under [`Parallelism::Sequential`] each key is one task over every chunk.
+/// workers (at most one per chunk), and each `(model, slice)` pair is one
+/// [`fan_out`] task that builds its own model. Tasks are ordered
+/// model-major, so the first error is the one a serial loop over the models
+/// would hit. Under [`Parallelism::Sequential`] each model is one task over
+/// every chunk.
 ///
 /// # Errors
 /// Returns the error of the lowest failing task.
-pub fn evaluate_models<K, M>(
-    keys: &[K],
+pub fn evaluate_models<B, K, M>(
+    models: &[(B, Vec<K>)],
     data: &Dataset,
     parallelism: Parallelism,
-    build: impl Fn(&K) -> FlResult<M> + Sync,
-    score_chunk: impl Fn(&mut M, &Batch) -> FlResult<f32> + Sync,
-) -> FlResult<Vec<f32>>
+    build: impl Fn(&B) -> FlResult<M> + Sync,
+    score_chunk: impl Fn(&mut M, &[K], &Batch) -> FlResult<Vec<f32>> + Sync,
+) -> FlResult<Vec<Vec<f32>>>
 where
+    B: Sync,
     K: Sync,
 {
     let chunks = num_chunks(data);
     let slices = parallelism.worker_count(chunks);
-    let terms = fan_out(keys.len() * slices, parallelism, |task| {
-        let (key, slice) = (task / slices, task % slices);
-        let mut model = build(&keys[key])?;
+    let terms = fan_out(models.len() * slices, parallelism, |task| {
+        let ((source, keys), slice) = (&models[task / slices], task % slices);
+        let mut model = build(source)?;
         let range = chunks * slice / slices..chunks * (slice + 1) / slices;
-        chunk_terms(&mut model, data, range, &score_chunk)
+        chunk_terms(&mut model, data, range, &|model, batch| {
+            score_chunk(model, keys, batch)
+        })
     })?;
     Ok(terms
         .chunks(slices)
-        .map(|per_slice| accuracy_of(per_slice.iter().flatten().copied(), data.len()))
+        .zip(models)
+        .map(|(per_slice, (_, keys))| {
+            (0..keys.len())
+                .map(|key| {
+                    let chunk_terms = per_slice.iter().flatten().map(|terms| terms[key]);
+                    accuracy_of(chunk_terms, data.len())
+                })
+                .collect()
+        })
         .collect())
 }
 
@@ -126,12 +141,12 @@ fn num_chunks(data: &Dataset) -> usize {
 }
 
 /// `score_chunk` of each chunk in `chunks`, in chunk order.
-fn chunk_terms<M>(
+fn chunk_terms<M, T>(
     model: &mut M,
     data: &Dataset,
     chunks: Range<usize>,
-    score_chunk: &impl Fn(&mut M, &Batch) -> FlResult<f32>,
-) -> FlResult<Vec<f32>> {
+    score_chunk: &impl Fn(&mut M, &Batch) -> FlResult<T>,
+) -> FlResult<Vec<T>> {
     chunks
         .map(|chunk| {
             let start = chunk * EVAL_CHUNK_ROWS;
@@ -207,18 +222,29 @@ mod tests {
 
     /// Slicing the chunks across workers is unobservable: every key scores
     /// the bits a single-threaded pass over a pre-built model gives, on an
-    /// empty set, one partial chunk and three chunks with a ragged tail.
+    /// empty set, one partial chunk and three chunks with a ragged tail. The
+    /// keys are block counts read off one forward of the 3-block model.
     #[test]
     fn sliced_scores_equal_the_single_pass_bitwise() {
-        let seeds = [3u64, 4, 5];
+        let models: Vec<(u64, Vec<usize>)> = vec![(3, vec![3]), (4, vec![1, 3, 2]), (5, vec![2])];
+        let prefix = |seed: u64, depth: usize| {
+            let full = har_model(seed);
+            let cfg = full.config().with_depth(depth as f64 / 3.0);
+            ProxyModel::from_state(cfg, &full.state_dict()).unwrap()
+        };
         for rows in [0, 50, 300] {
             let data = generate_dataset(DataTask::UciHar, rows, 9, None);
-            let expected: Vec<u32> = seeds
+            let expected: Vec<Vec<u32>> = models
                 .iter()
-                .map(|&seed| {
-                    evaluate_accuracy(&mut har_model(seed), &data)
-                        .unwrap()
-                        .to_bits()
+                .map(|(seed, depths)| {
+                    depths
+                        .iter()
+                        .map(|&depth| {
+                            let mut model = prefix(*seed, depth);
+                            assert_eq!(model.num_blocks(), depth);
+                            evaluate_accuracy(&mut model, &data).unwrap().to_bits()
+                        })
+                        .collect()
                 })
                 .collect();
             for parallelism in [
@@ -228,14 +254,20 @@ mod tests {
                 Parallelism::Threads { workers: 8 },
             ] {
                 let scores = evaluate_models(
-                    &seeds,
+                    &models,
                     &data,
                     parallelism,
                     |&seed| Ok(har_model(seed)),
-                    top1_correct,
+                    |model, depths, batch| {
+                        let outputs = model.forward_depths(&batch.inputs, depths)?;
+                        outputs.iter().map(|out| top1_correct(out, batch)).collect()
+                    },
                 )
                 .unwrap();
-                let scores: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+                let scores: Vec<Vec<u32>> = scores
+                    .iter()
+                    .map(|per_key| per_key.iter().map(|s| s.to_bits()).collect())
+                    .collect();
                 assert_eq!(scores, expected, "{rows} rows under {parallelism:?}");
             }
         }

@@ -435,9 +435,49 @@ impl ProxyModel {
     /// # Errors
     /// Returns an error if the input shape does not match the configuration.
     pub fn forward_detailed(&mut self, input: &Tensor, train: bool) -> Result<ForwardOutput> {
+        let depth = self.blocks.len();
+        let mut outputs = self.forward_prefixes(input, train, &[depth])?;
+        Ok(outputs.pop().expect("one output per depth"))
+    }
+
+    /// An evaluation forward of block prefixes: for each `d` in `depths`, in
+    /// request order, the [`ForwardOutput`] that the `d`-block prefix of
+    /// this model (the stem, blocks `0..d` with their auxiliary heads, and
+    /// the head) gives in [`ProxyModel::forward_detailed`], bit for bit.
+    /// That is `pool` then `head` on block `d`'s output, and the aux logits
+    /// of blocks `0..d`. The stem and each block run once for the whole
+    /// list. Keeps nothing for a backward.
+    ///
+    /// # Errors
+    /// Returns an error for a depth outside `1..=num_blocks()`, or if the
+    /// input shape does not match the configuration.
+    pub fn forward_depths(
+        &mut self,
+        input: &Tensor,
+        depths: &[usize],
+    ) -> Result<Vec<ForwardOutput>> {
+        self.forward_prefixes(input, false, depths)
+    }
+
+    /// The block loop of both forwards. A training forward asks for one
+    /// depth, so the pool and the head cache one pass.
+    fn forward_prefixes(
+        &mut self,
+        input: &Tensor,
+        train: bool,
+        depths: &[usize],
+    ) -> Result<Vec<ForwardOutput>> {
+        let blocks = self.blocks.len();
+        if let Some(depth) = depths.iter().find(|&&d| d == 0 || d > blocks) {
+            return Err(NnError::InvalidConfig(format!(
+                "depth {depth} is outside 1..={blocks}"
+            )));
+        }
+        let deepest = depths.iter().copied().max().unwrap_or(0);
+        let mut outputs = vec![None; depths.len()];
         let mut h = self.stem.forward(input, train)?;
         let mut aux_logits = Vec::with_capacity(self.aux_heads.len());
-        for (i, block) in self.blocks.iter_mut().enumerate() {
+        for (i, block) in self.blocks[..deepest].iter_mut().enumerate() {
             h = block.forward(&h, train)?;
             if let (Some(aux_head), Some(aux_pool)) =
                 (self.aux_heads.get_mut(i), self.aux_pools.get_mut(i))
@@ -445,14 +485,17 @@ impl ProxyModel {
                 let pooled = aux_pool.forward(&h, train)?;
                 aux_logits.push(aux_head.forward(&pooled, train)?);
             }
+            for (output, _) in outputs.iter_mut().zip(depths).filter(|(_, &d)| d == i + 1) {
+                let features = self.pool.forward(&h, train)?;
+                let logits = self.head.forward(&features, train)?;
+                *output = Some(ForwardOutput {
+                    features,
+                    logits,
+                    aux_logits: aux_logits.clone(),
+                });
+            }
         }
-        let features = self.pool.forward(&h, train)?;
-        let logits = self.head.forward(&features, train)?;
-        Ok(ForwardOutput {
-            features,
-            logits,
-            aux_logits,
-        })
+        Ok(outputs.into_iter().flatten().collect())
     }
 
     /// Backward pass from gradients on the final logits, optionally combined
@@ -646,6 +689,72 @@ mod tests {
             assert!(
                 matches!(after, Err(NnError::MissingForwardCache(_))),
                 "case {case}: backward after an evaluation forward gave {after:?}"
+            );
+        }
+    }
+
+    /// Each requested depth reads, bit for bit, what the extracted
+    /// `d`-block model gives, for every modality, with and without
+    /// auxiliary heads, and for depths asked out of order and repeated.
+    #[test]
+    fn forward_depths_match_the_extracted_prefix_models_bitwise() {
+        let mut rng = SeededRng::new(9);
+        let tokens = InputKind::Tokens {
+            vocab: 50,
+            seq_len: 6,
+        };
+        let ids = Tensor::from_vec((0..18).map(|i| (i * 5 % 50) as f32).collect(), &[3, 6]);
+        let cases = [
+            (
+                cifar_config(ModelFamily::MobileNetV2),
+                Tensor::randn(&[2, 3, 8, 8], 1.0, &mut rng),
+            ),
+            (
+                ProxyConfig::for_family(ModelFamily::AlbertLarge, tokens, 4, 1),
+                ids.unwrap(),
+            ),
+            (
+                ProxyConfig::for_family(ModelFamily::HarCnn, InputKind::Features { dim: 12 }, 5, 2),
+                Tensor::randn(&[4, 12], 1.0, &mut rng),
+            ),
+        ];
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (config, x) in cases {
+            for aux in [false, true] {
+                let config = config.with_aux_heads(aux);
+                let mut model = ProxyModel::new(config).unwrap();
+                let blocks = model.num_blocks();
+                assert!(blocks >= 3, "{:?} has {blocks} blocks", config.family);
+                let depths = [2, blocks, 1, 2, blocks - 1];
+                let outputs = model.forward_depths(&x, &depths).unwrap();
+                assert_eq!(outputs.len(), depths.len());
+                for (&depth, out) in depths.iter().zip(&outputs) {
+                    let fraction = depth as f64 / config.full_blocks as f64;
+                    let mut prefix = ProxyModel::new(config.with_depth(fraction)).unwrap();
+                    assert_eq!(prefix.num_blocks(), depth);
+                    prefix.load_state_dict(&model.state_dict()).unwrap();
+                    let expected = prefix.forward_detailed(&x, false).unwrap();
+                    let case = format!("{:?}, aux {aux}, depth {depth}", config.family);
+                    assert_eq!(bits(&out.features), bits(&expected.features), "{case}");
+                    assert_eq!(bits(&out.logits), bits(&expected.logits), "{case}");
+                    assert_eq!(out.aux_logits.len(), expected.aux_logits.len(), "{case}");
+                    for (a, e) in out.aux_logits.iter().zip(&expected.aux_logits) {
+                        assert_eq!(bits(a), bits(e), "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_depths_refuse_a_depth_outside_the_stack() {
+        let mut model = ProxyModel::new(cifar_config(ModelFamily::ResNet18)).unwrap();
+        let x = Tensor::zeros(&[1, 3, 8, 8]);
+        for depth in [0, model.num_blocks() + 1] {
+            let result = model.forward_depths(&x, &[1, depth]);
+            assert!(
+                matches!(result, Err(NnError::InvalidConfig(_))),
+                "depth {depth}: {result:?}"
             );
         }
     }

@@ -76,10 +76,11 @@ fn add_per_sample(grad: &mut Tensor, per_sample: &Tensor) {
 }
 
 /// The whole batch goes through each step at once. The projections are one
-/// `[batch·seq, dim]` product each, whose rows are the per-sample products'
-/// rows; scores and context are per-sample products stacked into one
-/// buffer; softmax and its backward go row by row; and every weight
-/// gradient adds its per-sample products in sample order. So every element
+/// product each over the `[batch, seq, dim]` activation, read in place as a
+/// `[batch·seq, dim]` matrix whose rows are the per-sample products' rows;
+/// scores and context are per-sample products stacked into one buffer;
+/// softmax and its backward go row by row; and every weight gradient adds
+/// its per-sample products in sample order. So every element
 /// sees the addends, in the order, of a loop over the samples.
 impl Layer for SelfAttention {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
@@ -90,12 +91,9 @@ impl Layer for SelfAttention {
                 got: input.dims().to_vec(),
             });
         }
-        let (batch, seq, dim) = (input.dims()[0], input.dims()[1], self.dim);
-        let (flat, stacked) = ([batch * seq, dim], [batch, seq, dim]);
-        let scale = 1.0 / (dim as f32).sqrt();
-        let x = input.reshape(&flat)?;
-        let project =
-            |w: &Param| -> Result<Tensor> { Ok(x.matmul_nt(&w.value)?.into_shape(&stacked)?) };
+        let (batch, seq) = (input.dims()[0], input.dims()[1]);
+        let scale = 1.0 / (self.dim as f32).sqrt();
+        let project = |w: &Param| input.matmul_nt(&w.value);
         let (q, k, v) = (project(&self.wq)?, project(&self.wk)?, project(&self.wv)?);
         let mut scores = q.matmul_nt_batched(&k)?;
         scores.scale_inplace(scale);
@@ -103,20 +101,16 @@ impl Layer for SelfAttention {
             .into_shape(&[batch * seq, seq])?
             .softmax_rows()?
             .into_shape(&[batch, seq, seq])?;
-        let ctx = attn.matmul_batched(&v)?.into_shape(&flat)?;
-        let out = ctx.matmul_nt(&self.wo.value)?.into_shape(&stacked)?;
-        self.cache = if train {
-            Some(AttentionCache {
-                x: x.into_shape(&stacked)?,
-                q,
-                k,
-                v,
-                attn,
-                ctx: ctx.into_shape(&stacked)?,
-            })
-        } else {
-            None
-        };
+        let ctx = attn.matmul_batched(&v)?;
+        let out = ctx.matmul_nt(&self.wo.value)?;
+        self.cache = train.then(|| AttentionCache {
+            x: input.clone(),
+            q,
+            k,
+            v,
+            attn,
+            ctx,
+        });
         Ok(out)
     }
 
@@ -125,18 +119,13 @@ impl Layer for SelfAttention {
             .cache
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("SelfAttention".into()))?;
-        let stacked = c.x.dims().to_vec();
-        let (batch, seq, dim) = (stacked[0], stacked[1], stacked[2]);
-        let flat = [batch * seq, dim];
-        check_grad_shape("SelfAttention", grad_output, &stacked)?;
-        let scale = 1.0 / (dim as f32).sqrt();
+        check_grad_shape("SelfAttention", grad_output, c.x.dims())?;
+        let seq = c.x.dims()[1];
+        let scale = 1.0 / (self.dim as f32).sqrt();
 
         // out = ctx Woᵀ  ⇒  dctx = dy Wo, dWo += dyᵀ ctx
         add_per_sample(&mut self.wo.grad, &grad_output.matmul_tn_batched(&c.ctx)?);
-        let dctx = grad_output
-            .reshape(&flat)?
-            .matmul(&self.wo.value)?
-            .into_shape(&stacked)?;
+        let dctx = grad_output.matmul(&self.wo.value)?;
 
         // ctx = attn V  ⇒  dattn = dctx Vᵀ, dV = attnᵀ dctx
         let dattn = dctx.matmul_nt_batched(&c.v)?;
@@ -164,10 +153,10 @@ impl Layer for SelfAttention {
         add_per_sample(&mut self.wk.grad, &dk.matmul_tn_batched(&c.x)?);
         add_per_sample(&mut self.wv.grad, &dv.matmul_tn_batched(&c.x)?);
 
-        let mut dx = dq.into_shape(&flat)?.matmul(&self.wq.value)?;
-        dx.axpy(1.0, &dk.into_shape(&flat)?.matmul(&self.wk.value)?)?;
-        dx.axpy(1.0, &dv.into_shape(&flat)?.matmul(&self.wv.value)?)?;
-        Ok(dx.into_shape(&stacked)?)
+        let mut dx = dq.matmul(&self.wq.value)?;
+        dx.axpy(1.0, &dk.matmul(&self.wk.value)?)?;
+        dx.axpy(1.0, &dv.matmul(&self.wv.value)?)?;
+        Ok(dx)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {

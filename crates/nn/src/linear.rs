@@ -1,7 +1,5 @@
 //! Fully-connected layer.
 
-use std::borrow::Cow;
-
 use mhfl_tensor::{SeededRng, Tensor};
 
 use crate::layer::{check_grad_shape, join_name};
@@ -22,7 +20,7 @@ pub struct Linear {
     bias: Param,
     in_features: usize,
     out_features: usize,
-    /// A training forward's input flattened to 2-D, and its output shape.
+    /// A training forward's input and its output shape.
     cached: Option<(Tensor, Vec<usize>)>,
 }
 
@@ -72,75 +70,57 @@ impl Linear {
     /// Accumulates the weight and bias gradients of the last training
     /// forward, as [`Layer::backward`] does bit for bit, without building the
     /// input gradient: for a layer whose caller discards it, such as a stem.
+    /// `dW += dYᵀ X` and `db += colsum(dY)`, without materialising `dYᵀ`.
     ///
     /// # Errors
     /// [`NnError::MissingForwardCache`] without a training forward, and
     /// [`NnError::BadInput`] for a gradient not shaped like the forward's
     /// output; neither moves a gradient.
     pub fn backward_params(&mut self, grad_output: &Tensor) -> Result<()> {
-        self.accumulate_grads(grad_output).map(drop)
-    }
-
-    /// Views a rank-2 `[batch, features]` input as it is and flattens a
-    /// rank-3 `[batch, seq, features]` one into `[batch·seq, features]`.
-    fn to_2d(input: &Tensor) -> Result<Cow<'_, Tensor>> {
-        let dims = input.dims();
-        match dims.len() {
-            2 => Ok(Cow::Borrowed(input)),
-            3 => Ok(Cow::Owned(input.reshape(&[dims[0] * dims[1], dims[2]])?)),
-            _ => Err(NnError::BadInput {
-                layer: "Linear".into(),
-                expected: "rank-2 [batch, features] or rank-3 [batch, seq, features] input".into(),
-                got: dims.to_vec(),
-            }),
-        }
-    }
-
-    /// The backward's parameter half: `dW += dYᵀ X` and `db += colsum(dY)`,
-    /// without materialising `dYᵀ`. Returns `dY` flattened to 2-D.
-    fn accumulate_grads<'g>(&mut self, grad_output: &'g Tensor) -> Result<Cow<'g, Tensor>> {
         let (input, out_dims) = self
             .cached
             .as_ref()
             .ok_or_else(|| NnError::MissingForwardCache("Linear".into()))?;
         check_grad_shape("Linear", grad_output, out_dims)?;
-        let grad = Self::to_2d(grad_output)?;
-        self.weight.grad.axpy(1.0, &grad.matmul_tn(input)?)?;
-        self.bias.grad.axpy(1.0, &grad.col_sums()?)?;
-        Ok(grad)
+        self.weight.grad.axpy(1.0, &grad_output.matmul_tn(input)?)?;
+        self.bias.grad.axpy(1.0, &grad_output.col_sums()?)?;
+        Ok(())
     }
 }
 
+/// A rank-3 `[batch, seq, features]` input or gradient goes through the
+/// products as the `[batch·seq, features]` matrix it already is in memory,
+/// with no copy.
 impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let flat = Self::to_2d(input)?;
-        if flat.dims()[1] != self.in_features {
+        let dims = input.dims();
+        if !matches!(dims.len(), 2 | 3) {
+            return Err(NnError::BadInput {
+                layer: "Linear".into(),
+                expected: "rank-2 [batch, features] or rank-3 [batch, seq, features] input".into(),
+                got: dims.to_vec(),
+            });
+        }
+        if dims[dims.len() - 1] != self.in_features {
             return Err(NnError::BadInput {
                 layer: "Linear".into(),
                 expected: format!("{} input features", self.in_features),
-                got: input.dims().to_vec(),
+                got: dims.to_vec(),
             });
         }
         // y = x Wᵀ via the transpose-aware kernel: no explicit Wᵀ is ever
         // materialised.
-        let dims = [&input.dims()[..input.rank() - 1], &[self.out_features]].concat();
-        let out = flat
+        let out = input
             .matmul_nt(&self.weight.value)?
-            .add_row_broadcast(&self.bias.value)?
-            .into_shape(&dims)?;
-        self.cached = train.then(|| (flat.into_owned(), dims));
+            .add_row_broadcast(&self.bias.value)?;
+        self.cached = train.then(|| (input.clone(), out.dims().to_vec()));
         Ok(out)
     }
 
     /// `dX = dY W` after [`Linear::backward_params`]' accumulation.
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let grad = self.accumulate_grads(grad_output)?;
-        let dims = [
-            &grad_output.dims()[..grad_output.rank() - 1],
-            &[self.in_features],
-        ]
-        .concat();
-        Ok(grad.matmul(&self.weight.value)?.into_shape(&dims)?)
+        self.backward_params(grad_output)?;
+        Ok(grad_output.matmul(&self.weight.value)?)
     }
 
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param)) {

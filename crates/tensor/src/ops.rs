@@ -129,20 +129,14 @@ impl Tensor {
     }
 
     /// Adds `bias` (a rank-1 tensor of length equal to the trailing
-    /// dimension) to every row of a rank-2 tensor, in place of its elements.
+    /// dimension) to every row of a tensor of rank 2 or more, in place of
+    /// its elements; the leading axes of a higher rank are read as rows.
     ///
     /// # Errors
     /// Returns an error for rank/shape mismatches.
     pub fn add_row_broadcast(mut self, bias: &Tensor) -> Result<Tensor> {
-        if self.rank() != 2 || bias.rank() != 1 {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: bias.dims().to_vec(),
-                op: "add_row_broadcast",
-            });
-        }
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        if bias.len() != cols {
+        let cols = self.dims().last().copied();
+        if self.rank() < 2 || bias.rank() != 1 || cols != Some(bias.len()) {
             return Err(TensorError::ShapeMismatch {
                 left: self.dims().to_vec(),
                 right: bias.dims().to_vec(),
@@ -150,8 +144,7 @@ impl Tensor {
             });
         }
         let b = bias.as_slice();
-        for r in 0..rows {
-            let row = &mut self.as_mut_slice()[r * cols..(r + 1) * cols];
+        for row in self.as_mut_slice().chunks_exact_mut(b.len().max(1)) {
             for (value, add) in row.iter_mut().zip(b) {
                 *value += add;
             }
@@ -159,37 +152,41 @@ impl Tensor {
         Ok(self)
     }
 
-    /// Runs `product` on two rank-`rank` operands: on the two matrices when
-    /// `rank` is 2, and on each pair of matching items of two `[batch, ..]`
-    /// stacks of matrices when it is 3.
+    /// Runs `product` on two matrices, or, when `batched`, on each pair of
+    /// matching items of two `[batch, ..]` stacks of matrices. An unbatched
+    /// operand of rank above 2 is read in place as the matrix of its last
+    /// axis by the product of its leading axes, so a `[batch, seq, dim]`
+    /// activation is a `[batch·seq, dim]` matrix; the result keeps the
+    /// left-hand operand's leading axes, except that `Aᵀ·B` contracts them.
     fn product(
         &self,
         rhs: &Tensor,
         product: Product,
-        rank: usize,
+        batched: bool,
         op: &'static str,
     ) -> Result<Tensor> {
-        for operand in [self, rhs] {
-            if operand.rank() != rank {
-                return Err(TensorError::RankMismatch {
-                    expected: rank,
-                    actual: operand.rank(),
-                    op,
-                });
+        // `(items, [rows, cols])` of an operand.
+        let matrices = |t: &Tensor| match (batched, t.dims()) {
+            (true, &[items, rows, cols]) => Ok((items, [rows, cols])),
+            (false, [leading @ .., cols]) if !leading.is_empty() => {
+                Ok((1, [leading.iter().product(), *cols]))
             }
-        }
+            _ => Err(TensorError::RankMismatch {
+                expected: if batched { 3 } else { 2 },
+                actual: t.rank(),
+                op,
+            }),
+        };
+        let ((items, a), (items_b, b)) = (matrices(self)?, matrices(rhs)?);
         let mismatch = || TensorError::ShapeMismatch {
             left: self.dims().to_vec(),
             right: rhs.dims().to_vec(),
             op,
         };
-        let (batch, a) = self.dims().split_at(rank - 2);
-        let (batch_b, b) = rhs.dims().split_at(rank - 2);
-        if batch != batch_b {
+        if items != items_b {
             return Err(mismatch());
         }
-        let [m, k, n] = product.extents(a, b).ok_or_else(mismatch)?;
-        let items: usize = batch.iter().product();
+        let [m, k, n] = product.extents(&a, &b).ok_or_else(mismatch)?;
         let kernel = product.kernel();
         let mut out = vec![0.0; items * m * n];
         for t in 0..items {
@@ -202,46 +199,53 @@ impl Tensor {
                 &mut out[t * m * n..(t + 1) * m * n],
             );
         }
-        let mut dims = batch.to_vec();
-        dims.extend([m, n]);
+        let dims = match (batched, product) {
+            (true, _) => vec![items, m, n],
+            (false, Product::Tn) => vec![m, n],
+            (false, _) => [&self.dims()[..self.rank() - 1], &[n]].concat(),
+        };
         Tensor::from_vec(out, &dims)
     }
 
     /// Matrix multiplication of two rank-2 tensors: `[m, k] x [k, n] -> [m, n]`.
+    /// A left-hand `[.., k]` operand of higher rank gives `[.., n]`, its
+    /// leading axes read as rows in place.
     ///
     /// Runs the register-tiled kernel of [`crate::kernels`]; bitwise
     /// identical to a plain `ikj` loop (the reference its tests compare
     /// against) for finite inputs.
     ///
     /// # Errors
-    /// Returns an error if either operand is not rank-2 or the inner
+    /// Returns an error if either operand has rank below 2 or the inner
     /// dimensions disagree.
     pub fn matmul(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, Product::Plain, 2, "matmul")
+        self.product(rhs, Product::Plain, false, "matmul")
     }
 
     /// Transpose-aware product `self × rhsᵀ`: `[m, k] x [n, k] -> [m, n]`,
     /// without materialising the transpose. Bitwise identical to
     /// `self.matmul(&rhs.transpose()?)` for finite inputs — this is the
-    /// kernel behind `y = x Wᵀ` in `Linear::forward`.
+    /// kernel behind `y = x Wᵀ` in `Linear::forward`, where a
+    /// `[batch, seq, k]` input gives `[batch, seq, n]`.
     ///
     /// # Errors
-    /// Returns an error if either operand is not rank-2 or the trailing
+    /// Returns an error if either operand has rank below 2 or the trailing
     /// dimensions disagree.
     pub fn matmul_nt(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, Product::Nt, 2, "matmul_nt")
+        self.product(rhs, Product::Nt, false, "matmul_nt")
     }
 
     /// Transpose-aware product `selfᵀ × rhs`: `[k, m] x [k, n] -> [m, n]`,
     /// without materialising the transpose. Bitwise identical to
     /// `self.transpose()?.matmul(rhs)` for finite inputs — this is the
-    /// kernel behind `dW = dYᵀ X` in `Linear::backward`.
+    /// kernel behind `dW = dYᵀ X` in `Linear::backward`, where two
+    /// `[batch, seq, ·]` operands contract over `batch·seq`.
     ///
     /// # Errors
-    /// Returns an error if either operand is not rank-2 or the leading
+    /// Returns an error if either operand has rank below 2 or the leading
     /// dimensions disagree.
     pub fn matmul_tn(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, Product::Tn, 2, "matmul_tn")
+        self.product(rhs, Product::Tn, false, "matmul_tn")
     }
 
     /// [`Tensor::matmul`] of each item of two rank-3 stacks:
@@ -252,7 +256,7 @@ impl Tensor {
     /// Returns an error if either operand is not rank-3, the batch sizes
     /// differ or the inner dimensions disagree.
     pub fn matmul_batched(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, Product::Plain, 3, "matmul_batched")
+        self.product(rhs, Product::Plain, true, "matmul_batched")
     }
 
     /// [`Tensor::matmul_nt`] of each item of two rank-3 stacks:
@@ -262,7 +266,7 @@ impl Tensor {
     /// Returns an error if either operand is not rank-3, the batch sizes
     /// differ or the trailing dimensions disagree.
     pub fn matmul_nt_batched(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, Product::Nt, 3, "matmul_nt_batched")
+        self.product(rhs, Product::Nt, true, "matmul_nt_batched")
     }
 
     /// [`Tensor::matmul_tn`] of each item of two rank-3 stacks:
@@ -272,7 +276,7 @@ impl Tensor {
     /// Returns an error if either operand is not rank-3, the batch sizes
     /// differ or the middle dimensions disagree.
     pub fn matmul_tn_batched(&self, rhs: &Tensor) -> Result<Tensor> {
-        self.product(rhs, Product::Tn, 3, "matmul_tn_batched")
+        self.product(rhs, Product::Tn, true, "matmul_tn_batched")
     }
 
     /// Transpose of a rank-2 tensor.
@@ -359,25 +363,26 @@ impl Tensor {
         Tensor::from_vec(data, &[rows])
     }
 
-    /// Per-column sums of a rank-2 tensor. Each column is accumulated in
-    /// ascending row order, so the result is bitwise identical to
-    /// `self.transpose()?.row_sums()?` without materialising the transpose
-    /// (the kernel behind `db = colsum(dY)` in `Linear::backward`).
+    /// Per-column sums of a rank-2 tensor; a tensor of higher rank is read
+    /// as the matrix of its last axis, its leading axes as rows. Each column
+    /// is accumulated in ascending row order, so the result is bitwise
+    /// identical to `self.transpose()?.row_sums()?` without materialising
+    /// the transpose (the kernel behind `db = colsum(dY)` in
+    /// `Linear::backward`).
     ///
     /// # Errors
-    /// Returns an error if the tensor is not rank-2.
+    /// Returns an error if the tensor has rank below 2.
     pub fn col_sums(&self) -> Result<Tensor> {
-        if self.rank() != 2 {
+        if self.rank() < 2 {
             return Err(TensorError::RankMismatch {
                 expected: 2,
                 actual: self.rank(),
                 op: "col_sums",
             });
         }
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
+        let cols = self.dims()[self.rank() - 1];
         let mut data = vec![0.0; cols];
-        for r in 0..rows {
-            let row = &self.as_slice()[r * cols..(r + 1) * cols];
+        for row in self.as_slice().chunks_exact(cols.max(1)) {
             for (acc, value) in data.iter_mut().zip(row) {
                 *acc += value;
             }
@@ -687,6 +692,46 @@ mod tests {
                 .dims(),
             &[2, 3, 5]
         );
+    }
+
+    /// An operand of rank 3 is read in place as the matrix of its last
+    /// axis, bit for bit as its `[rows, cols]` reshape would be.
+    #[test]
+    fn leading_axes_are_read_as_rows() {
+        let mut rng = crate::SeededRng::new(13);
+        let (batch, seq, k, n) = (3, 5, 7, 17);
+        let x = with_zeros(&[batch, seq, k], &mut rng);
+        let flat = x.reshape(&[batch * seq, k]).unwrap();
+        let w = with_zeros(&[n, k], &mut rng);
+        let nt = x.matmul_nt(&w).unwrap();
+        assert_eq!(nt.dims(), &[batch, seq, n]);
+        assert_eq!(bits(&nt), bits(&flat.matmul_nt(&w).unwrap()));
+        let wt = with_zeros(&[k, n], &mut rng);
+        let plain = x.matmul(&wt).unwrap();
+        assert_eq!(plain.dims(), &[batch, seq, n]);
+        assert_eq!(bits(&plain), bits(&flat.matmul(&wt).unwrap()));
+        let dy = with_zeros(&[batch, seq, n], &mut rng);
+        let dy_flat = dy.reshape(&[batch * seq, n]).unwrap();
+        let tn = dy.matmul_tn(&x).unwrap();
+        assert_eq!(tn.dims(), &[n, k]);
+        assert_eq!(bits(&tn), bits(&dy_flat.matmul_tn(&flat).unwrap()));
+        assert_eq!(
+            bits(&x.col_sums().unwrap()),
+            bits(&flat.col_sums().unwrap())
+        );
+        let bias = with_zeros(&[k], &mut rng);
+        let shifted = x.clone().add_row_broadcast(&bias).unwrap();
+        assert_eq!(shifted.dims(), &[batch, seq, k]);
+        assert_eq!(
+            bits(&shifted),
+            bits(&flat.add_row_broadcast(&bias).unwrap())
+        );
+        assert!(x.matmul_nt(&Tensor::zeros(&[n, k + 1])).is_err());
+        assert!(x.matmul_tn(&Tensor::zeros(&[batch, seq + 1, n])).is_err());
+        assert!(x
+            .clone()
+            .add_row_broadcast(&Tensor::zeros(&[k + 1]))
+            .is_err());
     }
 
     #[test]

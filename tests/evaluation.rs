@@ -3,19 +3,20 @@
 //! `Session::evaluate` used to call `evaluate_global` once and
 //! `evaluate_client` once per sampled client, serially. Every family now
 //! overrides `evaluate_point` to score each distinct *realised* model once —
-//! sharing the global pass with clients that deploy the global model, and
-//! one pass between depth levels that realise the same block count — and to
-//! split each model's pass into test-set slices fanned out under the
-//! session's `Parallelism`. None of that may be observable: for every family
-//! and every mode the override must return the bits (`f32::to_bits`) and the
-//! errors of the serial loop, on one chunk, on several chunks with a ragged
-//! tail, and on federations whose depth levels collapse.
+//! sharing the global pass with clients that deploy the global model, and,
+//! in the depth family, reading every block prefix a client deploys off
+//! the global model's one forward — and to split each pass into test-set
+//! slices fanned out under the session's `Parallelism`. None of that may be
+//! observable: for every family and every mode the override must return the
+//! bits (`f32::to_bits`) and the errors of the serial loop, on one chunk, on
+//! several chunks with a ragged tail, on federations whose depth levels
+//! collapse, and on one whose four depth levels are four block counts.
 
 use mhfl_algorithms::build_algorithm;
 use mhfl_data::{generate_dataset, DataTask, Dataset};
 use mhfl_device::ConstraintCase;
 use mhfl_fl::{run_clients, FederationContext, FlAlgorithm, FlResult, Parallelism};
-use mhfl_models::MhflMethod;
+use mhfl_models::{scale_depth, MhflMethod, ModelFamily, ProxyConfig};
 use pracmhbench_core::{ExperimentSpec, RunScale};
 
 /// One representative method per algorithm family, plus the two depth
@@ -156,6 +157,27 @@ fn sliced_evaluation_with_a_ragged_tail_matches_the_serial_loop() {
 fn collapsed_depth_levels_match_the_serial_loop() {
     for method in [MhflMethod::DepthFl, MhflMethod::FeDepth] {
         let ctx = context_for(DataTask::StackOverflow, method);
+        let mut algorithm = trained(method, &ctx);
+        assert_matches_serial_loop(method, algorithm.as_mut(), ctx.test_set());
+    }
+}
+
+/// CIFAR-10's MobileNetV2 proxy has four blocks, so the four `client % 4`
+/// keys deploy four block counts, all read off one forward of the global
+/// model.
+#[test]
+fn four_distinct_depths_match_the_serial_loop() {
+    let task = DataTask::Cifar10;
+    let blocks =
+        ProxyConfig::for_family(ModelFamily::MobileNetV2, task.input_kind(), 10, 0).num_blocks();
+    let depths = [0.25, 0.5, 0.75, 1.0].map(|fraction| scale_depth(blocks, fraction));
+    assert_eq!(depths, [1, 2, 3, 4]);
+    for method in [
+        MhflMethod::DepthFl,
+        MhflMethod::FeDepth,
+        MhflMethod::InclusiveFl,
+    ] {
+        let ctx = context_for(task, method);
         let mut algorithm = trained(method, &ctx);
         assert_matches_serial_loop(method, algorithm.as_mut(), ctx.test_set());
     }
