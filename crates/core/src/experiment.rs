@@ -483,11 +483,54 @@ impl ClientSource for SpecAssignments {
         self.case
             .assign_client(&self.pool, self.method, &device, &self.cost_model, client)
     }
+
+    /// The fewest and most parameters among the method's pool entries:
+    /// `assign_client` picks every assignment from those entries.
+    fn params_bounds(&self) -> Option<(u64, u64)> {
+        let params = self
+            .pool
+            .entries_for_method(self.method)
+            .iter()
+            .map(|e| e.stats.params);
+        Some((params.clone().min()?, params.max()?))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spec_assignments_bound_every_method_by_its_pool_entries() {
+        let spec = ExperimentSpec::new(
+            DataTask::UciHar,
+            MhflMethod::SHeteroFl,
+            ConstraintCase::Memory,
+        );
+        let pool = ModelPool::build(
+            base_family_for_task(spec.task),
+            &topology_group_for_task(spec.task),
+            &MhflMethod::ALL,
+            spec.task.num_classes(),
+        );
+        for method in MhflMethod::ALL {
+            let source = SpecAssignments {
+                case: spec.constraint,
+                method,
+                pool: pool.clone(),
+                cost_model: CostModel::default(),
+                seed: spec.seed,
+            };
+            let entries = pool.entries_for_method(method);
+            let min = entries.iter().map(|e| e.stats.params).min().unwrap();
+            let max = entries.iter().map(|e| e.stats.params).max().unwrap();
+            assert_eq!(source.params_bounds(), Some((min, max)), "{method:?}");
+            for client in 0..64 {
+                let params = source.assignment(client).entry.stats.params;
+                assert!((min..=max).contains(&params), "{method:?}");
+            }
+        }
+    }
 
     #[test]
     fn quick_spec_runs_end_to_end() {

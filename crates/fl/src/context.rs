@@ -41,6 +41,17 @@ impl Default for LocalTrainConfig {
 pub trait ClientSource: Send + Sync {
     /// The device/model assignment of `client`.
     fn assignment(&self, client: usize) -> ClientAssignment;
+
+    /// The smallest and largest `entry.stats.params` any assignment of this
+    /// source can carry, if the source knows them. A bound need not be
+    /// reached by any client, but no assignment may lie outside it.
+    ///
+    /// [`FederationContext`]'s extreme-assignment scans stop at a client
+    /// that reaches the bound, since no later client can beat it. The
+    /// default, `None`, makes them walk the whole population.
+    fn params_bounds(&self) -> Option<(u64, u64)> {
+        None
+    }
 }
 
 /// Everything an algorithm needs to know about the federation it runs in:
@@ -55,7 +66,11 @@ pub trait ClientSource: Send + Sync {
 /// to hold than a six-client one. Only the shared test and public splits
 /// are kept. [`assignment`](FederationContext::assignment) returns by value
 /// and [`client_shard`](FederationContext::client_shard) returns an owned
-/// [`Cow`]. Cloning shares the source.
+/// [`Cow`]. Cloning shares the source. The smallest and largest
+/// assignments are found by scans in client-id order that stop at the
+/// source's [`params_bounds`](ClientSource::params_bounds), so where client
+/// 0 already holds the largest pool entry, set-up derives one client, not
+/// the population.
 #[derive(Clone)]
 pub struct FederationContext {
     plan: ShardPlan,
@@ -68,9 +83,10 @@ pub struct FederationContext {
     /// [`client_shard_at`](FederationContext::client_shard_at)
     /// ([`Drift::None`] by default — observably inert).
     drift: Drift,
-    /// `(smallest, largest)` assignment by parameter count, computed on
-    /// first use with an O(population)-time / O(1)-memory scan and cached.
-    extremes: OnceLock<(ClientAssignment, ClientAssignment)>,
+    /// The smallest and the largest assignment by parameter count, each
+    /// found on first use by its own scan and cached.
+    smallest: OnceLock<ClientAssignment>,
+    largest: OnceLock<ClientAssignment>,
 }
 
 impl std::fmt::Debug for FederationContext {
@@ -102,7 +118,8 @@ impl FederationContext {
             train,
             seed,
             drift: Drift::None,
-            extremes: OnceLock::new(),
+            smallest: OnceLock::new(),
+            largest: OnceLock::new(),
         }
     }
 
@@ -194,64 +211,112 @@ impl FederationContext {
 
     /// The assignment with the smallest model (used by the homogeneous
     /// baseline, which trains "the smallest model across all heterogeneous
-    /// devices"). First call scans the population in O(n) time and O(1)
-    /// memory; the result is cached.
+    /// devices"): the first client, in id order, with the fewest
+    /// parameters. The first call scans clients in id order, in O(1)
+    /// memory, and stops at the first one that reaches the source's lower
+    /// [`params_bounds`](ClientSource::params_bounds) (at the end of the
+    /// population without a bound); the result is cached.
     pub fn smallest_assignment(&self) -> ClientAssignment {
-        self.extremes().0
+        *self.smallest.get_or_init(|| {
+            let bound = self.source.params_bounds().map(|(lo, _)| lo);
+            self.first_extreme(bound, |a, best| a < best)
+        })
     }
 
     /// The assignment with the largest model (the proxy for the full global
-    /// model used by width/depth extraction). Cached like
-    /// [`smallest_assignment`](FederationContext::smallest_assignment).
+    /// model used by width/depth extraction): the first client with the
+    /// most parameters, found and cached like
+    /// [`smallest_assignment`](FederationContext::smallest_assignment) but
+    /// stopping at the upper bound.
     pub fn largest_assignment(&self) -> ClientAssignment {
-        self.extremes().1
+        *self.largest.get_or_init(|| {
+            let bound = self.source.params_bounds().map(|(_, hi)| hi);
+            self.first_extreme(bound, |a, best| a > best)
+        })
     }
 
-    fn extremes(&self) -> (ClientAssignment, ClientAssignment) {
-        *self.extremes.get_or_init(|| {
-            let mut smallest = self.assignment(0);
-            let mut largest = smallest;
-            for client in 1..self.num_clients() {
-                let a = self.assignment(client);
-                if a.entry.stats.params < smallest.entry.stats.params {
-                    smallest = a;
-                }
-                if a.entry.stats.params > largest.entry.stats.params {
-                    largest = a;
-                }
+    /// The first client, in id order, whose parameter count no other client
+    /// `beats`. A strict `beats` keeps the earliest of tied clients, so
+    /// stopping once the running best reaches `bound` (which no client can
+    /// beat) returns what the full scan would.
+    fn first_extreme(&self, bound: Option<u64>, beats: fn(u64, u64) -> bool) -> ClientAssignment {
+        let mut best = self.assignment(0);
+        for client in 1..self.num_clients() {
+            if Some(best.entry.stats.params) == bound {
+                break;
             }
-            (smallest, largest)
-        })
+            let a = self.assignment(client);
+            if beats(a.entry.stats.params, best.entry.stats.params) {
+                best = a;
+            }
+        }
+        best
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use mhfl_device::{ConstraintCase, CostModel, ModelPool};
     use mhfl_models::{MhflMethod, ModelFamily};
 
     const TASK: DataTask = DataTask::UciHar;
 
-    /// Assignments built up front, as a source.
-    struct Assignments(Vec<ClientAssignment>);
+    /// Assignments built up front, as a source that reports `bounds` and
+    /// counts the assignments it is asked for.
+    struct Assignments {
+        list: Vec<ClientAssignment>,
+        bounds: Option<(u64, u64)>,
+        derived: AtomicUsize,
+    }
 
     impl ClientSource for Assignments {
         fn assignment(&self, client: usize) -> ClientAssignment {
-            self.0[client]
+            self.derived.fetch_add(1, Ordering::Relaxed);
+            self.list[client]
+        }
+
+        fn params_bounds(&self) -> Option<(u64, u64)> {
+            self.bounds
         }
     }
 
-    /// A UCI-HAR federation of SHeteroFL clients under `case`: ten samples
-    /// per client, everything seeded by 0 and the context seed 1.
-    pub(crate) fn test_context(case: ConstraintCase, num_clients: usize) -> FederationContext {
-        let pool = ModelPool::build(
+    fn pool() -> ModelPool {
+        ModelPool::build(
             ModelFamily::ResNet101,
             &ModelFamily::RESNET_FAMILY,
             &MhflMethod::HETEROGENEOUS,
             TASK.num_classes(),
+        )
+    }
+
+    /// A context over `list`, its source reporting `bounds`; the source is
+    /// returned too, so a test can read how many clients were derived.
+    fn context_over(
+        list: Vec<ClientAssignment>,
+        bounds: Option<(u64, u64)>,
+    ) -> (FederationContext, Arc<Assignments>) {
+        let num_clients = list.len();
+        let source = Arc::new(Assignments {
+            list,
+            bounds,
+            derived: AtomicUsize::new(0),
+        });
+        let ctx = FederationContext::new(
+            ShardPlan::new(TASK, num_clients, 10, None, 0),
+            source.clone(),
+            LocalTrainConfig::default(),
+            1,
         );
-        let assignments = (0..num_clients)
+        (ctx, source)
+    }
+
+    /// The SHeteroFL assignments of `num_clients` clients under `case`.
+    fn assignments(case: ConstraintCase, num_clients: usize) -> Vec<ClientAssignment> {
+        let pool = pool();
+        (0..num_clients)
             .map(|client| {
                 let device = case.derive_device(0, client);
                 case.assign_client(
@@ -262,13 +327,14 @@ pub(crate) mod tests {
                     client,
                 )
             })
-            .collect();
-        FederationContext::new(
-            ShardPlan::new(TASK, num_clients, 10, None, 0),
-            Arc::new(Assignments(assignments)),
-            LocalTrainConfig::default(),
-            1,
-        )
+            .collect()
+    }
+
+    /// A UCI-HAR federation of SHeteroFL clients under `case`: ten samples
+    /// per client, everything seeded by 0 and the context seed 1. Its
+    /// source reports no bounds.
+    pub(crate) fn test_context(case: ConstraintCase, num_clients: usize) -> FederationContext {
+        context_over(assignments(case, num_clients), None).0
     }
 
     fn context() -> FederationContext {
@@ -289,13 +355,79 @@ pub(crate) mod tests {
 
     #[test]
     fn extreme_assignments_bracket_the_population() {
-        let ctx = context();
-        let smallest = ctx.smallest_assignment();
-        let largest = ctx.largest_assignment();
-        for c in 0..ctx.num_clients() {
-            let params = ctx.assignment(c).entry.stats.params;
-            assert!(params >= smallest.entry.stats.params);
-            assert!(params <= largest.entry.stats.params);
+        let list = assignments(ConstraintCase::Memory, 6);
+        let entries = pool();
+        let params = entries
+            .entries_for_method(MhflMethod::SHeteroFl)
+            .iter()
+            .map(|e| e.stats.params);
+        let bounds = (params.clone().min().unwrap(), params.max().unwrap());
+        let (unbounded, _) = context_over(list.clone(), None);
+        let (bounded, _) = context_over(list, Some(bounds));
+        for ctx in [&unbounded, &bounded] {
+            let smallest = ctx.smallest_assignment();
+            let largest = ctx.largest_assignment();
+            for c in 0..ctx.num_clients() {
+                let params = ctx.assignment(c).entry.stats.params;
+                assert!(params >= smallest.entry.stats.params);
+                assert!(params <= largest.entry.stats.params);
+            }
+        }
+        assert_eq!(
+            bounded.smallest_assignment(),
+            unbounded.smallest_assignment()
+        );
+        assert_eq!(bounded.largest_assignment(), unbounded.largest_assignment());
+    }
+
+    /// Assignments with the given parameter counts, one client each.
+    fn with_params(params: &[u64]) -> Vec<ClientAssignment> {
+        let base = assignments(ConstraintCase::Memory, 1)[0];
+        params
+            .iter()
+            .enumerate()
+            .map(|(client, &p)| {
+                let mut a = base;
+                a.client_id = client;
+                a.entry.stats.params = p;
+                a
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bounded_scans_stop_at_the_bound() {
+        // Client 0 holds the upper bound: one derivation finds the largest.
+        let (ctx, source) = context_over(with_params(&[9, 3, 9, 1, 5]), Some((1, 9)));
+        assert_eq!(ctx.largest_assignment().client_id, 0);
+        assert_eq!(source.derived.load(Ordering::Relaxed), 1);
+        // A bound no client reaches scans everyone.
+        let (ctx, source) = context_over(with_params(&[4, 3, 7, 2, 5]), Some((1, 9)));
+        assert_eq!(ctx.largest_assignment().client_id, 2);
+        assert_eq!(source.derived.load(Ordering::Relaxed), 5);
+        assert_eq!(ctx.smallest_assignment().client_id, 3);
+        assert_eq!(source.derived.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn bounded_scans_return_the_full_scans_choice() {
+        // (parameter counts, first smallest, first largest) under bounds (1, 9).
+        for (params, smallest, largest) in [
+            // A client holds each bound before the others.
+            (&[1, 9, 5, 3, 7][..], 0, 1),
+            // Only the last client holds each bound.
+            (&[5, 4, 6, 9], 1, 3),
+            (&[5, 6, 4, 1], 3, 1),
+            // Several clients tie each bound, and others tie on the way.
+            (&[5, 5, 3, 3, 9, 9, 1, 1, 9, 1], 6, 4),
+            (&[2, 9, 9, 1, 1], 3, 1),
+        ] {
+            let (bounded, _) = context_over(with_params(params), Some((1, 9)));
+            let (unbounded, _) = context_over(with_params(params), None);
+            for ctx in [&bounded, &unbounded] {
+                assert_eq!(ctx.smallest_assignment().client_id, smallest, "{params:?}");
+                assert_eq!(ctx.largest_assignment().client_id, largest, "{params:?}");
+            }
         }
     }
 

@@ -1,8 +1,6 @@
 //! Stochastic gradient descent with momentum and weight decay.
 
-use std::collections::HashMap;
-
-use mhfl_tensor::Tensor;
+use mhfl_tensor::{Tensor, TensorError};
 use serde::{Deserialize, Serialize};
 
 use crate::{Layer, Result};
@@ -33,9 +31,11 @@ impl Default for SgdConfig {
 
 /// Stochastic gradient descent optimiser.
 ///
-/// Velocity buffers are keyed by fully-qualified parameter name, so the same
-/// optimiser instance keeps working when a client's sub-model changes shape
-/// between rounds (stale buffers with mismatched shapes are reset).
+/// Velocity buffers are kept by position in the layer's parameter visit
+/// order, so one step makes one pass over each parameter and allocates
+/// nothing after the first. The same optimiser instance keeps working when
+/// a client's sub-model changes shape between rounds: a buffer whose shape
+/// no longer matches its parameter is reset to zero.
 ///
 /// ```
 /// use mhfl_nn::{Linear, Layer, Sgd, SgdConfig};
@@ -53,7 +53,7 @@ impl Default for SgdConfig {
 #[derive(Debug, Default)]
 pub struct Sgd {
     config: SgdConfig,
-    velocity: HashMap<String, Tensor>,
+    velocity: Vec<Tensor>,
 }
 
 impl Sgd {
@@ -61,7 +61,7 @@ impl Sgd {
     pub fn new(config: SgdConfig) -> Self {
         Sgd {
             config,
-            velocity: HashMap::new(),
+            velocity: Vec::new(),
         }
     }
 
@@ -73,11 +73,82 @@ impl Sgd {
     /// Applies one update step to every parameter of `layer` using the
     /// gradients accumulated since the last [`Layer::zero_grad`].
     ///
+    /// Each element takes, in this order: the gradient clip, the weight
+    /// decay `g += weight_decay · w` (skipped when it is 0), the momentum
+    /// `v = v · momentum + g`, and the update `w += -lr · v`.
+    ///
     /// # Errors
-    /// Propagates tensor shape errors (which indicate a bug in layer code).
+    /// A gradient whose shape differs from its parameter's (a bug in layer
+    /// code) is a tensor shape error; parameters visited before it have
+    /// been updated.
     pub fn step(&mut self, layer: &mut dyn Layer) -> Result<()> {
         let config = self.config;
         let velocity = &mut self.velocity;
+        let mut index = 0;
+        let mut failure = None;
+        layer.visit_params_mut("", &mut |_, p| {
+            if failure.is_some() {
+                return;
+            }
+            if p.grad.dims() != p.value.dims() {
+                failure = Some(TensorError::ShapeMismatch {
+                    left: p.grad.dims().to_vec(),
+                    right: p.value.dims().to_vec(),
+                    op: "sgd_step",
+                });
+                return;
+            }
+            if index == velocity.len() {
+                velocity.push(Tensor::zeros(p.value.dims()));
+            } else if velocity[index].dims() != p.value.dims() {
+                velocity[index] = Tensor::zeros(p.value.dims());
+            }
+            let v = velocity[index].as_mut_slice();
+            index += 1;
+            let values = p.value.as_mut_slice().iter_mut();
+            for ((w, &g), v) in values.zip(p.grad.as_slice()).zip(v) {
+                let mut g = g;
+                if let Some(clip) = config.grad_clip {
+                    g = g.clamp(-clip, clip);
+                }
+                if config.weight_decay != 0.0 {
+                    g += config.weight_decay * *w;
+                }
+                *v *= config.momentum;
+                *v += 1.0 * g;
+                *w += -config.lr * *v;
+            }
+        });
+        match failure {
+            Some(e) => Err(e.into()),
+            None => Ok(()),
+        }
+    }
+
+    /// Forgets all velocity state (used when a client receives a sub-model of
+    /// a different shape than the previous round).
+    pub fn reset(&mut self) {
+        self.velocity.clear();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashMap;
+
+    use crate::loss::cross_entropy;
+    use crate::{Linear, Relu, Sequential};
+    use mhfl_tensor::SeededRng;
+
+    /// The unfused step, velocity keyed by parameter name: a clipped copy of
+    /// each gradient, then weight decay, momentum and the update, each a
+    /// whole-tensor pass. `Sgd::step` must match it bit for bit.
+    fn reference_step(
+        config: SgdConfig,
+        velocity: &mut HashMap<String, Tensor>,
+        layer: &mut dyn Layer,
+    ) -> Result<()> {
         let mut failure = None;
         layer.visit_params_mut("", &mut |name, p| {
             if failure.is_some() {
@@ -116,19 +187,84 @@ impl Sgd {
         }
     }
 
-    /// Forgets all velocity state (used when a client receives a sub-model of
-    /// a different shape than the previous round).
-    pub fn reset(&mut self) {
-        self.velocity.clear();
+    fn bits(layer: &dyn Layer) -> Vec<u32> {
+        let mut bits = Vec::new();
+        layer.visit_params("", &mut |_, p| {
+            bits.extend(p.value.as_slice().iter().map(|x| x.to_bits()))
+        });
+        bits
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::loss::cross_entropy;
-    use crate::{Linear, Relu, Sequential};
-    use mhfl_tensor::SeededRng;
+    fn net(rng: &mut SeededRng) -> Sequential {
+        let mut net = Sequential::new();
+        net.push("fc1", Linear::new(5, 7, rng));
+        net.push("act", Relu::new());
+        net.push("fc2", Linear::new_head(7, 3, rng));
+        net
+    }
+
+    #[test]
+    fn fused_step_matches_the_reference_bitwise() {
+        for grad_clip in [None, Some(1.5)] {
+            for weight_decay in [0.0, 1e-4] {
+                for momentum in [0.0, 0.9] {
+                    let config = SgdConfig {
+                        lr: 0.05,
+                        momentum,
+                        weight_decay,
+                        grad_clip,
+                    };
+                    let mut rng = SeededRng::new(11);
+                    let mut fused = net(&mut rng);
+                    let mut reference = net(&mut SeededRng::new(11));
+                    let mut opt = Sgd::new(config);
+                    let mut velocity = HashMap::new();
+                    for _ in 0..3 {
+                        // Gradients beyond the clip, with signed zeros and
+                        // a sign that flips between steps.
+                        let mut grads = Vec::new();
+                        fused.visit_params_mut("", &mut |_, p| {
+                            let mut g = Tensor::randn(p.value.dims(), 3.0, &mut rng);
+                            for (i, x) in g.as_mut_slice().iter_mut().enumerate() {
+                                match i % 5 {
+                                    0 => *x = 0.0,
+                                    1 => *x = -0.0,
+                                    _ => {}
+                                }
+                            }
+                            p.grad = g.clone();
+                            grads.push(g);
+                        });
+                        let mut grads = grads.into_iter();
+                        reference.visit_params_mut("", &mut |_, p| p.grad = grads.next().unwrap());
+                        opt.step(&mut fused).unwrap();
+                        reference_step(config, &mut velocity, &mut reference).unwrap();
+                        assert_eq!(bits(&fused), bits(&reference), "{config:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_grad_after_a_backward_leaves_positive_zeros() {
+        let mut rng = SeededRng::new(12);
+        let mut net = net(&mut rng);
+        let x = Tensor::randn(&[4, 5], 1.0, &mut rng);
+        let logits = net.forward(&x, true).unwrap();
+        let (_, grad) = cross_entropy(&logits, &[0, 1, 2, 0]).unwrap();
+        net.backward(&grad).unwrap();
+        let mut nonzero = 0;
+        net.visit_params("", &mut |_, p| {
+            nonzero += p.grad.as_slice().iter().filter(|g| **g != 0.0).count()
+        });
+        assert!(nonzero > 0);
+        net.zero_grad();
+        net.visit_params("", &mut |_, p| {
+            assert!(p.grad.as_slice().iter().all(|g| g.to_bits() == 0));
+            assert_eq!(p.grad.dims(), p.value.dims());
+        });
+    }
 
     #[test]
     fn sgd_decreases_loss_on_toy_problem() {

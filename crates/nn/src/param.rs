@@ -55,9 +55,14 @@ impl Param {
         }
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to `+0.0`, in place when it already
+    /// has the value's shape.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros(self.value.dims());
+        if self.grad.dims() == self.value.dims() {
+            self.grad.as_mut_slice().fill(0.0);
+        } else {
+            self.grad = Tensor::zeros(self.value.dims());
+        }
     }
 
     /// Number of scalar elements in the parameter.
