@@ -1,6 +1,6 @@
 //! Parameter-free activation layers.
 
-use mhfl_tensor::Tensor;
+use mhfl_tensor::{math, Tensor};
 
 use crate::layer::check_grad_shape;
 use crate::{Layer, NnError, Param, Result};
@@ -55,15 +55,11 @@ impl Gelu {
         Gelu { cached_grad: None }
     }
 
-    fn tanh_term(x: f32) -> f32 {
-        (GELU_C * (x + 0.044_715 * x * x * x)).tanh()
-    }
-
     fn gelu(x: f32, t: f32) -> f32 {
         0.5 * x * (1.0 + t)
     }
 
-    /// The derivative at `x`, given `t = tanh_term(x)`.
+    /// The derivative at `x`, given `t = tanh(C·(x + 0.044715·x³))`.
     fn gelu_grad(x: f32, t: f32) -> f32 {
         let sech2 = 1.0 - t * t;
         0.5 * (1.0 + t) + 0.5 * x * sech2 * GELU_C * (1.0 + 3.0 * 0.044_715 * x * x)
@@ -71,22 +67,25 @@ impl Gelu {
 }
 
 impl Layer for Gelu {
-    /// A training forward evaluates each element's `tanh` once, for both the
-    /// output and the derivative it caches for the backward.
+    /// Every element's `tanh` comes from one [`math::tanh_slice`] over the
+    /// output buffer, for both the output and, in training, the derivative
+    /// cached for the backward.
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        if !train {
-            self.cached_grad = None;
-            return Ok(input.map(|x| Self::gelu(x, Self::tanh_term(x))));
-        }
-        let (out, grad): (Vec<f32>, Vec<f32>) = input
-            .as_slice()
+        let xs = input.as_slice();
+        let mut out: Vec<f32> = xs
             .iter()
-            .map(|&x| {
-                let t = Self::tanh_term(x);
-                (Self::gelu(x, t), Self::gelu_grad(x, t))
-            })
-            .unzip();
-        self.cached_grad = Some(Tensor::from_vec(grad, input.dims())?);
+            .map(|&x| GELU_C * (x + 0.044_715 * x * x * x))
+            .collect();
+        math::tanh_slice(&mut out);
+        self.cached_grad = if train {
+            let grad = xs.iter().zip(&out).map(|(&x, &t)| Self::gelu_grad(x, t));
+            Some(Tensor::from_vec(grad.collect(), input.dims())?)
+        } else {
+            None
+        };
+        for (t, &x) in out.iter_mut().zip(xs) {
+            *t = Self::gelu(x, *t);
+        }
         Ok(Tensor::from_vec(out, input.dims())?)
     }
 
@@ -121,7 +120,8 @@ impl Tanh {
 
 impl Layer for Tanh {
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
-        let out = input.map(f32::tanh);
+        let mut out = input.clone();
+        math::tanh_slice(out.as_mut_slice());
         self.cached_output = train.then(|| out.clone());
         Ok(out)
     }
@@ -191,6 +191,7 @@ mod tests {
     /// The backward over the forward's cached derivative is bit-identical to
     /// the formula that recomputed the `tanh`.
     #[test]
+    #[allow(clippy::disallowed_methods)] // libm's `tanh` is the reference
     fn gelu_backward_matches_the_recomputing_formula_bitwise() {
         fn recomputed(x: f32) -> f32 {
             const C: f32 = 0.797_884_6;

@@ -9,6 +9,9 @@
 //! * 2-D matrix multiplication (also over a batch of matrices) and
 //!   transposition,
 //! * reductions, softmax, argmax,
+//! * [`math`]: in-tree `tanh` and `exp` (with in-place lane forms for
+//!   slices) that return glibc 2.36's bits for every `f32`, so no result
+//!   depends on the host's libm for them,
 //! * axis slicing and index-based gathering (used by width/depth sub-model
 //!   extraction),
 //! * seeded random initialisation so every experiment is reproducible.
@@ -35,6 +38,7 @@
 
 mod error;
 pub mod kernels;
+pub mod math;
 mod ops;
 mod rng;
 mod shape;

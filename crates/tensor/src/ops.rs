@@ -1,6 +1,6 @@
 //! Arithmetic, linear algebra and reduction operations on [`Tensor`].
 
-use crate::{kernels, Result, Tensor, TensorError};
+use crate::{kernels, math, Result, Tensor, TensorError};
 
 /// The three matrix products, by the operand each reads transposed.
 #[derive(Debug, Clone, Copy)]
@@ -438,7 +438,8 @@ impl Tensor {
             let row = &self.as_slice()[r * cols..(r + 1) * cols];
             let maxv = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
             exps.clear();
-            exps.extend(row.iter().map(|&x| (x - maxv).exp()));
+            exps.extend(row.iter().map(|&x| x - maxv));
+            math::exp_slice(&mut exps);
             let denom: f32 = exps.iter().sum::<f32>().max(f32::EPSILON);
             for c in 0..cols {
                 out[r * cols + c] = exps[c] / denom;

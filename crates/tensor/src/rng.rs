@@ -276,7 +276,7 @@ impl SeededRng {
     /// Samples from a log-normal distribution with the given parameters of
     /// the underlying normal (used by the synthetic IMA device population).
     pub fn log_normal(&mut self, mu: f32, sigma: f32) -> f32 {
-        self.normal(mu, sigma).exp()
+        crate::math::exp(self.normal(mu, sigma))
     }
 
     /// Shuffles a slice in place (Fisher–Yates).
