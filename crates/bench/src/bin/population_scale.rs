@@ -63,9 +63,7 @@ fn spec_at(population: usize) -> ExperimentSpec {
     ExperimentSpec::new(
         DataTask::UciHar,
         MhflMethod::SHeteroFl,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
+        ConstraintCase::COMPUTATION,
     )
     .with_scale(RunScale::Quick)
     .with_num_clients(population)

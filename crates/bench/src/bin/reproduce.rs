@@ -56,11 +56,11 @@ const ENTRIES: &[Entry] = &[
     ("fig3", fig3),
     ("fig4", |r| {
         let title = "Fig. 4 (computation-limited MHFL)";
-        constraint_figure(r, title, COMPUTATION, &DataTask::ALL)
+        constraint_figure(r, title, ConstraintCase::COMPUTATION, &DataTask::ALL)
     }),
     ("fig5", |r| {
         let title = "Fig. 5 (communication-limited MHFL)";
-        constraint_figure(r, title, COMMUNICATION, &DataTask::ALL)
+        constraint_figure(r, title, ConstraintCase::COMMUNICATION, &DataTask::ALL)
     }),
     ("fig6", |r| {
         let tasks = [DataTask::Cifar100, DataTask::StackOverflow];
@@ -81,12 +81,6 @@ const ENTRIES: &[Entry] = &[
     ("buffer_sweep", buffer_sweep),
     ("adversarial_study", adversarial_study),
 ];
-
-/// The paper's computation deadline and communication budget.
-const COMPUTATION: ConstraintCase = ConstraintCase::Computation {
-    deadline_secs: 300.0,
-};
-const COMMUNICATION: ConstraintCase = ConstraintCase::Communication { budget_secs: 200.0 };
 
 /// What an entry runs under.
 struct Repro {
@@ -315,11 +309,11 @@ fn accuracy_matrix<V>(
 /// constraints.
 fn fig7(r: &Repro) -> Outcome {
     let cases = [
-        ("Comp", COMPUTATION),
+        ("Comp", ConstraintCase::COMPUTATION),
         ("Mem", ConstraintCase::Memory),
-        ("Comm", COMMUNICATION),
-        ("Mem+Comm", ConstraintCase::memory_plus_communication(200.0)),
-        ("Mem+Comm+Comp", ConstraintCase::all_combined(300.0, 200.0)),
+        ("Comm", ConstraintCase::COMMUNICATION),
+        ("Mem+Comm", ConstraintCase::MEMORY_PLUS_COMMUNICATION),
+        ("Mem+Comm+Comp", ConstraintCase::ALL_COMBINED),
     ];
     accuracy_matrix(
         r,
@@ -344,7 +338,10 @@ fn fig8(r: &Repro) -> Outcome {
             format!("Fig. 8 — non-IID performance on {task} (computation-limited)"),
             &applicable_methods(task),
             &partitions,
-            |method, &partition| r.spec(task, method, COMPUTATION).with_partition(partition),
+            |method, &partition| {
+                r.spec(task, method, ConstraintCase::COMPUTATION)
+                    .with_partition(partition)
+            },
         )?;
     }
     Ok(())
@@ -717,7 +714,8 @@ impl FamilyResult {
 }
 
 fn adversarial_base(r: &Repro, method: MhflMethod) -> ExperimentSpec {
-    r.spec(DataTask::UciHar, method, COMPUTATION).with_seed(17)
+    r.spec(DataTask::UciHar, method, ConstraintCase::COMPUTATION)
+        .with_seed(17)
 }
 
 fn run_family(r: &Repro, method: MhflMethod) -> Outcome<FamilyResult> {
@@ -974,9 +972,13 @@ mod tests {
     }
 
     fn spec() -> ExperimentSpec {
-        ExperimentSpec::new(DataTask::UciHar, MhflMethod::SHeteroFl, COMPUTATION)
-            .with_scale(RunScale::Quick)
-            .with_seed(17)
+        ExperimentSpec::new(
+            DataTask::UciHar,
+            MhflMethod::SHeteroFl,
+            ConstraintCase::COMPUTATION,
+        )
+        .with_scale(RunScale::Quick)
+        .with_seed(17)
     }
 
     #[test]

@@ -82,9 +82,7 @@ mod tests {
         ExperimentSpec::new(
             DataTask::UciHar,
             MhflMethod::SHeteroFl,
-            ConstraintCase::Computation {
-                deadline_secs: 300.0,
-            },
+            ConstraintCase::COMPUTATION,
         )
         .with_scale(RunScale::Quick)
         .with_seed(17)

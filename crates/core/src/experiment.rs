@@ -537,9 +537,7 @@ mod tests {
         let spec = ExperimentSpec::new(
             DataTask::UciHar,
             MhflMethod::SHeteroFl,
-            ConstraintCase::Computation {
-                deadline_secs: 300.0,
-            },
+            ConstraintCase::COMPUTATION,
         )
         .with_scale(RunScale::Quick)
         .with_seed(7);
@@ -556,9 +554,7 @@ mod tests {
         let clean = ExperimentSpec::new(
             DataTask::UciHar,
             MhflMethod::SHeteroFl,
-            ConstraintCase::Computation {
-                deadline_secs: 300.0,
-            },
+            ConstraintCase::COMPUTATION,
         )
         .with_scale(RunScale::Quick)
         .with_seed(17);
@@ -657,9 +653,7 @@ mod tests {
         let spec = ExperimentSpec::new(
             DataTask::UciHar,
             MhflMethod::SHeteroFl,
-            ConstraintCase::Computation {
-                deadline_secs: 300.0,
-            },
+            ConstraintCase::COMPUTATION,
         )
         .with_scale(RunScale::Quick)
         .with_num_clients(1_000_000)

@@ -13,7 +13,7 @@
 //! let spec = ExperimentSpec::new(
 //!     DataTask::Cifar10,
 //!     MhflMethod::SHeteroFl,
-//!     ConstraintCase::Computation { deadline_secs: 300.0 },
+//!     ConstraintCase::COMPUTATION,
 //! )
 //! .with_scale(RunScale::Quick);
 //! let outcome = spec.run()?;

@@ -15,13 +15,15 @@ pub enum ConstraintCase {
     /// local training within the same deadline, so slower devices get
     /// smaller models.
     Computation {
-        /// Per-round local-training deadline in seconds.
+        /// Per-round local-training deadline in seconds
+        /// ([`ConstraintCase::COMPUTATION`] uses 300 s).
         deadline_secs: f64,
     },
     /// Communication-limited MHFL (Definition IV.2): every client must
     /// complete its upload/download within the same time budget.
     Communication {
-        /// Per-round communication budget in seconds (the paper uses 200 s).
+        /// Per-round communication budget in seconds
+        /// ([`ConstraintCase::COMMUNICATION`] uses 200 s).
         budget_secs: f64,
     },
     /// Memory-limited MHFL (Definition IV.3): the model must fit in the
@@ -39,24 +41,36 @@ pub enum ConstraintCase {
     },
 }
 
-impl ConstraintCase {
-    /// The Mem+Comm combination from Fig. 7.
-    pub fn memory_plus_communication(comm_budget_secs: f64) -> Self {
-        ConstraintCase::Combined {
-            deadline_secs: None,
-            comm_budget_secs: Some(comm_budget_secs),
-            memory: true,
-        }
-    }
+/// The repo's computation deadline in seconds (Definition IV.1).
+const DEADLINE_SECS: f64 = 300.0;
+/// The repo's communication budget in seconds (Definition IV.2).
+const COMM_BUDGET_SECS: f64 = 200.0;
 
-    /// The Mem+Comm+Comp combination from Fig. 7.
-    pub fn all_combined(deadline_secs: f64, comm_budget_secs: f64) -> Self {
-        ConstraintCase::Combined {
-            deadline_secs: Some(deadline_secs),
-            comm_budget_secs: Some(comm_budget_secs),
-            memory: true,
-        }
-    }
+impl ConstraintCase {
+    /// Computation-limited at the repo's 300 s deadline.
+    pub const COMPUTATION: Self = ConstraintCase::Computation {
+        deadline_secs: DEADLINE_SECS,
+    };
+
+    /// Communication-limited at the repo's 200 s budget.
+    pub const COMMUNICATION: Self = ConstraintCase::Communication {
+        budget_secs: COMM_BUDGET_SECS,
+    };
+
+    /// The Mem+Comm combination from Fig. 7, at the 200 s budget.
+    pub const MEMORY_PLUS_COMMUNICATION: Self = ConstraintCase::Combined {
+        deadline_secs: None,
+        comm_budget_secs: Some(COMM_BUDGET_SECS),
+        memory: true,
+    };
+
+    /// The Mem+Comm+Comp combination from Fig. 7, at the 300 s deadline and
+    /// 200 s budget.
+    pub const ALL_COMBINED: Self = ConstraintCase::Combined {
+        deadline_secs: Some(DEADLINE_SECS),
+        comm_budget_secs: Some(COMM_BUDGET_SECS),
+        memory: true,
+    };
 
     /// Short name used in tables and figures.
     pub fn label(&self) -> String {
@@ -199,9 +213,7 @@ mod tests {
     fn computation_constraint_gives_slow_devices_smaller_models() {
         let pool = pool();
         let cost_model = CostModel::default();
-        let case = ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        };
+        let case = ConstraintCase::COMPUTATION;
         let slow = DeviceCapability {
             compute_gflops: 5.0,
             bandwidth_mbps: 50.0,
@@ -224,7 +236,7 @@ mod tests {
     fn communication_constraint_reacts_to_bandwidth() {
         let pool = pool();
         let cost_model = CostModel::default();
-        let case = ConstraintCase::Communication { budget_secs: 200.0 };
+        let case = ConstraintCase::COMMUNICATION;
         let narrow = DeviceCapability {
             compute_gflops: 100.0,
             bandwidth_mbps: 1.0,
@@ -266,7 +278,11 @@ mod tests {
         let pool = pool();
         let cost_model = CostModel::default();
         let single = ConstraintCase::Memory;
-        let combined = ConstraintCase::all_combined(200.0, 100.0);
+        let combined = ConstraintCase::Combined {
+            deadline_secs: Some(200.0),
+            comm_budget_secs: Some(100.0),
+            memory: true,
+        };
         for method in [
             MhflMethod::SHeteroFl,
             MhflMethod::DepthFl,
@@ -307,12 +323,7 @@ mod tests {
     fn derived_devices_and_assignments_are_order_free() {
         let pool = pool();
         let cost_model = CostModel::default();
-        for case in [
-            ConstraintCase::Memory,
-            ConstraintCase::Computation {
-                deadline_secs: 300.0,
-            },
-        ] {
+        for case in [ConstraintCase::Memory, ConstraintCase::COMPUTATION] {
             // Same (seed, client) → same device, regardless of derivation
             // order, even at indices far beyond any materialised population.
             let a = case.derive_device(11, 987_654);
@@ -332,13 +343,10 @@ mod tests {
         );
         assert_eq!(ConstraintCase::Memory.label(), "Mem");
         assert_eq!(
-            ConstraintCase::memory_plus_communication(200.0).label(),
+            ConstraintCase::MEMORY_PLUS_COMMUNICATION.label(),
             "Mem+Comm"
         );
-        assert_eq!(
-            ConstraintCase::all_combined(100.0, 200.0).label(),
-            "Mem+Comm+Comp"
-        );
+        assert_eq!(ConstraintCase::ALL_COMBINED.label(), "Mem+Comm+Comp");
     }
 
     #[test]

@@ -163,13 +163,16 @@ fn parse_method(value: &str) -> NetResult<MhflMethod> {
 }
 
 fn parse_constraint(value: &str) -> NetResult<ConstraintCase> {
-    // `computation:120` / `communication:90` carry the threshold in seconds;
-    // the bare words mean the paper's canonical parameters: 300 s computation
-    // deadline, 200 s communication budget.
+    // `computation:120` / `communication:90` carry a positive threshold in
+    // seconds; the bare words mean `ConstraintCase::COMPUTATION`,
+    // `COMMUNICATION` and `MEMORY_PLUS_COMMUNICATION`.
     let expected = "memory | computation[:<secs>] | communication[:<secs>] | combined";
     let (name, secs) = match value.split_once(':') {
         Some((name, secs)) => {
-            let secs = secs.parse::<f64>().ok().filter(|s| s.is_finite());
+            let secs = secs
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0);
             (
                 name,
                 Some(secs.ok_or_else(|| bad("--constraint", value, expected))?),
@@ -179,13 +182,15 @@ fn parse_constraint(value: &str) -> NetResult<ConstraintCase> {
     };
     match (normalise(name).as_str(), secs) {
         ("memory" | "mem", None) => Ok(ConstraintCase::Memory),
-        ("computation" | "comp", secs) => Ok(ConstraintCase::Computation {
-            deadline_secs: secs.unwrap_or(300.0),
-        }),
-        ("communication" | "comm", secs) => Ok(ConstraintCase::Communication {
-            budget_secs: secs.unwrap_or(200.0),
-        }),
-        ("combined", None) => Ok(ConstraintCase::memory_plus_communication(200.0)),
+        ("computation" | "comp", None) => Ok(ConstraintCase::COMPUTATION),
+        ("computation" | "comp", Some(deadline_secs)) => {
+            Ok(ConstraintCase::Computation { deadline_secs })
+        }
+        ("communication" | "comm", None) => Ok(ConstraintCase::COMMUNICATION),
+        ("communication" | "comm", Some(budget_secs)) => {
+            Ok(ConstraintCase::Communication { budget_secs })
+        }
+        ("combined", None) => Ok(ConstraintCase::MEMORY_PLUS_COMMUNICATION),
         _ => Err(bad("--constraint", value, expected)),
     }
 }
@@ -357,12 +362,7 @@ mod tests {
     fn spec_flags_round_trip_through_parse_spec() {
         // The paper's thresholds, non-default ones, and a case without one.
         for (flag, constraint) in [
-            (
-                "computation:300",
-                ConstraintCase::Computation {
-                    deadline_secs: 300.0,
-                },
-            ),
+            ("computation:300", ConstraintCase::COMPUTATION),
             (
                 "computation:120",
                 ConstraintCase::Computation {
@@ -403,15 +403,23 @@ mod tests {
     fn bare_constraint_words_mean_the_paper_thresholds() {
         assert_eq!(
             parse_constraint("computation").unwrap(),
-            ConstraintCase::Computation {
-                deadline_secs: 300.0
-            }
+            ConstraintCase::COMPUTATION
         );
         assert_eq!(
             parse_constraint("comm").unwrap(),
-            ConstraintCase::Communication { budget_secs: 200.0 }
+            ConstraintCase::COMMUNICATION
         );
-        for garbage in ["computation:soon", "computation:inf", "memory:4"] {
+        assert_eq!(
+            parse_constraint("combined").unwrap(),
+            ConstraintCase::MEMORY_PLUS_COMMUNICATION
+        );
+        for garbage in [
+            "computation:soon",
+            "computation:inf",
+            "memory:4",
+            "computation:0",
+            "communication:-5",
+        ] {
             assert!(
                 matches!(parse_constraint(garbage), Err(NetError::Protocol { .. })),
                 "{garbage}"

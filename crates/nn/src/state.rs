@@ -21,7 +21,6 @@ use crate::{NnError, Result};
 /// let mut sd = StateDict::new();
 /// sd.insert("layer.weight", Tensor::ones(&[2, 2]));
 /// assert_eq!(sd.num_parameters(), 4);
-/// assert_eq!(sd.size_bytes(), 16);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StateDict {
@@ -96,25 +95,6 @@ impl StateDict {
         self.entries.values().map(Tensor::len).sum()
     }
 
-    /// Size of the dict when serialised as dense `f32` payload, in bytes.
-    ///
-    /// This is the quantity the communication-limited constraint reasons
-    /// about (4 bytes per parameter, ignoring framing overhead).
-    pub fn size_bytes(&self) -> usize {
-        self.num_parameters() * std::mem::size_of::<f32>()
-    }
-
-    /// Keeps only parameters whose name starts with one of the prefixes.
-    pub fn filter_prefixes(&self, prefixes: &[&str]) -> StateDict {
-        let entries = self
-            .entries
-            .iter()
-            .filter(|(k, _)| prefixes.iter().any(|p| k.starts_with(p)))
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        StateDict { entries }
-    }
-
     /// Squared L2 distance between the overlapping parameters of two dicts.
     /// Parameters present in only one dict (or with differing shapes) are
     /// ignored — useful for measuring drift between heterogeneous models.
@@ -133,20 +113,6 @@ impl StateDict {
                 })
             })
             .sum()
-    }
-
-    /// Elementwise `self = self * (1 - alpha) + other * alpha` over parameters
-    /// present in both dicts with matching shapes (server-side interpolation).
-    pub fn lerp_from(&mut self, other: &StateDict, alpha: f32) {
-        for (name, value) in self.entries.iter_mut() {
-            if let Some(src) = other.get(name) {
-                if src.dims() == value.dims() {
-                    for (v, &s) in value.as_mut_slice().iter_mut().zip(src.as_slice()) {
-                        *v = *v * (1.0 - alpha) + s * alpha;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -200,16 +166,6 @@ mod tests {
     fn counting_and_bytes() {
         let sd = sample();
         assert_eq!(sd.num_parameters(), 8 + 4 + 12);
-        assert_eq!(sd.size_bytes(), 24 * 4);
-    }
-
-    #[test]
-    fn filter_prefixes_selects_subtree() {
-        let sd = sample();
-        let stem = sd.filter_prefixes(&["stem."]);
-        assert_eq!(stem.len(), 2);
-        assert!(stem.contains("stem.weight"));
-        assert!(!stem.contains("head.weight"));
     }
 
     #[test]
@@ -220,15 +176,6 @@ mod tests {
         b.insert("extra.weight", Tensor::ones(&[5]));
         // Only head.weight differs on the overlap: 12 entries, diff 1 each.
         assert!((a.l2_distance_sq(&b) - 12.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn lerp_moves_halfway() {
-        let mut a = sample();
-        let mut b = sample();
-        b.insert("stem.weight", Tensor::full(&[4, 2], 3.0));
-        a.lerp_from(&b, 0.5);
-        assert!((a.get("stem.weight").unwrap().as_slice()[0] - 2.0).abs() < 1e-6);
     }
 
     #[test]

@@ -16,9 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = ExperimentSpec::new(
         DataTask::UciHar,
         MhflMethod::SHeteroFl,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
+        ConstraintCase::COMPUTATION,
     )
     .with_scale(RunScale::Quick)
     .with_seed(7);

@@ -28,9 +28,7 @@ fn spec(execution: Execution, seed: u64) -> ExperimentSpec {
     ExperimentSpec::new(
         DataTask::UciHar,
         MhflMethod::SHeteroFl,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
+        ConstraintCase::COMPUTATION,
     )
     .with_scale(RunScale::Quick)
     .with_seed(seed)

@@ -59,18 +59,12 @@ fn context(method: MhflMethod) -> FederationContext {
 }
 
 fn context_for(task: DataTask, method: MhflMethod) -> FederationContext {
-    ExperimentSpec::new(
-        task,
-        method,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
-    )
-    .with_scale(RunScale::Quick)
-    .with_num_clients(NUM_CLIENTS)
-    .with_seed(23)
-    .build_context()
-    .unwrap()
+    ExperimentSpec::new(task, method, ConstraintCase::COMPUTATION)
+        .with_scale(RunScale::Quick)
+        .with_num_clients(NUM_CLIENTS)
+        .with_seed(23)
+        .build_context()
+        .unwrap()
 }
 
 /// Two rounds of training over every client but the last.

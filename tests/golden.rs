@@ -106,16 +106,10 @@ fn execution_label(execution: Execution) -> &'static str {
 }
 
 fn spec(task: DataTask, method: MhflMethod, execution: Execution, seed: u64) -> ExperimentSpec {
-    ExperimentSpec::new(
-        task,
-        method,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
-    )
-    .with_scale(RunScale::Quick)
-    .with_seed(seed)
-    .with_execution(execution)
+    ExperimentSpec::new(task, method, ConstraintCase::COMPUTATION)
+        .with_scale(RunScale::Quick)
+        .with_seed(seed)
+        .with_execution(execution)
 }
 
 fn run_report(

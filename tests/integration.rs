@@ -14,9 +14,7 @@ fn quick_spec(task: DataTask, method: MhflMethod, constraint: ConstraintCase) ->
 
 #[test]
 fn every_method_runs_under_computation_constraint() {
-    let constraint = ConstraintCase::Computation {
-        deadline_secs: 300.0,
-    };
+    let constraint = ConstraintCase::COMPUTATION;
     for method in MhflMethod::ALL {
         let outcome = quick_spec(DataTask::UciHar, method, constraint)
             .run()
@@ -34,13 +32,11 @@ fn every_method_runs_under_computation_constraint() {
 #[test]
 fn every_constraint_case_runs_for_a_representative_method() {
     let cases = [
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
-        ConstraintCase::Communication { budget_secs: 200.0 },
+        ConstraintCase::COMPUTATION,
+        ConstraintCase::COMMUNICATION,
         ConstraintCase::Memory,
-        ConstraintCase::memory_plus_communication(200.0),
-        ConstraintCase::all_combined(300.0, 200.0),
+        ConstraintCase::MEMORY_PLUS_COMMUNICATION,
+        ConstraintCase::ALL_COMBINED,
     ];
     for case in cases {
         let outcome = quick_spec(DataTask::UciHar, MhflMethod::SHeteroFl, case)
@@ -56,9 +52,7 @@ fn every_constraint_case_runs_for_a_representative_method() {
 
 #[test]
 fn all_modalities_run_for_one_method_per_level() {
-    let constraint = ConstraintCase::Computation {
-        deadline_secs: 300.0,
-    };
+    let constraint = ConstraintCase::COMPUTATION;
     let representatives = [
         MhflMethod::SHeteroFl,
         MhflMethod::DepthFl,
@@ -78,9 +72,7 @@ fn all_modalities_run_for_one_method_per_level() {
 fn heterogeneous_methods_learn_on_a_separable_task() {
     // On the easily-separable HAR task, the representative width and depth
     // methods must clearly beat random guessing within a few quick rounds.
-    let constraint = ConstraintCase::Computation {
-        deadline_secs: 300.0,
-    };
+    let constraint = ConstraintCase::COMPUTATION;
     let chance = 1.0 / DataTask::UciHar.num_classes() as f32;
     for method in [MhflMethod::SHeteroFl, MhflMethod::FeDepth] {
         let outcome = quick_spec(DataTask::UciHar, method, constraint)
@@ -121,9 +113,7 @@ fn effectiveness_is_relative_to_homogeneous_baseline() {
 
 #[test]
 fn noniid_partitions_flow_through_the_platform() {
-    let constraint = ConstraintCase::Computation {
-        deadline_secs: 300.0,
-    };
+    let constraint = ConstraintCase::COMPUTATION;
     for partition in [Partition::Iid, Partition::Dirichlet { alpha: 0.5 }] {
         let outcome = quick_spec(DataTask::Cifar10, MhflMethod::FedRolex, constraint)
             .with_partition(partition)

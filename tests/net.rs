@@ -90,15 +90,9 @@ fn worker(name: &str) -> WorkerOptions {
 fn a_snapshot_restricted_to_one_client_computes_its_update_bit_identically() {
     for task in [DataTask::UciHar, DataTask::StackOverflow] {
         for method in MhflMethod::ALL {
-            let spec = ExperimentSpec::new(
-                task,
-                method,
-                ConstraintCase::Computation {
-                    deadline_secs: 300.0,
-                },
-            )
-            .with_scale(RunScale::Quick)
-            .with_seed(17);
+            let spec = ExperimentSpec::new(task, method, ConstraintCase::COMPUTATION)
+                .with_scale(RunScale::Quick)
+                .with_seed(17);
             let ctx = spec.build_context().expect("context");
             let engine = FlEngine::new(EngineConfig {
                 rounds: 3,

@@ -41,9 +41,7 @@ fn sparse_million_client_checkpoint_round_trips_to_equal_digest() {
     let spec = ExperimentSpec::new(
         DataTask::UciHar,
         MhflMethod::SHeteroFl,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
+        ConstraintCase::COMPUTATION,
     )
     .with_scale(RunScale::Quick)
     .with_num_clients(POPULATION)

@@ -35,16 +35,10 @@ const MODES: [Execution; 2] = [
 ];
 
 fn spec(method: MhflMethod, execution: Execution, seed: u64) -> ExperimentSpec {
-    ExperimentSpec::new(
-        DataTask::UciHar,
-        method,
-        ConstraintCase::Computation {
-            deadline_secs: 300.0,
-        },
-    )
-    .with_scale(RunScale::Quick)
-    .with_seed(seed)
-    .with_execution(execution)
+    ExperimentSpec::new(DataTask::UciHar, method, ConstraintCase::COMPUTATION)
+        .with_scale(RunScale::Quick)
+        .with_seed(seed)
+        .with_execution(execution)
 }
 
 /// Runs the spec through the blocking `run()` wrapper.
