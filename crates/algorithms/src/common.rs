@@ -133,9 +133,11 @@ impl ClientModels {
 
     /// Writes every stored state into its `client.<id>` slot of `state`.
     pub(crate) fn snapshot_into(&self, state: &mut AlgorithmState) {
-        for (&client, (_, sd)) in &self.states {
-            state.insert_state(AlgorithmState::client_state_key(client), sd.clone());
-        }
+        state.insert_states(
+            self.states
+                .iter()
+                .map(|(&client, (_, sd))| (AlgorithmState::client_state_key(client), sd.clone())),
+        );
     }
 
     /// Replaces the stored models with the `client.<id>` slots of `state`.

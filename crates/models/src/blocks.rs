@@ -233,15 +233,15 @@ impl Layer for ProxyBlock {
         }
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match self {
             ProxyBlock::Conv { conv, norm, .. } => {
-                conv.visit_params_mut(&join(prefix, "conv"), f);
-                norm.visit_params_mut(&join(prefix, "norm"), f);
+                conv.visit_params_mut(f);
+                norm.visit_params_mut(f);
             }
             ProxyBlock::Dense { fc, norm, .. } => {
-                fc.visit_params_mut(&join(prefix, "fc"), f);
-                norm.visit_params_mut(&join(prefix, "norm"), f);
+                fc.visit_params_mut(f);
+                norm.visit_params_mut(f);
             }
             ProxyBlock::Attention {
                 attn,
@@ -251,11 +251,11 @@ impl Layer for ProxyBlock {
                 norm2,
                 ..
             } => {
-                attn.visit_params_mut(&join(prefix, "attn"), f);
-                norm1.visit_params_mut(&join(prefix, "norm1"), f);
-                fc1.visit_params_mut(&join(prefix, "fc1"), f);
-                fc2.visit_params_mut(&join(prefix, "fc2"), f);
-                norm2.visit_params_mut(&join(prefix, "norm2"), f);
+                attn.visit_params_mut(f);
+                norm1.visit_params_mut(f);
+                fc1.visit_params_mut(f);
+                fc2.visit_params_mut(f);
+                norm2.visit_params_mut(f);
             }
         }
     }

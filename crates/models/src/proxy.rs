@@ -240,16 +240,14 @@ impl Stem {
         }
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
         match self {
             Stem::Image { conv, norm, .. } => {
-                conv.visit_params_mut(&format!("{prefix}.conv"), f);
-                norm.visit_params_mut(&format!("{prefix}.norm"), f);
+                conv.visit_params_mut(f);
+                norm.visit_params_mut(f);
             }
-            Stem::Tokens { embedding } => {
-                embedding.visit_params_mut(&format!("{prefix}.embedding"), f)
-            }
-            Stem::Features { fc, .. } => fc.visit_params_mut(&format!("{prefix}.fc"), f),
+            Stem::Tokens { embedding } => embedding.visit_params_mut(f),
+            Stem::Features { fc, .. } => fc.visit_params_mut(f),
         }
     }
 }
@@ -563,21 +561,14 @@ impl Layer for ProxyModel {
         }
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        let p = |s: &str| {
-            if prefix.is_empty() {
-                s.to_string()
-            } else {
-                format!("{prefix}.{s}")
-            }
-        };
-        self.stem.visit_params_mut(&p("stem"), f);
-        for (i, block) in self.blocks.iter_mut().enumerate() {
-            block.visit_params_mut(&p(&format!("block{i}")), f);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.stem.visit_params_mut(f);
+        for block in self.blocks.iter_mut() {
+            block.visit_params_mut(f);
         }
-        self.head.visit_params_mut(&p("head"), f);
-        for (i, aux) in self.aux_heads.iter_mut().enumerate() {
-            aux.visit_params_mut(&p(&format!("aux{i}")), f);
+        self.head.visit_params_mut(f);
+        for aux in self.aux_heads.iter_mut() {
+            aux.visit_params_mut(f);
         }
     }
 }
@@ -827,6 +818,45 @@ mod tests {
         })
         .unwrap();
         assert!(fresh.state_dict().l2_distance_sq(&sd) > 0.0);
+    }
+
+    /// The name-free mutable walk visits the named walk's parameters in its
+    /// order, through every stem and block kind and the auxiliary heads:
+    /// it stamps each parameter with its position, and the named walk must
+    /// read the positions back as 0, 1, 2, … with the shapes it saw first.
+    #[test]
+    fn mutable_walk_visits_the_named_walk_in_order() {
+        let tokens = InputKind::Tokens {
+            vocab: 50,
+            seq_len: 6,
+        };
+        for config in [
+            cifar_config(ModelFamily::ResNet18),
+            ProxyConfig::for_family(ModelFamily::AlbertLarge, tokens, 4, 1),
+            ProxyConfig::for_family(ModelFamily::HarCnn, InputKind::Features { dim: 12 }, 5, 2),
+        ] {
+            for aux in [false, true] {
+                let mut model = ProxyModel::new(config.with_aux_heads(aux)).unwrap();
+                let case = format!("{:?}, aux {aux}", config.family);
+                let mut shapes = Vec::new();
+                model.visit_params("", &mut |_, p| shapes.push(p.value.dims().to_vec()));
+                let mut stamped = Vec::new();
+                model.visit_params_mut(&mut |p| {
+                    p.value = Tensor::full(p.value.dims(), stamped.len() as f32);
+                    stamped.push(p.value.dims().to_vec());
+                });
+                assert_eq!(stamped, shapes, "{case}: count and shapes");
+                let mut position = 0;
+                model.visit_params("", &mut |name, p| {
+                    let stamp = position as f32;
+                    assert!(
+                        p.value.as_slice().iter().all(|&v| v == stamp),
+                        "{case}: {name} at {position}"
+                    );
+                    position += 1;
+                });
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl Layer for Relu {
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
-    fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// `sqrt(2 / pi)`, the scale inside GELU's `tanh`.
@@ -99,7 +99,7 @@ impl Layer for Gelu {
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
-    fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Hyperbolic tangent activation, used by the HAR CNN proxy.
@@ -136,7 +136,7 @@ impl Layer for Tanh {
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
-    fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 #[cfg(test)]

@@ -166,11 +166,11 @@ impl Layer for SelfAttention {
         f(&join_name(prefix, "wo"), &self.wo);
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        f(&join_name(prefix, "wq"), &mut self.wq);
-        f(&join_name(prefix, "wk"), &mut self.wk);
-        f(&join_name(prefix, "wv"), &mut self.wv);
-        f(&join_name(prefix, "wo"), &mut self.wo);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.wq);
+        f(&mut self.wk);
+        f(&mut self.wv);
+        f(&mut self.wo);
     }
 }
 
@@ -252,7 +252,7 @@ mod tests {
         {
             let mut rng = SeededRng::new(40 + case as u64);
             let mut attn = SelfAttention::new(dim, &mut rng).unwrap();
-            attn.visit_params_mut("", &mut |_, p| {
+            attn.visit_params_mut(&mut |p| {
                 p.grad = Tensor::randn(p.value.dims(), 1.0, &mut rng);
             });
             let mut x = Tensor::randn(&[batch, seq, dim], 1.0, &mut rng);

@@ -379,9 +379,9 @@ impl Layer for Conv2d {
         f(&join_name(prefix, "bias"), &self.bias);
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        f(&join_name(prefix, "weight"), &mut self.weight);
-        f(&join_name(prefix, "bias"), &mut self.bias);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 }
 

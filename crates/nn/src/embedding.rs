@@ -106,8 +106,8 @@ impl Layer for Embedding {
         f(&join_name(prefix, "weight"), &self.table);
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        f(&join_name(prefix, "weight"), &mut self.table);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.table);
     }
 }
 

@@ -57,12 +57,15 @@ pub trait Layer {
     /// Visits every parameter with its fully-qualified name.
     fn visit_params(&self, prefix: &str, f: &mut dyn FnMut(&str, &Param));
 
-    /// Visits every parameter mutably with its fully-qualified name.
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param));
+    /// Visits every parameter mutably, without names, in the order of
+    /// [`Layer::visit_params`]. The hot mutable walks ([`Layer::zero_grad`],
+    /// [`crate::Sgd::step`]) read no names, so none are built;
+    /// [`load_state_dict`] pairs this walk with the named one by position.
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param));
 
     /// Clears all accumulated gradients.
     fn zero_grad(&mut self) {
-        self.visit_params_mut("", &mut |_, p| p.zero_grad());
+        self.visit_params_mut(&mut |p| p.zero_grad());
     }
 }
 
@@ -82,8 +85,12 @@ pub fn state_dict_of(layer: &dyn Layer, prefix: &str) -> StateDict {
 /// # Errors
 /// Returns [`NnError::MissingParam`] or [`NnError::ParamShapeMismatch`].
 pub fn load_state_dict(layer: &mut dyn Layer, prefix: &str, sd: &StateDict) -> Result<()> {
+    // The named walk picks each parameter's source up to the first failure;
+    // the name-free walk, which visits the same parameters in the same
+    // order, then loads those, as a single walk that stops there would.
     let mut failure: Option<NnError> = None;
-    layer.visit_params_mut(prefix, &mut |name, p| {
+    let mut sources = Vec::new();
+    layer.visit_params(prefix, &mut |name, p| {
         if failure.is_some() {
             return;
         }
@@ -96,7 +103,13 @@ pub fn load_state_dict(layer: &mut dyn Layer, prefix: &str, sd: &StateDict) -> R
                     got: t.dims().to_vec(),
                 })
             }
-            Some(t) => p.value = t.clone(),
+            Some(t) => sources.push(t),
+        }
+    });
+    let mut sources = sources.into_iter();
+    layer.visit_params_mut(&mut |p| {
+        if let Some(t) = sources.next() {
+            p.value = t.clone();
         }
     });
     match failure {
@@ -203,9 +216,9 @@ impl Layer for Sequential {
         }
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        for (name, layer) in self.layers.iter_mut() {
-            layer.visit_params_mut(&join_name(prefix, name), f);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for (_, layer) in self.layers.iter_mut() {
+            layer.visit_params_mut(f);
         }
     }
 }
@@ -245,7 +258,7 @@ mod tests {
         assert_eq!(sd.len(), 4);
 
         // Perturb then restore.
-        net.visit_params_mut("", &mut |_, p| p.value.scale_inplace(0.0));
+        net.visit_params_mut(&mut |p| p.value.scale_inplace(0.0));
         load_state_dict(&mut net, "", &sd).unwrap();
         let restored = state_dict_of(&net, "");
         assert_eq!(restored, sd);

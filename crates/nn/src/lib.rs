@@ -21,6 +21,9 @@
 //! The design goal is that every model parameter is reachable by name through
 //! [`Layer::visit_params`], so that the MHFL algorithms can slice, transmit
 //! and aggregate parameters without knowing the concrete architecture.
+//! [`Layer::visit_params_mut`] is name-free and walks the same parameters in
+//! the same order, so the per-step walks ([`Layer::zero_grad`],
+//! [`Sgd::step`]) build no names.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

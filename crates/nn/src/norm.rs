@@ -234,9 +234,9 @@ impl Layer for LayerNorm {
         f(&join_name(prefix, "beta"), &self.beta);
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        f(&join_name(prefix, "gamma"), &mut self.gamma);
-        f(&join_name(prefix, "beta"), &mut self.beta);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
     }
 }
 
@@ -354,9 +354,9 @@ impl Layer for ChannelNorm2d {
         f(&join_name(prefix, "beta"), &self.beta);
     }
 
-    fn visit_params_mut(&mut self, prefix: &str, f: &mut dyn FnMut(&str, &mut Param)) {
-        f(&join_name(prefix, "gamma"), &mut self.gamma);
-        f(&join_name(prefix, "beta"), &mut self.beta);
+    fn visit_params_mut(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        f(&mut self.gamma);
+        f(&mut self.beta);
     }
 }
 
@@ -571,24 +571,19 @@ mod tests {
         channel: impl Fn(usize) -> usize + Copy,
     ) {
         let mut rng = SeededRng::new(dims.iter().product::<usize>() as u64);
-        let mut gamma = Vec::new();
-        let mut beta = Vec::new();
-        layer.visit_params_mut("", &mut |name, p| {
+        let mut params = Vec::new();
+        layer.visit_params_mut(&mut |p| {
             p.value = Tensor::randn(p.value.dims(), 1.0, &mut rng);
             p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng);
-            if name == "beta" {
-                // `γ·xhat + (-0.0)` keeps the sign of a zero `xhat`, so
-                // the all-`-0.0` group shows where its mean's sum started.
+            if params.len() == 1 {
+                // β, visited after γ: `γ·xhat + (-0.0)` keeps the sign of a
+                // zero `xhat`, so the all-`-0.0` group shows where its
+                // mean's sum started.
                 p.value.as_mut_slice()[0] = -0.0;
             }
-            let values = (p.value.as_slice().to_vec(), p.grad.as_slice().to_vec());
-            if name == "gamma" {
-                gamma.push(values);
-            } else {
-                beta.push(values);
-            }
+            params.push((p.value.as_slice().to_vec(), p.grad.as_slice().to_vec()));
         });
-        let ((gamma, mut dg), (beta, mut db)) = (gamma.remove(0), beta.remove(0));
+        let [(gamma, mut dg), (beta, mut db)]: [_; 2] = params.try_into().unwrap();
         let x = awkward(dims, group_size, true, &mut rng);
         let dy = awkward(dims, group_size, false, &mut rng);
 

@@ -86,7 +86,7 @@ impl Sgd {
         let velocity = &mut self.velocity;
         let mut index = 0;
         let mut failure = None;
-        layer.visit_params_mut("", &mut |_, p| {
+        layer.visit_params_mut(&mut |p| {
             if failure.is_some() {
                 return;
             }
@@ -105,18 +105,26 @@ impl Sgd {
             }
             let v = velocity[index].as_mut_slice();
             index += 1;
+            // Bound in the closure, not captured by reference, so the loop
+            // keeps them in registers and vectorises.
+            let SgdConfig {
+                lr,
+                momentum,
+                weight_decay,
+                grad_clip,
+            } = config;
             let values = p.value.as_mut_slice().iter_mut();
             for ((w, &g), v) in values.zip(p.grad.as_slice()).zip(v) {
                 let mut g = g;
-                if let Some(clip) = config.grad_clip {
+                if let Some(clip) = grad_clip {
                     g = g.clamp(-clip, clip);
                 }
-                if config.weight_decay != 0.0 {
-                    g += config.weight_decay * *w;
+                if weight_decay != 0.0 {
+                    g += weight_decay * *w;
                 }
-                *v *= config.momentum;
+                *v *= momentum;
                 *v += 1.0 * g;
-                *w += -config.lr * *v;
+                *w += -lr * *v;
             }
         });
         match failure {
@@ -149,8 +157,12 @@ mod tests {
         velocity: &mut HashMap<String, Tensor>,
         layer: &mut dyn Layer,
     ) -> Result<()> {
+        let mut names = Vec::new();
+        layer.visit_params("", &mut |name, _| names.push(name.to_string()));
+        let mut names = names.into_iter();
         let mut failure = None;
-        layer.visit_params_mut("", &mut |name, p| {
+        layer.visit_params_mut(&mut |p| {
+            let name = names.next().expect("one name per parameter");
             if failure.is_some() {
                 return;
             }
@@ -165,7 +177,7 @@ mod tests {
                 }
             }
             let v = velocity
-                .entry(name.to_string())
+                .entry(name)
                 .and_modify(|v| {
                     if v.dims() != grad.dims() {
                         *v = Tensor::zeros(grad.dims());
@@ -195,11 +207,15 @@ mod tests {
         bits
     }
 
+    /// `fc2.weight` has 143 elements, an odd count past 100, so the step's
+    /// vectorised loop runs both its body and its scalar tail.
     fn net(rng: &mut SeededRng) -> Sequential {
         let mut net = Sequential::new();
-        net.push("fc1", Linear::new(5, 7, rng));
-        net.push("act", Relu::new());
-        net.push("fc2", Linear::new_head(7, 3, rng));
+        net.push("fc1", Linear::new(5, 13, rng));
+        net.push("act1", Relu::new());
+        net.push("fc2", Linear::new(13, 11, rng));
+        net.push("act2", Relu::new());
+        net.push("fc3", Linear::new_head(11, 3, rng));
         net
     }
 
@@ -223,7 +239,7 @@ mod tests {
                         // Gradients beyond the clip, with signed zeros and
                         // a sign that flips between steps.
                         let mut grads = Vec::new();
-                        fused.visit_params_mut("", &mut |_, p| {
+                        fused.visit_params_mut(&mut |p| {
                             let mut g = Tensor::randn(p.value.dims(), 3.0, &mut rng);
                             for (i, x) in g.as_mut_slice().iter_mut().enumerate() {
                                 match i % 5 {
@@ -236,7 +252,7 @@ mod tests {
                             grads.push(g);
                         });
                         let mut grads = grads.into_iter();
-                        reference.visit_params_mut("", &mut |_, p| p.grad = grads.next().unwrap());
+                        reference.visit_params_mut(&mut |p| p.grad = grads.next().unwrap());
                         opt.step(&mut fused).unwrap();
                         reference_step(config, &mut velocity, &mut reference).unwrap();
                         assert_eq!(bits(&fused), bits(&reference), "{config:?}");
@@ -330,11 +346,11 @@ mod tests {
         let mut rng = SeededRng::new(2);
         let mut opt = Sgd::new(SgdConfig::default());
         let mut small = Linear::new(2, 2, &mut rng);
-        small.visit_params_mut("", &mut |_, p| p.grad = Tensor::ones(p.value.dims()));
+        small.visit_params_mut(&mut |p| p.grad = Tensor::ones(p.value.dims()));
         opt.step(&mut small).unwrap();
         // Same parameter names, different shapes — must not panic.
         let mut large = Linear::new(4, 4, &mut rng);
-        large.visit_params_mut("", &mut |_, p| p.grad = Tensor::ones(p.value.dims()));
+        large.visit_params_mut(&mut |p| p.grad = Tensor::ones(p.value.dims()));
         opt.step(&mut large).unwrap();
         opt.reset();
         assert!(opt.velocity.is_empty());
@@ -344,9 +360,7 @@ mod tests {
     fn grad_clip_limits_update_magnitude() {
         let mut rng = SeededRng::new(3);
         let mut lin = Linear::new(1, 1, &mut rng);
-        lin.visit_params_mut("", &mut |_, p| {
-            p.grad = Tensor::full(p.value.dims(), 1000.0)
-        });
+        lin.visit_params_mut(&mut |p| p.grad = Tensor::full(p.value.dims(), 1000.0));
         let before = {
             let mut v = Vec::new();
             lin.visit_params("", &mut |_, p| v.push(p.value.as_slice()[0]));

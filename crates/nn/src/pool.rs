@@ -64,7 +64,7 @@ impl Layer for GlobalAvgPool2d {
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
-    fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Flattens all trailing dimensions into one: `[batch, ...] -> [batch, n]`.
@@ -107,7 +107,7 @@ impl Layer for Flatten {
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
-    fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 /// Mean pooling over the sequence dimension of a `[batch, seq, features]`
@@ -170,7 +170,7 @@ impl Layer for MeanPool1d {
     }
 
     fn visit_params(&self, _prefix: &str, _f: &mut dyn FnMut(&str, &Param)) {}
-    fn visit_params_mut(&mut self, _prefix: &str, _f: &mut dyn FnMut(&str, &mut Param)) {}
+    fn visit_params_mut(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Every layer's backward state: a gradient that does not match the
 //! forward's output is a typed error, refused before any parameter gradient
 //! moves, and an evaluation forward keeps nothing a backward could use.
+//! Every layer's name-free mutable walk also follows its named walk.
 
 use mhfl_nn::{
     ChannelNorm2d, Conv2d, Embedding, Flatten, Gelu, GlobalAvgPool2d, Layer, LayerNorm, Linear,
@@ -112,9 +113,7 @@ fn malformed_gradient_is_bad_input_in_every_layer() {
         );
 
         // Non-zero parameter gradients, so an accumulation would show.
-        layer.visit_params_mut("", &mut |_, p| {
-            p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng)
-        });
+        layer.visit_params_mut(&mut |p| p.grad = Tensor::randn(p.grad.dims(), 1.0, &mut rng));
         let before = grad_bits(layer.as_ref());
         let y = layer.forward(&x, true).unwrap();
         for batch in [y.dims()[0] - 1, y.dims()[0] + 1] {
@@ -159,9 +158,7 @@ fn assert_params_only_backward_refuses<L: Layer>(
         "backward_params after an evaluation forward gave {after_eval:?}"
     );
 
-    layer.visit_params_mut("", &mut |_, p| {
-        p.grad = Tensor::randn(p.grad.dims(), 1.0, rng)
-    });
+    layer.visit_params_mut(&mut |p| p.grad = Tensor::randn(p.grad.dims(), 1.0, rng));
     let before = grad_bits(layer);
     let y = layer.forward(x, true).unwrap();
     for batch in [y.dims()[0] - 1, y.dims()[0] + 1] {
@@ -214,5 +211,33 @@ fn evaluation_forward_keeps_no_backward_state_in_every_layer() {
             matches!(after, Err(NnError::MissingForwardCache(_))),
             "{name}: backward after an evaluation forward gave {after:?}"
         );
+    }
+}
+
+/// The name-free mutable walk visits the named walk's parameters in its
+/// order, which `load_state_dict` relies on: the mutable walk stamps each
+/// parameter with its position, and the named walk must read the positions
+/// back as 0, 1, 2, … with the shapes it saw first.
+#[test]
+fn mutable_walk_visits_the_named_walk_in_order_in_every_layer() {
+    let mut rng = SeededRng::new(4);
+    for (name, mut layer, _) in cases(&mut rng) {
+        let mut shapes = Vec::new();
+        layer.visit_params("", &mut |_, p| shapes.push(p.value.dims().to_vec()));
+        let mut stamped = Vec::new();
+        layer.visit_params_mut(&mut |p| {
+            p.value = Tensor::full(p.value.dims(), stamped.len() as f32);
+            stamped.push(p.value.dims().to_vec());
+        });
+        assert_eq!(stamped, shapes, "{name}: count and shapes");
+        let mut position = 0;
+        layer.visit_params("", &mut |param, p| {
+            let stamp = position as f32;
+            assert!(
+                p.value.as_slice().iter().all(|&v| v == stamp),
+                "{name}: {param} at {position}"
+            );
+            position += 1;
+        });
     }
 }
